@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compile-side benchmark: per-flow pass time + parallel/incremental, to JSON.
+"""Compile-side benchmark: per-flow pass time + incremental rebuild, to JSON.
 
 The interpreter side has had a tracked trajectory (``BENCH_interpreter.json``)
 since the cached-dispatch engine landed; conformance sweeps made *compile*
@@ -11,29 +11,23 @@ statistics collection on, and records
 * the end-to-end flow wall time (frontend + passes + printing bookkeeping),
 * the total pass-pipeline time from the flow's
   :class:`~repro.ir.pass_manager.PassTimingReport`,
-* the per-pass wall time / IR-size delta breakdown,
-* **parallel-vs-serial**: the standard pass pipeline over one synthetic
-  multi-function module, serial vs ``pipeline_settings(jobs=4)``, with the
-  outputs asserted bit-identical, and
-* **cold-vs-incremental**: the same module compiled from scratch vs rebuilt
-  after a one-function edit against a warm
-  :class:`~repro.service.incremental.FunctionArtifactStore`, again asserted
-  bit-identical,
+* the per-pass wall time / IR-size delta breakdown, and
+* **cold-vs-incremental**: one synthetic multi-function module compiled
+  from scratch vs rebuilt after a one-function edit against a warm
+  :class:`~repro.service.incremental.FunctionArtifactStore`, with the
+  outputs asserted bit-identical,
 
 into ``BENCH_compile.json`` so CI can track compile-side performance the
 same way it tracks ops/sec.  ``--check-floor`` additionally enforces the
-ISSUE floors: parallel >= 1.3x serial (skipped on single-CPU machines,
-where the process pool cannot physically speed anything up) and incremental
-rebuild >= 5x cold.  Exits non-zero when a flow errors on a workload it is
-expected to compile, when a bit-identity assert fails, or when a checked
-floor is missed.
+incremental floor: rebuild >= 5x cold.  Exits non-zero when a flow errors
+on a workload it is expected to compile, when the bit-identity assert
+fails, or when the floor is missed.
 
 Usage: ``PYTHONPATH=src python benchmarks/compile_bench.py [--quick]
 [--check-floor] [output.json]``
 """
 
 import json
-import os
 import platform
 import sys
 import time
@@ -61,9 +55,7 @@ FLEET_WORKLOADS = ["jacobi", "tra-adv", "ac", "linpk", "tfft", "dotproduct",
 #: unusually expensive function body).
 EDIT_WORKLOAD = "transpose"
 FLEET_SIZE = 22
-PARALLEL_JOBS = 4
 REPEATS = 3
-PARALLEL_FLOOR = 1.3
 INCREMENTAL_FLOOR = 5.0
 DEFAULT_OUTPUT = "BENCH_compile.json"
 
@@ -140,7 +132,7 @@ def _build_fleet_module(funcs):
     return shell
 
 
-def _time_pipeline(module_builder, *, jobs=1, store=None, repeats=REPEATS):
+def _time_pipeline(module_builder, *, store=None, repeats=REPEATS):
     """Best-of-N wall time of the standard pipeline; returns (s, final_text).
 
     A fresh module is built per repeat (the pipeline mutates in place), and
@@ -151,7 +143,7 @@ def _time_pipeline(module_builder, *, jobs=1, store=None, repeats=REPEATS):
     for _ in range(repeats):
         module = module_builder()
         pm = standard_flow_pipeline()
-        with pipeline_settings(jobs=jobs, function_cache=store):
+        with pipeline_settings(function_cache=store):
             t0 = time.perf_counter()
             pm.run(module)
             elapsed = time.perf_counter() - t0
@@ -159,27 +151,6 @@ def _time_pipeline(module_builder, *, jobs=1, store=None, repeats=REPEATS):
             best = elapsed
             text = print_op(module)
     return best, text
-
-
-def bench_parallel():
-    """Serial vs jobs=N over the fleet module; outputs must be identical."""
-    funcs = _harvest_functions(FLEET_WORKLOADS, FLEET_SIZE)
-    builder = lambda: _build_fleet_module(funcs)
-    serial_s, serial_text = _time_pipeline(builder, jobs=1)
-    parallel_s, parallel_text = _time_pipeline(builder, jobs=PARALLEL_JOBS)
-    return {
-        "functions": len(funcs),
-        "jobs": PARALLEL_JOBS,
-        "cpus": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 2) if parallel_s else None,
-        "identical": parallel_text == serial_text,
-        "floor": PARALLEL_FLOOR,
-        # a 1-CPU machine cannot demonstrate parallel speedup; the floor is
-        # asserted where cores exist (CI runners have >= 2)
-        "floor_checkable": (os.cpu_count() or 1) >= 2,
-    }
 
 
 def bench_incremental():
@@ -192,7 +163,7 @@ def bench_incremental():
                                store=None)
 
     # each repeat re-warms a fresh store so every timed rebuild is exactly
-    # the one-function-edit scenario: 7 splices + 1 recompile (a shared
+    # the one-function-edit scenario: 21 splices + 1 recompile (a shared
     # store would let later repeats splice the edited function too)
     rebuild_s = None
     rebuild_text = None
@@ -251,14 +222,6 @@ def main() -> int:
                   f"passes {(entry['pass_total_s'] or 0) * 1000:7.1f}ms  "
                   f"{slowest_text}")
 
-    parallel = bench_parallel()
-    print(f"parallel    {parallel['functions']} funcs  "
-          f"serial {parallel['serial_s'] * 1000:7.1f}ms  "
-          f"jobs={parallel['jobs']} {parallel['parallel_s'] * 1000:7.1f}ms  "
-          f"speedup {parallel['speedup']}x  "
-          f"identical={parallel['identical']}"
-          + ("" if parallel["floor_checkable"]
-             else "  (floor skipped: 1 cpu)"))
     incremental = bench_incremental()
     print(f"incremental {incremental['functions']} funcs (1 edited)  "
           f"cold {incremental['cold_edited_s'] * 1000:7.1f}ms  "
@@ -284,7 +247,6 @@ def main() -> int:
         "per_pass_total_s": {name: round(total, 4) for name, total
                              in sorted(per_pass_totals.items(),
                                        key=lambda kv: -kv[1])},
-        "parallel": parallel,
         "incremental": incremental,
     }
     with open(output, "w", encoding="utf-8") as fh:
@@ -293,32 +255,23 @@ def main() -> int:
     print(json.dumps({k: v for k, v in report.items() if k != "runs"},
                      indent=2))
 
-    # correctness is never optional: the parallel/incremental results must
-    # be bit-identical to serial cold compiles on every run
-    for label, section in (("parallel", parallel),
-                           ("incremental", incremental)):
-        if not section["identical"]:
-            print(f"FAIL: {label} output is not bit-identical to the "
-                  f"serial/cold compile", file=sys.stderr)
-            failures += 1
-    if check_floor:
-        if parallel["floor_checkable"] and \
-                parallel["speedup"] < parallel["floor"]:
-            print(f"FAIL: parallel speedup {parallel['speedup']}x is below "
-                  f"the {parallel['floor']}x floor", file=sys.stderr)
-            failures += 1
-        if incremental["speedup"] < incremental["floor"]:
-            print(f"FAIL: incremental rebuild speedup "
-                  f"{incremental['speedup']}x is below the "
-                  f"{incremental['floor']}x floor", file=sys.stderr)
-            failures += 1
+    # correctness is never optional: the spliced rebuild must be
+    # bit-identical to a cold compile on every run
+    if not incremental["identical"]:
+        print("FAIL: incremental output is not bit-identical to the cold "
+              "compile", file=sys.stderr)
+        failures += 1
+    if check_floor and incremental["speedup"] < incremental["floor"]:
+        print(f"FAIL: incremental rebuild speedup "
+              f"{incremental['speedup']}x is below the "
+              f"{incremental['floor']}x floor", file=sys.stderr)
+        failures += 1
 
     if failures:
         print(f"FAIL: {failures} check(s) failed", file=sys.stderr)
         return 1
     print(f"OK: {len(ok_runs)} flow runs, "
           f"total pass time {report['total_pass_wall_s']}s, "
-          f"parallel {parallel['speedup']}x, "
           f"incremental {incremental['speedup']}x")
     return 0
 

@@ -70,7 +70,6 @@ from repro.flang import FlangCompiler
 from repro.machine import Interpreter
 from repro.machine import jit as machine_jit
 from repro.service.cache import ArtifactCache
-from repro.service.jit_store import JitTranslationStore
 from repro.service.serialization import stats_to_dict
 from repro.workloads import get_workload
 
@@ -160,7 +159,7 @@ def warm_start_run(source: str, flow: str, baseline_module, jit_s: float,
     previous_store = machine_jit.get_translation_store()
     try:
         machine_jit.set_translation_store(
-            JitTranslationStore(ArtifactCache(cache_dir=store_dir)))
+            ArtifactCache(cache_dir=store_dir))
         machine_jit.clear_translation_cache()
         Interpreter(compile_flow(source, flow), engine="jit").run_main()
 

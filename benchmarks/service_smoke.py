@@ -107,7 +107,7 @@ def timed_daemon_runs(cache_dir: str, socket_path: str, workers: int):
             "elapsed_s": round(faulty_s, 4),
             "retries": service.client.retries,
             "reconnects": service.client.reconnects,
-            "degraded": service.degraded,
+            "degraded": service.counters()["daemon_degraded"],
         }
         service.client.close()
         with DaemonClient(socket_path) as client:

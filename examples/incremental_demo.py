@@ -8,8 +8,6 @@
 3. Edit ONE subroutine and recompile: exactly one function recompiles,
    the other splices, and the result is bit-identical to a from-scratch
    compile of the edited source.
-4. Run the same pipeline with ``jobs=2``: functions are optimised in
-   parallel, again bit-identically.
 
 Usage::
 
@@ -54,11 +52,11 @@ end subroutine scale
 """
 
 
-def compile_with(source, store, jobs=1):
+def compile_with(source, store):
     module = convert_fir_to_standard(
         FlangCompiler().lower_to_hlfir(source))
     pm = standard_flow_pipeline()
-    with pipeline_settings(jobs=jobs, function_cache=store):
+    with pipeline_settings(function_cache=store):
         t0 = time.perf_counter()
         pm.run(module)
         elapsed = time.perf_counter() - t0
@@ -88,12 +86,6 @@ def main() -> None:
     from_scratch, _ = compile_with(edited_source, None)
     print(f"   bit-identical to a from-scratch compile: "
           f"{print_op(incremental) == print_op(from_scratch)}")
-
-    print("== 4. parallel pass pipelines (jobs=2), no store")
-    parallel, t_par = compile_with(source, None, jobs=2)
-    print(f"   {t_par * 1000:6.1f}ms   "
-          f"bit-identical to serial: "
-          f"{print_op(parallel) == print_op(cold)}")
 
     print()
     print(f"cold {t_cold * 1000:.1f}ms -> warm {t_warm * 1000:.1f}ms "

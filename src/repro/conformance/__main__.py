@@ -120,10 +120,6 @@ def _sweep_service(args: argparse.Namespace):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.no_jit_cache:
-        from ..service.jit_store import NO_JIT_CACHE_ENV
-        # env, not a parameter: pool workers and nested services inherit it
-        os.environ[NO_JIT_CACHE_ENV] = "1"
     configs = _parse_flows(args.flows)
     engines = _parse_engines(args.engines)
     seeds = range(args.start, args.start + args.seeds)
@@ -180,11 +176,10 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 
     configs = _parse_flows(args.flows)
     # The shrink loop recompiles near-identical kernels hundreds of times;
-    # the function store turns untouched functions into splices, and --jobs
-    # parallelises the pass nests of what remains.  Either way the checks
-    # are bit-identical to cold serial compiles.
+    # the function store turns untouched functions into splices, and the
+    # checks stay bit-identical to cold compiles.
     store = None if args.no_incremental else get_function_store()
-    with pipeline_settings(jobs=args.jobs, function_cache=store):
+    with pipeline_settings(function_cache=store):
         report = check_seed(args.seed, configs,
                             engines=_parse_engines(args.engines))
         kernel = generate(args.seed)
@@ -245,9 +240,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     run_p.add_argument("--no-daemon", action="store_true",
                        help="never use a compilation daemon, even if one "
                             "is running")
-    run_p.add_argument("--no-jit-cache", action="store_true",
-                       help="keep jit translations process-local (disable "
-                            "the persistent translation cache)")
     run_p.add_argument("--chaos", type=int, default=None, metavar="SEED",
                        help="chaos mode: rerun the sweep under seeded "
                             "fault-injection plans and require results "
@@ -263,9 +255,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     repro_p.add_argument("--engines")
     repro_p.add_argument("--out", help="also write the repro file here")
     repro_p.add_argument("--no-reduce", action="store_true")
-    repro_p.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="parallelise func.func pass nests across N "
-                              "workers during the check + shrink loop")
     repro_p.add_argument("--no-incremental", action="store_true",
                          help="disable the per-function stage store during "
                               "the shrink loop")

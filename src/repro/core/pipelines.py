@@ -111,10 +111,8 @@ def standard_flow_pipeline(vector_width: int = 4, *, tile: bool = False,
     ``OpPassManager`` style).  All of these passes transform one function at
     a time, so anchoring the whole flow under one nest changes nothing about
     what runs; what it buys is the function-granular machinery in
-    :mod:`repro.ir.pass_manager`: with ``pipeline_settings(jobs=N)`` the
-    functions of a module are optimised in parallel, and with a
-    ``function_cache`` unchanged functions are spliced from the store
-    instead of recompiled.  Running it yields a single
+    :mod:`repro.ir.pass_manager`: with a ``function_cache`` unchanged
+    functions are spliced from the store instead of recompiled.  Running it yields a single
     :class:`~repro.ir.pass_manager.PassTimingReport` covering every stage.
     """
     pm = PassManager()

@@ -286,7 +286,6 @@ class Flow:
             verify_each: bool = False,
             collect_statistics: bool = True,
             instrumentation: Sequence[PassInstrumentation] = (),
-            jobs: Optional[int] = None,
             function_cache: Any = _INHERIT_SETTINGS) -> FlowResult:
         """Check capabilities, normalise options, compile. The one entry point.
 
@@ -294,19 +293,18 @@ class Flow:
         bookkeeping — the compile service uses it since it discards
         :attr:`FlowResult.timing`.
 
-        ``jobs`` and ``function_cache`` set the ambient
-        :func:`~repro.ir.pass_manager.pipeline_settings` for the compile:
-        ``jobs > 1`` runs ``func.func``-anchored pass nests in parallel, and
-        a :class:`~repro.service.incremental.FunctionArtifactStore` makes
-        the compile incremental at function granularity.  Both default to
+        ``function_cache`` sets the ambient
+        :func:`~repro.ir.pass_manager.pipeline_settings` for the compile: a
+        :class:`~repro.service.incremental.FunctionArtifactStore` makes the
+        compile incremental at function granularity.  It defaults to
         whatever the calling context already established (so nesting flows
         inside ``pipeline_settings(...)`` blocks keeps working), and every
-        registered flow gets them without overriding :meth:`compile`.
+        registered flow gets it without overriding :meth:`compile`.
         """
         execution = execution or ExecutionContext()
         self.check_capabilities(workload, execution)
         normalised = self.normalise_options(options, workload, execution)
-        with pipeline_settings(jobs=jobs, function_cache=function_cache):
+        with pipeline_settings(function_cache=function_cache):
             return self.compile(workload, normalised, execution,
                                 verify_each=verify_each,
                                 collect_statistics=collect_statistics,

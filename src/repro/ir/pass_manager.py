@@ -19,23 +19,16 @@ delta) and can drive :class:`PassInstrumentation` hooks (IR dumps before or
 after selected passes, verification between passes).
 
 Because an op-anchored sub-pipeline's targets are independent, they are the
-unit of *parallel* and *incremental* compilation.  Both are controlled
-ambiently through :func:`pipeline_settings` (a :class:`contextvars`
-context), so no ``compile()`` signature anywhere needs to change:
+unit of *incremental* compilation, controlled ambiently through
+:func:`pipeline_settings` (a :class:`contextvars` context), so no
+``compile()`` signature anywhere needs to change: ``function_cache`` (see
+:mod:`repro.service.incremental`) memoises ``func.func`` nest results keyed
+on the function's structural fingerprint salted with the nest's pipeline
+text, and an unchanged function is spliced from the cache instead of
+re-running the pipeline.
 
-* ``jobs > 1`` runs a nest's targets concurrently — on a process pool when
-  the pipeline is registry-reconstructible and uninstrumented (real
-  parallelism; pass work is pure Python and GIL-bound), else on a thread
-  pool with every instrumentation hook serialised under a lock.  Timings
-  are merged back in target walk order, so the report is bit-identical in
-  structure to a serial run.
-* ``function_cache`` (see :mod:`repro.service.incremental`) memoises
-  ``func.func`` nest results keyed on the function's structural fingerprint
-  salted with the nest's pipeline text: an unchanged function is spliced
-  from the cache instead of re-running the pipeline.
-
-Both paths preserve the hard invariant that the resulting IR is
-bit-identical to a serial full recompile — passes are deterministic and
+Splicing preserves the hard invariant that the resulting IR is
+bit-identical to a full recompile — passes are deterministic and
 function-local within a ``func.func`` nest, and the conformance oracle
 polices the equivalence end to end.
 """
@@ -45,11 +38,9 @@ from __future__ import annotations
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from threading import Lock
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -331,7 +322,7 @@ def _parse_entries(text: str, pos: int,
 
 
 # ---------------------------------------------------------------------------
-# Ambient pipeline settings (parallelism + incremental function cache)
+# Ambient pipeline settings (incremental function cache)
 # ---------------------------------------------------------------------------
 
 
@@ -346,7 +337,6 @@ class PipelineSettings:
     layer deliberately does not import it).
     """
 
-    jobs: int = 1
     function_cache: Optional[Any] = None
 
 
@@ -363,15 +353,14 @@ def current_settings() -> PipelineSettings:
 
 
 @contextmanager
-def pipeline_settings(*, jobs: Optional[int] = None, function_cache=_INHERIT):
-    """Scope parallel/incremental compilation settings over a code region.
+def pipeline_settings(*, function_cache=_INHERIT):
+    """Scope incremental compilation settings over a code region.
 
-    ``jobs=None`` inherits the surrounding value; ``function_cache`` keeps
-    the surrounding store unless explicitly given (``None`` disables).
+    ``function_cache`` keeps the surrounding store unless explicitly given
+    (``None`` disables).
     """
     current = _SETTINGS.get()
     updated = PipelineSettings(
-        jobs=current.jobs if jobs is None else max(1, int(jobs)),
         function_cache=(current.function_cache
                         if function_cache is _INHERIT else function_cache))
     token = _SETTINGS.set(updated)
@@ -508,110 +497,6 @@ class IRDumpInstrumentation(PassInstrumentation):
             self._dump("after", pass_, op)
 
 
-class _LockedInstrumentation(PassInstrumentation):
-    """Serialise a wrapped instrumentation's hooks under a shared lock.
-
-    The thread-parallel scheduler wraps every hook in one of these, so
-    arbitrary user instrumentations (which may print, write files, mutate
-    state) observe one pass execution at a time even while independent
-    functions run concurrently.
-    """
-
-    def __init__(self, inner: PassInstrumentation, lock: Lock):
-        self._inner = inner
-        self._lock = lock
-
-    def before_pass(self, pass_: Pass, op: Operation) -> None:
-        with self._lock:
-            self._inner.before_pass(pass_, op)
-
-    def after_pass(self, pass_: Pass, op: Operation,
-                   timing: PassTiming) -> None:
-        with self._lock:
-            self._inner.after_pass(pass_, op, timing)
-
-
-# ---------------------------------------------------------------------------
-# Parallel scheduling helpers (module-level so pool workers can import them)
-# ---------------------------------------------------------------------------
-
-
-def _replace_in_parent(old: Operation, new: Operation) -> Operation:
-    """Splice ``new`` into ``old``'s position; ``old`` is erased.
-
-    Only valid for targets that are isolated from above and produce no SSA
-    results (``func.func``): nothing outside the subtree can reference it.
-    """
-    block = old.parent
-    if block is None:
-        raise PassError("cannot splice a replacement for a detached op")
-    block.insert_before(old, new)
-    old.erase(check_uses=False)
-    return new
-
-
-def _pipeline_subtree_worker(payload: bytes, anchor: str, inner: str,
-                             collect: bool, verify: bool):
-    """Process-pool worker: run a nested pipeline over one pickled subtree.
-
-    Returns ``(pickled result subtree, timing tuple)``.  Verification in a
-    worker necessarily covers the subtree, not the whole module — the
-    parent re-verifies the module once after the nest when asked to.
-    """
-    # register every pass before the pipeline text is re-instantiated
-    import repro.core  # noqa: F401
-    import repro.transforms  # noqa: F401
-    from .serial import dumps_op, loads_op
-
-    func = loads_op(payload)
-    manager = PassManager(anchor=anchor, collect_statistics=collect)
-    if inner:
-        manager._extend_from_entries(parse_pipeline(inner))
-    timings: List[PassTiming] = []
-    stats: List[Tuple[str, float]] = []
-    manager._run_entries(func, func, (), timings, stats, verify)
-    return dumps_op(func), tuple(timings)
-
-
-_POOL: Optional[ProcessPoolExecutor] = None
-_POOL_SIZE = 0
-_POOL_PID: Optional[int] = None
-_POOL_LOCK = Lock()
-
-
-def _shared_pool(jobs: int) -> Optional[ProcessPoolExecutor]:
-    """A lazily created, process-wide worker pool (grown on demand).
-
-    Keeping the pool alive across runs amortises process start-up over many
-    nests; a forked child (pid change) never reuses its parent's pool.
-    """
-    global _POOL, _POOL_SIZE, _POOL_PID
-    import os
-    with _POOL_LOCK:
-        if (_POOL is not None and _POOL_PID == os.getpid()
-                and _POOL_SIZE >= jobs):
-            return _POOL
-        if _POOL is not None and _POOL_PID == os.getpid():
-            _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL = None
-        try:
-            _POOL = ProcessPoolExecutor(max_workers=jobs)
-            _POOL_SIZE = jobs
-            _POOL_PID = os.getpid()
-        except Exception:   # restricted environments: no process pools
-            _POOL_SIZE = 0
-            _POOL_PID = None
-        return _POOL
-
-
-def _discard_pool() -> None:
-    global _POOL, _POOL_SIZE, _POOL_PID
-    with _POOL_LOCK:
-        if _POOL is not None:
-            _POOL.shutdown(wait=False, cancel_futures=True)
-        _POOL, _POOL_SIZE, _POOL_PID = None, 0, None
-
-
 # ---------------------------------------------------------------------------
 # PassManager
 # ---------------------------------------------------------------------------
@@ -745,8 +630,8 @@ class PassManager:
     # -- op-anchored nest scheduling ---------------------------------------------
     def _registry_reconstructible(self) -> bool:
         """True when this pipeline can be rebuilt exactly from its text —
-        every pass is the registered class for its name, so a worker process
-        (or a cache key) sees the same pipeline the parent describes."""
+        every pass is the registered class for its name, so a cache key
+        built from the text names exactly the pipeline that runs."""
         for entry in self.passes:
             if isinstance(entry, PassManager):
                 if not entry._registry_reconstructible():
@@ -762,166 +647,51 @@ class PassManager:
                           verify: bool) -> None:
         """Run this nested manager over every matching op under ``host``.
 
-        This is where incremental and parallel compilation plug in: cache
-        hits are spliced, misses run serially, on a thread pool or on a
-        process pool depending on the ambient :class:`PipelineSettings`,
-        and timings merge back in target walk order so the report structure
-        never depends on scheduling.
+        This is where incremental compilation plugs in: hits in the ambient
+        :class:`PipelineSettings` function cache are spliced (their stored
+        timings stand in for the run), misses run the pipeline and feed the
+        cache, so the report structure is the same either way.
         """
-        targets = [o for o in host.walk() if o.name == self.anchor]
-        if not targets:
-            return
-        settings = current_settings()
-
-        cache = None
+        cache = current_settings().function_cache
         salt = ""
-        if settings.function_cache is not None and self.anchor == "func.func" \
-                and self._registry_reconstructible():
-            cache = settings.function_cache
-            salt = f"{self.anchor}({self._describe_entries()})"
+        if cache is not None:
+            if self.anchor == "func.func" and self._registry_reconstructible():
+                salt = f"{self.anchor}({self._describe_entries()})"
+            else:
+                cache = None
 
-        per_target: List[Optional[List[PassTiming]]] = [None] * len(targets)
-        keys: List[Optional[str]] = [None] * len(targets)
-        pending: List[int] = []
         spliced_from_cache = False
-        for index, target in enumerate(targets):
+        for target in [o for o in host.walk() if o.name == self.anchor]:
+            key = None
             if cache is not None and target.parent is not None:
                 try:
                     from .structural_hash import structural_fingerprint
-                    keys[index] = structural_fingerprint(target, salt=salt)
-                    hit = cache.lookup(keys[index])
+                    key = structural_fingerprint(target, salt=salt)
+                    hit = cache.lookup(key)
                 except Exception:
-                    keys[index] = None
-                    hit = None
+                    key = hit = None
                 if hit is not None:
-                    replacement, cached_timings = hit
-                    _replace_in_parent(target, replacement)
-                    targets[index] = replacement
-                    per_target[index] = (list(cached_timings)
-                                         if self.collect_statistics else [])
+                    # splice: safe because a func.func is isolated from
+                    # above and has no SSA results, so nothing outside the
+                    # subtree can reference the op being replaced
+                    replacement, cached = hit
+                    target.parent.insert_before(target, replacement)
+                    target.erase(check_uses=False)
                     spliced_from_cache = True
+                    if self.collect_statistics:
+                        timings.extend(cached)
+                        stats.extend((t.pass_name, t.wall_s) for t in cached)
                     continue
-            pending.append(index)
-
-        ran_parallel = False
-        if settings.jobs > 1 and len(pending) > 1:
-            ran_parallel = self._run_targets_parallel(
-                targets, pending, per_target, instruments, verify,
-                settings.jobs)
-        if not ran_parallel:
-            for index in pending:
-                local: List[PassTiming] = []
-                local_stats: List[Tuple[str, float]] = []
-                self._run_entries(root, targets[index], instruments, local,
-                                  local_stats, verify)
-                per_target[index] = local
-        elif verify:
-            # parallel runs verified each function subtree per pass; close
-            # the gap to serial semantics with one whole-module check
-            verify_operation(root)
-        if spliced_from_cache and verify and not ran_parallel:
-            verify_operation(root)
-
-        if cache is not None:
-            for index in pending:
-                if keys[index] is None or per_target[index] is None:
-                    continue
+            local: List[PassTiming] = []
+            self._run_entries(root, target, instruments, local, stats, verify)
+            timings.extend(local)
+            if key is not None:
                 try:
-                    cache.store(keys[index], targets[index],
-                                tuple(per_target[index]))
+                    cache.store(key, target, tuple(local))
                 except Exception:
                     pass   # a full store is a cache problem, not a compile one
-
-        for target_timings in per_target:
-            if not target_timings:
-                continue
-            timings.extend(target_timings)
-            if self.collect_statistics:
-                stats.extend((t.pass_name, t.wall_s) for t in target_timings)
-
-    def _run_targets_parallel(self, targets: List[Operation],
-                              pending: List[int],
-                              per_target: List[Optional[List[PassTiming]]],
-                              instruments: Sequence[PassInstrumentation],
-                              verify: bool, jobs: int) -> bool:
-        """Run the pending targets concurrently; ``False`` means the caller
-        should fall back to the serial path for all of them."""
-        if not instruments and self._registry_reconstructible() \
-                and all(targets[i].parent is not None for i in pending):
-            if self._run_targets_processes(targets, pending, per_target,
-                                           verify, jobs):
-                return True
-        return self._run_targets_threaded(targets, pending, per_target,
-                                          instruments, verify, jobs)
-
-    def _run_targets_processes(self, targets: List[Operation],
-                               pending: List[int],
-                               per_target: List[Optional[List[PassTiming]]],
-                               verify: bool, jobs: int) -> bool:
-        from .serial import dumps_op, loads_op
-
-        try:
-            payloads = {i: dumps_op(targets[i]) for i in pending}
-        except Exception:
-            return False   # unpicklable IR (exotic loc/attr): use threads
-        pool = _shared_pool(min(jobs, len(pending)))
-        if pool is None:
-            return False
-        inner = self._describe_entries()
-        futures = {}
-        try:
-            for index in pending:
-                futures[index] = pool.submit(
-                    _pipeline_subtree_worker, payloads[index], self.anchor,
-                    inner, self.collect_statistics, verify)
-        except Exception:
-            _discard_pool()
-            return False
-        broken = False
-        for index in pending:
-            try:
-                data, worker_timings = futures[index].result()
-                replacement = loads_op(data)
-            except Exception:
-                # worker infrastructure failure: the original target is
-                # untouched (workers mutate a copy), so redo it in-process
-                broken = True
-                local: List[PassTiming] = []
-                local_stats: List[Tuple[str, float]] = []
-                self._run_entries(targets[index], targets[index], (), local,
-                                  local_stats, verify)
-                per_target[index] = local
-                continue
-            _replace_in_parent(targets[index], replacement)
-            targets[index] = replacement
-            per_target[index] = list(worker_timings)
-        if broken:
-            _discard_pool()
-        return True
-
-    def _run_targets_threaded(self, targets: List[Operation],
-                              pending: List[int],
-                              per_target: List[Optional[List[PassTiming]]],
-                              instruments: Sequence[PassInstrumentation],
-                              verify: bool, jobs: int) -> bool:
-        lock = Lock()
-        locked = [_LockedInstrumentation(instr, lock)
-                  for instr in instruments]
-
-        def run_one(index: int):
-            local: List[PassTiming] = []
-            local_stats: List[Tuple[str, float]] = []
-            # verification covers the target's subtree: whole-module
-            # verification while sibling functions mutate is a data race
-            self._run_entries(targets[index], targets[index], locked, local,
-                              local_stats, verify)
-            return index, local
-
-        with ThreadPoolExecutor(
-                max_workers=min(jobs, len(pending))) as pool:
-            for index, local in pool.map(run_one, pending):
-                per_target[index] = local
-        return True
+        if spliced_from_cache and verify:
+            verify_operation(root)
 
     # -- description -------------------------------------------------------------
     def _describe_entries(self) -> str:

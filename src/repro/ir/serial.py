@@ -1,8 +1,7 @@
 """Pickle-based serialization of IR subtrees, safe for reuse in-process.
 
-The parallel pass scheduler ships ``func.func`` subtrees to worker
-processes, and the function-granular artifact store persists optimised
-functions in the content-addressed cache.  Both go through here:
+The function-granular artifact store persists optimised functions in the
+content-addressed cache through here:
 
 * :func:`dumps_op` pickles a (possibly attached) operation subtree without
   dragging its parent module along — the ``parent`` back-reference is

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..counters import PROCESS, Counters
 from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
 from ..ir.structural_hash import fingerprint_block
@@ -1129,14 +1130,15 @@ class _Translation:
 _CODE_CACHE: "OrderedDict[str, _Translation]" = OrderedDict()
 _CODE_CACHE_MAX = 4096
 
-#: Optional persistent tier (installed by the service layer): an object
-#: with ``lookup(key) -> Optional[dict]``, ``store(key, payload)`` and
-#: ``contains(key) -> bool``.  ``None`` keeps the cache process-local.
+#: Optional persistent tier (bound by the service layer): the ``jit``
+#: namespace of an ``ArtifactCache`` — anything with ``get(key, ns=)``,
+#: ``put(key, payload, ns=)`` and ``contains(key, ns=)``.  ``None`` keeps
+#: the cache process-local.
 _TRANSLATION_STORE = None
 
-#: Monotonic process-wide counters over :func:`_translation_for` outcomes.
-_COUNTER_FIELDS = ("memory_hits", "disk_hits", "misses", "stores")
-_counters = dict.fromkeys(_COUNTER_FIELDS, 0)
+#: :func:`_translation_for` outcomes, in the process-wide registry so pool
+#: workers report them home with everything else.
+_counters = PROCESS.view("jit")
 
 
 def set_translation_store(store) -> None:
@@ -1149,30 +1151,14 @@ def get_translation_store():
     return _TRANSLATION_STORE
 
 
-def translation_counters() -> Dict[str, float]:
-    """Translation-cache traffic: raw counters plus derived rates."""
-    snapshot = dict(_counters)
-    return _derive_counters(snapshot)
-
-
 def snapshot_translation_counters() -> Dict[str, int]:
-    return dict(_counters)
+    return _counters.snapshot()
 
 
 def translation_counters_delta(before: Dict[str, int]) -> Dict[str, float]:
-    """Traffic since ``before`` (a :func:`snapshot_translation_counters`)."""
-    delta = {field: _counters[field] - before.get(field, 0)
-             for field in _COUNTER_FIELDS}
-    return _derive_counters(delta)
-
-
-def _derive_counters(raw: Dict[str, int]) -> Dict[str, float]:
-    hits = raw["memory_hits"] + raw["disk_hits"]
-    lookups = hits + raw["misses"]
-    raw["hits"] = hits
-    raw["lookups"] = lookups
-    raw["hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-    return raw
+    """Traffic since ``before`` (a :func:`snapshot_translation_counters`),
+    with the derived ``hits`` / ``lookups`` / ``hit_rate``."""
+    return Counters(_counters.delta(before)).as_dict()
 
 
 def clear_translation_cache() -> None:
@@ -1249,7 +1235,7 @@ def _translation_for(interp: Interpreter, block: Block,
     entry = _CODE_CACHE.get(key)
     if entry is not None and entry.block is block:
         _CODE_CACHE.move_to_end(key)
-        _counters["memory_hits"] += 1
+        _counters.inc("memory_hits")
         return entry
 
     # Either a true miss or a fingerprint hit from a different block
@@ -1271,14 +1257,14 @@ def _translation_for(interp: Interpreter, block: Block,
         entry.template = template
         entry.fallback_binds = fallback_binds
         _CODE_CACHE.move_to_end(key)
-        _counters["memory_hits"] += 1
+        _counters.inc("memory_hits")
         return entry
 
     store = _TRANSLATION_STORE
     code = None
     if entry is None and store is not None:
         try:
-            payload = store.lookup(key)
+            payload = store.get(key, ns="jit")
         except Exception:
             payload = None
         if payload is not None and payload.get("source") == source:
@@ -1290,14 +1276,14 @@ def _translation_for(interp: Interpreter, block: Block,
             except Exception:
                 code = None
     if code is not None:
-        _counters["disk_hits"] += 1
+        _counters.inc("disk_hits")
     else:
         code = compile(source, filename, "exec")
-        _counters["misses"] += 1
+        _counters.inc("misses")
         if store is not None:
             try:
-                store.store(key, _payload_for(source, code, nops))
-                _counters["stores"] += 1
+                store.put(key, _payload_for(source, code, nops), ns="jit")
+                _counters.inc("stores")
             except Exception:
                 pass
 
@@ -1393,7 +1379,8 @@ class JitEngine:
         if known is None:
             store = _TRANSLATION_STORE
             try:
-                known = store is not None and bool(store.contains(key))
+                known = store is not None and bool(
+                    store.contains(key, ns="jit"))
             except Exception:
                 known = False
             self.known[key] = known
@@ -1432,6 +1419,6 @@ class JitEngine:
 
 __all__ = ["JitEngine", "compile_block", "plan_block",
            "translation_key", "set_translation_store",
-           "get_translation_store", "translation_counters",
+           "get_translation_store",
            "snapshot_translation_counters", "translation_counters_delta",
            "clear_translation_cache", "JIT_FORMAT_VERSION"]

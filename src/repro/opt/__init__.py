@@ -86,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="execution context: interpreter engine the "
                            "artifact is built for (affects the service "
                            "cache key; default: compiled)")
-    what.add_argument("--jobs", type=int, default=1, metavar="N",
-                      help="run func.func-anchored pass nests over up to N "
-                           "functions in parallel (default: 1, serial)")
     what.add_argument("--no-incremental", action="store_true",
                       help="disable the per-function stage store: recompile "
                            "every function even if an identical one was "
@@ -278,7 +275,6 @@ def _run_flow(args, source) -> int:
     result = flow.run(source, coerced, execution,
                       verify_each=args.verify_each,
                       instrumentation=_instrumentation(args),
-                      jobs=args.jobs,
                       function_cache=(None if args.no_incremental
                                       else get_function_store()))
     if result.error is not None:
@@ -319,8 +315,7 @@ def _run_pipeline(args, source) -> int:
                                    verify_each=args.verify_each)
     for instr in _instrumentation(args):
         pm.add_instrumentation(instr)
-    with pipeline_settings(jobs=args.jobs,
-                           function_cache=(None if args.no_incremental
+    with pipeline_settings(function_cache=(None if args.no_incremental
                                            else get_function_store())):
         pm.run(module)
 

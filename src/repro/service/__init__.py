@@ -6,8 +6,9 @@ options) executions are compiled and interpreted exactly once — across
 adapter instances, across tables, and (with a cache directory) across
 process invocations:
 
-* :mod:`repro.service.cache` — two-tier artifact cache (memory LRU + the
-  sharded disk store of :mod:`repro.service.sharded`),
+* :mod:`repro.service.cache` — the one namespaced two-tier store (memory
+  LRU + the sharded disk store of :mod:`repro.service.sharded`) holding
+  whole-module artifacts, function stages and jit translations,
 * :mod:`repro.service.jobs` — compile jobs and their content-addressed keys,
 * :mod:`repro.service.scheduler` — cache-aware execution and parallel fanout,
 * :mod:`repro.service.tables` — batch API regenerating the paper's tables,
@@ -28,13 +29,13 @@ import os
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .cache import ArtifactCache, CacheCounters
+from .cache import ArtifactCache
 from .client import (NO_DAEMON_ENV, SOCKET_ENV, DaemonBackedService,
                      DaemonClient, DaemonUnavailable, default_socket_path,
                      discover_client, maybe_daemon_service)
 from .daemon import CompileDaemon, DaemonError, serve_forever
 from .jobs import (KEY_SCHEMA_VERSION, CompiledArtifact, CompileJob,
-                   ServiceError, execute_spec, run_job)
+                   ServiceError, run_job)
 from .scheduler import BatchReport, CompileService
 from .serialization import stats_from_dict, stats_to_dict
 from .tables import ALL_TABLES, enumerate_jobs, jobs_for, run_tables
@@ -80,9 +81,9 @@ def use_service(service: CompileService) -> Iterator[CompileService]:
 
 
 __all__ = [
-    "ArtifactCache", "CacheCounters", "BatchReport", "CompileService",
+    "ArtifactCache", "BatchReport", "CompileService",
     "CompileJob", "CompiledArtifact", "ServiceError", "run_job",
-    "execute_spec", "stats_to_dict", "stats_from_dict", "KEY_SCHEMA_VERSION",
+    "stats_to_dict", "stats_from_dict", "KEY_SCHEMA_VERSION",
     "ALL_TABLES", "jobs_for", "enumerate_jobs", "run_tables",
     "get_default_service", "set_default_service", "use_service",
     "CACHE_DIR_ENV",

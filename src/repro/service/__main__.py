@@ -50,8 +50,9 @@ def _add_socket_arg(parser: argparse.ArgumentParser,
                     what: str = "the daemon") -> None:
     parser.add_argument("--socket", default=None, metavar="PATH",
                         help=f"socket spec for {what}: a unix socket path "
-                             "or tcp:HOST:PORT (default: $REPRO_DAEMON_"
-                             f"SOCKET, else {default_socket_path()})")
+                             "or tcp:HOST:PORT (default: "
+                             "$REPRO_DAEMON_SOCKET, else "
+                             f"{default_socket_path()})")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also write a JSON run summary to FILE")
     run.add_argument("--quiet", action="store_true",
                      help="suppress the formatted tables, print counters only")
-    run.add_argument("--no-jit-cache", action="store_true",
-                     help="keep jit translations process-local (disable the "
-                          "persistent translation cache)")
     _add_socket_arg(run)
     run.add_argument("--no-daemon", action="store_true",
                      help="never use a compilation daemon, even if one is "
@@ -109,9 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="disk store LRU budget, e.g. 256M or 1G "
                             "(default: $REPRO_CACHE_BUDGET, else 256M; "
                             "0 disables eviction)")
-    serve.add_argument("--no-jit-cache", action="store_true",
-                       help="keep jit translations process-local (disable "
-                            "the persistent translation cache)")
 
     for name, text in (("ping", "check a daemon is alive"),
                        ("metrics", "print a daemon's live metrics as JSON"),
@@ -133,10 +128,6 @@ def _cmd_run_tables(args: argparse.Namespace) -> int:
         return 2
 
     from . import CACHE_DIR_ENV
-    from .jit_store import NO_JIT_CACHE_ENV
-    if args.no_jit_cache:
-        # env, not a parameter: pool workers and nested services inherit it
-        os.environ[NO_JIT_CACHE_ENV] = "1"
     service = None
     if not args.no_daemon:
         service = maybe_daemon_service(args.socket, max_workers=args.jobs)
@@ -206,15 +197,12 @@ def _cmd_run_tables(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from . import CACHE_DIR_ENV
     from .client import resolve_socket_spec
-    from .jit_store import NO_JIT_CACHE_ENV
 
     logging.basicConfig(level=logging.INFO,
                         format="%(asctime)s %(name)s: %(message)s")
     # the daemon's own compiles (and its pool workers) must never try to
     # route through a daemon
     os.environ[NO_DAEMON_ENV] = "1"
-    if args.no_jit_cache:
-        os.environ[NO_JIT_CACHE_ENV] = "1"
     byte_budget = None
     if args.byte_budget is not None:
         try:

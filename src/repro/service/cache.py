@@ -1,68 +1,76 @@
-"""Content-addressed artifact cache: in-memory LRU tier over a disk store.
+"""The one content-addressed store: in-memory LRU tier over a disk store,
+shared by every artifact family through **namespaces**.
 
-Artifacts are JSON payloads addressed by the SHA-256 of their job's key
-material (see :mod:`repro.service.jobs`).  The disk tier is the sharded
-store of :mod:`repro.service.sharded`:
+Payloads are JSON dicts.  Three namespaces share one :class:`ArtifactCache`
+(and so one LRU, one byte budget, one checksum path, one fault site):
+
+* ``artifact`` — whole-module compile artifacts, keyed by the SHA-256 of
+  their job's key material (see :mod:`repro.service.jobs`), which already
+  carries the schema salt: the key is the address, unchanged;
+* ``function`` — per-function pipeline-stage results, keyed by structural
+  fingerprint (:mod:`repro.service.incremental`);
+* ``jit`` — jit translations, keyed by block fingerprint
+  (:mod:`repro.machine.jit`).
+
+:func:`address` is the only place a raw key becomes a store address, so it
+is the only place :data:`~repro.service.jobs.KEY_SCHEMA_VERSION` is folded
+into the non-artifact namespaces: bumping the salt retires all three
+families at once without touching the store, and the same raw key in two
+namespaces can never collide.
+
+The disk tier is the sharded store of :mod:`repro.service.sharded`:
 
     <cache_dir>/CACHE_FORMAT        format version marker
-    <cache_dir>/shards/<pp>.json    256 shard files, pp = key[:2]
+    <cache_dir>/shards/<pp>.json    256 shard files, pp = address[:2]
 
-Keys embed a schema salt (:data:`repro.service.jobs.KEY_SCHEMA_VERSION`),
-so bumping the salt invalidates every previously persisted artifact without
-touching the store; ``CACHE_FORMAT`` guards the on-disk *layout* instead
-(a PR-1 ``objects/`` tree is migrated into shards on first open).
-Corrupt or truncated shards are treated as misses and overwritten on the
-next store, so a killed run can never poison the cache, and the disk
-footprint is bounded by an LRU byte budget (``byte_budget`` /
-``$REPRO_CACHE_BUDGET``).
+The ``CACHE_FORMAT`` marker guards the on-disk *layout*.  Corrupt or
+truncated shards, checksum failures and payloads that lost their
+namespace's shape are all treated as misses and overwritten on the next
+store, so a killed run can never poison the cache, and the disk footprint
+is bounded by an LRU byte budget (``byte_budget`` / ``$REPRO_CACHE_BUDGET``).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import Any, Dict, Optional
 
+from ..counters import Counters
 from . import faults
-from .sharded import DEFAULT_BYTE_BUDGET, SHARDED_FORMAT, ShardedStore
-
-#: On-disk layout version (distinct from the key schema salt).
-CACHE_FORMAT = SHARDED_FORMAT
+from .sharded import DEFAULT_BYTE_BUDGET, ShardedStore
 
 #: Default size of the in-memory LRU tier (artifacts, not bytes).
 DEFAULT_MEMORY_ENTRIES = 1024
 
+#: Namespace -> fields every payload of it carries.  A disk-tier payload
+#: without them (foreign writer, bad deserialisation, injected corruption
+#: above the shard checksum) is malformed and reads as a miss.
+NAMESPACES: Dict[str, tuple] = {
+    "artifact": ("key", "ok"),
+    "function": ("function",),
+    "jit": ("source",),
+}
 
-@dataclass
-class CacheCounters:
-    """Hit/miss accounting, exposed unchanged on the service."""
 
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "stores": self.stores,
-                "hits": self.hits, "lookups": self.lookups}
+def address(ns: str, key: str) -> str:
+    """The store address of ``key`` in namespace ``ns``."""
+    if ns == "artifact":
+        return key
+    from .jobs import KEY_SCHEMA_VERSION
+    blob = json.dumps({"ns": ns, "schema": KEY_SCHEMA_VERSION, "key": key},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class ArtifactCache:
-    """Two-tier content-addressed cache.
+    """Two-tier, namespaced, content-addressed cache.
 
     ``cache_dir=None`` keeps the cache purely in memory (still shared across
-    every adapter instance in the process); with a directory, artifacts also
+    every adapter instance in the process); with a directory, payloads also
     persist across process invocations in the sharded disk store.
     """
 
@@ -72,61 +80,59 @@ class ArtifactCache:
         self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
         self._memory_entries = max(0, memory_entries)
         self._lock = Lock()
-        self.counters = CacheCounters()
-        self._store: Optional[ShardedStore] = None
-        if cache_dir:
-            self._store = ShardedStore(cache_dir, byte_budget=byte_budget)
+        #: ``<namespace>.<memory_hits|disk_hits|misses|stores|
+        #: corrupt_payloads>``; the root view's totals are the flat numbers.
+        self.counters = Counters()
+        #: The disk tier (``None``: memory only).
+        self.store: Optional[ShardedStore] = (
+            ShardedStore(cache_dir, byte_budget=byte_budget)
+            if cache_dir else None)
 
     # ------------------------------------------------------------------ info
     @property
     def cache_dir(self) -> Optional[Path]:
-        return self._store.directory if self._store is not None else None
-
-    @property
-    def store(self) -> Optional[ShardedStore]:
-        return self._store
+        return self.store.directory if self.store is not None else None
 
     @property
     def persistent(self) -> bool:
-        return self._store is not None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._memory)
+        return self.store is not None
 
     # ---------------------------------------------------------------- lookup
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
+    def get(self, key: str, ns: str = "artifact") -> Optional[Dict[str, Any]]:
+        where = address(ns, key)
         with self._lock:
-            payload = self._memory.get(key)
+            payload = self._memory.get(where)
             if payload is not None:
-                self._memory.move_to_end(key)
-                self.counters.memory_hits += 1
-                return payload
-        if self._store is not None:
-            payload = self._store.get(key)
+                self._memory.move_to_end(where)
+        if payload is not None:
+            self.counters.inc(f"{ns}.memory_hits")
+            return payload
+        if self.store is not None:
+            payload = self.store.get(where)
             # Injected corruption *above* the store's checksum: what a bad
-            # deserialisation or a foreign writer would produce.  Consumers
-            # (scheduler, daemon, function/jit stores) must treat any
-            # malformed payload as a miss, never trust it.
-            payload = faults.corrupt_payload("cache.payload.corrupt",
-                                             payload, key=key)
+            # deserialisation or a foreign writer would produce.  The shape
+            # check below is what turns it (and the real thing) into a miss.
+            payload = faults.corrupt_payload("store.payload.corrupt", payload,
+                                             key=f"{ns}:{key}")
             if payload is not None:
-                with self._lock:
-                    self.counters.disk_hits += 1
-                    self._promote(key, payload)
-                return payload
-        with self._lock:
-            self.counters.misses += 1
+                if all(field in payload for field in NAMESPACES[ns]):
+                    with self._lock:
+                        self._promote(where, payload)
+                    self.counters.inc(f"{ns}.disk_hits")
+                    return payload
+                self.counters.inc(f"{ns}.corrupt_payloads")
+        self.counters.inc(f"{ns}.misses")
         return None
 
-    def contains(self, key: str) -> bool:
+    def contains(self, key: str, ns: str = "artifact") -> bool:
+        where = address(ns, key)
         with self._lock:
-            if key in self._memory:
+            if where in self._memory:
                 return True
-        return self._store is not None and self._store.contains(key)
+        return self.store is not None and self.store.contains(where)
 
     # ----------------------------------------------------------------- store
-    def put(self, key: str, payload: Dict[str, Any],
+    def put(self, key: str, payload: Dict[str, Any], ns: str = "artifact",
             durable: bool = True) -> None:
         """Store ``payload`` in both tiers.
 
@@ -135,16 +141,17 @@ class ArtifactCache:
         timeout-driven quarantine that a differently-loaded machine should
         re-attempt from scratch.
         """
+        where = address(ns, key)
         with self._lock:
-            self.counters.stores += 1
-            self._promote(key, payload)
-        if durable and self._store is not None:
-            self._store.put(key, payload)
+            self._promote(where, payload)
+        self.counters.inc(f"{ns}.stores")
+        if durable and self.store is not None:
+            self.store.put(where, payload)
 
-    def _promote(self, key: str, payload: Dict[str, Any]) -> None:
+    def _promote(self, where: str, payload: Dict[str, Any]) -> None:
         """Insert into the LRU tier (caller holds the lock)."""
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
+        self._memory[where] = payload
+        self._memory.move_to_end(where)
         while len(self._memory) > self._memory_entries:
             self._memory.popitem(last=False)
 
@@ -153,13 +160,16 @@ class ArtifactCache:
         with self._lock:
             self._memory.clear()
 
-    def stats(self) -> Dict[str, int]:
-        """Counters plus disk-tier accounting (bytes, evictions)."""
+    def stats(self) -> Dict[str, Any]:
+        """Flat totals over all namespaces, the same numbers split
+        ``by_namespace``, plus disk-tier accounting (bytes, evictions)."""
         merged = self.counters.as_dict()
-        if self._store is not None:
-            merged.update(self._store.stats())
+        merged["by_namespace"] = {ns: self.counters.view(ns).as_dict()
+                                  for ns in NAMESPACES}
+        if self.store is not None:
+            merged.update(self.store.stats())
         return merged
 
 
-__all__ = ["ArtifactCache", "CacheCounters", "CACHE_FORMAT",
+__all__ = ["ArtifactCache", "NAMESPACES", "address",
            "DEFAULT_MEMORY_ENTRIES", "DEFAULT_BYTE_BUDGET"]

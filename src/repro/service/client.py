@@ -428,14 +428,9 @@ class DaemonBackedService(CompileService):
     — is executed in-process, exactly as without a daemon.
     """
 
-    def __init__(self, client: DaemonClient, max_workers: int = 1,
-                 memory_entries: Optional[int] = None):
-        cache = (ArtifactCache() if memory_entries is None
-                 else ArtifactCache(memory_entries=memory_entries))
-        super().__init__(cache, max_workers=max_workers)
+    def __init__(self, client: DaemonClient, max_workers: int = 1):
+        super().__init__(ArtifactCache(), max_workers=max_workers)
         self.client: Optional[DaemonClient] = client
-        self.daemon_jobs = 0
-        self.degraded = 0
         self._client_retries = 0   # frozen at degradation time
 
     @property
@@ -448,7 +443,7 @@ class DaemonBackedService(CompileService):
         logger.warning("compile daemon unavailable (%s); "
                        "falling back in-process for the rest of this run",
                        exc)
-        self.degraded += 1
+        self._counters.inc("daemon_degraded")
         if self.client is not None:
             self._client_retries = self.client.retries
             self.client.close()
@@ -466,7 +461,7 @@ class DaemonBackedService(CompileService):
             except DaemonUnavailable as exc:
                 self._degrade(exc)
             else:
-                self.daemon_jobs += 1
+                self._counters.inc("daemon_jobs")
                 self.cache.put(key, payload)
                 return CompiledArtifact.from_payload(payload, cached=cached)
         return super().execute(job)
@@ -489,11 +484,10 @@ class DaemonBackedService(CompileService):
 
         report = BatchReport(submitted=len(jobs), workers=self.max_workers
                              if max_workers is None else max_workers)
-        with self._lock:
-            self.batches += 1
+        self._counters.inc("batches")
         if response is not None:
             daemon_report = response["report"]
-            self.daemon_jobs += len(remote)
+            self._counters.inc("daemon_jobs", len(remote))
             report.unique += daemon_report["unique"]
             # coalesced jobs cost this client no compile either: count them
             # with the hits, exactly like the daemon's own accounting
@@ -520,8 +514,8 @@ class DaemonBackedService(CompileService):
     # ------------------------------------------------------------- counters
     def counters(self) -> Dict[str, Any]:
         merged = super().counters()
-        merged["daemon_jobs"] = self.daemon_jobs
-        merged["daemon_degraded"] = self.degraded
+        merged["daemon_jobs"] = self._counters.get("daemon_jobs")
+        merged["daemon_degraded"] = self._counters.get("daemon_degraded")
         merged["daemon_retries"] = (self.client.retries
                                     if self.client is not None
                                     else self._client_retries)

@@ -44,6 +44,7 @@ from collections import deque
 from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
+from ..counters import Counters
 from . import faults
 from .jobs import KEY_SCHEMA_VERSION, CompiledArtifact, CompileJob
 from .scheduler import BatchReport, CompileService
@@ -94,29 +95,16 @@ class DaemonMetrics:
 
     def __init__(self):
         self.started = time.time()
-        self.requests: Dict[str, int] = {}
-        self.jobs = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.compiled = 0
-        self.failures = 0
-        self.batches = 0
-        self.corrupt_payloads = 0
+        #: ``jobs``, ``batches``, ``cache_hits``, ``coalesced``, ``compiled``,
+        #: ``failures``, ``corrupt_payloads`` and ``requests.<op>``
+        self.counters = Counters()
         self.last_batch: Dict[str, Any] = {}
         self._latency: Dict[str, Deque[float]] = {}
-
-    def count_request(self, op: str) -> None:
-        self.requests[op] = self.requests.get(op, 0) + 1
 
     def record_latency(self, flow: str, seconds: float) -> None:
         window = self._latency.setdefault(flow,
                                           deque(maxlen=LATENCY_WINDOW))
         window.append(seconds)
-
-    @property
-    def hit_rate(self) -> float:
-        served = self.cache_hits + self.coalesced + self.compiled
-        return self.cache_hits / served if served else 0.0
 
     def latency_percentiles(self) -> Dict[str, Dict[str, float]]:
         out: Dict[str, Dict[str, float]] = {}
@@ -300,7 +288,7 @@ class CompileDaemon:
             return {"id": None, "ok": False, "error": f"bad request: {exc}"}
         request_id = request.get("id")
         op = request.get("op")
-        self.metrics.count_request(str(op))
+        self.metrics.counters.inc(f"requests.{op}")
         try:
             handler = {
                 "ping": self._op_ping,
@@ -339,17 +327,20 @@ class CompileDaemon:
 
     async def _op_metrics(self, request: Dict[str, Any]) -> Dict[str, Any]:
         m = self.metrics
+        count = m.counters.get
+        served = count("cache_hits") + count("coalesced") + count("compiled")
         return {
             "pid": os.getpid(),
             "uptime_s": round(time.time() - m.started, 3),
-            "requests": dict(m.requests),
-            "jobs": m.jobs,
-            "batches": m.batches,
-            "cache_hits": m.cache_hits,
-            "coalesced": m.coalesced,
-            "compiled": m.compiled,
-            "failures": m.failures,
-            "hit_rate": round(m.hit_rate, 4),
+            "requests": m.counters.view("requests").snapshot(),
+            "jobs": count("jobs"),
+            "batches": count("batches"),
+            "cache_hits": count("cache_hits"),
+            "coalesced": count("coalesced"),
+            "compiled": count("compiled"),
+            "failures": count("failures"),
+            "hit_rate": (round(count("cache_hits") / served, 4)
+                         if served else 0.0),
             "queue_depth": self._queued,
             "inflight": len(self._inflight),
             "inflight_coalesced": sum(self._inflight_waiters.values()),
@@ -361,7 +352,8 @@ class CompileDaemon:
             # rebuilds and quarantined poison jobs (plus wire-level corrupt
             # payloads this daemon refused to serve)
             "self_heal": dict(self.service.self_heal_counters(),
-                              daemon_corrupt_payloads=m.corrupt_payloads),
+                              daemon_corrupt_payloads=count(
+                                  "corrupt_payloads")),
             # function-granular incremental compilation hit rates (this
             # process's store + pool-worker deltas)
             "function_cache": self.service.function_counters(),
@@ -395,7 +387,7 @@ class CompileDaemon:
         try:
             CompiledArtifact.from_payload(payload)
         except Exception:
-            self.metrics.corrupt_payloads += 1
+            self.metrics.counters.inc("corrupt_payloads")
             logger.warning("dropping corrupt cached artifact %s…; "
                            "recompiling", key[:16])
             return None
@@ -412,8 +404,7 @@ class CompileDaemon:
         assert self._loop is not None
         jobs = [CompileJob.from_spec(spec) for spec in specs]
         keys = [job.safe_key() for job in jobs]
-        self.metrics.jobs += len(jobs)
-        self.metrics.batches += 1
+        self.metrics.counters.merge({"jobs": len(jobs), "batches": 1})
 
         ready: Dict[str, Dict[str, Any]] = {}
         sources: Dict[str, str] = {}
@@ -426,11 +417,11 @@ class CompileDaemon:
             if payload is not None:
                 ready[key] = payload
                 sources[key] = "hit"
-                self.metrics.cache_hits += 1
+                self.metrics.counters.inc("cache_hits")
             elif key in self._inflight:
                 waiters[key] = self._inflight[key]
                 sources[key] = "coalesced"
-                self.metrics.coalesced += 1
+                self.metrics.counters.inc("coalesced")
                 self._inflight_waiters[key] = \
                     self._inflight_waiters.get(key, 0) + 1
             else:
@@ -453,7 +444,8 @@ class CompileDaemon:
             ready[key] = await future
         self.metrics.last_batch = report
         payloads = [ready[key] for key in keys]
-        self.metrics.failures += sum(1 for p in payloads if not p.get("ok"))
+        self.metrics.counters.inc(
+            "failures", sum(1 for p in payloads if not p.get("ok")))
         return payloads, [sources[key] for key in keys], report
 
     async def _run_batch(self, fresh: Dict[str, CompileJob]) -> None:
@@ -474,7 +466,7 @@ class CompileDaemon:
             raise
         finally:
             self._queued -= len(jobs)
-        self.metrics.compiled += len(jobs)
+        self.metrics.counters.inc("compiled", len(jobs))
         for key, job in fresh.items():
             elapsed = report.timings.get(key)
             if elapsed is not None:

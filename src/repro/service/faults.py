@@ -59,9 +59,9 @@ KNOWN_SITES: Dict[str, str] = {
     "sharded.write.torn": "sharded.py — publish a truncated shard file",
     "sharded.read.error": "sharded.py — shard read raises OSError",
     "sharded.payload.corrupt": "sharded.py — entry mangled before checksum",
-    "cache.payload.corrupt": "cache.py — disk-tier payload mangled",
-    "function.payload.corrupt": "incremental.py — stage payload mangled",
-    "jit.payload.corrupt": "jit_store.py — translation payload mangled",
+    "store.payload.corrupt": "cache.py — disk-tier payload of any "
+                             "namespace mangled above the checksum "
+                             "(context key \"<ns>:<key>\")",
     "worker.crash": "jobs.py — pool worker dies with os._exit",
     "worker.hang": "jobs.py — pool worker sleeps past the job timeout",
     "client.send.drop": "client.py — connection lost before the request",
@@ -206,18 +206,19 @@ class FaultPlan:
             FaultRule("sharded.write.torn", p=0.08),
             FaultRule("sharded.read.error", p=0.05),
             FaultRule("sharded.payload.corrupt", p=0.05),
-            FaultRule("cache.payload.corrupt", p=0.05),
-            FaultRule("function.payload.corrupt", p=0.08),
-            FaultRule("jit.payload.corrupt", p=0.08),
+            # no key filter: fires in the artifact, function and jit
+            # namespaces alike
+            FaultRule("store.payload.corrupt", p=0.08),
             FaultRule("worker.crash", p=0.04, attempt=0),
             FaultRule("worker.hang", p=0.02, attempt=0, delay=2.0),
             FaultRule("client.send.drop", p=0.10, attempt=0),
             FaultRule("client.recv.drop", p=0.10, attempt=0),
         ]
-        # pick a deterministic subset (at least three rules) from the menu
+        # pick a deterministic subset from the menu; a torn write, payload
+        # corruption, a worker crash and a dropped send are always in
         rules = tuple(rule for index, rule in enumerate(menu)
                       if digest[index % len(digest)] % 3 != 0
-                      or index in (0, 6, 8))
+                      or index in (0, 3, 4, 6))
         return cls(seed=seed, rules=rules)
 
 

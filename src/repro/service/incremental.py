@@ -3,22 +3,23 @@
 :class:`FunctionArtifactStore` memoises the result of running a
 ``func.func``-anchored pass nest over one function, keyed by the function's
 structural fingerprint salted with the nest's pipeline text (computed in
-:mod:`repro.ir.pass_manager`) and the service-wide
-:data:`~repro.service.jobs.KEY_SCHEMA_VERSION`.  Recompiling a module where
+:mod:`repro.ir.pass_manager`).  Recompiling a module where
 one function changed then replays every untouched function from the store
 — splicing a clone of the optimised form — and re-runs the pipeline only
 on the changed one.
 
-Two tiers, mirroring :class:`~repro.service.cache.ArtifactCache`:
+Two tiers:
 
 * a **live tier**: an LRU of detached optimised function ops; hits clone
   (cloning is cheaper than a pickle round trip, and clones are guaranteed
   fresh uids);
-* optionally the shared **artifact cache** (memory LRU + sharded disk
+* optionally the ``function`` namespace of the shared
+  :class:`~repro.service.cache.ArtifactCache` (memory LRU + sharded disk
   store): function payloads are pickled via :mod:`repro.ir.serial` and
   stored base64-encoded next to whole-module artifacts, so a persistent
   cache directory (or a long-lived daemon) reuses functions across
-  processes and restarts.
+  processes and restarts.  Addressing, the schema salt and malformed-payload
+  handling are the cache's.
 
 The store implements the duck-typed ``lookup``/``store`` protocol of
 :class:`repro.ir.pass_manager.PipelineSettings.function_cache`.
@@ -27,66 +28,19 @@ The store implements the duck-typed ``lookup``/``store`` protocol of
 from __future__ import annotations
 
 import base64
-import hashlib
-import json
 from collections import OrderedDict
-from dataclasses import dataclass
 from threading import Lock
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
+from ..counters import PROCESS, Counters
 from ..ir.core import Operation
 from ..ir.pass_manager import PassTiming
 from ..ir.serial import dumps_op, loads_op
-from . import faults
+from ..machine import jit as machine_jit
 from .cache import ArtifactCache
 
 #: Default size of the live-function LRU tier (functions, not bytes).
 DEFAULT_FUNCTION_ENTRIES = 256
-
-
-@dataclass
-class FunctionCacheCounters:
-    """Function-level hit/miss accounting (daemon ``metrics`` material)."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"memory_hits": self.memory_hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "stores": self.stores,
-                "hits": self.hits, "lookups": self.lookups,
-                "hit_rate": round(self.hit_rate, 4)}
-
-
-def _address(fingerprint: str) -> str:
-    """Content address for one function-stage artifact.
-
-    Mixes the schema salt in *again* (the fingerprint already carries the
-    pipeline salt) so a :data:`KEY_SCHEMA_VERSION` bump retires function
-    artifacts exactly like whole-module ones, and keeps the address space
-    disjoint from job artifacts sharing the same :class:`ArtifactCache`.
-    """
-    from .jobs import KEY_SCHEMA_VERSION
-    blob = json.dumps({"kind": "function-stage",
-                       "schema": KEY_SCHEMA_VERSION,
-                       "fingerprint": fingerprint},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class FunctionArtifactStore:
@@ -98,16 +52,11 @@ class FunctionArtifactStore:
             = OrderedDict()
         self._memory_entries = max(1, memory_entries)
         self._lock = Lock()
-        self._cache = cache
-        self.counters = FunctionCacheCounters()
-
-    @property
-    def cache(self) -> Optional[ArtifactCache]:
-        return self._cache
-
-    def attach_cache(self, cache: Optional[ArtifactCache]) -> None:
-        """Bind (or unbind) the shared artifact cache used for persistence."""
-        self._cache = cache
+        #: The shared artifact cache used for persistence (``None``: live
+        #: tier only); rebound by :func:`bind_process_stores`.
+        self.cache = cache
+        #: live-tier hits, cache-tier hits (``disk_hits``), misses, stores
+        self.counters = Counters()
 
     # ---------------------------------------------------------------- lookup
     def lookup(self, fingerprint: str
@@ -118,13 +67,12 @@ class FunctionArtifactStore:
             entry = self._live.get(fingerprint)
             if entry is not None:
                 self._live.move_to_end(fingerprint)
-                self.counters.memory_hits += 1
-                func, timings = entry
-                return func.clone(), timings
-        if self._cache is not None:
-            payload = self._cache.get(_address(fingerprint))
-            payload = faults.corrupt_payload("function.payload.corrupt",
-                                             payload, key=fingerprint)
+        if entry is not None:
+            self.counters.inc("memory_hits")
+            func, timings = entry
+            return func.clone(), timings
+        if self.cache is not None:
+            payload = self.cache.get(fingerprint, ns="function")
             if payload is not None:
                 try:
                     func = loads_op(base64.b64decode(payload["function"]))
@@ -136,15 +84,13 @@ class FunctionArtifactStore:
                         for t in payload.get("timings", ()))
                 except Exception:
                     # stale/corrupt payload (e.g. pre-bump pickle): a miss
-                    with self._lock:
-                        self.counters.misses += 1
+                    self.counters.inc("misses")
                     return None
                 with self._lock:
-                    self.counters.disk_hits += 1
                     self._promote(fingerprint, func, timings)
+                self.counters.inc("disk_hits")
                 return func.clone(), timings
-        with self._lock:
-            self.counters.misses += 1
+        self.counters.inc("misses")
         return None
 
     # ----------------------------------------------------------------- store
@@ -155,9 +101,9 @@ class FunctionArtifactStore:
         kept = func.clone()
         timings = tuple(timings)
         with self._lock:
-            self.counters.stores += 1
             self._promote(fingerprint, kept, timings)
-        if self._cache is not None:
+        self.counters.inc("stores")
+        if self.cache is not None:
             try:
                 payload = {
                     "kind": "function-stage",
@@ -166,7 +112,7 @@ class FunctionArtifactStore:
                 }
             except Exception:
                 return   # unpicklable IR: live tier still serves it
-            self._cache.put(_address(fingerprint), payload)
+            self.cache.put(fingerprint, payload, ns="function")
 
     def _promote(self, fingerprint: str, func: Operation,
                  timings: Tuple[PassTiming, ...]) -> None:
@@ -180,46 +126,41 @@ class FunctionArtifactStore:
         with self._lock:
             return len(self._live)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._live.clear()
-
 
 # ---------------------------------------------------------------------------
 # Process-wide store
 # ---------------------------------------------------------------------------
 
-_PROCESS_STORE: Optional[FunctionArtifactStore] = None
-_PROCESS_LOCK = Lock()
+#: Counts under ``function.*`` in the process registry
+#: (:data:`repro.counters.PROCESS`), so pool workers report it home.
+_PROCESS_STORE = FunctionArtifactStore()
+_PROCESS_STORE.counters = PROCESS.view("function")
 
 
 def get_function_store() -> FunctionArtifactStore:
     """The process-wide store every in-process compile shares by default.
 
-    Memory-only until a :class:`~repro.service.scheduler.CompileService`
-    binds it to its artifact cache (then per-function stages persist in the
-    same sharded store as whole-module artifacts).
+    Memory-only until :func:`bind_process_stores` points it at an artifact
+    cache (then per-function stages persist in the same sharded store as
+    whole-module artifacts).
     """
-    global _PROCESS_STORE
-    with _PROCESS_LOCK:
-        if _PROCESS_STORE is None:
-            _PROCESS_STORE = FunctionArtifactStore()
-        return _PROCESS_STORE
+    return _PROCESS_STORE
 
 
-def snapshot_counters() -> Dict[str, int]:
-    """Raw counter snapshot of the process store (for worker deltas)."""
-    counters = get_function_store().counters
-    return {"memory_hits": counters.memory_hits,
-            "disk_hits": counters.disk_hits,
-            "misses": counters.misses, "stores": counters.stores}
+def bind_process_stores(cache: Optional[ArtifactCache]) -> None:
+    """Point *both* process-wide client tiers — the function store and the
+    jit's translation tier — at ``cache``, or unbind both when it does not
+    persist (a memory-only cache would cost a payload encode per function
+    and per translation for no cross-process benefit; the clients' own
+    in-memory tiers already serve this process).
+
+    One call sets both or neither, so the two can never end up on
+    different stores.
+    """
+    target = cache if cache is not None and cache.persistent else None
+    _PROCESS_STORE.cache = target
+    machine_jit.set_translation_store(target)
 
 
-def counters_delta(before: Dict[str, int]) -> Dict[str, int]:
-    after = snapshot_counters()
-    return {key: after[key] - before.get(key, 0) for key in after}
-
-
-__all__ = ["FunctionArtifactStore", "FunctionCacheCounters",
-           "DEFAULT_FUNCTION_ENTRIES", "get_function_store",
-           "snapshot_counters", "counters_delta"]
+__all__ = ["FunctionArtifactStore", "DEFAULT_FUNCTION_ENTRIES",
+           "get_function_store", "bind_process_stores"]

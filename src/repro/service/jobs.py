@@ -10,8 +10,8 @@ the execution parameters.  Its :meth:`~CompileJob.key` hashes that material
 through the flow registry: there are no per-flow branches here, so a newly
 registered flow is immediately schedulable and cacheable.
 
-``execute_spec`` is the process-pool entry point: it only ships the
-picklable spec dict across the process boundary and returns a JSON payload,
+``execute_spec_timed`` is the process-pool entry point: only the picklable
+spec dict crosses the process boundary and a JSON payload comes back,
 never a live module or a raised exception (worker failures are encoded in
 the artifact so the scheduler can tell infrastructure errors apart from
 deterministic compilation failures).
@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+from ..counters import PROCESS
 from ..flows import ExecutionContext, get_flow
 from ..workloads import Workload
+from . import faults
 from .serialization import stats_from_dict, stats_to_dict
 
 #: Salt mixed into every cache key.  Bump whenever the meaning of cached
@@ -278,12 +281,6 @@ def _run_resolved_job(job: CompileJob, flow, workload,
                                 error=f"{type(exc).__name__}: {exc}")
 
 
-def execute_spec(spec: Dict[str, Any]) -> Tuple[str, Dict[str, Any]]:
-    """Process-pool worker: run a job spec, return ``(key, payload)``."""
-    artifact = run_job(CompileJob.from_spec(spec))
-    return artifact.key, artifact.to_payload()
-
-
 def spec_fault_key(spec: Dict[str, Any]) -> str:
     """Stable, cheap fault-site context key for one job spec (no registry
     resolution, so unresolvable specs key deterministically too)."""
@@ -293,41 +290,34 @@ def spec_fault_key(spec: Dict[str, Any]) -> str:
 
 def execute_spec_timed(
         spec: Dict[str, Any], attempt: int = 0
-) -> Tuple[str, Dict[str, Any], float, Dict[str, int], Dict[str, int]]:
-    """Like :func:`execute_spec`, plus worker-side compile seconds and the
-    function-store and jit-translation counter deltas this job caused.
+) -> Tuple[str, Dict[str, Any], float, Dict[str, int]]:
+    """Process-pool worker: run a job spec, return ``(key, payload)`` plus
+    the worker's side channel — compile seconds and the delta this job
+    caused in the process-wide counter registry (function-store and
+    jit-translation traffic).
 
     The elapsed time is measured inside the worker, so it is pure
-    compile+interpret time — pool queueing and pickling are excluded.  All
+    compile+interpret time — pool queueing and pickling are excluded.  The
     extras travel next to the payload, never inside it: cached artifacts
-    stay bit-identical whether or not their compile was timed.  The counter
-    deltas let the scheduler aggregate function-level and translation-level
-    hit rates across pool workers, whose stores are per-process.
+    stay bit-identical whether or not their compile was timed.  The delta
+    lets the scheduler aggregate hit rates across pool workers, whose
+    registries are per-process.
 
     ``attempt`` is the scheduler's retry ordinal for this job; the fault
     sites fold it into their decisions, which is how a plan expresses
     "crash attempt 0, let the requeued attempt run clean".
     """
-    import time
-
-    from ..machine.jit import snapshot_translation_counters
-    from . import faults
-    from .incremental import counters_delta, snapshot_counters
-
     fault_key = spec_fault_key(spec)
     faults.maybe_crash("worker.crash", key=fault_key, attempt=attempt)
     faults.maybe_sleep("worker.hang", key=fault_key, attempt=attempt)
-    before = snapshot_counters()
-    jit_before = snapshot_translation_counters()
+    before = PROCESS.snapshot()
     started = time.perf_counter()
-    key, payload = execute_spec(spec)
+    artifact = run_job(CompileJob.from_spec(spec))
+    payload = artifact.to_payload()
     elapsed = time.perf_counter() - started
-    jit_after = snapshot_translation_counters()
-    jit_delta = {name: jit_after[name] - jit_before.get(name, 0)
-                 for name in jit_after}
-    return key, payload, elapsed, counters_delta(before), jit_delta
+    return artifact.key, payload, elapsed, PROCESS.delta(before)
 
 
 __all__ = ["CompileJob", "CompiledArtifact", "ServiceError", "run_job",
-           "execute_spec", "execute_spec_timed", "spec_fault_key",
+           "execute_spec_timed", "spec_fault_key",
            "KEY_SCHEMA_VERSION"]

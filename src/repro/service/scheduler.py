@@ -40,15 +40,13 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from threading import Lock
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..machine.jit import snapshot_translation_counters
+from ..counters import PROCESS, Counters
 from . import faults
 from .cache import ArtifactCache
-from .incremental import (FunctionArtifactStore, get_function_store,
-                          snapshot_counters)
-from .jit_store import JitTranslationStore, install_jit_store
+from .incremental import (FunctionArtifactStore, bind_process_stores,
+                          get_function_store)
 from .jobs import (CompiledArtifact, CompileJob, execute_spec_timed,
                    run_job)
 
@@ -67,16 +65,11 @@ _ISOLATE_AFTER_BREAKS = 2
 _WATCHDOG_TICK = 0.2
 
 
-def _env_float(name: str, default: float) -> float:
+def _env_number(name: str, default):
+    """``$name`` parsed as ``default``'s type; unset or junk reads as
+    ``default``."""
     try:
-        return float(os.environ[name])
-    except (KeyError, ValueError):
-        return default
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ[name])
+        return type(default)(os.environ[name])
     except (KeyError, ValueError):
         return default
 
@@ -93,9 +86,7 @@ def _pool_worker_init(cache_dir: Optional[str]) -> None:
     if not cache_dir:
         return
     try:
-        cache = ArtifactCache(cache_dir=cache_dir)
-        get_function_store().attach_cache(cache)
-        install_jit_store(cache)
+        bind_process_stores(ArtifactCache(cache_dir=cache_dir))
     except Exception:
         pass    # workers still compute correctly with process-local stores
 
@@ -134,39 +125,30 @@ class CompileService:
         self.max_workers = max(1, max_workers)
         #: Watchdog limit: seconds of zero pool progress before unfinished
         #: jobs are killed and requeued (0 disables the watchdog).
-        self.job_timeout = (_env_float(JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT)
+        self.job_timeout = (_env_number(JOB_TIMEOUT_ENV, DEFAULT_JOB_TIMEOUT)
                             if job_timeout is None else job_timeout)
         #: Attempts (including the first) before a crashing/hanging job is
         #: quarantined as a poison artifact.
-        self.max_attempts = max(1, _env_int(JOB_ATTEMPTS_ENV,
-                                            DEFAULT_JOB_ATTEMPTS)
+        self.max_attempts = max(1, _env_number(JOB_ATTEMPTS_ENV,
+                                               DEFAULT_JOB_ATTEMPTS)
                                 if max_attempts is None else max_attempts)
-        self._lock = Lock()
-        self.recompilations = 0
-        self.batches = 0
-        # self-healing accounting (all surfaced via counters() and the
-        # daemon's metrics verb)
-        self.retries = 0          # pool jobs requeued after crash/timeout
-        self.timeouts = 0         # jobs killed by the watchdog
-        self.pool_crashes = 0     # broken/hung pool generations torn down
-        self.quarantined = 0      # keys landed as poison artifacts
-        self.corrupt_payloads = 0  # cached payloads rejected on read
-        # Bind the process-wide function store to this service's artifact
-        # cache: per-function stage results now persist (and survive
-        # restarts) alongside whole-module artifacts.
+        #: ``recompilations``, ``batches`` and the self-healing accounting —
+        #: ``retries`` (pool jobs requeued after a crash/timeout),
+        #: ``timeouts`` (jobs killed by the watchdog), ``pool_crashes``
+        #: (broken/hung pool generations torn down), ``quarantined`` (keys
+        #: landed as poison artifacts), ``corrupt_payloads`` (cached payloads
+        #: rejected on read) — plus, under ``function.*`` / ``jit.*``, the
+        #: registry deltas pool workers shipped home.
+        self._counters = Counters()
+        # Per-function stage results and jit translations persist (and
+        # survive restarts) alongside this service's whole-module artifacts
+        # when the cache has a disk tier.
         self.function_store: FunctionArtifactStore = get_function_store()
-        self.function_store.attach_cache(self.cache)
-        # Same for jit translations: when the cache persists (and the
-        # kill-switch is off), translated blocks round-trip through the
-        # sharded store and survive restarts.
-        self.jit_store: Optional[JitTranslationStore] = \
-            install_jit_store(self.cache)
-        #: Function-store / jit-translation counter deltas reported back by
-        #: pool workers, whose process-local stores are invisible to ours.
-        self._worker_fn_counters: Dict[str, int] = {
-            "memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0}
-        self._worker_jit_counters: Dict[str, int] = {
-            "memory_hits": 0, "disk_hits": 0, "misses": 0, "stores": 0}
+        bind_process_stores(self.cache)
+
+    @property
+    def recompilations(self) -> int:
+        return self._counters.get("recompilations")
 
     # --------------------------------------------------------------- single
     def _cached_artifact(self, key: str) -> Optional[CompiledArtifact]:
@@ -179,8 +161,7 @@ class CompileService:
         try:
             return CompiledArtifact.from_payload(payload, cached=True)
         except Exception:
-            with self._lock:
-                self.corrupt_payloads += 1
+            self._counters.inc("corrupt_payloads")
             return None
 
     def execute(self, job: CompileJob) -> CompiledArtifact:
@@ -190,8 +171,7 @@ class CompileService:
         if artifact is not None:
             return artifact
         artifact = run_job(job)
-        with self._lock:
-            self.recompilations += 1
+        self._counters.inc("recompilations")
         self.cache.put(key, artifact.to_payload())
         return artifact
 
@@ -201,8 +181,7 @@ class CompileService:
         """Dedupe, strip cache hits, fan misses out, populate the cache."""
         workers = self.max_workers if max_workers is None else max(1, max_workers)
         report = BatchReport(submitted=len(jobs), workers=workers)
-        with self._lock:
-            self.batches += 1
+        self._counters.inc("batches")
 
         unique: Dict[str, CompileJob] = {}
         for job in jobs:
@@ -234,8 +213,7 @@ class CompileService:
             if not payload["ok"]:
                 report.failures.append((payload["workload"], payload["error"]))
         report.executed = len(results)
-        with self._lock:
-            self.recompilations += len(results)
+        self._counters.inc("recompilations", len(results))
         return report
 
     @staticmethod
@@ -281,7 +259,8 @@ class CompileService:
             remaining = self._execute_pool(remaining, workers, report,
                                            results)
         for job in remaining + local:
-            # run_job (not execute_spec) so attached workloads stay attached
+            # run_job on the live job (not its spec) so attached workloads stay
+            # attached
             started = time.perf_counter()
             artifact = run_job(job)
             results[artifact.key] = (artifact.to_payload(),
@@ -319,15 +298,13 @@ class CompileService:
             fallback.extend(job for job, _ in leftover)
             if broke:
                 breaks += 1
-                with self._lock:
-                    self.pool_crashes += 1
+                self._counters.inc("pool_crashes")
             for job, attempt, reason, durable in retry:
                 if attempt + 1 >= self.max_attempts:
                     self._quarantine(job, reason, attempt + 1, results,
                                      durable=durable)
                 else:
-                    with self._lock:
-                        self.retries += 1
+                    self._counters.inc("retries")
                     pending.append((job, attempt + 1))
         return fallback
 
@@ -384,8 +361,7 @@ class CompileService:
                 for future in done:
                     job, attempt = futures[future]
                     try:
-                        key, payload, elapsed, fn_delta, jit_delta = \
-                            future.result()
+                        key, payload, elapsed, delta = future.result()
                     except BrokenProcessPool:
                         broke = True
                         retry.append((job, attempt,
@@ -397,7 +373,7 @@ class CompileService:
                     else:
                         results[key] = (payload, elapsed)
                         report.pool_executed += 1
-                        self._merge_worker_deltas(fn_delta, jit_delta)
+                        self._counters.merge(delta)
                 if done:
                     last_progress = time.monotonic()
                 elif (outstanding and self.job_timeout
@@ -407,8 +383,7 @@ class CompileService:
                     # kill the pool, requeue everything still outstanding
                     broke = True
                     hung = outstanding
-                    with self._lock:
-                        self.timeouts += len(outstanding)
+                    self._counters.inc("timeouts", len(outstanding))
                     for future in outstanding:
                         job, attempt = futures[future]
                         retry.append((job, attempt,
@@ -433,16 +408,6 @@ class CompileService:
                 process.terminate()
             except Exception:
                 pass
-
-    def _merge_worker_deltas(self, fn_delta: Dict[str, int],
-                             jit_delta: Dict[str, int]) -> None:
-        with self._lock:
-            for name, count in fn_delta.items():
-                self._worker_fn_counters[name] = (
-                    self._worker_fn_counters.get(name, 0) + count)
-            for name, count in jit_delta.items():
-                self._worker_jit_counters[name] = (
-                    self._worker_jit_counters.get(name, 0) + count)
 
     def _quarantine(
             self, job: CompileJob, reason: str, attempts: int,
@@ -473,52 +438,41 @@ class CompileService:
         if not durable:
             payload["transient"] = True
         results[key] = (payload, None)
-        with self._lock:
-            self.quarantined += 1
+        self._counters.inc("quarantined")
 
     # ------------------------------------------------------------- counters
-    def counters(self) -> Dict[str, int]:
+    def counters(self) -> Dict[str, Any]:
+        """The cache's flat totals (all namespaces) plus this service's."""
         merged = self.cache.counters.as_dict()
         merged["recompilations"] = self.recompilations
-        merged["batches"] = self.batches
+        merged["batches"] = self._counters.get("batches")
         merged.update(self.self_heal_counters())
         return merged
 
     def self_heal_counters(self) -> Dict[str, int]:
-        """Crash/timeout recovery accounting (chaos sweeps assert on it)."""
-        with self._lock:
-            return {"retries": self.retries, "timeouts": self.timeouts,
-                    "pool_crashes": self.pool_crashes,
-                    "quarantined": self.quarantined,
-                    "corrupt_payloads": self.corrupt_payloads}
+        """Crash/timeout recovery accounting (chaos sweeps assert on it).
+        ``corrupt_payloads`` adds up both places a cached payload can be
+        rejected: the store's shape check and artifact deserialisation."""
+        heal = {name: self._counters.get(name)
+                for name in ("retries", "timeouts", "pool_crashes",
+                             "quarantined", "corrupt_payloads")}
+        heal["corrupt_payloads"] += \
+            self.cache.counters.as_dict().get("corrupt_payloads", 0)
+        return heal
+
+    def _tier_counters(self, tier: str) -> Dict[str, Any]:
+        """This process's registry plus pool-worker deltas, for one tier."""
+        totals = Counters(PROCESS.view(tier).snapshot())
+        totals.merge(self._counters.view(tier).snapshot())
+        return totals.as_dict()
 
     def function_counters(self) -> Dict[str, Any]:
-        """Function-level cache accounting: this process's store plus the
-        deltas pool workers reported with their results."""
-        totals = snapshot_counters()
-        with self._lock:
-            for name, count in self._worker_fn_counters.items():
-                totals[name] = totals.get(name, 0) + count
-        hits = totals["memory_hits"] + totals["disk_hits"]
-        lookups = hits + totals["misses"]
-        totals["hits"] = hits
-        totals["lookups"] = lookups
-        totals["hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-        return totals
+        """Function-stage store accounting (live tier / cache tier)."""
+        return self._tier_counters("function")
 
     def jit_counters(self) -> Dict[str, Any]:
-        """Jit translation-cache accounting: this process's counters plus
-        the deltas pool workers reported with their results."""
-        totals = snapshot_translation_counters()
-        with self._lock:
-            for name, count in self._worker_jit_counters.items():
-                totals[name] = totals.get(name, 0) + count
-        hits = totals["memory_hits"] + totals["disk_hits"]
-        lookups = hits + totals["misses"]
-        totals["hits"] = hits
-        totals["lookups"] = lookups
-        totals["hit_rate"] = round(hits / lookups, 4) if lookups else 0.0
-        return totals
+        """Jit translation-cache accounting."""
+        return self._tier_counters("jit")
 
 
 __all__ = ["CompileService", "BatchReport", "DEFAULT_JOB_ATTEMPTS",

@@ -1,19 +1,13 @@
-"""Parallel func.func pass scheduling: bit-identical to serial, by contract.
-
-Every mode the scheduler can pick — serial, thread pool (instrumented
-runs), process pool (ISSUE tentpole) — must produce the same final IR
-text and the same :class:`PassTimingReport` structure (pass names,
-anchors, IR op counts; wall times naturally differ) as a plain serial
-run.  Also covers the serialization layer the process mode rides on.
+"""What function-granular compilation rides on: associative timing-report
+merges, the pickle layer the function store persists through, ambient
+pipeline settings, and the one-nest shape of the standard flow.
 """
-
-import pytest
 
 from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.flang import FlangCompiler
 from repro.ir import (PassManager, dumps_op, loads_op, pipeline_settings,
                       print_op)
-from repro.ir.pass_manager import PassInstrumentation, PassTimingReport
+from repro.ir.pass_manager import PassTimingReport
 
 MULTI_FUNC = """
 subroutine pa(n)
@@ -64,60 +58,18 @@ def _timing_structure(report):
             for t in report.timings]
 
 
-def _run(jobs, collect=True, instrumentation=()):
+def _run():
     module = _module()
-    pm = PassManager.from_pipeline(PIPELINE, collect_statistics=collect)
-    for instr in instrumentation:
-        pm.add_instrumentation(instr)
-    with pipeline_settings(jobs=jobs, function_cache=None):
+    pm = PassManager.from_pipeline(PIPELINE)
+    with pipeline_settings(function_cache=None):
         pm.run(module)
     return print_op(module), pm.last_report
 
 
-def test_parallel_ir_and_timing_structure_match_serial():
-    serial_text, serial_report = _run(jobs=1)
-    parallel_text, parallel_report = _run(jobs=3)
-    assert parallel_text == serial_text
-    assert _timing_structure(parallel_report) == \
-        _timing_structure(serial_report)
-    assert parallel_report.pipeline == serial_report.pipeline
-
-
-class _Counting(PassInstrumentation):
-    def __init__(self):
-        self.before = 0
-        self.after = 0
-
-    def before_pass(self, pass_, op):
-        self.before += 1
-
-    def after_pass(self, pass_, op, timing):
-        self.after += 1
-
-
-def test_instrumented_parallel_matches_serial():
-    # instrumentation hooks force the thread path (hooks must observe every
-    # pass execution); output must still be bit-identical and the hooks
-    # must fire once per (pass, function)
-    serial_counter = _Counting()
-    serial_text, _ = _run(jobs=1, instrumentation=[serial_counter])
-    parallel_counter = _Counting()
-    parallel_text, _ = _run(jobs=3, instrumentation=[parallel_counter])
-    assert parallel_text == serial_text
-    assert parallel_counter.before == serial_counter.before
-    assert parallel_counter.after == serial_counter.after
-
-
-def test_no_statistics_parallel_matches_serial():
-    serial_text, _ = _run(jobs=1, collect=False)
-    parallel_text, _ = _run(jobs=4, collect=False)
-    assert parallel_text == serial_text
-
-
 def test_merge_is_associative_and_order_preserving():
-    _, r1 = _run(jobs=1)
-    _, r2 = _run(jobs=1)
-    _, r3 = _run(jobs=1)
+    _, r1 = _run()
+    _, r2 = _run()
+    _, r3 = _run()
     left = PassTimingReport.merge([PassTimingReport.merge([r1, r2]), r3])
     right = PassTimingReport.merge([r1, PassTimingReport.merge([r2, r3])])
     assert _timing_structure(left) == _timing_structure(right)
@@ -154,14 +106,16 @@ def test_attached_op_dump_does_not_capture_module():
 
 def test_pipeline_settings_scope_and_inheritance():
     from repro.ir import current_settings
-    assert current_settings().jobs == 1
-    with pipeline_settings(jobs=4):
-        assert current_settings().jobs == 4
+    store = object()
+    assert current_settings().function_cache is None
+    with pipeline_settings(function_cache=store):
+        assert current_settings().function_cache is store
+        with pipeline_settings():
+            assert current_settings().function_cache is store   # inherited
         with pipeline_settings(function_cache=None):
-            # jobs inherited, cache explicitly disabled
-            assert current_settings().jobs == 4
-            assert current_settings().function_cache is None
-    assert current_settings().jobs == 1
+            assert current_settings().function_cache is None    # disabled
+        assert current_settings().function_cache is store
+    assert current_settings().function_cache is None
 
 
 def test_standard_flow_pipeline_is_one_function_nest():

@@ -21,7 +21,6 @@ from repro.flang import FlangCompiler
 from repro.machine import Interpreter
 from repro.machine import jit
 from repro.service.cache import ArtifactCache
-from repro.service.jit_store import JitTranslationStore
 from repro.service.serialization import stats_to_dict
 
 
@@ -194,22 +193,21 @@ class _TamperingStore:
         self._inner = inner
         self._rewrite = rewrite
 
-    def lookup(self, key):
-        payload = self._inner.lookup(key)
+    def get(self, key, ns):
+        payload = self._inner.get(key, ns=ns)
         return self._rewrite(dict(payload)) if payload is not None else None
 
-    def store(self, key, payload):
-        self._inner.store(key, payload)
+    def put(self, key, payload, ns):
+        self._inner.put(key, payload, ns=ns)
 
-    def contains(self, key):
-        return self._inner.contains(key)
+    def contains(self, key, ns):
+        return self._inner.contains(key, ns=ns)
 
 
 class TestDiskTier:
     @pytest.fixture
     def store(self, tmp_path):
-        return JitTranslationStore(
-            ArtifactCache(cache_dir=str(tmp_path / "artifacts")))
+        return ArtifactCache(cache_dir=str(tmp_path / "artifacts"))
 
     def _seed(self, store):
         """Cold run that populates ``store``; returns (printed, stats)."""
@@ -316,7 +314,7 @@ class TestDiskTier:
         block = _entry_block(interp)
         jit.compile_block(interp, block)    # force-translate + store
         assert store.contains(
-            jit.translation_key(block, interp._check_stride))
+            jit.translation_key(block, interp._check_stride), ns="jit")
         jit.clear_translation_cache()
 
         before = jit.snapshot_translation_counters()
@@ -337,11 +335,10 @@ from repro.flang import FlangCompiler
 from repro.machine import Interpreter
 from repro.machine import jit
 from repro.service.cache import ArtifactCache
-from repro.service.jit_store import JitTranslationStore
 from repro.service.serialization import stats_to_dict
 
 cache_dir, source_path = sys.argv[1], sys.argv[2]
-jit.set_translation_store(JitTranslationStore(ArtifactCache(cache_dir=cache_dir)))
+jit.set_translation_store(ArtifactCache(cache_dir=cache_dir))
 with open(source_path) as fh:
     source = fh.read()
 module = FlangCompiler().compile(source, stop_at="fir").fir_module

@@ -151,8 +151,9 @@ class TestCoalescing:
         # "coalesced" and "hit" both mean "no second compile"
         assert all(src in ("coalesced", "hit") for src in sources
                    if src != "compiled")
-        assert daemon.metrics.coalesced + daemon.metrics.cache_hits == 3
-        assert daemon.metrics.compiled == 1
+        count = daemon.metrics.counters.get
+        assert count("coalesced") + count("cache_hits") == 3
+        assert count("compiled") == 1
         payloads = [json.dumps(p, sort_keys=True)
                     for (p,), _, _ in results]
         assert len(set(payloads)) == 1, \
@@ -176,8 +177,9 @@ class TestCoalescing:
         assert service.recompilations == 1
         payloads = {json.dumps(p, sort_keys=True) for p, _ in results}
         assert len(payloads) == 1
-        assert daemon.metrics.compiled == 1
-        assert daemon.metrics.cache_hits + daemon.metrics.coalesced == 3
+        count = daemon.metrics.counters.get
+        assert count("compiled") == 1
+        assert count("cache_hits") + count("coalesced") == 3
 
 
 class TestTransparentFallback:
@@ -236,13 +238,13 @@ class TestDaemonBackedService:
         assert service is not None
         artifact = service.execute(CompileJob("ours", "dotproduct"))
         assert artifact.ok
-        assert service.daemon_jobs == 1
+        assert service.counters()["daemon_jobs"] == 1
         assert daemon_service.recompilations == 1
         assert service.recompilations == 0, \
             "the client process itself must not compile"
         # a repeat is a local memory hit, not another socket round trip
         again = service.execute(CompileJob("ours", "dotproduct"))
-        assert again.cached and service.daemon_jobs == 1
+        assert again.cached and service.counters()["daemon_jobs"] == 1
         local = run_job(CompileJob("ours", "dotproduct"))
         assert json.dumps(artifact.to_payload(), sort_keys=True) == \
             json.dumps(local.to_payload(), sort_keys=True)

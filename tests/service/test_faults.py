@@ -25,7 +25,7 @@ class TestSpecRoundTrip:
 
     def test_round_trip_is_stable(self):
         spec = ("seed=7;worker.hang:p=0.5,key=x,attempt=2,delay=1.5;"
-                "cache.payload.corrupt:p=1")
+                "store.payload.corrupt:p=1")
         plan = FaultPlan.from_spec(spec)
         assert FaultPlan.from_spec(plan.to_spec()) == FaultPlan.from_spec(spec)
 
@@ -81,7 +81,7 @@ class TestDecisions:
 class TestArming:
     def test_disarmed_sites_are_noops(self):
         assert faults.check("worker.crash", key="anything") is None
-        assert faults.corrupt_payload("cache.payload.corrupt",
+        assert faults.corrupt_payload("store.payload.corrupt",
                                       {"ok": True}) == {"ok": True}
 
     def test_install_arms_and_restores(self, monkeypatch):
@@ -97,21 +97,21 @@ class TestArming:
         assert faults.check("sharded.read.error") is None
 
     def test_env_only_arming_works(self, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "seed=1;jit.payload.corrupt:p=1")
+        monkeypatch.setenv(FAULTS_ENV, "seed=1;store.payload.corrupt:p=1")
         faults.rearm_from_env()
-        assert faults.check("jit.payload.corrupt") is not None
+        assert faults.check("store.payload.corrupt") is not None
         monkeypatch.delenv(FAULTS_ENV)
-        assert faults.check("jit.payload.corrupt") is None
+        assert faults.check("store.payload.corrupt") is None
 
     def test_corrupt_payload_mangles_detectably(self):
-        plan = FaultPlan.from_spec("seed=1;cache.payload.corrupt:p=1")
+        plan = FaultPlan.from_spec("seed=1;store.payload.corrupt:p=1")
         with faults.install(plan, export=False):
-            assert faults.corrupt_payload("cache.payload.corrupt",
+            assert faults.corrupt_payload("store.payload.corrupt",
                                           {"ok": True}) == \
-                {"__fault__": "cache.payload.corrupt"}
-            assert faults.corrupt_payload("cache.payload.corrupt",
+                {"__fault__": "store.payload.corrupt"}
+            assert faults.corrupt_payload("store.payload.corrupt",
                                           "x" * 10) == "x" * 5
-            assert faults.corrupt_payload("cache.payload.corrupt",
+            assert faults.corrupt_payload("store.payload.corrupt",
                                           None) is None
 
 
@@ -127,9 +127,24 @@ class TestChaosPlans:
                     assert rule.attempt == 0, \
                         "chaos crashes/hangs must spare the retry"
 
+    def test_chaos_corruption_reaches_every_namespace(self):
+        # one unfiltered store.payload.corrupt rule, site keys "<ns>:<key>":
+        # every random plan carries it and it fires in all three namespaces
+        from repro.service.cache import NAMESPACES
+        for seed in range(8):
+            plan = FaultPlan.random(seed)
+            rules = [r for r in plan.rules
+                     if r.site == "store.payload.corrupt"]
+            assert len(rules) == 1 and not rules[0].key
+            for ns in NAMESPACES:
+                assert any(plan.decide("store.payload.corrupt",
+                                       key=f"{ns}:{index:04x}") is not None
+                           for index in range(256)), (seed, ns)
+
     def test_every_known_site_is_wired_into_the_source(self):
         text = "\n".join(p.read_text()
                          for p in sorted(SRC_ROOT.rglob("*.py")))
+        assert len(KNOWN_SITES) == 10
         for site in KNOWN_SITES:
             assert f'"{site}"' in text, \
                 f"documented site {site} is not referenced anywhere"

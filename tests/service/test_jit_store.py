@@ -1,13 +1,13 @@
-"""Service-side jit translation store: addressing, wiring, kill-switch.
+"""Service-side wiring of the jit's persistent tier.
 
 The translation *payloads* and their verification live in
-``repro.machine.jit`` (covered by ``tests/machine/test_jit_persistence``);
-this module tests the service glue: the content address keeps jit
-translations disjoint from the other artifact families in the shared
-sharded store, :func:`install_jit_store` only wires persistent caches (and
-honours ``REPRO_NO_JIT_CACHE``), :meth:`CompileService.jit_counters`
-surfaces the accounting, and ``repro.conformance run``'s fallback service
-persists through ``$REPRO_CACHE_DIR`` like a daemon would.
+``repro.machine.jit`` (covered by ``tests/machine/test_jit_persistence``)
+and addressing is the namespaced store's (``tests/service/test_store.py``);
+this module tests the service glue: :func:`bind_process_stores` points the
+function store and the jit tier at a service's cache together (or unbinds
+both), :meth:`CompileService.jit_counters` surfaces the accounting, and
+``repro.conformance run``'s fallback service persists through
+``$REPRO_CACHE_DIR`` like a daemon would.
 """
 
 import argparse
@@ -16,95 +16,85 @@ import pytest
 
 from repro.machine import jit as machine_jit
 from repro.service.cache import ArtifactCache
-from repro.service.jit_store import (NO_JIT_CACHE_ENV, JitTranslationStore,
-                                     _address, install_jit_store,
-                                     jit_cache_disabled)
+from repro.service.incremental import bind_process_stores, get_function_store
 from repro.service.scheduler import CompileService
 
 
 @pytest.fixture(autouse=True)
-def _isolated_translation_store():
-    saved = machine_jit.get_translation_store()
-    machine_jit.set_translation_store(None)
+def _isolated_process_stores():
+    saved = (get_function_store().cache, machine_jit.get_translation_store())
+    bind_process_stores(None)
     yield
-    machine_jit.set_translation_store(saved)
+    get_function_store().cache = saved[0]
+    machine_jit.set_translation_store(saved[1])
     machine_jit.clear_translation_cache()
 
 
-class TestAddressing:
-    def test_disjoint_from_function_stage_artifacts(self):
-        # the three artifact families share one sharded store; identical
-        # fingerprint strings must never collide across kinds
-        from repro.service.incremental import _address as fn_address
-        fingerprint = "feed" * 16
-        assert _address(fingerprint) != fn_address(fingerprint)
-        assert _address(fingerprint) != fingerprint
-
-    def test_schema_version_is_address_material(self, monkeypatch):
-        from repro.service import jobs
-        fingerprint = "beef" * 16
-        before = _address(fingerprint)
-        monkeypatch.setattr(jobs, "KEY_SCHEMA_VERSION",
-                            jobs.KEY_SCHEMA_VERSION + 1)
-        assert _address(fingerprint) != before
-
-    def test_distinct_fingerprints_distinct_addresses(self):
-        assert _address("a" * 64) != _address("b" * 64)
+def _bound_dirs():
+    """(function store's cache dir, jit tier's cache dir), None = unbound."""
+    fn_cache = get_function_store().cache
+    jit_cache = machine_jit.get_translation_store()
+    return (fn_cache.cache_dir if fn_cache is not None else None,
+            jit_cache.cache_dir if jit_cache is not None else None)
 
 
 class TestStoreProtocol:
     def test_roundtrip(self, tmp_path):
-        store = JitTranslationStore(ArtifactCache(cache_dir=str(tmp_path)))
+        cache = ArtifactCache(cache_dir=str(tmp_path))
         payload = {"format": 1, "source": "def _jit_block(env): pass\n",
                    "nops": 3}
         fingerprint = "c0de" * 16
-        assert store.lookup(fingerprint) is None
-        assert not store.contains(fingerprint)
-        store.store(fingerprint, payload)
-        assert store.contains(fingerprint)
-        assert store.lookup(fingerprint) == payload
+        assert cache.get(fingerprint, ns="jit") is None
+        assert not cache.contains(fingerprint, ns="jit")
+        cache.put(fingerprint, payload, ns="jit")
+        assert cache.contains(fingerprint, ns="jit")
+        assert cache.get(fingerprint, ns="jit") == payload
 
     def test_corrupt_payload_is_a_miss_not_an_error(self, tmp_path):
-        cache = ArtifactCache(cache_dir=str(tmp_path))
-        store = JitTranslationStore(cache)
         fingerprint = "bad0" * 16
-        cache.put(_address(fingerprint), {"format": 1, "nops": 3})  # no source
-        assert store.lookup(fingerprint) is None
+        ArtifactCache(cache_dir=str(tmp_path)).put(
+            fingerprint, {"format": 1, "nops": 3}, ns="jit")    # no source
+        reader = ArtifactCache(cache_dir=str(tmp_path))
+        assert reader.get(fingerprint, ns="jit") is None
+        assert reader.stats()["by_namespace"]["jit"]["misses"] == 1
 
 
 class TestInstall:
     def test_memory_only_cache_stays_process_local(self):
-        # no disk tier -> lookups would cost overhead for zero
+        # no disk tier -> encoding payloads would cost overhead for zero
         # cross-process benefit
-        assert install_jit_store(ArtifactCache()) is None
-        assert machine_jit.get_translation_store() is None
+        bind_process_stores(ArtifactCache())
+        assert _bound_dirs() == (None, None)
 
-    def test_none_cache_stays_process_local(self):
-        assert install_jit_store(None) is None
+    def test_none_cache_stays_process_local(self, tmp_path):
+        bind_process_stores(ArtifactCache(cache_dir=str(tmp_path)))
+        bind_process_stores(None)
+        assert _bound_dirs() == (None, None)
 
     def test_persistent_cache_installs_store(self, tmp_path):
         cache = ArtifactCache(cache_dir=str(tmp_path))
-        store = install_jit_store(cache)
-        assert isinstance(store, JitTranslationStore)
-        assert machine_jit.get_translation_store() is store
-        assert store.cache is cache
+        bind_process_stores(cache)
+        assert machine_jit.get_translation_store() is cache
+        assert get_function_store().cache is cache
 
-    def test_kill_switch_env(self, tmp_path, monkeypatch):
-        cache = ArtifactCache(cache_dir=str(tmp_path))
-        monkeypatch.setenv(NO_JIT_CACHE_ENV, "1")
-        assert jit_cache_disabled()
-        assert install_jit_store(cache) is None
-        assert machine_jit.get_translation_store() is None
-
-        monkeypatch.setenv(NO_JIT_CACHE_ENV, "0")    # explicit off = on
-        assert not jit_cache_disabled()
-        assert install_jit_store(cache) is not None
+    @pytest.mark.parametrize("persistent_first", [True, False])
+    def test_a_later_service_rebinds_both_tiers_together(self, tmp_path,
+                                                         persistent_first):
+        # a memory-only service created after a persistent one used to
+        # leave jit translations going to the *old* directory
+        caches = [ArtifactCache(cache_dir=str(tmp_path)), ArtifactCache()]
+        if not persistent_first:
+            caches.reverse()
+        for cache in caches:
+            CompileService(cache)
+        expected = None if persistent_first else caches[-1].cache_dir
+        assert _bound_dirs() == (expected, expected)
 
 
 class TestServiceCounters:
     def test_jit_counters_shape_and_worker_merge(self, tmp_path):
         service = CompileService(ArtifactCache(cache_dir=str(tmp_path)))
-        assert service.jit_store is not None
+        assert machine_jit.get_translation_store() is service.cache
         counters = service.jit_counters()
         for field in ("memory_hits", "disk_hits", "misses", "stores",
                       "hits", "lookups", "hit_rate"):
@@ -112,15 +102,14 @@ class TestServiceCounters:
 
         # pool workers report their process-local deltas back; they must
         # show up in the service-level totals
-        with service._lock:
-            service._worker_jit_counters["disk_hits"] += 5
-            service._worker_jit_counters["misses"] += 5
+        service._counters.merge({"jit.disk_hits": 5, "jit.misses": 5})
         merged = service.jit_counters()
         assert merged["disk_hits"] == counters["disk_hits"] + 5
         assert merged["lookups"] >= counters["lookups"] + 10
 
     def test_memory_only_service_has_no_jit_store(self):
-        assert CompileService(ArtifactCache()).jit_store is None
+        CompileService(ArtifactCache())
+        assert machine_jit.get_translation_store() is None
 
 
 class TestConformanceServiceBinding:
@@ -136,8 +125,8 @@ class TestConformanceServiceBinding:
         service = _sweep_service(args)
         assert service.cache.persistent
         assert str(service.cache.cache_dir) == str(tmp_path / "store")
-        assert service.jit_store is not None
-        assert service.jit_store.cache is service.cache
+        assert machine_jit.get_translation_store() is service.cache
+        assert service.function_store.cache is service.cache
 
     def test_sweep_persists_function_artifacts(self, tmp_path, monkeypatch):
         from repro.conformance.oracle import run_sweep

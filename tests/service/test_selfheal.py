@@ -186,7 +186,7 @@ class TestCorruptPayloadsAreMisses:
         job = CompileJob("ours", "sum")
         warm = CompileService(ArtifactCache(cache_dir=str(tmp_path)))
         assert warm.execute(job).ok
-        plan = FaultPlan.from_spec("seed=1;cache.payload.corrupt:p=1")
+        plan = FaultPlan.from_spec("seed=1;store.payload.corrupt:p=1")
         with faults.install(plan, export=False):
             cold = CompileService(ArtifactCache(cache_dir=str(tmp_path)))
             artifact = cold.execute(job)
@@ -201,7 +201,7 @@ class TestCorruptPayloadsAreMisses:
         recompile and then produce no artifact at all — permanently."""
         warm = CompileService(ArtifactCache(cache_dir=str(tmp_path)))
         assert not warm.submit(JOBS).failures
-        plan = FaultPlan.from_spec("seed=1;cache.payload.corrupt:p=1")
+        plan = FaultPlan.from_spec("seed=1;store.payload.corrupt:p=1")
         with faults.install(plan, export=False):
             cold = CompileService(ArtifactCache(cache_dir=str(tmp_path)))
             report = cold.submit(JOBS)

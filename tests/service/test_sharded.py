@@ -1,4 +1,4 @@
-"""Sharded disk store: layout, durability, migration, LRU byte budget."""
+"""Sharded disk store: layout, durability, LRU byte budget."""
 
 import json
 
@@ -59,41 +59,6 @@ class TestDurability:
         (tmp_path / "shards" / "aa.json").write_text("not json at all")
         assert store.get(KEY_A) is None
         assert store.get(KEY_B) == payload_for(KEY_B)
-
-
-class TestMigration:
-    def legacy_store(self, tmp_path, keys):
-        (tmp_path / "CACHE_FORMAT").write_text("1\n")
-        for key in keys:
-            obj_dir = tmp_path / "objects" / key[:2]
-            obj_dir.mkdir(parents=True, exist_ok=True)
-            (obj_dir / f"{key}.json").write_text(
-                json.dumps(payload_for(key)))
-
-    def test_legacy_objects_tree_is_split_into_shards(self, tmp_path):
-        self.legacy_store(tmp_path, [KEY_A, KEY_A2, KEY_B])
-        store = ShardedStore(str(tmp_path))
-        for key in (KEY_A, KEY_A2, KEY_B):
-            assert store.get(key) == payload_for(key)
-        assert not (tmp_path / "objects").exists()
-        assert (tmp_path / "shards" / "aa.json").exists()
-        assert (tmp_path / "CACHE_FORMAT").read_text().strip() == \
-            str(SHARDED_FORMAT)
-
-    def test_unreadable_legacy_entries_are_dropped_not_fatal(self, tmp_path):
-        self.legacy_store(tmp_path, [KEY_A])
-        bad = tmp_path / "objects" / "bb"
-        bad.mkdir(parents=True)
-        (bad / f"{KEY_B}.json").write_text("{broken")
-        store = ShardedStore(str(tmp_path))
-        assert store.get(KEY_A) == payload_for(KEY_A)
-        assert store.get(KEY_B) is None
-
-    def test_migrated_store_serves_through_artifact_cache(self, tmp_path):
-        self.legacy_store(tmp_path, [KEY_A])
-        cache = ArtifactCache(cache_dir=str(tmp_path))
-        assert cache.get(KEY_A) == payload_for(KEY_A)
-        assert cache.counters.disk_hits == 1
 
 
 class TestEviction:
