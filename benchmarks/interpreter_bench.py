@@ -43,6 +43,11 @@ served (1.0 = zero re-translation of previously seen blocks) and
   (``jit_vs_compiled`` < 1.0, with a small measurement-noise allowance —
   rows the amortization tier keeps on cached dispatch sit at ~1.0x by
   design),
+* the jit engine's aggregate lead over cached dispatch on the ``ours``
+  rows (``jit_vs_compiled_ours``: summed cached-dispatch wall over summed
+  jit wall — the standard-MLIR flow the paper is about, whose affine maps
+  and vector-dialect ops the jit translates end to end) drops below
+  3.0x, with the same allowance,
 * the vector engine's speedup over cached dispatch drops below 5.0x on
   the stencil rows (``jacobi`` / ``tra-adv`` under the flang-fir flow —
   the loop nests the whole-array evaluator exists for), or
@@ -98,6 +103,14 @@ JIT_ROW_FLOOR = 1.0
 #: regressions (translation overhead not amortizing) show up far below
 #: this band.
 JIT_ROW_NOISE = 0.95
+#: CI gate: aggregate ``jit_vs_compiled`` over the ``ours`` rows.  Before
+#: affine maps were compiled and the vector dialect got jit emitters these
+#: rows read 1.0-2.0x; the regenerated BENCH_interpreter.json reads 4.36x
+#: over all five workloads, and the two ``--quick`` ones CI runs read
+#: 3.5-3.7x (the sub-millisecond ``ac`` row sits mostly on cached dispatch
+#: at ~1.2x and weighs more there).  The floor sits under the smaller of
+#: the two, and :data:`JIT_ROW_NOISE` is applied on top.
+JIT_OURS_FLOOR = 3.0
 #: CI gate: whole-array evaluation must stay at least this much faster
 #: than cached dispatch on the stencil rows it was built for.
 VECTOR_STENCIL_FLOOR = 5.0
@@ -321,6 +334,10 @@ def main() -> int:
         "jit_overall_speedup": round(total_ref / max(total_jit, 1e-9), 2),
         "jit_vs_compiled_overall": round(total_new / max(total_jit, 1e-9), 2),
         "best_jit_vs_compiled": max(r["jit_vs_compiled"] for r in runs),
+        "jit_vs_compiled_ours":
+            round(sum(r["wall_s"] for r in runs if r["flow"] == "ours")
+                  / max(sum(r["jit_wall_s"] for r in runs
+                            if r["flow"] == "ours"), 1e-9), 2),
         "vector_overall_speedup": round(total_ref / max(total_vec, 1e-9), 2),
         "vector_vs_compiled_overall":
             round(total_new / max(total_vec, 1e-9), 2),
@@ -353,6 +370,12 @@ def main() -> int:
             print(f"FAIL: compiled-engine speedup "
                   f"{report['overall_speedup']}x regressed below the "
                   f"{COMPILED_SPEEDUP_FLOOR}x floor", file=sys.stderr)
+            failed = True
+        if report["jit_vs_compiled_ours"] < JIT_OURS_FLOOR * JIT_ROW_NOISE:
+            print(f"FAIL: jit only {report['jit_vs_compiled_ours']}x over "
+                  f"cached dispatch on the ours rows (floor "
+                  f"{JIT_OURS_FLOOR}x with {JIT_ROW_NOISE} noise "
+                  f"allowance)", file=sys.stderr)
             failed = True
         for run in runs:
             if run["jit_vs_compiled"] < JIT_ROW_FLOOR * JIT_ROW_NOISE:
@@ -387,7 +410,8 @@ def main() -> int:
             return 1
     print(f"OK: cached dispatch {report['overall_speedup']}x overall, "
           f"jit {report['jit_overall_speedup']}x overall "
-          f"({report['jit_vs_compiled_overall']}x over cached dispatch), "
+          f"({report['jit_vs_compiled_overall']}x over cached dispatch, "
+          f"{report['jit_vs_compiled_ours']}x on the ours rows), "
           f"vector {report['vector_overall_speedup']}x overall "
           f"({report['vector_vs_compiled_overall']}x over cached dispatch, "
           f"best {report['best_vector_vs_compiled']}x), "

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..flows import DEFAULT_ENGINE
 from ..machine import (ARCHER2, CIRRUS_V100, CRAY_PROFILE, FLANG_V17_PROFILE,
                        FLANG_V20_PROFILE, GNU_PROFILE, NVFORTRAN_PROFILE,
                        OURS_PROFILE, CompilerProfile, ExecutionStats,
@@ -74,7 +75,7 @@ class CompilerAdapter:
     flow = "ours"
 
     def __init__(self, perf_model: Optional[PerformanceModel] = None, *,
-                 flow: Optional[str] = None, engine: str = "compiled",
+                 flow: Optional[str] = None, engine: str = DEFAULT_ENGINE,
                  **options):
         self.perf = perf_model or PerformanceModel()
         if flow is not None:

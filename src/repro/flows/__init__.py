@@ -13,13 +13,14 @@ make it cacheable, schedulable and measurable.
 * :mod:`repro.flows.builtin` — the ``flang`` and ``ours`` flows.
 """
 
-from .base import (ENGINES, CapabilityError, ExecutionContext, Flow, FlowError,
-                   FlowOption, FlowResult, OptionError, OptionsSchema)
+from .base import (DEFAULT_ENGINE, ENGINES, CapabilityError, ExecutionContext,
+                   Flow, FlowError, FlowOption, FlowResult, OptionError,
+                   OptionsSchema)
 from .registry import (FLOW_REGISTRY, available_flows, get_flow,
                        register_flow, registered, unregister_flow)
 
 __all__ = [
-    "CapabilityError", "ENGINES", "ExecutionContext", "Flow", "FlowError", "FlowOption",
+    "CapabilityError", "DEFAULT_ENGINE", "ENGINES", "ExecutionContext", "Flow", "FlowError", "FlowOption",
     "FlowResult", "OptionError", "OptionsSchema", "FLOW_REGISTRY",
     "available_flows", "get_flow", "register_flow", "registered",
     "unregister_flow",

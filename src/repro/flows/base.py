@@ -155,6 +155,9 @@ class OptionsSchema:
 #: sync instead).
 ENGINES = ("compiled", "reference", "jit", "vector")
 
+#: The engine every signature, dataclass field and CLI flag defaults to.
+DEFAULT_ENGINE = "compiled"
+
 
 @dataclass(frozen=True)
 class ExecutionContext:
@@ -168,7 +171,7 @@ class ExecutionContext:
 
     threads: int = 1
     gpu: bool = False
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
 
     def __post_init__(self):
         if self.engine not in ENGINES:

@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 from ..compilers import (CrayAdapter, FlangV17Adapter, FlangV20Adapter,
                          GnuAdapter, Measurement, NvfortranAdapter,
                          OurApproachAdapter)
+from ..flows import DEFAULT_ENGINE
 from ..machine import PerformanceModel, profile_stats
 from ..service import CompileService, use_service
 from ..service.tuning import (TABLE3_THREADED, TABLE3_THREADS,
@@ -61,7 +62,7 @@ class ExperimentTable:
 
 def table1(benchmarks: Optional[Sequence[str]] = None, *,
            service: Optional[CompileService] = None,
-           engine: str = "compiled") -> ExperimentTable:
+           engine: str = DEFAULT_ENGINE) -> ExperimentTable:
     adapters = {
         "flang-v20": FlangV20Adapter(engine=engine),
         "flang-v17": FlangV17Adapter(engine=engine),
@@ -94,7 +95,7 @@ def table1(benchmarks: Optional[Sequence[str]] = None, *,
 
 def table2(benchmarks: Optional[Sequence[str]] = None, *,
            service: Optional[CompileService] = None,
-           engine: str = "compiled") -> ExperimentTable:
+           engine: str = DEFAULT_ENGINE) -> ExperimentTable:
     adapters = {
         "our-approach": OurApproachAdapter(engine=engine),
         "flang-v20": FlangV20Adapter(engine=engine),
@@ -122,7 +123,7 @@ def table2(benchmarks: Optional[Sequence[str]] = None, *,
 
 def table3(benchmarks: Optional[Sequence[str]] = None, *,
            service: Optional[CompileService] = None,
-           engine: str = "compiled") -> ExperimentTable:
+           engine: str = DEFAULT_ENGINE) -> ExperimentTable:
     table = ExperimentTable(
         "table3", "Fortran intrinsics: linalg dialect (ours) vs runtime library (Flang)",
         ["ours-serial", "ours-threaded", "flang-v20"])
@@ -156,7 +157,7 @@ def table3(benchmarks: Optional[Sequence[str]] = None, *,
 
 def table4(core_counts: Sequence[int] = (2, 4, 8, 16, 32, 64), *,
            service: Optional[CompileService] = None,
-           engine: str = "compiled") -> ExperimentTable:
+           engine: str = DEFAULT_ENGINE) -> ExperimentTable:
     table = ExperimentTable("table4",
                             "OpenMP speed-up over serial for jacobi and pw-advection",
                             ["ours-jacobi", "ours-pw", "flang-jacobi", "flang-pw"])
@@ -192,7 +193,7 @@ def table4(core_counts: Sequence[int] = (2, 4, 8, 16, 32, 64), *,
 
 def table5(grid_sizes: Sequence[int] = TABLE5_GRID_SIZES, *,
            service: Optional[CompileService] = None,
-           engine: str = "compiled") -> ExperimentTable:
+           engine: str = DEFAULT_ENGINE) -> ExperimentTable:
     table = ExperimentTable("table5",
                             "pw-advection with OpenACC on a V100: ours vs nvfortran",
                             ["our-approach", "nvfortran"])
@@ -217,7 +218,7 @@ def table5(grid_sizes: Sequence[int] = TABLE5_GRID_SIZES, *,
 
 def figure3_vectorization(benchmark: str = "dotproduct", *,
                           service: Optional[CompileService] = None,
-                          engine: str = "compiled") -> ExperimentTable:
+                          engine: str = DEFAULT_ENGINE) -> ExperimentTable:
     """Runtime of a kernel with and without the affine vectorisation pipeline
     of Figure 3 (and, for matmul, with/without affine tiling)."""
     workload = get_workload(benchmark)
@@ -244,7 +245,7 @@ def figure3_vectorization(benchmark: str = "dotproduct", *,
 
 def section4_profile(benchmark: str = "tfft", *,
                      service: Optional[CompileService] = None,
-                     engine: str = "compiled") -> Dict[str, Dict[str, float]]:
+                     engine: str = DEFAULT_ENGINE) -> Dict[str, Dict[str, float]]:
     """Instruction-mix profile of a benchmark under both flows (Section IV)."""
     workload = get_workload(benchmark)
     flang = FlangV20Adapter(engine=engine)

@@ -9,6 +9,7 @@ be added by subclassing :class:`Attribute`.
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Iterable, Iterator, Mapping, Sequence, Tuple
 
 
@@ -349,6 +350,18 @@ class AffineMapAttr(Attribute):
     def evaluate(self, dims: Sequence[int], syms: Sequence[int] = ()) -> Tuple[int, ...]:
         return tuple(r.evaluate(dims, syms) for r in self.results)
 
+    def compiled(self) -> "CompiledAffineMap":
+        """The straight-line form of this map, built once per map
+        *structure* and shared by every structurally equal attribute."""
+        key = self._key()
+        form = _COMPILED_MAPS.get(key)
+        if form is None:
+            with _COMPILED_MAPS_LOCK:
+                if len(_COMPILED_MAPS) >= _COMPILED_MAPS_MAX:
+                    del _COMPILED_MAPS[next(iter(_COMPILED_MAPS))]
+                form = _COMPILED_MAPS[key] = CompiledAffineMap(self)
+        return form
+
     def _key(self):
         return (self.num_dims, self.num_symbols,
                 tuple(str(r) for r in self.results))
@@ -359,6 +372,112 @@ class AffineMapAttr(Attribute):
         res = ", ".join(str(r) for r in self.results)
         sym_part = f"[{syms}]" if self.num_symbols else ""
         return f"affine_map<({dims}){sym_part} -> ({res})>"
+
+
+#: ``(x + c1) + c2`` becomes ``x + (c1 + c2)`` only for index-sized
+#: constants: on an int64 ndarray the two-step sum wraps where the folded
+#: constant would no longer convert.
+_REASSOCIATE_BELOW = 2 ** 31
+
+
+def _simplify(expr: AffineExpr) -> AffineExpr:
+    """Fold what is exact on Python ints and on integer ndarrays alike:
+    constant subtrees, ``x + 0``, ``x * 1`` and ``(x + c1) + c2``.
+
+    Division or remainder by a constant zero is left in place so it still
+    raises where the tree-walk raises: when the map is evaluated.
+    """
+    if expr.kind in ("dim", "sym", "const"):
+        return expr
+    kind, lhs, rhs = expr.kind, _simplify(expr.lhs), _simplify(expr.rhs)
+    if kind in ("add", "mul") and lhs.kind == "const" and rhs.kind != "const":
+        lhs, rhs = rhs, lhs                 # commutative: constant on the right
+    if rhs.kind == "const":
+        c = rhs.value
+        if lhs.kind == "const" and (c != 0 or kind in ("add", "mul")):
+            return AffineExpr.constant(
+                AffineExpr(kind, 0, lhs, rhs).evaluate((), ()))
+        if (kind == "add" and c == 0) or (kind == "mul" and c == 1):
+            return lhs
+        if kind == "add" and lhs.kind == "add" and lhs.rhs.kind == "const" \
+                and abs(lhs.rhs.value) + abs(c) < _REASSOCIATE_BELOW:
+            return _simplify(AffineExpr(
+                "add", 0, lhs.lhs, AffineExpr.constant(lhs.rhs.value + c)))
+    return AffineExpr(kind, 0, lhs, rhs)
+
+
+def _render(expr: AffineExpr, names: Sequence[str], num_dims: int,
+            nested: bool = True) -> str:
+    """Python source of an expression over ``names`` (one per map operand:
+    dims first, then symbols), with exactly the tree-walk's operators."""
+    kind = expr.kind
+    if kind == "dim":
+        return names[expr.value]
+    if kind == "sym":
+        return names[num_dims + expr.value]
+    if kind == "const":
+        return repr(expr.value)
+    lhs = _render(expr.lhs, names, num_dims)
+    rhs = _render(expr.rhs, names, num_dims)
+    if kind == "add":
+        negative = expr.rhs.kind == "const" and expr.rhs.value < 0
+        text = f"{lhs} - {-expr.rhs.value!r}" if negative else f"{lhs} + {rhs}"
+    elif kind == "mul":
+        text = f"{lhs} * {rhs}"
+    elif kind == "mod":
+        text = f"{lhs} % {rhs}"
+    elif kind == "floordiv":
+        text = f"{lhs} // {rhs}"
+    elif kind == "ceildiv":
+        text = f"-((-{lhs}) // {rhs})"
+    else:
+        raise ValueError(f"unknown affine expr kind {kind}")
+    return f"({text})" if nested else text
+
+
+class CompiledAffineMap:
+    """An affine map as straight-line Python over its positional operands
+    (dims first, then symbols — the order of the operands on the op).
+
+    ``call(*operands)`` returns the result tuple and ``scalar(*operands)``
+    the bare first result; both accept ints or integer ndarrays and equal
+    :meth:`AffineMapAttr.evaluate` exactly.  ``identity`` marks a map that
+    returns its operands unchanged, ``constants`` holds the results of a map
+    that ignores them (``None`` otherwise), and :meth:`sources` renders the
+    results over caller-chosen operand names for code generators.
+    """
+
+    __slots__ = ("num_dims", "exprs", "call", "scalar", "identity",
+                 "constants")
+
+    def __init__(self, amap: AffineMapAttr):
+        self.num_dims = amap.num_dims
+        arity = amap.num_dims + amap.num_symbols
+        self.exprs = tuple(_simplify(r) for r in amap.results)
+        self.identity = amap.num_symbols == 0 \
+            and len(self.exprs) == arity \
+            and all(e.kind == "dim" and e.value == i
+                    for i, e in enumerate(self.exprs))
+        self.constants = tuple(e.value for e in self.exprs) \
+            if all(e.kind == "const" for e in self.exprs) else None
+        params = [f"o{i}" for i in range(arity)]
+        sources = self.sources(params)
+        head = f"lambda {', '.join(params)}: "
+        self.call = eval(head + "(" + "".join(s + ", " for s in sources) + ")")
+        self.scalar = eval(head + sources[0]) if sources else None
+
+    def sources(self, names: Sequence[str]) -> Tuple[str, ...]:
+        """One Python expression per map result over operand ``names``."""
+        return tuple(_render(e, names, self.num_dims, nested=False)
+                     for e in self.exprs)
+
+
+#: ``AffineMapAttr._key()`` -> compiled form.  Keyed on structure and kept
+#: off the attribute, so attributes stay plain data for ``clone``, pickling
+#: and ``ir/serial``.  Holds no IR; bounded, oldest entry out first.
+_COMPILED_MAPS: dict = {}
+_COMPILED_MAPS_MAX = 4096
+_COMPILED_MAPS_LOCK = threading.Lock()
 
 
 __all__ = [
@@ -376,4 +495,5 @@ __all__ = [
     "DenseFloatElementsAttr",
     "AffineExpr",
     "AffineMapAttr",
+    "CompiledAffineMap",
 ]

@@ -439,9 +439,15 @@ _block_counter = itertools.count()
 
 
 class Block:
-    """A straight-line sequence of operations ending in a terminator."""
+    """A straight-line sequence of operations ending in a terminator.
 
-    __slots__ = ("args", "ops", "parent", "_uid")
+    ``_jit`` is the jit engine's per-block instantiation material (see
+    :mod:`repro.machine.jit`): unset until the block is first translated,
+    process-local, and owned by the block so that it is freed with the
+    module instead of pinning it from a process-wide cache.
+    """
+
+    __slots__ = ("args", "ops", "parent", "_uid", "_jit")
 
     def __init__(self, arg_types: Sequence[Type] = ()):
         self._uid = next(_block_counter)
@@ -450,6 +456,11 @@ class Block:
         ]
         self.ops: List[Operation] = []
         self.parent: Optional[Region] = None
+
+    def __getstate__(self):
+        # ``_jit`` binds live code objects and namespaces: never serialised
+        return None, {"args": self.args, "ops": self.ops,
+                      "parent": self.parent, "_uid": self._uid}
 
     # -- arguments ----------------------------------------------------------
     def add_argument(self, type: Type) -> BlockArgument:

@@ -17,10 +17,12 @@ threading and GPU models use.
 Execution engines
 -----------------
 
-Three engines execute the same IR with bit-identical observables
-(``engine="reference" | "compiled" | "jit"``).  ``compiled`` — the default
-cached-dispatch engine — is described below; ``jit`` goes further and
-translates blocks into generated Python source (:mod:`repro.machine.jit`).
+Four engines execute the same IR with bit-identical observables
+(``engine="reference" | "compiled" | "jit" | "vector"``).  ``compiled`` — the
+default cached-dispatch engine — is described below; ``jit`` goes further
+and translates blocks into generated Python source
+(:mod:`repro.machine.jit`); ``vector`` evaluates matched loop nests as
+whole-array numpy expressions (:mod:`repro.machine.vector`).
 
 Interpreting a table regeneration executes tens of millions of operations,
 so the cached-dispatch inner loop avoids all per-operation dispatch work:
@@ -35,6 +37,12 @@ so the cached-dispatch inner loop avoids all per-operation dispatch work:
   (``fir.array_coor``/``hlfir.designate`` feeding a single ``fir.load``,
   ``fir.store`` or ``hlfir.assign``) are fused into a single thunk that
   skips the intermediate :class:`ElementPtr` allocation.
+* affine maps run in their compiled form
+  (:meth:`~repro.ir.attributes.AffineMapAttr.compiled`): thunks specialise
+  on it when they are built — constant maps index with a fixed tuple,
+  identity maps index with the operands themselves, everything else calls
+  one straight-line function — so only the ``reference`` engine walks
+  :class:`~repro.ir.attributes.AffineExpr` trees at run time.
 * the ``max_ops`` limit is checked once per ``N`` executed operations
   (``N`` scales with ``max_ops``) instead of before every operation, and
 * statistics bumps go straight into a pre-fetched per-context ``Counter``
@@ -59,9 +67,10 @@ from ..dialects import fir as fir_d
 from ..flang import runtime as flang_runtime
 from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
-from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, as_unsigned,
-                        cmpi_eval, int_ceildiv, int_div, int_floordiv,
-                        int_rem, int_width)
+from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, VECTOR_REDUCTIONS,
+                        as_unsigned, cmpi_eval, int_ceildiv, int_div,
+                        int_floordiv, int_rem, int_width, vector_broadcast,
+                        vector_load, vector_store)
 from .values import (Cell, ElementPtr, FortranArray, as_ndarray, load_element,
                      numpy_dtype_for, store_element)
 
@@ -894,45 +903,33 @@ class Interpreter:
         amap = op.get_attr("map")
         operand_values = [int(env[v]) for v in op.operands[first_index_operand:]]
         if amap is not None and len(amap.results) > 0:
-            return list(amap.evaluate(operand_values))
-        return operand_values
+            return amap.evaluate(operand_values)
+        return tuple(operand_values)
 
     def _exec_vector_load(self, op, env) -> None:
         memref_value = env[op.operands[0]]
         width = op.results[0].type.shape[0]
         indices = self._vector_indices(op, env, 1)
-        lead, last = indices[:-1], indices[-1]
-        arr = memref_value[tuple(lead)] if lead else memref_value
-        end = min(last + width, arr.shape[-1])
-        chunk = np.array(arr[last:end], dtype=float)
-        if chunk.size < width:
-            chunk = np.pad(chunk, (0, width - chunk.size))
-        env[op.results[0]] = chunk
+        env[op.results[0]] = vector_load(memref_value, indices, width)
         self.stats.bump(self.context, "vector_load")
 
     def _exec_vector_store(self, op, env) -> None:
         value = env[op.operands[0]]
         memref_value = env[op.operands[1]]
         indices = self._vector_indices(op, env, 2)
-        lead, last = indices[:-1], indices[-1]
-        arr = memref_value[tuple(lead)] if lead else memref_value
-        end = min(last + len(value), arr.shape[-1])
-        arr[last:end] = value[:end - last]
+        vector_store(memref_value, indices, value)
         self.stats.bump(self.context, "vector_store")
 
     def _exec_vector_broadcast(self, op, env) -> None:
         width = op.results[0].type.shape[0]
-        env[op.results[0]] = np.full(width, float(env[op.operands[0]]))
+        env[op.results[0]] = vector_broadcast(env[op.operands[0]], width)
         self.stats.bump(self.context, "vector_int")
 
     _exec_vector_splat = _exec_vector_broadcast
 
     def _exec_vector_reduction(self, op, env) -> None:
-        value = env[op.operands[0]]
-        kind = op.get_attr("kind").value
-        table = {"add": np.sum, "mul": np.prod, "minf": np.min, "maxf": np.max,
-                 "minsi": np.min, "maxsi": np.max}
-        env[op.results[0]] = float(table[kind](value))
+        reduce = VECTOR_REDUCTIONS[op.get_attr("kind").value]
+        env[op.results[0]] = float(reduce(env[op.operands[0]]))
         self.stats.bump(self.context, "vector_reduce")
 
     # -- structured control flow ----------------------------------------------------------
@@ -1774,54 +1771,172 @@ def _mk_llvm_store(interp, op):
     return run
 
 
+def _map_indexer(amap, index_vals):
+    """``fn(env) -> subscript tuple`` for a mapped access, specialised on
+    the map's compiled form and the operand count."""
+    if amap is None or not amap.results:
+        return lambda env: tuple(int(env[v]) for v in index_vals)
+    form = amap.compiled()
+    if form.constants is not None:
+        constants = form.constants
+        return lambda env: constants
+    call = form.call
+    if len(index_vals) == 1:
+        i0, = index_vals
+        return lambda env: call(int(env[i0]))
+    if len(index_vals) == 2:
+        i0, i1 = index_vals
+        return lambda env: call(int(env[i0]), int(env[i1]))
+    return lambda env: call(*[int(env[v]) for v in index_vals])
+
+
 def _mk_affine_load(interp, op):
-    mem = op.operands[0]
-    index_vals = op.operands[1:]
     amap = op.get_attr("map")
+    if amap.compiled().identity:
+        return _mk_memref_load(interp, op)      # same operands, same category
+    mem = op.operands[0]
+    index_of = _map_indexer(amap, op.operands[1:])
     res = op.results[0]
     stats = interp.stats
 
     def run(env):
         memref_value = env[mem]
-        indices = amap.evaluate([int(env[v]) for v in index_vals])
+        indices = index_of(env)
         interp._ctx_counts["load"] += 1.0
         stats.total_ops += 1
         if type(memref_value) is Cell:
             env[res] = memref_value.value
-        elif indices:
-            env[res] = memref_value[tuple(indices)]
         else:
-            env[res] = memref_value[()]
+            env[res] = memref_value[indices]
     return run
 
 
 def _mk_affine_store(interp, op):
-    val, mem = op.operands[0], op.operands[1]
-    index_vals = op.operands[2:]
     amap = op.get_attr("map")
+    if amap.compiled().identity:
+        return _mk_memref_store(interp, op)     # same operands, same category
+    val, mem = op.operands[0], op.operands[1]
+    index_of = _map_indexer(amap, op.operands[2:])
     stats = interp.stats
 
     def run(env):
         memref_value = env[mem]
-        indices = amap.evaluate([int(env[v]) for v in index_vals])
+        indices = index_of(env)
         interp._ctx_counts["store"] += 1.0
         stats.total_ops += 1
         if type(memref_value) is Cell:
             memref_value.value = env[val]
         else:
-            memref_value[tuple(indices) if indices else ()] = env[val]
+            memref_value[indices] = env[val]
     return run
 
 
 def _mk_affine_apply(interp, op):
     operand_vals = op.operands
-    amap = op.get_attr("map")
+    scalar = op.get_attr("map").compiled().scalar
     res = op.results[0]
     stats = interp.stats
 
     def run(env):
-        env[res] = amap.evaluate([int(env[v]) for v in operand_vals])[0]
+        env[res] = scalar(*[int(env[v]) for v in operand_vals])
         interp._ctx_counts["index_arith"] += 1.0
+        stats.total_ops += 1
+    return run
+
+
+def _affine_bound(amap, operand_vals):
+    """``fn(env) -> int`` for one ``affine.for`` bound."""
+    form = amap.compiled()
+    if form.constants is not None:
+        value = form.constants[0]
+        return lambda env: value
+    scalar = form.scalar
+    return lambda env: scalar(*[int(env[v]) for v in operand_vals])
+
+
+def _mk_affine_for(interp, op):
+    lower_of = _affine_bound(op.lower_bound_map, op.lower_operands)
+    upper_of = _affine_bound(op.upper_bound_map, op.upper_operands)
+    step = op.step_value
+    init_vals = op.iter_args
+    body = op.regions[0].blocks[0]
+    iv_arg = body.args[0]
+    carried_args = body.args[1:]
+    results = op.results
+    stats = interp.stats
+    run_nested = interp._run_nested_block
+
+    def run(env):
+        iv = lower_of(env)
+        upper = upper_of(env)
+        iter_values = [env[v] for v in init_vals]
+        counts = interp._ctx_counts
+        while iv < upper:
+            counts["loop_iter"] += 1.0
+            stats.total_ops += 1
+            env[iv_arg] = iv
+            for arg, val in zip(carried_args, iter_values):
+                env[arg] = val
+            _, yielded = run_nested(body, env)
+            if yielded:
+                iter_values = yielded
+            iv += step
+        for res, val in zip(results, iter_values):
+            env[res] = val
+    return run
+
+
+def _mk_vector_load(interp, op):
+    mem = op.operands[0]
+    index_of = _map_indexer(op.get_attr("map"), op.operands[1:])
+    width = op.results[0].type.shape[0]
+    res = op.results[0]
+    stats = interp.stats
+
+    def run(env):
+        env[res] = vector_load(env[mem], index_of(env), width)
+        interp._ctx_counts["vector_load"] += 1.0
+        stats.total_ops += 1
+    return run
+
+
+def _mk_vector_store(interp, op):
+    val, mem = op.operands[0], op.operands[1]
+    index_of = _map_indexer(op.get_attr("map"), op.operands[2:])
+    stats = interp.stats
+
+    def run(env):
+        value = env[val]
+        vector_store(env[mem], index_of(env), value)
+        interp._ctx_counts["vector_store"] += 1.0
+        stats.total_ops += 1
+    return run
+
+
+def _mk_vector_broadcast(interp, op):
+    a = op.operands[0]
+    res = op.results[0]
+    width = res.type.shape[0]
+    stats = interp.stats
+
+    def run(env):
+        env[res] = vector_broadcast(env[a], width)
+        interp._ctx_counts["vector_int"] += 1.0
+        stats.total_ops += 1
+    return run
+
+
+def _mk_vector_reduction(interp, op):
+    a = op.operands[0]
+    res = op.results[0]
+    kind = op.get_attr("kind").value
+    stats = interp.stats
+
+    def run(env):
+        # looked up per run: an unsupported kind raises where the
+        # reference engine raises, when the op executes
+        env[res] = float(VECTOR_REDUCTIONS[kind](env[a]))
+        interp._ctx_counts["vector_reduce"] += 1.0
         stats.total_ops += 1
     return run
 
@@ -1877,6 +1992,12 @@ _THUNK_MAKERS: Dict[str, Callable] = {"arith.constant": _mk_constant,
                                       "affine.load": _mk_affine_load,
                                       "affine.store": _mk_affine_store,
                                       "affine.apply": _mk_affine_apply,
+                                      "affine.for": _mk_affine_for,
+                                      "vector.load": _mk_vector_load,
+                                      "vector.store": _mk_vector_store,
+                                      "vector.broadcast": _mk_vector_broadcast,
+                                      "vector.splat": _mk_vector_broadcast,
+                                      "vector.reduction": _mk_vector_reduction,
                                       "fir.array_coor": _mk_fir_array_coor,
                                       "hlfir.designate": _mk_hlfir_designate,
                                       "math.atan2": _mk_atan2}

@@ -50,8 +50,10 @@ from .interpreter import (_BR_OPS, _COND_BR_OPS, _FLOAT_BINOPS, _INT_BINOPS,
                           Interpreter, InterpreterError)
 from .loop_patterns import (static_constant as _static_constant,
                             static_trip_count as _static_trips)
-from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, as_unsigned,
-                        int_ceildiv, int_div, int_floordiv, int_rem, int_width)
+from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, VECTOR_REDUCTIONS,
+                        as_unsigned, int_ceildiv, int_div, int_floordiv,
+                        int_rem, int_width, vector_broadcast, vector_load,
+                        vector_store)
 from .values import (Cell, ElementPtr, FortranArray, load_element,
                      store_element)
 
@@ -85,7 +87,8 @@ _SIMPLE_INLINE = (frozenset({
     "affine.apply", "fir.array_coor", "hlfir.designate", "math.atan2",
     "fir.box_addr", "fir.box_dims", "fir.coordinate_of", "fir.embox",
     "fir.shape", "fir.shape_shift", "fir.undefined", "fir.absent",
-    "fir.zero_bits", "fir.string_lit"})
+    "fir.zero_bits", "fir.string_lit", "vector.load", "vector.store",
+    "vector.broadcast", "vector.splat", "vector.reduction"})
     | frozenset(_FLOAT_BINOPS) | frozenset(_INT_BINOPS)
     | frozenset(_MATH_UNARY) | _POW_OPS | _FMA_OPS | _CAST_OPS)
 
@@ -105,6 +108,28 @@ def _coor_fusable(op: Operation, follower: Optional[Operation]) -> bool:
     if follower.name == "fir.store":
         return follower.operands[1] is address \
             and follower.operands[0] is not address
+    return False
+
+
+def _always_int(value: Value) -> bool:
+    """True when every engine binds ``value`` to an exact Python ``int``,
+    so an index use needs no ``int(...)`` conversion: induction variables
+    of the structured loops, ``affine.apply`` results, integer casts and
+    integer constants."""
+    op = getattr(value, "op", None)
+    if op is None:
+        block = value.block
+        parent = block.parent.parent if block.parent is not None else None
+        return parent is not None and parent.name in _INLINE_LOOPS \
+            and value is block.args[0]
+    if op.name == "affine.apply":
+        return True
+    if op.name == "arith.constant":
+        return type(op.get_attr("value").value) is int
+    if op.name in _CAST_OPS:
+        target = value.type
+        return isinstance(target, ir_types.IndexType) or (
+            isinstance(target, ir_types.IntegerType) and target.width != 1)
     return False
 
 
@@ -159,6 +184,8 @@ def _can_inline_simple(op: Operation) -> bool:
         return op.component is None and not op.triplets
     if name == "fir.coordinate_of":
         return op.get_attr("field") is None
+    if name == "vector.reduction":
+        return op.get_attr("kind").value in VECTOR_REDUCTIONS
     return True
 
 
@@ -307,6 +334,8 @@ class _Emitter:
             "_int": int, "_float": float, "_bool": bool,
             "_IErr": InterpreterError,
             "_boxt": (Cell, FortranArray, ElementPtr, np.ndarray),
+            "_vload": vector_load, "_vstore": vector_store,
+            "_vbcast": vector_broadcast,
         }
         self._bound: Dict[int, str] = {}     # id(obj) -> ns name
         self.names: Dict[Value, str] = {}    # value -> local variable
@@ -624,6 +653,19 @@ class _Emitter:
         if name in ("affine.load", "affine.store", "affine.apply"):
             self._emit_affine(op)
             return
+        if name in ("vector.load", "vector.store"):
+            self._emit_vector_access(op)
+            return
+        if name in ("vector.broadcast", "vector.splat"):
+            width = res.type.shape[0]
+            self.compute(res, f"_vbcast({self.read(op.operands[0])}, {width})")
+            self.bump("vector_int")
+            return
+        if name == "vector.reduction":
+            reduce = self.bind(VECTOR_REDUCTIONS[op.get_attr("kind").value])
+            self.compute(res, f"_float({reduce}({self.read(op.operands[0])}))")
+            self.bump("vector_reduce")
+            return
         if name == "fir.array_coor":
             indices = ", ".join(f"_int({self.read(v)})" for v in op.indices)
             self.compute(res, f"_EPtr({self.read(op.memref)}, "
@@ -719,7 +761,7 @@ class _Emitter:
         elif isinstance(target, ir_types.IntegerType) and target.width == 1:
             expr = f"_bool({a})"
         elif isinstance(target, (ir_types.IntegerType, ir_types.IndexType)):
-            expr = f"_int({a})"
+            expr = a if _always_int(op.operands[0]) else f"_int({a})"
         else:
             expr = a
         self.compute(op.results[0], expr)
@@ -796,22 +838,33 @@ class _Emitter:
             self.w(f"    {element} = {value}")
             self.bump("store")
 
+    def index_operand(self, value: Value) -> str:
+        """A name holding ``int(value)`` (map sources may repeat it)."""
+        if _always_int(value):
+            return self.operand_var(value)
+        var = self.tmp()
+        self.w(f"{var} = _int({self.read(value)})")
+        return var
+
+    def map_sources(self, amap, operands: Sequence[Value]) -> Tuple[str, ...]:
+        """The map's results as Python expressions over operand locals."""
+        form = amap.compiled()
+        if form.constants is not None:
+            return tuple(repr(c) for c in form.constants)
+        return form.sources([self.index_operand(v) for v in operands])
+
     def _emit_affine(self, op: Operation) -> None:
-        amap = self.bind(op.get_attr("map"), "m")
+        amap = op.get_attr("map")
         if op.name == "affine.apply":
-            operands = ", ".join(f"_int({self.read(v)})" for v in op.operands)
-            self.compute(op.results[0], f"{amap}.evaluate([{operands}])[0]")
+            source, = self.map_sources(amap, op.operands)
+            self.compute(op.results[0], source)
             self.bump("index_arith")
             return
         load = op.name == "affine.load"
         mem_index = 0 if load else 1
         mem = self.operand_var(op.operands[mem_index])
-        operands = ", ".join(f"_int({self.read(v)})"
-                             for v in op.operands[mem_index + 1:])
-        indices = self.tmp()
-        self.w(f"{indices} = {amap}.evaluate([{operands}])")
-        n_results = len(op.get_attr("map").results)
-        element = f"{mem}[tuple({indices})]" if n_results else f"{mem}[()]"
+        sources = self.map_sources(amap, op.operands[mem_index + 1:])
+        element = f"{mem}[{', '.join(sources)}]" if sources else f"{mem}[()]"
         if load:
             var = self.result_var(op.results[0])
             self.w(f"if type({mem}) is _Cell:")
@@ -827,6 +880,26 @@ class _Emitter:
             self.w("else:")
             self.w(f"    {element} = {value}")
             self.bump("store")
+
+    def _emit_vector_access(self, op: Operation) -> None:
+        load = op.name == "vector.load"
+        mem_index = 0 if load else 1
+        mem = self.read(op.operands[mem_index])
+        index_vals = op.operands[mem_index + 1:]
+        amap = op.get_attr("map")
+        if amap is not None and amap.results:
+            sources = self.map_sources(amap, index_vals)
+        else:
+            sources = tuple(self.index_operand(v) for v in index_vals)
+        indices = f"({', '.join(sources)}{',' if len(sources) == 1 else ''})"
+        if load:
+            width = op.results[0].type.shape[0]
+            self.compute(op.results[0], f"_vload({mem}, {indices}, {width})")
+            self.bump("vector_load")
+        else:
+            value = self.read(op.operands[0])
+            self.w(f"_vstore({mem}, {indices}, {value})")
+            self.bump("vector_store")
 
     def emit_fused(self, op: Operation, follower: Operation) -> None:
         """Address computation + its single consuming load/store, with the
@@ -971,15 +1044,8 @@ class _Emitter:
         self._hoist_invariants(body_steps)
         body = op.regions[0].blocks[0]
         if op.name == "affine.for":
-            lower_map = self.bind(op.lower_bound_map, "m")
-            upper_map = self.bind(op.upper_bound_map, "m")
-            lower_ops = ", ".join(f"_int({self.read(v)})"
-                                  for v in op.lower_operands)
-            upper_ops = ", ".join(f"_int({self.read(v)})"
-                                  for v in op.upper_operands)
-            lo, hi = self.tmp(), self.tmp()
-            self.w(f"{lo} = {lower_map}.evaluate([{lower_ops}])[0]")
-            self.w(f"{hi} = {upper_map}.evaluate([{upper_ops}])[0]")
+            lo, = self.map_sources(op.lower_bound_map, op.lower_operands)
+            hi, = self.map_sources(op.upper_bound_map, op.upper_operands)
             step = op.step_value
             inits = op.iter_args
         else:
@@ -994,6 +1060,15 @@ class _Emitter:
             self.w(f"{var} = {self.read(init)}")
             carried.append(var)
         iv = self.tmp()
+        if op.name == "affine.for" and step > 0:
+            # bounds are exact ints and the body never rebinds the
+            # induction variable: the counted loop *is* range()
+            self.w(f"for {iv} in range({lo}, {hi}, {step}):")
+            self.ind += 1
+            self._emit_loop_body(op, body, body_steps, carried, iv)
+            self.ind -= 1
+            self._assign_loop_results(op, carried)
+            return
         self.w(f"{iv} = {lo}")
 
         if op.name == "scf.for":
@@ -1005,7 +1080,7 @@ class _Emitter:
             self.w(f"{iv} += {st}")
             self.ind -= 1
             self._assign_loop_results(op, carried)
-        elif op.name == "affine.for":
+        elif op.name == "affine.for":    # step <= 0: spins up to max_ops
             self.w(f"while {iv} < {hi}:")
             self.ind += 1
             self._emit_loop_body(op, body, body_steps, carried, iv)
@@ -1093,40 +1168,53 @@ class _Emitter:
 #: layout stored on disk, and the meaning of the fingerprint salt.  Bump
 #: whenever :class:`_Emitter` changes its output for the same input block —
 #: every persisted translation then misses cleanly.
-JIT_FORMAT_VERSION = 1
+JIT_FORMAT_VERSION = 2
 
 
 class _Translation:
     """One process-cached translation, addressed by structural fingerprint.
 
-    ``code``/``nops``/``source`` are *structure-portable*: any block with
-    the same fingerprint executes the same code object.  ``template`` and
-    ``fallback_binds`` are not — the emitter binds live objects (``Value``
-    env keys, successor ``Block``s, ops backing fallback thunks) into the
-    namespace, so they are valid only for the exact block object they were
-    planned against.  ``block`` records that object; a fingerprint hit from
-    a *different* block object re-plans to rebuild the live bindings, then
-    reuses ``code`` when the regenerated source matches."""
+    Only what is *structure-portable* lives here: any block with the same
+    fingerprint executes the same code object, and none of the three
+    fields references IR, so the process cache never keeps a module
+    alive."""
 
-    __slots__ = ("code", "nops", "source", "block", "template",
-                 "fallback_binds")
+    __slots__ = ("code", "nops", "source")
 
-    def __init__(self, code, nops, source, block, template, fallback_binds):
+    def __init__(self, code, nops, source):
         self.code = code
         self.nops = nops
         self.source = source
-        self.block = block
-        self.template = template
-        self.fallback_binds = fallback_binds
+
+
+class _Instantiation:
+    """What one block object needs to run its translation, owned by the
+    block (``Block._jit``) so it dies with the module.
+
+    The emitter binds live objects into the generated function's
+    namespace — ``Value`` env keys, successor ``Block``s, the ops behind
+    fallback thunks — so ``template`` and ``fallback_binds`` are valid
+    only for the exact block they were planned against; ``key`` is that
+    block's translation address and ``translation`` the cache entry whose
+    source the plan was checked against (``None`` until first planned)."""
+
+    __slots__ = ("key", "translation", "template", "fallback_binds")
+
+    def __init__(self, key: str):
+        self.key = key
+        self.translation: Optional[_Translation] = None
+        self.template: Dict[str, object] = {}
+        self.fallback_binds: Tuple[Tuple[str, Operation], ...] = ()
 
 
 #: process-level translation cache: structural fingerprint (see
 #: :func:`translation_key`) -> :class:`_Translation`.  The expensive work —
-#: planning, source emission, ``compile()`` — happens once per block
-#: *structure* per process; every further interpreter only copies the
-#: namespace, rebinds its own ``_interp``/``_stats``/fallback thunks and
-#: ``exec``s the cached code object.  Ordered for LRU eviction: overflow
-#: evicts the single least-recently-used entry, never the whole cache.
+#: source emission's ``compile()`` — happens once per block *structure* per
+#: process, and planning once per block *object*; every further
+#: interpreter only copies the namespace, rebinds its own
+#: ``_interp``/``_stats``/fallback thunks and ``exec``s the cached code
+#: object.  Ordered for LRU eviction: overflow evicts the single
+#: least-recently-used entry, never the whole cache.
 _CODE_CACHE: "OrderedDict[str, _Translation]" = OrderedDict()
 _CODE_CACHE_MAX = 4096
 
@@ -1163,21 +1251,32 @@ def translation_counters_delta(before: Dict[str, int]) -> Dict[str, float]:
 
 def clear_translation_cache() -> None:
     """Drop every in-process translation (tests simulate a fresh process);
-    the persistent tier and the counters are left untouched."""
+    the persistent tier and the counters are left untouched.  A live
+    block keeps its :class:`_Instantiation`, but without the cache entry
+    its next run re-plans and re-verifies like a new block's."""
     _CODE_CACHE.clear()
-    _KEY_MEMO.clear()
 
 
-#: (block id, check stride) -> (block, semantics version, fingerprint).
-#: Fingerprinting walks the whole block; a process shared by many short
-#: interpreter instances (the bench's steady state, the daemon) would
-#: otherwise re-fingerprint every block once per instance.  The stored
-#: block reference both validates the id (``is`` check — a recycled id can
-#: never alias while the memo holds the old block alive) and ages out via
-#: LRU exactly like the translations themselves.
-_KEY_MEMO: "OrderedDict[Tuple[int, int], Tuple[Block, int, str]]" = \
-    OrderedDict()
-_KEY_MEMO_MAX = 8192
+def _instantiation_for(block: Block, check_stride: int) -> _Instantiation:
+    """``block``'s instantiation record under the current versions.
+
+    Fingerprinting walks the whole block, and a process shared by many
+    short interpreter instances (the bench's steady state, the daemon)
+    would otherwise re-fingerprint every block once per instance — so
+    the record is memoised on the block, under everything the fingerprint
+    is salted with: a version bump or another check stride is simply
+    another entry."""
+    versions = (JIT_FORMAT_VERSION, semantics.SEMANTICS_VERSION, check_stride)
+    try:
+        return block._jit[versions]
+    except AttributeError:
+        block._jit = {}
+    except KeyError:
+        pass
+    salt = "jit:v%d:sem%d:stride%d" % versions
+    record = block._jit[versions] = \
+        _Instantiation(fingerprint_block(block, salt=salt))
+    return record
 
 
 def translation_key(block: Block, check_stride: int) -> str:
@@ -1190,20 +1289,7 @@ def translation_key(block: Block, check_stride: int) -> str:
     meaningless across processes — the fingerprint is identical for every
     rebuild of the same block, and distinct for structurally different
     blocks even when their uids collide."""
-    sem_version = semantics.SEMANTICS_VERSION
-    memo_key = (id(block), check_stride)
-    cached = _KEY_MEMO.get(memo_key)
-    if cached is not None and cached[0] is block and cached[1] == sem_version:
-        _KEY_MEMO.move_to_end(memo_key)
-        return cached[2]
-    salt = (f"jit:v{JIT_FORMAT_VERSION}"
-            f":sem{sem_version}"
-            f":stride{check_stride}")
-    key = fingerprint_block(block, salt=salt)
-    if memo_key not in _KEY_MEMO and len(_KEY_MEMO) >= _KEY_MEMO_MAX:
-        _KEY_MEMO.popitem(last=False)
-    _KEY_MEMO[memo_key] = (block, sem_version, key)
-    return key
+    return _instantiation_for(block, check_stride).key
 
 
 def _payload_for(source: str, code, nops: int) -> Dict:
@@ -1228,37 +1314,35 @@ def _code_from_payload(payload: Dict, filename: str):
     return compile(payload["source"], filename, "exec")
 
 
-def _translation_for(interp: Interpreter, block: Block,
-                     key: Optional[str] = None) -> _Translation:
-    if key is None:
-        key = translation_key(block, interp._check_stride)
+def _translation_for(interp: Interpreter, block: Block
+                     ) -> Tuple[_Translation, _Instantiation]:
+    record = _instantiation_for(block, interp._check_stride)
+    key = record.key
     entry = _CODE_CACHE.get(key)
-    if entry is not None and entry.block is block:
+    if entry is not None and record.translation is entry:
         _CODE_CACHE.move_to_end(key)
         _counters.inc("memory_hits")
-        return entry
+        return entry, record
 
-    # Either a true miss or a fingerprint hit from a different block
-    # object.  Both need a fresh plan/emit: the namespace template binds
-    # live objects, so only the compiled code is structure-portable.
+    # A true miss, or a fingerprint hit from a block object not yet
+    # checked against the cached entry.  Both need a plan/emit: the
+    # namespace template binds live objects, so only the compiled code is
+    # structure-portable.
     plan = plan_block(block)
     emitter = _Emitter(interp, plan)
     source, ns = emitter.build()
-    template = dict(ns)
-    del template["_interp"], template["_stats"]    # rebound per instance
-    fallback_binds = tuple(emitter.fallback_binds)
+    del ns["_interp"], ns["_stats"]    # rebound per instance
+    record.template = ns
+    record.fallback_binds = tuple(emitter.fallback_binds)
     nops = max(1, len(plan.steps))
     filename = f"<jit:{key[:12]}>"
 
     if entry is not None and entry.source == source:
-        # same structure, new block object: keep the code, repoint the
-        # instantiation material at this block's live objects
-        entry.block = block
-        entry.template = template
-        entry.fallback_binds = fallback_binds
+        # same structure, new block object: the code is already here
+        record.translation = entry
         _CODE_CACHE.move_to_end(key)
         _counters.inc("memory_hits")
-        return entry
+        return entry, record
 
     store = _TRANSLATION_STORE
     code = None
@@ -1287,22 +1371,21 @@ def _translation_for(interp: Interpreter, block: Block,
             except Exception:
                 pass
 
-    entry = _Translation(code, nops, source, block, template, fallback_binds)
+    entry = record.translation = _Translation(code, nops, source)
     if key not in _CODE_CACHE and len(_CODE_CACHE) >= _CODE_CACHE_MAX:
         _CODE_CACHE.popitem(last=False)    # evict one LRU entry, not all
     _CODE_CACHE[key] = entry
     _CODE_CACHE.move_to_end(key)
-    return entry
+    return entry, record
 
 
-def compile_block(interp: Interpreter, block: Block,
-                  key: Optional[str] = None):
+def compile_block(interp: Interpreter, block: Block):
     """Translate ``block`` into one generated function; returns (fn, nops)."""
-    entry = _translation_for(interp, block, key)
-    ns = dict(entry.template)
+    entry, record = _translation_for(interp, block)
+    ns = dict(record.template)
     ns["_interp"] = interp
     ns["_stats"] = interp.stats
-    for name, op in entry.fallback_binds:
+    for name, op in record.fallback_binds:
         ns[name] = Interpreter._compile_op(interp, op, None)
     exec(entry.code, ns)
     fn = ns["_jit_block"]
@@ -1351,25 +1434,16 @@ class JitEngine:
     has been entered :data:`_PROMOTE_AFTER` times.  Both tiers are
     observationally bit-identical, so the mix never shows in stats."""
 
-    __slots__ = ("interp", "cache", "entries", "keys", "known")
+    __slots__ = ("interp", "cache", "entries", "known")
 
     def __init__(self, interp: Interpreter):
         self.interp = interp
         self.cache: Dict[Block, Tuple] = {}
         self.entries: Dict[Block, int] = {}
-        #: Block -> structural fingerprint, computed once per block.
-        self.keys: Dict[Block, str] = {}
         #: fingerprint -> persistent-tier ``contains`` verdict, memoised so
         #: the tiering bypass costs one disk probe per structure, not one
         #: per cold entry.
         self.known: Dict[str, bool] = {}
-
-    def _key_for(self, block: Block) -> str:
-        key = self.keys.get(block)
-        if key is None:
-            key = self.keys[block] = \
-                translation_key(block, self.interp._check_stride)
-        return key
 
     def _translated(self, key: str) -> bool:
         """Is a translation already available (memory or disk) for pennies?"""
@@ -1392,14 +1466,13 @@ class JitEngine:
             # an already-available translation (this process or the
             # persistent tier) instantiates for pennies — use it
             # regardless of how cold this block looks to the tiering
-            key = self._key_for(block)
+            key = translation_key(block, self.interp._check_stride)
             if not self._translated(key) and not _worth_translating(block):
                 count = self.entries.get(block, 0)
                 if count < _PROMOTE_AFTER:
                     self.entries[block] = count + 1
                     return self.interp._run_block_compiled(block, env)
-            entry = self.cache[block] = \
-                compile_block(self.interp, block, key=key)
+            entry = self.cache[block] = compile_block(self.interp, block)
         fn, nops = entry
         interp = self.interp
         budget = interp._budget - nops

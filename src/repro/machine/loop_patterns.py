@@ -48,6 +48,8 @@ _STORE_OPS = frozenset({"fir.store", "memref.store", "affine.store"})
 _ADDRESS_OPS = frozenset({"fir.array_coor", "hlfir.designate",
                           "fir.coordinate_of", "affine.apply"})
 _BOX_OPS = frozenset({"fir.box_addr", "fir.box_dims"})
+#: Body operations whose subscripts go through an affine map attribute.
+_MAPPED_OPS = frozenset({"affine.load", "affine.store", "affine.apply"})
 #: Operations that bind a value but bump no statistics category.
 _FREE_OPS = frozenset({"arith.constant", "fir.undefined", "fir.absent",
                        "fir.zero_bits"})
@@ -86,11 +88,12 @@ def static_trip_count(op: Operation) -> Optional[int]:
     if op.name == "affine.for":
         if op.lower_operands or op.upper_operands:
             return None
-        lo = op.lower_bound_map.evaluate([])[0]
-        hi = op.upper_bound_map.evaluate([])[0]
+        lo = op.lower_bound_map.compiled().constants
+        hi = op.upper_bound_map.compiled().constants
         st = op.step_value
-        if st <= 0:
+        if lo is None or hi is None or st <= 0:
             return None
+        lo, hi = lo[0], hi[0]
         return max(0, -((lo - hi) // st))
     lo = static_constant(op.operands[0])
     hi = static_constant(op.operands[1])
@@ -180,7 +183,8 @@ class Reduction:
 class LoopInfo:
     """One loop of a matched nest."""
 
-    __slots__ = ("op", "kind", "depth", "parent", "reductions", "body")
+    __slots__ = ("op", "kind", "depth", "parent", "reductions", "body",
+                 "bounds")
 
     def __init__(self, op: Operation, kind: str, depth: int, parent: int):
         self.op = op
@@ -189,6 +193,10 @@ class LoopInfo:
         self.parent = parent      # index of enclosing loop, -1 for root
         self.reductions: List[Reduction] = []
         self.body = op.regions[0].blocks[0]
+        #: compiled (lower, upper) bound maps of an ``affine.for``
+        self.bounds = (op.lower_bound_map.compiled(),
+                       op.upper_bound_map.compiled()) \
+            if kind == "affine" else None
 
 
 class NestPlan:
@@ -199,14 +207,16 @@ class NestPlan:
     ``cat_counts[i]`` / ``tops[i]`` are the per-iteration stats footprint
     of loop ``i`` (categories bumped, total_ops increments) covering the
     loop's own ``loop_iter`` tick and every body op directly inside it.
+    ``maps[op]`` is the compiled affine map of every body op carrying one.
     """
 
-    __slots__ = ("root", "loops", "steps", "cat_counts", "tops")
+    __slots__ = ("root", "loops", "steps", "cat_counts", "tops", "maps")
 
     def __init__(self, root: Operation):
         self.root = root
         self.loops: List[LoopInfo] = []
         self.steps: List[Tuple] = []
+        self.maps: Dict[Operation, object] = {}
         self.cat_counts: List[Dict[str, int]] = []
         self.tops: List[int] = []
 
@@ -327,6 +337,8 @@ def _walk(plan: NestPlan, loop_op: Operation, depth: int,
             plan.tops[index] += 1
         if op not in skip:
             plan.steps.append(("op", op, depth + 1, index))
+            if op.name in _MAPPED_OPS:
+                plan.maps[op] = op.get_attr("map").compiled()
     plan.steps.append(("end", index))
     return True
 

@@ -1,8 +1,8 @@
-"""Shared numeric semantics for ``arith`` operations.
+"""Shared numeric semantics for ``arith`` and ``vector`` operations.
 
 Single source of truth for the value-level behaviour of integer division /
-remainder and integer / float comparisons, following the LLVM/MLIR
-reference semantics:
+remainder, integer / float comparisons and the ``vector`` dialect's memory
+and reduction ops, following the LLVM/MLIR reference semantics:
 
 * ``divsi``/``remsi`` truncate toward zero (remainder takes the dividend's
   sign); ``floordivsi``/``ceildivsi`` round toward -inf/+inf.  Division by
@@ -195,7 +195,43 @@ CMPF = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Vector dialect (the output of affine-super-vectorize)
+# ---------------------------------------------------------------------------
+#
+# ``indices`` is the already-mapped subscript tuple: leading entries select a
+# row, the last is the start of the lane window along the innermost axis.
+
+VECTOR_REDUCTIONS = {"add": np.sum, "mul": np.prod, "minf": np.min,
+                     "maxf": np.max, "minsi": np.min, "maxsi": np.max}
+
+
+def vector_load(memref_value, indices, width: int):
+    """``vector.load``: ``width`` lanes from ``indices``; lanes past the end
+    of the row (a ragged last vector) read as zero."""
+    lead, last = indices[:-1], indices[-1]
+    row = memref_value[lead] if lead else memref_value
+    chunk = np.array(row[last:min(last + width, row.shape[-1])], dtype=float)
+    if chunk.size < width:
+        chunk = np.pad(chunk, (0, width - chunk.size))
+    return chunk
+
+
+def vector_store(memref_value, indices, value) -> None:
+    """``vector.store``: lanes past the end of the row are dropped."""
+    lead, last = indices[:-1], indices[-1]
+    row = memref_value[lead] if lead else memref_value
+    end = min(last + len(value), row.shape[-1])
+    row[last:end] = value[:end - last]
+
+
+def vector_broadcast(scalar, width: int):
+    """``vector.broadcast`` / ``vector.splat`` of one scalar."""
+    return np.full(width, float(scalar))
+
+
 __all__ = ["int_div", "int_rem", "int_floordiv", "int_ceildiv",
            "CMPI_SIGNED", "CMPI_UNSIGNED", "CMPF",
            "int_width", "as_unsigned", "cmpi_eval", "either_nan",
-           "SEMANTICS_VERSION"]
+           "VECTOR_REDUCTIONS", "vector_load", "vector_store",
+           "vector_broadcast", "SEMANTICS_VERSION"]

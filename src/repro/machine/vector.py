@@ -219,10 +219,11 @@ class _NestEval:
         info = self.plan.loops[index]
         op = info.op
         if info.kind == "affine":
-            lops = [self._scalar_int(v) for v in op.lower_operands]
-            uops = [self._scalar_int(v) for v in op.upper_operands]
-            lo = op.lower_bound_map.evaluate(lops)[0]
-            hi = op.upper_bound_map.evaluate(uops)[0]
+            lower, upper = info.bounds
+            lo = lower.scalar(*[self._scalar_int(v)
+                                for v in op.lower_operands])
+            hi = upper.scalar(*[self._scalar_int(v)
+                                for v in op.upper_operands])
             st = op.step_value
             if st <= 0:
                 raise _Abort    # iterative engine would not terminate
@@ -620,7 +621,7 @@ class _NestEval:
             mem = self.value(op.operands[0])
             comps = [self._int_like(self._align(self.value(v), d))
                      for v in op.operands[1:]]
-            indices = op.get_attr("map").evaluate(comps)
+            indices = self.plan.maps[op].call(*comps)
             if type(mem) is Cell:
                 r = self._cell_load(mem, d)
             else:
@@ -630,14 +631,14 @@ class _NestEval:
                 if not indices and mem.ndim == 0:
                     r = self._gather(_Ref("ndflat", mem, 0), d)
                 else:
-                    r = self._gather(_Ref("nd", mem, tuple(indices)), d)
+                    r = self._gather(_Ref("nd", mem, indices), d)
             self._set(op.results[0], r)
         elif name == "affine.store":
             value = self.value(op.operands[0])
             mem = self.value(op.operands[1])
             comps = [self._int_like(self._align(self.value(v), d))
                      for v in op.operands[2:]]
-            indices = op.get_attr("map").evaluate(comps)
+            indices = self.plan.maps[op].call(*comps)
             if type(mem) is Cell:
                 self._cell_store(mem, value, op)
             else:
@@ -647,13 +648,11 @@ class _NestEval:
                 if not indices and mem.ndim == 0:
                     self._scatter(_Ref("ndflat", mem, 0), value, d, op)
                 else:
-                    self._scatter(_Ref("nd", mem, tuple(indices)),
-                                  value, d, op)
+                    self._scatter(_Ref("nd", mem, indices), value, d, op)
         elif name == "affine.apply":
             comps = [self._int_like(self._align(self.value(v), d))
                      for v in op.operands]
-            r = op.get_attr("map").evaluate(comps)[0]
-            self._set(op.results[0], r)
+            self._set(op.results[0], self.plan.maps[op].scalar(*comps))
         elif name == "arith.constant":
             self.vals[op.results[0]] = op.get_attr("value").value
         elif name == "arith.cmpi":
@@ -912,13 +911,13 @@ class _NestEval:
 class _NestThunk:
     """Compiled-block step for one statically matched loop nest."""
 
-    __slots__ = ("engine", "op", "plan", "handler", "aborts", "iterative")
+    __slots__ = ("engine", "plan", "handler", "aborts", "iterative")
 
     def __init__(self, engine: "VectorEngine", op, plan):
         self.engine = engine
-        self.op = op
         self.plan = plan
-        self.handler = Interpreter._resolve_handler(op.name)
+        #: the iterative fallback: the compiled engine's own loop thunk
+        self.handler = engine.interp._compile_op(op, None)
         self.aborts = 0
         self.iterative = False
 
@@ -942,7 +941,7 @@ class _NestThunk:
             if self.aborts >= _MAX_ABORTS:
                 self.iterative = True
         engine.fallback_runs += 1
-        return self.handler(engine.interp, self.op, env)
+        return self.handler(env)
 
 
 class VectorEngine:

@@ -23,8 +23,8 @@ from typing import Any, Dict, List, Optional, Sequence
 # register every pass before pipelines are parsed
 import repro.core  # noqa: F401
 import repro.transforms  # noqa: F401
-from ..flows import (ENGINES, ExecutionContext, FlowError, available_flows,
-                     get_flow)
+from ..flows import (DEFAULT_ENGINE, ENGINES, ExecutionContext, FlowError,
+                     available_flows, get_flow)
 from ..ir.pass_manager import (IRDumpInstrumentation, PassManager,
                                available_passes, pipeline_settings)
 from ..ir.pass_manager import _parse_scalar
@@ -82,10 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
                            "parallelisation from this)")
     what.add_argument("--gpu", action="store_true",
                       help="execution context: target the GPU lowering")
-    what.add_argument("--engine", choices=ENGINES, default="compiled",
+    what.add_argument("--engine", choices=ENGINES, default=DEFAULT_ENGINE,
                       help="execution context: interpreter engine the "
                            "artifact is built for (affects the service "
-                           "cache key; default: compiled)")
+                           f"cache key; default: {DEFAULT_ENGINE})")
     what.add_argument("--no-incremental", action="store_true",
                       help="disable the per-function stage store: recompile "
                            "every function even if an identical one was "
@@ -353,7 +353,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               file=sys.stderr)
         return 2
     if args.pipeline and (args.option or args.threads != 1 or args.gpu
-                          or args.engine != "compiled"):
+                          or args.engine != DEFAULT_ENGINE):
         # a raw pipeline has no options schema and no execution context to
         # normalise against — refuse rather than silently drop the flags
         print("error: --option/--threads/--gpu/--engine only apply to --flow "

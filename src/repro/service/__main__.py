@@ -31,6 +31,7 @@ import os
 import sys
 from typing import List, Optional
 
+from ..flows import DEFAULT_ENGINE, ENGINES
 from .cache import ArtifactCache
 from .client import (NO_DAEMON_ENV, DaemonRequestError, DaemonUnavailable,
                      default_socket_path, discover_client,
@@ -39,11 +40,6 @@ from .daemon import DaemonError, serve_forever
 from .scheduler import CompileService
 from .sharded import parse_byte_size
 from .tables import ALL_TABLES, run_tables
-
-
-def _engines():
-    from ..flows import ENGINES
-    return ENGINES
 
 
 def _add_socket_arg(parser: argparse.ArgumentParser,
@@ -78,9 +74,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="disable function-granular incremental "
                           "compilation for this batch (every function "
                           "recompiles from scratch)")
-    run.add_argument("--engine", default="compiled", choices=_engines(),
+    run.add_argument("--engine", default=DEFAULT_ENGINE, choices=ENGINES,
                      help="interpreter engine the measurements execute on "
-                          "(default: compiled)")
+                          f"(default: {DEFAULT_ENGINE})")
     run.add_argument("--cache-dir", default=None, metavar="DIR",
                      help="persistent artifact cache directory "
                           "(default: in-memory only, or $REPRO_CACHE_DIR)")

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..counters import PROCESS
-from ..flows import ExecutionContext, get_flow
+from ..flows import DEFAULT_ENGINE, ExecutionContext, get_flow
 from ..workloads import Workload
 from . import faults
 from .serialization import stats_from_dict, stats_to_dict
@@ -74,7 +74,7 @@ class CompileJob:
     #: Interpreter engine the artifact's observables come from ("compiled"
     #: cached-dispatch, "reference" one-op, "jit" trace-compiling, or
     #: "vector" whole-array numpy).
-    engine: str = "compiled"
+    engine: str = DEFAULT_ENGINE
     #: Whether this job's compile may reuse (and feed) the process's
     #: per-function stage store.  Execution strategy, not artifact identity:
     #: incremental and cold compiles are bit-identical by construction, so

@@ -13,6 +13,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..flows import DEFAULT_ENGINE
 from .jobs import CompileJob
 from .scheduler import BatchReport, CompileService
 from .tuning import (TABLE3_THREADED, TABLE3_THREADS, TABLE5_GRID_SIZES,
@@ -30,7 +31,7 @@ def _filtered(workloads, benchmarks: Optional[Sequence[str]]):
 
 def jobs_for(table: str,
              benchmarks: Optional[Sequence[str]] = None,
-             engine: str = "compiled") -> List[CompileJob]:
+             engine: str = DEFAULT_ENGINE) -> List[CompileJob]:
     """The compile jobs one table's measurements will request."""
     from ..workloads import (intrinsic_workloads, table1_workloads,
                              table2_workloads)
@@ -89,7 +90,7 @@ def jobs_for(table: str,
 
 def enumerate_jobs(tables: Optional[Sequence[str]] = None,
                    benchmarks: Optional[Sequence[str]] = None,
-                   engine: str = "compiled") -> List[CompileJob]:
+                   engine: str = DEFAULT_ENGINE) -> List[CompileJob]:
     jobs: List[CompileJob] = []
     for table in tables or ALL_TABLES:
         jobs.extend(jobs_for(table, benchmarks, engine))
@@ -100,7 +101,7 @@ def run_tables(tables: Optional[Sequence[str]] = None,
                service: Optional[CompileService] = None,
                max_workers: Optional[int] = None,
                benchmarks: Optional[Sequence[str]] = None,
-               engine: str = "compiled",
+               engine: str = DEFAULT_ENGINE,
                incremental: bool = True) -> Dict[str, Any]:
     """Warm the cache in one parallel batch, then regenerate the tables.
 

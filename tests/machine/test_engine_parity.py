@@ -94,3 +94,145 @@ class TestStatsDiff:
         assert "counts[serial][arith]" in text
         assert "counts[parallel][mem]" in text
         assert "runtime_calls[_FortranASumReal8]" in text
+
+
+# ---------------------------------------------------------------------------
+# Affine maps and vector-dialect ops: every engine, the same observables
+# ---------------------------------------------------------------------------
+
+TILED_VECTORISED_KERNEL = """program p
+  implicit none
+  integer :: i, j
+  real(kind=8), dimension(8, 8) :: a, b, c
+  real(kind=8), dimension(38) :: x, y, z
+  real(kind=8) :: total
+  do j = 1, 8
+    do i = 1, 8
+      a(i, j) = real(i, 8) * 0.5d0 + real(j, 8)
+      b(i, j) = real(i - j, 8)
+    end do
+  end do
+  c = matmul(a, b)
+  do i = 1, 38
+    x(i) = real(i, 8) * 0.25d0
+    y(i) = 0.0d0
+  end do
+  do i = 2, 36
+    y(i) = x(i - 1) + 2.0d0 * x(i) + x(i + 1)
+  end do
+  do i = 1, 36
+    z(i) = y(i) * x(i + 2)
+  end do
+  total = dot_product(x, y)
+  print *, total, c(1, 1), c(8, 8), y(2), y(36), z(1), z(36)
+end program p
+"""
+
+
+def _mapped_vector_module():
+    """Hand-built: what the real passes never emit together — maps with
+    ``floordiv``/``mod``/``ceildiv``, bound maps over operands, an
+    ``affine.apply``, and a lane window that runs off the end of its row
+    (a ragged last vector) on both ``vector.load`` and ``vector.store``."""
+    from repro.dialects import affine, arith, func, memref, vector
+    from repro.dialects.builtin import ModuleOp
+    from repro.ir import types as T
+    from repro.ir.attributes import AffineExpr, AffineMapAttr
+
+    d0, d1 = AffineExpr.dim(0), AffineExpr.dim(1)
+    main = func.FuncOp("_QQmain", T.FunctionType([], []))
+    top = main.regions[0].blocks[0]
+
+    def emit(block, op):
+        block.add_op(op)
+        return op.results[0] if op.results else None
+
+    vec4 = T.VectorType([4], T.f64)
+    a = emit(top, memref.AllocOp(T.MemRefType([4, 10], T.f64)))
+    b = emit(top, memref.AllocOp(T.MemRefType([5, 8], T.f64)))
+    acc = emit(top, memref.AllocaOp(T.MemRefType([], T.f64)))
+    rows = emit(top, arith.ConstantOp(4, T.index))
+
+    # a[i, j] = 10 i + j, through a bound map over an operand
+    fill_i = affine.AffineForOp([], AffineMapAttr.constant_map(0),
+                                [rows], AffineMapAttr(1, 0, [d0]))
+    top.add_op(fill_i)
+    fill_j = affine.AffineForOp.constant_bounds(0, 10)
+    fill_i.body.add_op(fill_j)
+    fill_i.body.add_op(affine.AffineYieldOp())
+    i, j = fill_i.induction_variable, fill_j.induction_variable
+    flat = emit(fill_j.body, affine.AffineApplyOp(
+        AffineMapAttr(2, 0, [d0 * 10 + d1]), [i, j]))
+    as_int = emit(fill_j.body, arith.IndexCastOp(flat, T.i64))
+    as_real = emit(fill_j.body, arith.SIToFPOp(as_int, T.f64))
+    fill_j.body.add_op(affine.AffineStoreOp(as_real, a, [i, j]))
+    fill_j.body.add_op(affine.AffineYieldOp())
+
+    zero = emit(top, arith.ConstantOp(0.0, T.f64))
+    top.add_op(affine.AffineStoreOp(zero, acc, []))
+    # t walks a flattened 4 x 10 space six elements at a time, so the lane
+    # window starts at columns 0 and 6 (ragged: 6 + 4 > 10) and at 2 and 8
+    sweep = affine.AffineForOp([], AffineMapAttr.constant_map(0),
+                               [rows], AffineMapAttr(1, 0, [d0 * 10 + -4]),
+                               step=6)
+    top.add_op(sweep)
+    t = sweep.induction_variable
+    load = vector.VectorLoadOp(vec4, a, [t])
+    load.set_attr("map", AffineMapAttr(1, 0, [d0.floordiv(10), d0 % 10]))
+    lanes = emit(sweep.body, load)
+    part = emit(sweep.body, vector.ReductionOp("add", lanes))
+    bias = emit(sweep.body, vector.BroadcastOp(vec4, part))
+    shifted = emit(sweep.body, arith.AddFOp(lanes, bias))
+    store = vector.VectorStoreOp(shifted, b, [t])
+    store.set_attr("map", AffineMapAttr(
+        1, 0, [d0.ceildiv(8), (d0 * 3) % 8 + 1]))
+    sweep.body.add_op(store)
+    so_far = emit(sweep.body, affine.AffineLoadOp(acc, []))
+    summed = emit(sweep.body, arith.AddFOp(so_far, part))
+    sweep.body.add_op(affine.AffineStoreOp(summed, acc, []))
+    sweep.body.add_op(affine.AffineYieldOp())
+
+    for row, column in ((0, 1), (1, 3), (2, 5), (3, 7), (4, 7)):
+        element = emit(top, affine.AffineLoadOp(
+            b, [], AffineMapAttr(0, 0, [AffineExpr.constant(row),
+                                        AffineExpr.constant(column)])))
+        top.add_op(func.CallOp("_FortranAioOutput", [element], []))
+    result = emit(top, affine.AffineLoadOp(acc, []))
+    top.add_op(func.CallOp("_FortranAioOutput", [result], []))
+    top.add_op(func.ReturnOp())
+    return ModuleOp([main])
+
+
+class TestAffineAndVectorParity:
+    @pytest.mark.parametrize(("options", "expected"), [
+        # tiling and unrolling claim the stencil loops, the vectoriser
+        # keeps the dot product: point loops, unrolled bodies, reductions
+        (dict(tile=True, tile_size=4, unroll=4),
+         ("point_loop", "unrolled", "vector.load", "vector.broadcast",
+          "vector.reduction")),
+        # alone, the vectoriser also takes the stencil: vector stores
+        (dict(), ("vector.load", "vector.store", "vector.broadcast",
+                  "vector.reduction")),
+    ], ids=["tiled-unrolled-vectorised", "vectorised"])
+    def test_optimised_kernel(self, options, expected):
+        from repro.core import StandardMLIRCompiler
+        from repro.ir.printer import print_op
+        module = StandardMLIRCompiler(vector_width=4, **options).compile(
+            TILED_VECTORISED_KERNEL).optimised_module
+        text = print_op(module)
+        for needle in expected + ("affine.load", "affine.store"):
+            assert needle in text, needle
+        _assert_engines_identical(module)
+
+    def test_floordiv_mod_maps_and_ragged_vectors(self):
+        module = _mapped_vector_module()
+        _assert_engines_identical(module)
+        interp = Interpreter(module, engine="compiled")
+        interp.run_main()
+        # the ragged windows really were ragged: lanes past column 9 read 0
+        # (t = 6: columns 6..9 of row 0, then t = 18: columns 8, 9 of row 1)
+        assert float(interp.printed[-1]) == sum(
+            10 * (t // 10) + column
+            for t in range(0, 36, 6)
+            for column in range(t % 10, min(t % 10 + 4, 10)))
+        assert interp.stats.counts["serial"]["vector_load"] == 6

@@ -183,6 +183,58 @@ class TestUidCollision:
 
 
 # ---------------------------------------------------------------------------
+# The process caches hold code, never IR
+# ---------------------------------------------------------------------------
+
+class TestProcessCachesDoNotPinModules:
+    def test_executed_module_is_collectable(self):
+        # a long-lived daemon executes thousands of modules: the process
+        # cache must keep only what is structure-portable (code, source),
+        # so a dropped module really goes away
+        import gc
+        import weakref
+        module = _compile_fir(LOOP_PROGRAM)
+        interp = Interpreter(module, engine="jit")
+        interp.run_main()
+        assert interp._jit.cache and jit._CODE_CACHE
+        alive = weakref.ref(module)
+        del module, interp
+        gc.collect()
+        assert alive() is None
+        assert jit._CODE_CACHE    # the translation itself is still cached
+
+    def test_fresh_interpreter_on_live_module_replans_nothing(
+            self, monkeypatch):
+        # the steady state the daemon and the bench serve: the block owns
+        # its instantiation material, so a second interpreter only copies
+        # the namespace and exec()s the cached code object
+        module = _compile_fir(LOOP_PROGRAM)
+        printed, stats = _run_jit(module)
+
+        def no_planning(block):
+            raise AssertionError("steady state re-planned a block")
+        monkeypatch.setattr(jit, "plan_block", no_planning)
+        before = jit.snapshot_translation_counters()
+        assert _run_jit(module) == (printed, stats)
+        delta = jit.translation_counters_delta(before)
+        assert delta["misses"] == 0
+        assert delta["memory_hits"] >= 1
+
+    def test_executed_ir_still_pickles(self):
+        # the block-owned material binds code objects and live namespaces;
+        # it is process-local and must never ride along in ir/serial
+        from repro.ir.serial import dumps_op, loads_op
+        module = _compile_fir(LOOP_PROGRAM)
+        printed, stats = _run_jit(module)
+        func = next(op for op in module.body.ops if op.name == "func.func")
+        assert any(hasattr(block, "_jit") for op in func.walk()
+                   for region in op.regions for block in region.blocks)
+        clone = loads_op(dumps_op(func))
+        assert not any(hasattr(block, "_jit") for op in clone.walk()
+                       for region in op.regions for block in region.blocks)
+
+
+# ---------------------------------------------------------------------------
 # The disk tier (simulated process restarts in-process)
 # ---------------------------------------------------------------------------
 
