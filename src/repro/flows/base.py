@@ -165,8 +165,8 @@ class ExecutionContext:
 
     Stats depend on whether execution is parallel or offloaded, not on the
     exact core count, so the cache-key material buckets ``threads`` down to
-    a boolean.  ``engine`` names the interpreter engine; artifacts from the
-    two engines are cached separately so differential runs can compare them.
+    a boolean.  ``engine`` names the interpreter engine; each engine's
+    artifacts are cached separately so differential runs can compare them.
     """
 
     threads: int = 1
@@ -181,12 +181,6 @@ class ExecutionContext:
     @property
     def parallel(self) -> bool:
         return self.threads > 1
-
-    @property
-    def compile_blocks(self) -> bool:
-        """Interpreter ``compile_blocks`` flag for this engine (legacy —
-        prefer passing ``engine`` to the Interpreter directly)."""
-        return self.engine != "reference"
 
     def key_material(self) -> Dict[str, Any]:
         return {"parallel": self.parallel, "gpu": bool(self.gpu),

@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,10 +67,8 @@ from ..dialects import fir as fir_d
 from ..flang import runtime as flang_runtime
 from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
-from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, VECTOR_REDUCTIONS,
-                        as_unsigned, cmpi_eval, int_ceildiv, int_div,
-                        int_floordiv, int_rem, int_width, vector_broadcast,
-                        vector_load, vector_store)
+from .semantics import (VALUE_OPS, VECTOR_REDUCTIONS, ValueOp,
+                        vector_broadcast, vector_load, vector_store)
 from .values import (Cell, ElementPtr, FortranArray, as_ndarray, load_element,
                      numpy_dtype_for, store_element)
 
@@ -149,39 +147,7 @@ class ExecutionStats:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch tables (value semantics live in repro.machine.semantics, shared
-# with the canonicalizer's constant folder)
-# ---------------------------------------------------------------------------
-
-_FLOAT_BINOPS = {
-    "arith.addf": lambda a, b: a + b, "arith.subf": lambda a, b: a - b,
-    "arith.mulf": lambda a, b: a * b, "arith.divf": lambda a, b: a / b,
-    "arith.remf": lambda a, b: np.fmod(a, b),
-    "arith.maximumf": lambda a, b: np.maximum(a, b),
-    "arith.minimumf": lambda a, b: np.minimum(a, b),
-}
-_INT_BINOPS = {
-    "arith.addi": lambda a, b: a + b, "arith.subi": lambda a, b: a - b,
-    "arith.muli": lambda a, b: a * b,
-    "arith.divsi": int_div,
-    "arith.floordivsi": int_floordiv,
-    "arith.ceildivsi": int_ceildiv,
-    "arith.remsi": int_rem,
-    "arith.andi": lambda a, b: (bool(a) and bool(b)) if isinstance(a, (bool, np.bool_)) else a & b,
-    "arith.ori": lambda a, b: (bool(a) or bool(b)) if isinstance(a, (bool, np.bool_)) else a | b,
-    "arith.xori": lambda a, b: bool(a) != bool(b) if isinstance(a, (bool, np.bool_)) else a ^ b,
-    "arith.maxsi": lambda a, b: max(a, b), "arith.minsi": lambda a, b: min(a, b),
-    "arith.shli": lambda a, b: a << b, "arith.shrsi": lambda a, b: a >> b,
-}
-_MATH_UNARY = {
-    "math.sqrt": np.sqrt, "math.exp": np.exp, "math.log": np.log,
-    "math.log10": np.log10, "math.sin": np.sin, "math.cos": np.cos,
-    "math.tan": np.tan, "math.tanh": np.tanh, "math.atan": np.arctan,
-    "math.absf": np.abs, "math.absi": abs,
-}
-
-# ---------------------------------------------------------------------------
-# Block-structure sets used by both execution engines
+# Block-structure sets used by every execution engine
 # ---------------------------------------------------------------------------
 
 _RETURN_OPS = frozenset({"func.return", "llvm.return"})
@@ -211,10 +177,9 @@ class Interpreter:
     _HANDLER_CACHE: Dict[str, Optional[Callable]] = {}
 
     def __init__(self, module: Operation, *, max_ops: int = 80_000_000,
-                 trace_output: bool = False, compile_blocks: bool = True,
-                 engine: Optional[str] = None):
+                 trace_output: bool = False, engine: Optional[str] = None):
         if engine is None:
-            engine = "compiled" if compile_blocks else "reference"
+            engine = "compiled"
         if engine not in ENGINE_NAMES:
             raise InterpreterError(
                 f"unknown interpreter engine {engine!r} "
@@ -228,7 +193,6 @@ class Interpreter:
         self.printed: List[str] = []
         self.trace_output = trace_output
         self.engine = engine
-        self.compile_blocks = engine != "reference"
         #: per-context Counter for the current context (hot-path bump target)
         self._ctx_counts: Counter = self.stats.counts["serial"]
         #: compiled thunk lists, one per visited Block
@@ -426,8 +390,6 @@ class Interpreter:
             return cls._HANDLER_CACHE[name]
         except KeyError:
             handler = getattr(cls, "_exec_" + name.replace(".", "_"), None)
-            if handler is None:
-                handler = _TABLE_HANDLERS.get(name)
             cls._HANDLER_CACHE[name] = handler
             return handler
 
@@ -499,85 +461,31 @@ class Interpreter:
     # ------------------------------------------------------------- single ops
     def _execute_op(self, op: Operation, env: Dict) -> None:
         name = op.name
+        row = VALUE_OPS.get(name)
+        if row is not None:
+            self._exec_value_op(op, env, row)
+            return
         handler = getattr(self, "_exec_" + name.replace(".", "_"), None)
         if handler is not None:
             handler(op, env)
             return
-        table_handler = _TABLE_HANDLERS.get(name)
-        if table_handler is not None:
-            table_handler(self, op, env)
-            return
         raise InterpreterError(f"interpreter cannot execute operation {name}")
 
-    # -- accounting helpers ------------------------------------------------------
-    def _count_arith(self, op: Operation, result, is_float: bool) -> None:
-        if isinstance(result, np.ndarray) and result.size > 1:
-            self.stats.bump(self.context, "vector_float" if is_float else "vector_int")
-            return
-        if is_float:
-            self.stats.bump(self.context, "float_arith")
+    def _exec_value_op(self, op: Operation, env: Dict, row: ValueOp) -> None:
+        """Any row of ``semantics.VALUE_OPS``, through the row's kernel."""
+        args = [env[v] for v in op.operands]
+        result = row.bind(op)(*args)
+        env[op.results[0]] = result
+        probed = result if row.probe == "result" else \
+            args[0] if row.probe == "operand" else None
+        if isinstance(probed, np.ndarray) and probed.size > 1:
+            self.stats.bump(self.context, row.vector_category)
         else:
-            operand_type = op.operands[0].type
-            if isinstance(operand_type, ir_types.IndexType):
-                self.stats.bump(self.context, "index_arith")
-            else:
-                self.stats.bump(self.context, "int_arith")
-
-    def _count_vector_or_scalar(self, value, category: str) -> None:
-        if isinstance(value, np.ndarray) and value.size > 1:
-            self.stats.bump(self.context, "vector_float")
-        else:
-            self.stats.bump(self.context, category)
+            self.stats.bump(self.context, row.scalar_category(op))
 
     # -- constants & casts -------------------------------------------------------
     def _exec_arith_constant(self, op, env) -> None:
         env[op.results[0]] = op.get_attr("value").value
-
-    def _exec_arith_cmpi(self, op, env) -> None:
-        a, b = env[op.operands[0]], env[op.operands[1]]
-        predicate = op.get_attr("predicate").value
-        env[op.results[0]] = cmpi_eval(predicate,
-                                       int_width(op.operands[0].type), a, b)
-        self.stats.bump(self.context, "cmp")
-
-    def _exec_arith_cmpf(self, op, env) -> None:
-        a, b = env[op.operands[0]], env[op.operands[1]]
-        env[op.results[0]] = CMPF[op.get_attr("predicate").value](a, b)
-        self.stats.bump(self.context, "cmp")
-
-    def _exec_arith_select(self, op, env) -> None:
-        cond, a, b = (env[v] for v in op.operands)
-        env[op.results[0]] = a if cond else b
-        self.stats.bump(self.context, "int_arith")
-
-    def _exec_arith_negf(self, op, env) -> None:
-        value = env[op.operands[0]]
-        env[op.results[0]] = -value
-        self._count_vector_or_scalar(value, "float_arith")
-
-    def _cast_like(self, op, env) -> None:
-        value = env[op.operands[0]]
-        target = op.results[0].type
-        if isinstance(target, ir_types.FloatType):
-            env[op.results[0]] = float(value)
-        elif isinstance(target, (ir_types.IntegerType, ir_types.IndexType)):
-            if isinstance(target, ir_types.IntegerType) and target.width == 1:
-                env[op.results[0]] = bool(value)
-            else:
-                env[op.results[0]] = int(value)
-        else:
-            env[op.results[0]] = value
-        self.stats.bump(self.context, "cast")
-
-    _exec_arith_index_cast = _cast_like
-    _exec_arith_sitofp = _cast_like
-    _exec_arith_fptosi = _cast_like
-    _exec_arith_extf = _cast_like
-    _exec_arith_truncf = _cast_like
-    _exec_arith_extsi = _cast_like
-    _exec_arith_extui = _cast_like
-    _exec_arith_trunci = _cast_like
-    _exec_arith_bitcast = _cast_like
 
     def _exec_fir_convert(self, op, env) -> None:
         value = env[op.operands[0]]
@@ -1341,63 +1249,6 @@ class _FunctionReturn(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Table-driven handlers (shared by both engines for ops without _exec_ methods)
-# ---------------------------------------------------------------------------
-
-def _table_float_binop(interp, op, env):
-    a, b = env[op.operands[0]], env[op.operands[1]]
-    result = _FLOAT_BINOPS[op.name](a, b)
-    env[op.results[0]] = result
-    interp._count_arith(op, result, is_float=True)
-
-
-def _table_int_binop(interp, op, env):
-    a, b = env[op.operands[0]], env[op.operands[1]]
-    result = _INT_BINOPS[op.name](a, b)
-    env[op.results[0]] = result
-    interp._count_arith(op, result, is_float=False)
-
-
-def _table_math_unary(interp, op, env):
-    value = env[op.operands[0]]
-    env[op.results[0]] = _MATH_UNARY[op.name](value)
-    interp._count_vector_or_scalar(value, "float_math")
-
-
-def _table_pow(interp, op, env):
-    a, b = env[op.operands[0]], env[op.operands[1]]
-    env[op.results[0]] = a ** b
-    interp._count_vector_or_scalar(a, "float_math")
-
-
-def _table_fma(interp, op, env):
-    a, b, c = (env[v] for v in op.operands)
-    env[op.results[0]] = a * b + c
-    interp._count_vector_or_scalar(a, "float_fma")
-
-
-def _table_atan2(interp, op, env):
-    a, b = env[op.operands[0]], env[op.operands[1]]
-    env[op.results[0]] = np.arctan2(a, b)
-    interp._count_vector_or_scalar(a, "float_math")
-
-
-_TABLE_HANDLERS: Dict[str, Callable] = {}
-for _name in _FLOAT_BINOPS:
-    _TABLE_HANDLERS[_name] = _table_float_binop
-for _name in _INT_BINOPS:
-    _TABLE_HANDLERS[_name] = _table_int_binop
-for _name in _MATH_UNARY:
-    _TABLE_HANDLERS[_name] = _table_math_unary
-for _name in ("math.powf", "math.fpowi", "math.ipowi"):
-    _TABLE_HANDLERS[_name] = _table_pow
-for _name in ("math.fma", "vector.fma", "llvm.intr.fmuladd"):
-    _TABLE_HANDLERS[_name] = _table_fma
-_TABLE_HANDLERS["math.atan2"] = _table_atan2
-del _name
-
-
-# ---------------------------------------------------------------------------
 # Thunk makers: (interpreter, op) -> fn(env), with everything static resolved
 # at block-compile time (operands, results, attributes, stats category).
 # ---------------------------------------------------------------------------
@@ -1411,191 +1262,54 @@ def _mk_constant(interp, op):
     return run
 
 
-def _mk_float_binop(interp, op):
-    fn = _FLOAT_BINOPS[op.name]
-    a, b = op.operands[0], op.operands[1]
-    res = op.results[0]
-    stats = interp.stats
+@lru_cache(maxsize=None)
+def _value_thunk_factory(arity: int, template: Optional[str], guarded: bool,
+                         probe: Optional[str],
+                         vector_category: Optional[str]) -> Callable:
+    """``make(interp, stats, fn, scalar_cat, res, *operands) -> run(env)``
+    for one row shape: arity, template (with its guard) and stats rule.
 
-    def run(env):
-        result = fn(env[a], env[b])
-        env[res] = result
-        if isinstance(result, np.ndarray) and result.size > 1:
-            interp._ctx_counts["vector_float"] += 1.0
-        else:
-            interp._ctx_counts["float_arith"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_int_binop(interp, op):
-    fn = _INT_BINOPS[op.name]
-    a, b = op.operands[0], op.operands[1]
-    res = op.results[0]
-    stats = interp.stats
-    scalar_cat = "index_arith" if isinstance(a.type, ir_types.IndexType) \
-        else "int_arith"
-
-    def run(env):
-        result = fn(env[a], env[b])
-        env[res] = result
-        if isinstance(result, np.ndarray) and result.size > 1:
-            interp._ctx_counts["vector_int"] += 1.0
-        else:
-            interp._ctx_counts[scalar_cat] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_math_unary(interp, op):
-    fn = _MATH_UNARY[op.name]
-    a = op.operands[0]
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        value = env[a]
-        env[res] = fn(value)
-        if isinstance(value, np.ndarray) and value.size > 1:
-            interp._ctx_counts["vector_float"] += 1.0
-        else:
-            interp._ctx_counts["float_math"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_pow(interp, op):
-    a, b = op.operands[0], op.operands[1]
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        base = env[a]
-        env[res] = base ** env[b]
-        if isinstance(base, np.ndarray) and base.size > 1:
-            interp._ctx_counts["vector_float"] += 1.0
-        else:
-            interp._ctx_counts["float_math"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_fma(interp, op):
-    a, b, c = op.operands
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        va = env[a]
-        env[res] = va * env[b] + env[c]
-        if isinstance(va, np.ndarray) and va.size > 1:
-            interp._ctx_counts["vector_float"] += 1.0
-        else:
-            interp._ctx_counts["float_fma"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_atan2(interp, op):
-    a, b = op.operands[0], op.operands[1]
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        va = env[a]
-        env[res] = np.arctan2(va, env[b])
-        if isinstance(va, np.ndarray) and va.size > 1:
-            interp._ctx_counts["vector_float"] += 1.0
-        else:
-            interp._ctx_counts["float_math"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_cmpi(interp, op):
-    predicate = op.get_attr("predicate").value
-    a, b = op.operands[0], op.operands[1]
-    res = op.results[0]
-    stats = interp.stats
-    signed_fn = CMPI_SIGNED.get(predicate)
-    if signed_fn is not None:
-        def run(env):
-            env[res] = signed_fn(env[a], env[b])
-            interp._ctx_counts["cmp"] += 1.0
-            stats.total_ops += 1
-        return run
-    unsigned_fn = CMPI_UNSIGNED[predicate]
-    width = int_width(a.type)
-
-    def run(env):
-        env[res] = unsigned_fn(as_unsigned(env[a], width),
-                               as_unsigned(env[b], width))
-        interp._ctx_counts["cmp"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_cmpf(interp, op):
-    fn = CMPF[op.get_attr("predicate").value]
-    a, b = op.operands[0], op.operands[1]
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        env[res] = fn(env[a], env[b])
-        interp._ctx_counts["cmp"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_select(interp, op):
-    cond, a, b = op.operands
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        env[res] = env[a] if env[cond] else env[b]
-        interp._ctx_counts["int_arith"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_negf(interp, op):
-    a = op.operands[0]
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        value = env[a]
-        env[res] = -value
-        if isinstance(value, np.ndarray) and value.size > 1:
-            interp._ctx_counts["vector_float"] += 1.0
-        else:
-            interp._ctx_counts["float_arith"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
-def _mk_cast(interp, op):
-    a = op.operands[0]
-    res = op.results[0]
-    target = res.type
-    stats = interp.stats
-    if isinstance(target, ir_types.FloatType):
-        convert = float
-    elif isinstance(target, ir_types.IntegerType) and target.width == 1:
-        convert = bool
-    elif isinstance(target, (ir_types.IntegerType, ir_types.IndexType)):
-        convert = int
+    The thunk is generated source so that a template row runs its operator
+    inline, as a hand-written closure would, while every other row calls
+    its kernel; one factory is built per distinct shape."""
+    names = ("a", "b", "c")[:arity]
+    reads = [f"env[{name}]" for name in names]
+    body = []
+    if probe == "operand":
+        body.append("probed = env[a]")
+        reads[0] = "probed"
+    call = f"fn({', '.join(reads)})"
+    expr = template.format(*reads) if template else call
+    target = "env[res] = probed" if probe == "result" else "env[res]"
+    if guarded:
+        body += ["try:", f"    {target} = {expr}",
+                 "except ArithmeticError:", f"    {target} = {call}"]
     else:
-        convert = None
+        body.append(f"{target} = {expr}")
+    if probe is None:
+        body.append("interp._ctx_counts[scalar_cat] += 1.0")
+    else:
+        body += ["if isinstance(probed, ndarray) and probed.size > 1:",
+                 f"    interp._ctx_counts[{vector_category!r}] += 1.0",
+                 "else:",
+                 "    interp._ctx_counts[scalar_cat] += 1.0"]
+    body.append("stats.total_ops += 1")
+    source = (f"def make(interp, stats, fn, scalar_cat, res, "
+              f"{', '.join(names)}):\n    def run(env):\n"
+              + "".join(f"        {line}\n" for line in body)
+              + "    return run\n")
+    namespace = {"ndarray": np.ndarray}
+    exec(compile(source, "<value-op thunk>", "exec"), namespace)
+    return namespace["make"]
 
-    def run(env):
-        value = env[a]
-        env[res] = convert(value) if convert is not None else value
-        interp._ctx_counts["cast"] += 1.0
-        stats.total_ops += 1
-    return run
+
+def _mk_value_op(interp, op):
+    """Any row of ``semantics.VALUE_OPS``."""
+    row = VALUE_OPS[op.name]
+    make = _value_thunk_factory(row.arity, row.template, row.guarded,
+                                row.probe, row.vector_category)
+    return make(interp, interp.stats, row.bind(op), row.scalar_category(op),
+                op.results[0], *op.operands)
 
 
 def _mk_fir_convert(interp, op):
@@ -1978,10 +1692,6 @@ def _mk_hlfir_designate(interp, op):
 
 
 _THUNK_MAKERS: Dict[str, Callable] = {"arith.constant": _mk_constant,
-                                      "arith.cmpi": _mk_cmpi,
-                                      "arith.cmpf": _mk_cmpf,
-                                      "arith.select": _mk_select,
-                                      "arith.negf": _mk_negf,
                                       "fir.convert": _mk_fir_convert,
                                       "fir.load": _mk_fir_load,
                                       "fir.store": _mk_fir_store,
@@ -1999,24 +1709,8 @@ _THUNK_MAKERS: Dict[str, Callable] = {"arith.constant": _mk_constant,
                                       "vector.splat": _mk_vector_broadcast,
                                       "vector.reduction": _mk_vector_reduction,
                                       "fir.array_coor": _mk_fir_array_coor,
-                                      "hlfir.designate": _mk_hlfir_designate,
-                                      "math.atan2": _mk_atan2}
-for _name in _FLOAT_BINOPS:
-    _THUNK_MAKERS[_name] = _mk_float_binop
-for _name in _INT_BINOPS:
-    _THUNK_MAKERS[_name] = _mk_int_binop
-for _name in _MATH_UNARY:
-    _THUNK_MAKERS[_name] = _mk_math_unary
-for _name in ("math.powf", "math.fpowi", "math.ipowi"):
-    _THUNK_MAKERS[_name] = _mk_pow
-for _name in ("math.fma", "vector.fma", "llvm.intr.fmuladd"):
-    _THUNK_MAKERS[_name] = _mk_fma
-for _name in ("arith.index_cast", "arith.sitofp", "arith.fptosi", "arith.extf",
-              "arith.truncf", "arith.extsi", "arith.extui", "arith.trunci",
-              "arith.bitcast"):
-    _THUNK_MAKERS[_name] = _mk_cast
-del _name
-
+                                      "hlfir.designate": _mk_hlfir_designate}
+_THUNK_MAKERS.update(dict.fromkeys(VALUE_OPS, _mk_value_op))
 #: sentinel returned by _compile_op when the op fuses with its follower
 _FUSED_WITH_NEXT = object()
 #: makers whose ops are address computations eligible for load/store fusion

@@ -12,9 +12,10 @@ exit, and array accesses are emitted as direct indexing expressions.  The
 source is ``compile()``/``exec``-ed once and the resulting code object is
 re-run on every loop iteration.
 
-Numeric semantics stay centralized: the generated code calls into
-:mod:`repro.machine.semantics` for ``cmpi`` / ``cmpf`` and the integer
-division family, so all engines share one source of numeric truth;
+Numeric semantics stay centralized: every pure value op is emitted from its
+row in :data:`repro.machine.semantics.VALUE_OPS` — the row's expression
+template, or a call into its kernel — so all engines share one source of
+numeric truth;
 everything the generator cannot translate (parallel regions, calls, runtime
 intrinsics, unstructured control flow) falls back to the exact thunks the
 cached-dispatch engine would run, inside the generated function.  The
@@ -45,15 +46,12 @@ from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
 from ..ir.structural_hash import fingerprint_block
 from . import semantics
-from .interpreter import (_BR_OPS, _COND_BR_OPS, _FLOAT_BINOPS, _INT_BINOPS,
-                          _MATH_UNARY, _RETURN_OPS, _YIELD_OPS, _fusable,
-                          Interpreter, InterpreterError)
+from .interpreter import (_BR_OPS, _COND_BR_OPS, _RETURN_OPS, _YIELD_OPS,
+                          _fusable, Interpreter, InterpreterError)
 from .loop_patterns import (static_constant as _static_constant,
                             static_trip_count as _static_trips)
-from .semantics import (CMPF, CMPI_SIGNED, CMPI_UNSIGNED, VECTOR_REDUCTIONS,
-                        as_unsigned, int_ceildiv, int_div, int_floordiv,
-                        int_rem, int_width, vector_broadcast, vector_load,
-                        vector_store)
+from .semantics import (VALUE_OPS, VECTOR_REDUCTIONS, ValueOp,
+                        vector_broadcast, vector_load, vector_store)
 from .values import (Cell, ElementPtr, FortranArray, load_element,
                      store_element)
 
@@ -62,35 +60,18 @@ _INLINE_LOOPS = frozenset({"scf.for", "affine.for", "fir.do_loop"})
 #: conditionals inlined as native ``if`` statements
 _INLINE_IFS = frozenset({"scf.if", "fir.if"})
 
-#: binary ops emitted as raw operator expressions (semantics identical to the
-#: dispatch-table lambdas of the other two engines)
-_OPERATOR_FLOAT = {"arith.addf": "+", "arith.subf": "-", "arith.mulf": "*",
-                   "arith.divf": "/"}
-_OPERATOR_INT = {"arith.addi": "+", "arith.subi": "-", "arith.muli": "*",
-                 "arith.shli": "<<", "arith.shrsi": ">>"}
-#: integer ops routed through repro.machine.semantics (shared numeric truth)
-_SEMANTIC_INT = {"arith.divsi": int_div, "arith.floordivsi": int_floordiv,
-                 "arith.ceildivsi": int_ceildiv, "arith.remsi": int_rem}
-
 _ALL_TERMINATORS = _RETURN_OPS | _BR_OPS | _COND_BR_OPS | _YIELD_OPS
 
-_CAST_OPS = frozenset({"arith.index_cast", "arith.sitofp", "arith.fptosi",
-                       "arith.extf", "arith.truncf", "arith.extsi",
-                       "arith.extui", "arith.trunci", "arith.bitcast"})
-_POW_OPS = frozenset({"math.powf", "math.fpowi", "math.ipowi"})
-_FMA_OPS = frozenset({"math.fma", "vector.fma", "llvm.intr.fmuladd"})
-
-_SIMPLE_INLINE = (frozenset({
-    "arith.constant", "arith.cmpi", "arith.cmpf", "arith.select",
-    "arith.negf", "fir.convert", "fir.load", "fir.store", "memref.load",
+#: ops translated inline: every row of the value-op table, plus the
+#: constant, memory, address and vector-dialect ops with their own emitters
+_SIMPLE_INLINE = frozenset(VALUE_OPS) | frozenset({
+    "arith.constant", "fir.convert", "fir.load", "fir.store", "memref.load",
     "memref.store", "llvm.load", "llvm.store", "affine.load", "affine.store",
-    "affine.apply", "fir.array_coor", "hlfir.designate", "math.atan2",
+    "affine.apply", "fir.array_coor", "hlfir.designate",
     "fir.box_addr", "fir.box_dims", "fir.coordinate_of", "fir.embox",
     "fir.shape", "fir.shape_shift", "fir.undefined", "fir.absent",
     "fir.zero_bits", "fir.string_lit", "vector.load", "vector.store",
     "vector.broadcast", "vector.splat", "vector.reduction"})
-    | frozenset(_FLOAT_BINOPS) | frozenset(_INT_BINOPS)
-    | frozenset(_MATH_UNARY) | _POW_OPS | _FMA_OPS | _CAST_OPS)
 
 
 def _coor_fusable(op: Operation, follower: Optional[Operation]) -> bool:
@@ -126,11 +107,8 @@ def _always_int(value: Value) -> bool:
         return True
     if op.name == "arith.constant":
         return type(op.get_attr("value").value) is int
-    if op.name in _CAST_OPS:
-        target = value.type
-        return isinstance(target, ir_types.IndexType) or (
-            isinstance(target, ir_types.IntegerType) and target.width != 1)
-    return False
+    row = VALUE_OPS.get(op.name)
+    return row is not None and row.category == "cast" and row.bind(op) is int
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +315,9 @@ class _Emitter:
             "_vload": vector_load, "_vstore": vector_store,
             "_vbcast": vector_broadcast,
         }
-        self._bound: Dict[int, str] = {}     # id(obj) -> ns name
+        #: id(obj) -> ns name (the cast kernels keep their readable names)
+        self._bound: Dict[int, str] = {
+            id(int): "_int", id(float): "_float", id(bool): "_bool"}
         self.names: Dict[Value, str] = {}    # value -> local variable
         self.keys: Dict[Value, str] = {}     # value -> bound env-key name
         self.counters: Dict[str, str] = {}   # category -> local variable
@@ -552,80 +532,9 @@ class _Emitter:
         if name == "arith.constant":
             self.compute(res, self.bind(op.get_attr("value").value, "c"))
             return
-        if name in _FLOAT_BINOPS:
-            a, b = self.read(op.operands[0]), self.read(op.operands[1])
-            symbol = _OPERATOR_FLOAT.get(name)
-            if symbol is not None:
-                expr = f"{a} {symbol} {b}"
-            else:
-                expr = f"{self.bind(_FLOAT_BINOPS[name])}({a}, {b})"
-            var = self.compute(res, expr)
-            self.bump_total()
-            self.dyncat(var, "vector_float", "float_arith")
-            return
-        if name in _INT_BINOPS:
-            a, b = self.read(op.operands[0]), self.read(op.operands[1])
-            symbol = _OPERATOR_INT.get(name)
-            if symbol is not None:
-                expr = f"{a} {symbol} {b}"
-            elif name in _SEMANTIC_INT:
-                expr = f"{self.bind(_SEMANTIC_INT[name])}({a}, {b})"
-            else:
-                expr = f"{self.bind(_INT_BINOPS[name])}({a}, {b})"
-            var = self.compute(res, expr)
-            scalar_cat = "index_arith" if isinstance(
-                op.operands[0].type, ir_types.IndexType) else "int_arith"
-            self.bump_total()
-            self.dyncat(var, "vector_int", scalar_cat)
-            return
-        if name in _MATH_UNARY:
-            a = self.operand_var(op.operands[0])
-            self.compute(res, f"{self.bind(_MATH_UNARY[name])}({a})")
-            self.bump_total()
-            self.dyncat(a, "vector_float", "float_math")
-            return
-        if name in _POW_OPS:
-            a = self.operand_var(op.operands[0])
-            self.compute(res, f"{a} ** {self.read(op.operands[1])}")
-            self.bump_total()
-            self.dyncat(a, "vector_float", "float_math")
-            return
-        if name in _FMA_OPS:
-            a = self.operand_var(op.operands[0])
-            self.compute(res, f"{a} * {self.read(op.operands[1])} + "
-                              f"{self.read(op.operands[2])}")
-            self.bump_total()
-            self.dyncat(a, "vector_float", "float_fma")
-            return
-        if name == "math.atan2":
-            a = self.operand_var(op.operands[0])
-            arctan2 = self.bind(np.arctan2)
-            self.compute(res, f"{arctan2}({a}, {self.read(op.operands[1])})")
-            self.bump_total()
-            self.dyncat(a, "vector_float", "float_math")
-            return
-        if name == "arith.cmpi":
-            self._emit_cmpi(op)
-            return
-        if name == "arith.cmpf":
-            fn = self.bind(CMPF[op.get_attr("predicate").value])
-            self.compute(res, f"{fn}({self.read(op.operands[0])}, "
-                              f"{self.read(op.operands[1])})")
-            self.bump("cmp")
-            return
-        if name == "arith.select":
-            cond, a, b = (self.read(v) for v in op.operands)
-            self.compute(res, f"{a} if {cond} else {b}")
-            self.bump("int_arith")
-            return
-        if name == "arith.negf":
-            a = self.operand_var(op.operands[0])
-            self.compute(res, f"-{a}")
-            self.bump_total()
-            self.dyncat(a, "vector_float", "float_arith")
-            return
-        if name in _CAST_OPS:
-            self._emit_cast(op)
+        row = VALUE_OPS.get(name)
+        if row is not None:
+            self._emit_value_op(op, row)
             return
         if name == "fir.convert":
             self._emit_fir_convert(op)
@@ -738,34 +647,39 @@ class _Emitter:
         self.store_result(op.results[0], var)
         self.bump("index_arith")
 
-    def _emit_cmpi(self, op: Operation) -> None:
-        predicate = op.get_attr("predicate").value
-        a, b = self.read(op.operands[0]), self.read(op.operands[1])
-        signed = CMPI_SIGNED.get(predicate)
-        if signed is not None:
-            expr = f"{self.bind(signed)}({a}, {b})"
+    def _emit_value_op(self, op: Operation, row: ValueOp) -> None:
+        """Any row of ``semantics.VALUE_OPS``: the row's template over the
+        operand expressions, else a call of its bound kernel."""
+        fn = row.bind(op)
+        operands = op.operands
+        if row.probe == "operand":      # used twice: computed on and probed
+            args = [self.operand_var(operands[0])] \
+                + [self.read(v) for v in operands[1:]]
         else:
-            width = int_width(op.operands[0].type)
-            unsigned = self.bind(CMPI_UNSIGNED[predicate])
-            reinterpret = self.bind(as_unsigned)
-            expr = (f"{unsigned}({reinterpret}({a}, {width}), "
-                    f"{reinterpret}({b}, {width}))")
-        self.compute(op.results[0], expr)
-        self.bump("cmp")
-
-    def _emit_cast(self, op: Operation) -> None:
-        target = op.results[0].type
-        a = self.read(op.operands[0])
-        if isinstance(target, ir_types.FloatType):
-            expr = f"_float({a})"
-        elif isinstance(target, ir_types.IntegerType) and target.width == 1:
-            expr = f"_bool({a})"
-        elif isinstance(target, (ir_types.IntegerType, ir_types.IndexType)):
-            expr = a if _always_int(op.operands[0]) else f"_int({a})"
+            args = [self.read(v) for v in operands]
+        if fn is int and _always_int(operands[0]):
+            expr = args[0]
+        elif row.template is not None:
+            expr = row.template.format(*args)
         else:
-            expr = a
-        self.compute(op.results[0], expr)
-        self.bump("cast")
+            expr = f"{self.bind(fn)}({', '.join(args)})"
+        res = op.results[0]
+        var = self.result_var(res)
+        if row.guarded:
+            # zero-cost unless it raises: the kernel then gives the IEEE value
+            self.w("try:")
+            self.w(f"    {var} = {expr}")
+            self.w("except ArithmeticError:")
+            self.w(f"    {var} = {self.bind(fn)}({', '.join(args)})")
+        else:
+            self.w(f"{var} = {expr}")
+        self.store_result(res, var)
+        if row.probe is None:
+            self.bump(row.scalar_category(op))
+        else:
+            self.bump_total()
+            self.dyncat(var if row.probe == "result" else args[0],
+                        row.vector_category, row.scalar_category(op))
 
     def _emit_fir_convert(self, op: Operation) -> None:
         target = op.results[0].type
@@ -1168,7 +1082,9 @@ class _Emitter:
 #: layout stored on disk, and the meaning of the fingerprint salt.  Bump
 #: whenever :class:`_Emitter` changes its output for the same input block —
 #: every persisted translation then misses cleanly.
-JIT_FORMAT_VERSION = 2
+#: v3: value ops are emitted from their ``semantics.VALUE_OPS`` row
+#: (``divf`` keeps ``/`` inside a ``try`` whose ``except`` calls the kernel).
+JIT_FORMAT_VERSION = 3
 
 
 class _Translation:

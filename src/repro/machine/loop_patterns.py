@@ -32,17 +32,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..ir import types as ir_types
 from ..ir.core import Operation, Value
-from .interpreter import _FLOAT_BINOPS, _INT_BINOPS, _MATH_UNARY, _YIELD_OPS
+from .interpreter import _YIELD_OPS
+from .semantics import VALUE_OPS
 
 #: Loop operations the matcher roots and nests on.
 LOOP_OPS = frozenset({"scf.for", "affine.for", "fir.do_loop"})
 
-_POW_OPS = frozenset({"math.powf", "math.fpowi", "math.ipowi"})
-_FMA_OPS = frozenset({"math.fma", "llvm.intr.fmuladd"})
-_CAST_OPS = frozenset({
-    "arith.index_cast", "arith.sitofp", "arith.fptosi", "arith.extf",
-    "arith.truncf", "arith.extsi", "arith.extui", "arith.trunci",
-    "arith.bitcast"})
 _LOAD_OPS = frozenset({"fir.load", "memref.load", "affine.load"})
 _STORE_OPS = frozenset({"fir.store", "memref.store", "affine.store"})
 _ADDRESS_OPS = frozenset({"fir.array_coor", "hlfir.designate",
@@ -133,29 +128,18 @@ def estimated_nest_work(op: Operation) -> Optional[int]:
 def stats_category(op: Operation) -> Optional[str]:
     """The ExecutionStats category one execution of ``op`` bumps.
 
-    Mirrors the compiled engine's thunk makers for *scalar* operands
-    (matched nest bodies are scalar-typed by construction, so the
-    runtime ndarray branches of those thunks never apply).  ``None``
-    means the op binds a value without bumping anything.
+    The *scalar* category: matched nest bodies are scalar-typed by
+    construction, so the runtime ndarray branch of a value op's stats
+    rule never applies.  ``None`` means the op binds a value without
+    bumping anything.
     """
     name = op.name
+    row = VALUE_OPS.get(name)
+    if row is not None:
+        return row.scalar_category(op)
     if name in _FREE_OPS or name == "fir.string_lit":
         return None
-    if name in _FLOAT_BINOPS or name == "arith.negf":
-        return "float_arith"
-    if name in _INT_BINOPS:
-        return "index_arith" \
-            if isinstance(op.operands[0].type, ir_types.IndexType) \
-            else "int_arith"
-    if name in _MATH_UNARY or name in _POW_OPS or name == "math.atan2":
-        return "float_math"
-    if name in _FMA_OPS:
-        return "float_fma"
-    if name in ("arith.cmpi", "arith.cmpf"):
-        return "cmp"
-    if name == "arith.select":
-        return "int_arith"
-    if name in _CAST_OPS or name == "fir.convert":
+    if name == "fir.convert":
         return "cast"
     if name in _LOAD_OPS or name in _BOX_OPS:
         return "load"
@@ -280,10 +264,7 @@ def _supported_body_op(op: Operation) -> bool:
         return op.component is None and not op.triplets
     if name in ("fir.array_coor", "affine.apply"):
         return True
-    if name in _FLOAT_BINOPS or name in _INT_BINOPS or name in _MATH_UNARY \
-            or name in _POW_OPS or name in _FMA_OPS \
-            or name in ("arith.cmpi", "arith.cmpf", "arith.select",
-                        "arith.negf", "math.atan2") or name in _CAST_OPS:
+    if name in VALUE_OPS:
         # pure scalar dataflow only: vector-typed (e.g. vector<4xf64>)
         # operands/results would make the per-op runtime stats category
         # diverge from the static synthesis, so they decline the nest

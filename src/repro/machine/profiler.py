@@ -40,8 +40,8 @@ def profile_module(module, *, work_ratio: float = 1.0,
                    max_ops: int = 80_000_000) -> InstructionMix:
     """Execute ``module`` on the requested interpreter engine and profile it.
 
-    The engine is a parameter (compiled / reference / jit) instead of being
-    hardcoded to the cached-dispatch engine; all engines produce
+    The engine is a parameter (compiled / reference / jit / vector) instead
+    of being hardcoded to the cached-dispatch engine; all engines produce
     bit-identical statistics, so the mix is engine-independent — this hook
     exists so harness callers can route profiling through whichever engine
     they are already measuring with.

@@ -12,10 +12,11 @@ the *entire* nest as one batch of numpy array operations:
 * loads gather, stores scatter, ``iter_args`` accumulators reduce with the
   matching ufunc (restricted to combiners whose whole-array fold is
   bit-identical to the sequential one);
-* ``cmpi``/``cmpf``/``divsi``/``remsi`` run through the same
-  :mod:`~repro.machine.semantics` kernels the iterative engines use, so
-  div-by-zero → 0, NaN-aware comparisons and two's-complement wrap are
-  preserved element-wise;
+* every pure value op runs through its row of
+  :data:`~repro.machine.semantics.VALUE_OPS` — the same kernel the
+  iterative engines use, or the row's whole-array form where that differs
+  — so div-by-zero → 0, NaN-aware comparisons and two's-complement wrap
+  are preserved element-wise;
 * ``ExecutionStats`` are synthesized analytically from the trip counts and
   the plan's per-loop category footprint — bit-identical to what the
   iterative engines would have counted, without executing any Python
@@ -39,13 +40,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ir import types as ir_types
-from .interpreter import (
-    _FLOAT_BINOPS, _FUSED_WITH_NEXT, _INT_BINOPS, _MATH_UNARY,
-    Interpreter)
-from .loop_patterns import (_CAST_OPS, LOOP_OPS, VECTOR_WORK_FLOOR,
-                            estimated_nest_work, match_nest)
-from .semantics import (
-    CMPF, CMPI_SIGNED, CMPI_UNSIGNED, as_unsigned, int_width)
+from .interpreter import _FUSED_WITH_NEXT, Interpreter
+from .loop_patterns import (LOOP_OPS, VECTOR_WORK_FLOOR, estimated_nest_work,
+                            match_nest)
+from .semantics import VALUE_OPS, Declined, int_grid
 from .values import Cell, ElementPtr, FortranArray
 
 #: Consecutive aborts after which a nest site stops re-trying whole-array
@@ -55,12 +53,8 @@ _MAX_ABORTS = 3
 #: than this fall back (guards memory blow-up on huge trip products).
 _MAX_ELEMENTS = 1 << 22
 
-_POW_OPS = frozenset({"math.powf", "math.fpowi", "math.ipowi"})
-_FMA_OPS = frozenset({"math.fma", "llvm.intr.fmuladd"})
-
-
-class _Abort(Exception):
-    """Internal: whole-array evaluation declined; fall back iteratively."""
+#: Internal: whole-array evaluation declined; fall back iteratively.
+_Abort = Declined
 
 
 def _scalarizer_for(value):
@@ -74,16 +68,11 @@ def _scalarizer_for(value):
     op = getattr(value, "op", None)
     if op is None:
         return None
-    name = op.name
-    if name in _CAST_OPS:
-        t = op.results[0].type
-        if isinstance(t, ir_types.FloatType):
-            return float
-        if isinstance(t, ir_types.IntegerType) and t.width == 1:
-            return bool
-        if isinstance(t, (ir_types.IntegerType, ir_types.IndexType)):
-            return int
-    elif name == "fir.convert":
+    row = VALUE_OPS.get(op.name)
+    if row is not None:
+        # nest bodies are scalar-typed: a cast's kernel is its Python type
+        return row.bind(op) if row.category == "cast" else None
+    if op.name == "fir.convert":
         t = op.results[0].type
         if isinstance(t, ir_types.FloatType):
             return float
@@ -205,14 +194,6 @@ class _NestEval:
                 raise _Abort
             return x if x.dtype == np.int64 else x.astype(np.int64)
         return int(x)
-
-    def _int_grid(self, x: np.ndarray) -> np.ndarray:
-        """Grid equivalent of per-element ``int(...)`` (trunc, guarded)."""
-        if x.dtype.kind == "f":
-            if not np.all(np.isfinite(x)) or np.any(np.abs(x) >= 2 ** 63):
-                raise _Abort    # per-iteration int() would raise
-            return x.astype(np.int64)
-        return x.astype(np.int64)
 
     # ------------------------------------------------------------------ loops
     def _enter(self, index: int) -> None:
@@ -515,29 +496,12 @@ class _NestEval:
     # ------------------------------------------------------------------ body ops
     def _op(self, op, d: int) -> None:
         name = op.name
-        if name in _INT_BINOPS:
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-                if name == "arith.maxsi":
-                    r = np.maximum(a, b)
-                elif name == "arith.minsi":
-                    r = np.minimum(a, b)
-                elif name == "arith.andi":
-                    r = a & b
-                elif name == "arith.ori":
-                    r = a | b
-                elif name == "arith.xori":
-                    r = a ^ b
-                else:
-                    r = _INT_BINOPS[name](a, b)
-            else:
-                r = _INT_BINOPS[name](a, b)
-            self._set(op.results[0], r)
-        elif name in _FLOAT_BINOPS:
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            self._set(op.results[0], _FLOAT_BINOPS[name](a, b))
+        row = VALUE_OPS.get(name)
+        if row is not None:
+            args = [self._align(self.value(v), d) for v in op.operands]
+            whole = any(isinstance(x, np.ndarray) for x in args)
+            kernel = row.bind_array(op) if whole else row.bind(op)
+            self._set(op.results[0], kernel(*args))
         elif name == "fir.load":
             src = self.value(op.operands[0])
             t = type(src)
@@ -655,57 +619,6 @@ class _NestEval:
             self._set(op.results[0], self.plan.maps[op].scalar(*comps))
         elif name == "arith.constant":
             self.vals[op.results[0]] = op.get_attr("value").value
-        elif name == "arith.cmpi":
-            predicate = op.get_attr("predicate").value
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            fn = CMPI_SIGNED.get(predicate)
-            if fn is not None:
-                r = fn(a, b)
-            else:
-                width = int_width(op.operands[0].type)
-                r = CMPI_UNSIGNED[predicate](as_unsigned(a, width),
-                                             as_unsigned(b, width))
-            self._set(op.results[0], r)
-        elif name == "arith.cmpf":
-            fn = CMPF[op.get_attr("predicate").value]
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            self._set(op.results[0], fn(a, b))
-        elif name == "arith.select":
-            c = self._align(self.value(op.operands[0]), d)
-            a = self._align(self.value(op.operands[1]), d)
-            b = self._align(self.value(op.operands[2]), d)
-            if isinstance(c, np.ndarray):
-                self._set(op.results[0], self._where(c, a, b))
-            else:
-                self._set(op.results[0], a if c else b)
-        elif name in _CAST_OPS:
-            x = self._align(self.value(op.operands[0]), d)
-            target = op.results[0].type
-            if isinstance(x, np.ndarray):
-                if isinstance(target, ir_types.FloatType):
-                    r = x.astype(np.float64)
-                elif isinstance(target, ir_types.IntegerType) \
-                        and target.width == 1:
-                    r = x.astype(bool)
-                elif isinstance(target, (ir_types.IntegerType,
-                                         ir_types.IndexType)):
-                    r = self._int_grid(x)
-                else:
-                    r = x
-            else:
-                if isinstance(target, ir_types.FloatType):
-                    r = float(x)
-                elif isinstance(target, ir_types.IntegerType) \
-                        and target.width == 1:
-                    r = bool(x)
-                elif isinstance(target, (ir_types.IntegerType,
-                                         ir_types.IndexType)):
-                    r = int(x)
-                else:
-                    r = x
-            self._set(op.results[0], r)
         elif name == "fir.convert":
             x = self.value(op.operands[0])
             target = op.results[0].type
@@ -715,7 +628,7 @@ class _NestEval:
                     r = x.astype(np.float64)
                 elif isinstance(target, (ir_types.IntegerType,
                                          ir_types.IndexType)):
-                    r = self._int_grid(x)
+                    r = int_grid(x)
                 else:
                     r = x
             elif isinstance(x, (Cell, FortranArray, ElementPtr,
@@ -729,25 +642,6 @@ class _NestEval:
             else:
                 r = x
             self._set(op.results[0], r)
-        elif name in _MATH_UNARY:
-            x = self._align(self.value(op.operands[0]), d)
-            self._set(op.results[0], _MATH_UNARY[name](x))
-        elif name in _POW_OPS:
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            self._set(op.results[0], a ** b)
-        elif name in _FMA_OPS:
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            c = self._align(self.value(op.operands[2]), d)
-            self._set(op.results[0], a * b + c)
-        elif name == "math.atan2":
-            a = self._align(self.value(op.operands[0]), d)
-            b = self._align(self.value(op.operands[1]), d)
-            self._set(op.results[0], np.arctan2(a, b))
-        elif name == "arith.negf":
-            x = self._align(self.value(op.operands[0]), d)
-            self._set(op.results[0], -x)
         elif name == "fir.box_addr":
             self._set(op.results[0], self.value(op.operands[0]))
         elif name == "fir.box_dims":
@@ -768,22 +662,6 @@ class _NestEval:
             self.vals[op.results[0]] = 0
         else:
             raise _Abort
-
-    def _where(self, c: np.ndarray, a, b):
-        """``np.where`` guarded so dtype promotion cannot change values."""
-        a_arr = isinstance(a, np.ndarray)
-        b_arr = isinstance(b, np.ndarray)
-        if a_arr and b_arr:
-            if a.dtype != b.dtype:
-                raise _Abort
-            return np.where(c, a, b)
-        # a mixed (array, Python scalar) pair is only promotion-safe when
-        # everything is already IEEE double
-        f64a = a.dtype == np.float64 if a_arr else type(a) is float
-        f64b = b.dtype == np.float64 if b_arr else type(b) is float
-        if f64a and f64b:
-            return np.where(c, a, b)
-        raise _Abort
 
     def _mk_ref(self, base, comps: List) -> _Ref:
         if isinstance(base, FortranArray):

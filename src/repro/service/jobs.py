@@ -51,7 +51,10 @@ from .serialization import stats_from_dict, stats_to_dict
 #: pipeline re-anchored under one ``func.func(...)`` nest (same passes, new
 #: canonical pipeline text) and per-function stage artifacts now share the
 #: store; pre-incremental artifacts must read as clean misses.
-KEY_SCHEMA_VERSION = 7
+#: v8: IEEE ``divf`` / pow on scalar floats (``SEMANTICS_VERSION`` 2) — a
+#: stored ``ok=False ... ZeroDivisionError`` artifact now means a printed
+#: ``inf`` / ``nan``.
+KEY_SCHEMA_VERSION = 8
 
 
 class ServiceError(RuntimeError):

@@ -4,11 +4,12 @@ FMA uplifting and memref alias folding (all named in Listing 1 of the paper).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ..dialects import arith, math as math_d
 from ..ir import types as ir_types
-from ..machine import semantics
+from ..machine.semantics import VALUE_OPS
 from ..ir.attributes import FloatAttr, IntegerAttr
 from ..ir.core import Block, Operation, Value
 from ..ir.pass_manager import FunctionPass, Pass, register_pass
@@ -50,35 +51,6 @@ class CanonicalizePass(Pass):
 
     #: "worklist" (production) or "rewalk" (reference implementation)
     STRATEGY = "worklist"
-
-    _FOLDABLE_INT = {
-        "arith.addi": lambda a, b: a + b,
-        "arith.subi": lambda a, b: a - b,
-        "arith.muli": lambda a, b: a * b,
-        # trunc-division semantics shared with the interpreter, so folded
-        # constants can never diverge from interpreted results
-        "arith.divsi": semantics.int_div,
-        "arith.floordivsi": semantics.int_floordiv,
-        "arith.ceildivsi": semantics.int_ceildiv,
-        "arith.remsi": semantics.int_rem,
-        "arith.maxsi": max,
-        "arith.minsi": min,
-        "arith.andi": lambda a, b: a & b,
-        "arith.ori": lambda a, b: a | b,
-        "arith.xori": lambda a, b: a ^ b,
-    }
-    _FOLDABLE_FLOAT = {
-        "arith.addf": lambda a, b: a + b,
-        "arith.subf": lambda a, b: a - b,
-        "arith.mulf": lambda a, b: a * b,
-        "arith.divf": lambda a, b: a / b if b else float("inf"),
-        "arith.maximumf": max,
-        "arith.minimumf": min,
-    }
-    _IDENTITY_RIGHT = {
-        "arith.addi": 0, "arith.subi": 0, "arith.addf": 0.0, "arith.subf": 0.0,
-        "arith.muli": 1, "arith.mulf": 1.0, "arith.divsi": 1, "arith.divf": 1.0,
-    }
 
     def run(self, module: Operation) -> None:
         if self.STRATEGY == "rewalk":
@@ -153,75 +125,51 @@ class CanonicalizePass(Pass):
         return [use.operation for result in op.results
                 for use in result.uses]
 
+    def _forward(self, op: Operation, value: Value) -> List[Operation]:
+        """Replace single-result ``op`` by ``value``; returns the affected
+        ops."""
+        affected = self._users_of(op)
+        op.replace_all_uses_with([value])
+        op.erase(check_uses=False)
+        return affected
+
     def _fold(self, op: Operation) -> Optional[List[Operation]]:
         """Try to fold ``op``; returns the affected ops (users captured
         before the rewrite) when a fold fired, None otherwise."""
         name = op.name
-        if name in self._FOLDABLE_INT or name in self._FOLDABLE_FLOAT:
-            lhs = _constant_of(op.operands[0])
-            rhs = _constant_of(op.operands[1])
-            result_type = op.results[0].type
-            if lhs is not None and rhs is not None and \
-                    not isinstance(result_type, ir_types.VectorType):
-                table = self._FOLDABLE_INT if name in self._FOLDABLE_INT \
-                    else self._FOLDABLE_FLOAT
-                value = table[name](lhs, rhs)
-                const = arith.ConstantOp(value if name in self._FOLDABLE_FLOAT
-                                         else int(value), result_type)
-                op.parent.insert_before(op, const)
-                affected = self._users_of(op)
-                op.replace_all_uses_with([const.result])
-                op.erase(check_uses=False)
-                return affected
-            if rhs is not None and name in self._IDENTITY_RIGHT and \
-                    rhs == self._IDENTITY_RIGHT[name]:
-                affected = self._users_of(op)
-                op.replace_all_uses_with([op.operands[0]])
-                op.erase(check_uses=False)
-                return affected
         if name == "arith.index_cast":
             src = op.operands[0]
             if src.type == op.results[0].type:
-                affected = self._users_of(op)
-                op.replace_all_uses_with([src])
-                op.erase(check_uses=False)
-                return affected
+                return self._forward(op, src)
             inner = getattr(src, "op", None)
             if inner is not None and inner.name == "arith.index_cast" and \
                     inner.operands[0].type == op.results[0].type:
-                affected = self._users_of(op)
-                op.replace_all_uses_with([inner.operands[0]])
-                op.erase(check_uses=False)
-                return affected
-            const = _constant_of(src)
-            if const is not None:
-                new = arith.ConstantOp(int(const), op.results[0].type)
-                op.parent.insert_before(op, new)
-                affected = self._users_of(op)
-                op.replace_all_uses_with([new.result])
-                op.erase(check_uses=False)
-                return affected
-        if name == "arith.cmpi":
-            lhs, rhs = _constant_of(op.operands[0]), _constant_of(op.operands[1])
-            if lhs is not None and rhs is not None:
-                pred = op.get_attr("predicate").value
-                table = {"eq": lhs == rhs, "ne": lhs != rhs, "slt": lhs < rhs,
-                         "sle": lhs <= rhs, "sgt": lhs > rhs, "sge": lhs >= rhs}
-                if pred in table:
-                    new = arith.ConstantOp(bool(table[pred]), ir_types.i1)
-                    op.parent.insert_before(op, new)
-                    affected = self._users_of(op)
-                    op.replace_all_uses_with([new.result])
-                    op.erase(check_uses=False)
-                    return affected
+                return self._forward(op, inner.operands[0])
+        row = VALUE_OPS.get(name)
+        if row is not None and row.foldable:
+            # evaluated through the kernel every engine executes, so a
+            # folded constant can never diverge from an interpreted result
+            constants = [_constant_of(operand) for operand in op.operands]
+            result_type = op.results[0].type
+            if None not in constants and \
+                    not isinstance(result_type, ir_types.VectorType):
+                value = row.bind(op)(*constants)
+                # native int/float, so the constant prints as it always has;
+                # inf/nan stay ops: they have no literal the parser reads back
+                is_float = isinstance(result_type, ir_types.FloatType)
+                value = float(value) if is_float else int(value)
+                if not is_float or math.isfinite(value):
+                    const = arith.ConstantOp(value, result_type)
+                    op.parent.insert_before(op, const)
+                    return self._forward(op, const.result)
+            if row.right_identity is not None and \
+                    constants[1] == row.right_identity:
+                return self._forward(op, op.operands[0])
         if name == "arith.select":
             cond = _constant_of(op.operands[0])
             if cond is not None:
-                affected = self._users_of(op)
-                op.replace_all_uses_with([op.operands[1] if cond
-                                          else op.operands[2]])
-                op.erase(check_uses=False)
-                return affected
+                return self._forward(op, op.operands[1] if cond
+                                     else op.operands[2])
         if name == "scf.if":
             cond = _constant_of(op.operands[0])
             if cond is not None and not op.results:
@@ -375,11 +323,11 @@ class MathUpliftToFMAPass(Pass):
 
     def run(self, module: Operation) -> None:
         for op in list(module.walk()):
-            if op.name != "arith.addf" or op.parent is None:
+            if op.name != arith.AddFOp.OP_NAME or op.parent is None:
                 continue
             for idx, operand in enumerate(op.operands):
                 mul = getattr(operand, "op", None)
-                if mul is not None and mul.name == "arith.mulf" and \
+                if mul is not None and mul.name == arith.MulFOp.OP_NAME and \
                         operand.has_one_use() and mul.parent is op.parent:
                     other = op.operands[1 - idx]
                     fma = math_d.FmaOp(mul.operands[0], mul.operands[1], other)
