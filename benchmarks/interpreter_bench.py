@@ -10,8 +10,8 @@ module with
 * the ``compiled`` cached-dispatch engine (per-block compiled thunk lists,
   batched limit checks, pre-fetched stats counters),
 * the ``jit`` trace-compiling engine (blocks and structured loop bodies
-  translated into generated Python source, run as one code object, with a
-  process-level translation cache and an amortization tier that keeps cold
+  translated into generated Python source, run as a few capped code
+  objects, with a process-level translation cache and an amortization tier that keeps cold
   small blocks on cached dispatch), and
 * the ``vector`` engine (matched affine/scf/fir loop nests evaluated as
   whole-array numpy expressions with analytically synthesized statistics),
@@ -55,7 +55,12 @@ served (1.0 = zero re-translation of previously seen blocks) and
   (``warm_hit_rate`` ≤ 0.9 on any row) or its steady state falls outside
   noise of the in-process translation-cached steady state **overall**
   (``warm_vs_jit_overall`` < 0.8 — per-row ratios are reported but not
-  gated: single sub-millisecond rows carry ±20% scheduler jitter).
+  gated: single sub-millisecond rows carry ±20% scheduler jitter), or
+* any one ``compile()`` issued by the jit saw more than 48 KB of source
+  (``jit_max_unit_bytes`` — over every row plus flang / pw-advection,
+  the program whose 1,268-op loop body was one 288 KB unit before
+  translation units were capped; ``compile()`` memory grows with the
+  unit, and the cap is what makes ``jit`` affordable as the default).
 
 Usage: ``PYTHONPATH=src python benchmarks/interpreter_bench.py [--quick]
 [--check-floor] [output.json]``
@@ -128,6 +133,12 @@ WARM_HIT_RATE_FLOOR = 0.9
 #: minute older — a noisy-neighbour burst in between reads as a phantom
 #: regression otherwise).
 WARM_VS_JIT_TOLERANCE = 0.8
+#: CI gate: the most source any one jit ``compile()`` may see.  The unit
+#: budget (``machine/jit.py`` ``_UNIT_OPS``) puts units near 32 KB.
+JIT_UNIT_BYTES_CAP = 48 * 1024
+#: Translated (not timed) for ``jit_max_unit_bytes`` alone: the largest
+#: straight-line loop body among the registry workloads.
+UNIT_CAP_PROBE = ("pw-advection", "flang-fir")
 
 
 def compile_both(source: str):
@@ -247,6 +258,15 @@ def main() -> int:
     argv = [a for a in argv if a not in ("--quick", "--check-floor")]
     output = argv[0] if argv else DEFAULT_OUTPUT
 
+    unit_bytes = []
+
+    def counting_compile(source, filename, mode):
+        unit_bytes.append(len(source))
+        return compile(source, filename, mode)
+
+    # the jit's own global shadows the builtin: every unit passes through
+    machine_jit.compile = counting_compile
+
     runs = []
     mismatches = 0
     for name in QUICK_WORKLOADS if quick else WORKLOADS:
@@ -314,6 +334,10 @@ def main() -> int:
                   f"warm {warm['hit_rate']:4.2f} hit  "
                   f"{'OK' if ok else 'MISMATCH'}")
 
+    probe, probe_flow = UNIT_CAP_PROBE
+    Interpreter(compile_flow(get_workload(probe).source(scaled=True),
+                             probe_flow), engine="jit").run_main()
+
     best = max(r["speedup"] for r in runs)
     total_ref = sum(r["baseline_wall_s"] for r in runs)
     total_new = sum(r["wall_s"] for r in runs)
@@ -350,6 +374,8 @@ def main() -> int:
         "warm_vs_jit_overall":
             round(sum(r["warm_jit_wall_s"] for r in runs)
                   / max(sum(r["warm_wall_s"] for r in runs), 1e-9), 2),
+        # the most source one compile() of the jit saw, probe included
+        "jit_max_unit_bytes": max(unit_bytes),
     }
     with open(output, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
@@ -406,6 +432,12 @@ def main() -> int:
                   f"({report['warm_vs_jit_overall']}x < "
                   f"{WARM_VS_JIT_TOLERANCE}x)", file=sys.stderr)
             failed = True
+        if report["jit_max_unit_bytes"] > JIT_UNIT_BYTES_CAP:
+            print(f"FAIL: one jit compile() saw "
+                  f"{report['jit_max_unit_bytes']} bytes of source (cap "
+                  f"{JIT_UNIT_BYTES_CAP}) — a translation unit escaped the "
+                  f"budget", file=sys.stderr)
+            failed = True
         if failed:
             return 1
     print(f"OK: cached dispatch {report['overall_speedup']}x overall, "
@@ -415,6 +447,7 @@ def main() -> int:
           f"vector {report['vector_overall_speedup']}x overall "
           f"({report['vector_vs_compiled_overall']}x over cached dispatch, "
           f"best {report['best_vector_vs_compiled']}x), "
+          f"largest jit unit {report['jit_max_unit_bytes']} B, "
           f"engines bit-identical")
     return 0
 

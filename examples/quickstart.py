@@ -57,7 +57,7 @@ def main() -> None:
     ours = StandardMLIRCompiler(vector_width=4)
     for step in ours.flow_description():
         print("  -", step)
-    ours_result = ours.compile(SOURCE)
+    ours_result = ours.compile(SOURCE, stages=("standard",))
     print("  dialects after the Section V transformation:",
           sorted({op.dialect for op in ours_result.standard_module.walk()}))
     ours_interp = Interpreter(ours_result.optimised_module)

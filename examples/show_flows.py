@@ -58,7 +58,8 @@ def main() -> None:
         print("=" * 70)
         print(figure)
         print("=" * 70)
-        result = get_flow(name).run(_Source())
+        flow = get_flow(name)
+        result = flow.run(_Source(), stages=flow.snapshot_stages)
         for stage in result.stage_names:
             module = result.stage(stage)
             if module is None:

@@ -30,11 +30,13 @@ class StandardFlowResult(FlowResult):
 
     A :class:`~repro.flows.base.FlowResult` whose stages are ``hlfir``,
     ``standard``, ``optimised`` and (optionally) ``llvm``; the historical
-    attribute names remain available as properties.
+    attribute names remain available as properties.  ``hlfir`` and
+    ``standard`` are intermediate: kept only when the compile named them.
     """
 
-    def __init__(self, source: str, hlfir_module: ModuleOp,
-                 standard_module: ModuleOp, optimised_module: ModuleOp,
+    def __init__(self, source: str, hlfir_module: Optional[ModuleOp],
+                 standard_module: Optional[ModuleOp],
+                 optimised_module: ModuleOp,
                  llvm_module: Optional[ModuleOp] = None,
                  pipeline_description: str = "",
                  timing: Optional[PassTimingReport] = None):
@@ -47,11 +49,11 @@ class StandardFlowResult(FlowResult):
 
     @property
     def hlfir_module(self) -> ModuleOp:
-        return self.stages["hlfir"]
+        return self.kept_stage("hlfir")
 
     @property
     def standard_module(self) -> ModuleOp:
-        return self.stages["standard"]
+        return self.kept_stage("standard")
 
     @property
     def optimised_module(self) -> ModuleOp:
@@ -136,11 +138,16 @@ class StandardMLIRCompiler:
         return pm
 
     # -- compilation -----------------------------------------------------------------
-    def compile(self, source: str) -> StandardFlowResult:
+    def compile(self, source: str, *,
+                stages: Sequence[str] = ()) -> StandardFlowResult:
+        """Compile ``source``; ``stages`` names the intermediate stages
+        (``hlfir``, ``standard``) to snapshot — a whole-module clone each,
+        so none is taken unless asked for."""
         hlfir_module = self._frontend.lower_to_hlfir(source)
-        hlfir_snapshot = hlfir_module.clone()
+        hlfir_snapshot = hlfir_module.clone() if "hlfir" in stages else None
         standard_module = convert_fir_to_standard(hlfir_module)
-        standard_snapshot = standard_module.clone()
+        standard_snapshot = standard_module.clone() \
+            if "standard" in stages else None
 
         optimised = standard_module
         opt_pm = self.build_pipeline()

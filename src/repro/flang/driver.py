@@ -2,9 +2,10 @@
 
 Stages: Fortran source -> parse/semantics -> HLFIR+FIR -> (HLFIR lowered to
 FIR only) -> direct LLVM-dialect code generation.  Intermediate modules are
-kept so the experiments can analyse/execute the flow at any stage; results
-are :class:`~repro.flows.base.FlowResult` subclasses, so both drivers expose
-the same ``stages`` / ``module`` / ``timing`` shape.
+kept on request (``stages=``) so the experiments can analyse/execute the
+flow at any stage; results are :class:`~repro.flows.base.FlowResult`
+subclasses, so both drivers expose the same ``stages`` / ``module`` /
+``timing`` shape.
 """
 
 from __future__ import annotations
@@ -26,11 +27,13 @@ class FlangCompilationResult(FlowResult):
 
     A :class:`~repro.flows.base.FlowResult` whose stages are ``hlfir``,
     ``fir`` and ``llvm``; the historical attribute names remain available
-    as properties.
+    as properties.  Every stage before the one the compile stopped at is
+    intermediate: kept only when the compile named it.
     """
 
-    def __init__(self, source: str, hlfir_module: ModuleOp,
-                 fir_module: ModuleOp, llvm_module: Optional[ModuleOp],
+    def __init__(self, source: str, hlfir_module: Optional[ModuleOp],
+                 fir_module: Optional[ModuleOp],
+                 llvm_module: Optional[ModuleOp],
                  error: Optional[str] = None,
                  timing: Optional[PassTimingReport] = None):
         super().__init__(flow="flang", source=source,
@@ -40,11 +43,11 @@ class FlangCompilationResult(FlowResult):
 
     @property
     def hlfir_module(self) -> ModuleOp:
-        return self.stages["hlfir"]
+        return self.kept_stage("hlfir")
 
     @property
     def fir_module(self) -> ModuleOp:
-        return self.stages["fir"]
+        return self.kept_stage("fir")
 
     @property
     def llvm_module(self) -> Optional[ModuleOp]:
@@ -109,27 +112,33 @@ class FlangCompiler:
         self._last_report = pm.last_report
         return fir_module
 
-    def compile(self, source: str, *, stop_at: str = "llvm") -> FlangCompilationResult:
+    def compile(self, source: str, *, stop_at: str = "llvm",
+                stages: Sequence[str] = ()) -> FlangCompilationResult:
+        """Compile ``source`` up to ``stop_at``; ``stages`` names the
+        earlier stages to snapshot (a whole-module clone each — every
+        lowering rewrites the one module in place)."""
         hlfir_module = self.lower_to_hlfir(source)
-        # keep a pristine copy of the HLFIR stage for inspection
-        hlfir_snapshot = hlfir_module.clone()
         if stop_at == "hlfir":
-            return FlangCompilationResult(source, hlfir_snapshot, hlfir_module,
-                                          None)
+            return FlangCompilationResult(source, hlfir_module, None, None)
+        hlfir_snapshot = hlfir_module.clone() if "hlfir" in stages else None
         fir_module = self.lower_to_fir(hlfir_module)
         timing = self._last_report
-        fir_snapshot = fir_module.clone()
         if stop_at == "fir":
             return FlangCompilationResult(source, hlfir_snapshot, fir_module,
                                           None, timing=timing)
+        # code generation can fail half way through the module: the FIR
+        # stage is what such a compile returns, so it is cloned either way
+        fir_snapshot = fir_module.clone()
         try:
             llvm_module = self.lower_to_llvm(fir_module)
             timing = timing.merged(self._last_report)
         except FlangCodegenError as exc:
             return FlangCompilationResult(source, hlfir_snapshot, fir_snapshot,
                                           None, error=str(exc), timing=timing)
-        return FlangCompilationResult(source, hlfir_snapshot, fir_snapshot,
-                                      llvm_module, timing=timing)
+        return FlangCompilationResult(
+            source, hlfir_snapshot,
+            fir_snapshot if "fir" in stages else None, llvm_module,
+            timing=timing)
 
 
 class FlangV17Compiler(FlangCompiler):

@@ -150,13 +150,16 @@ class OptionsSchema:
 #: identical — the conformance oracle runs every kernel on every engine and
 #: diffs the observables bit for bit.  The order matters: the first entry is
 #: the oracle's parity baseline.  Must stay in sync with
-#: ``repro.machine.interpreter.ENGINE_NAMES`` (a module-level import either
-#: way is a cycle through the flang driver; ``tests/flows`` asserts the
-#: sync instead).
+#: ``repro.machine.interpreter.ENGINE_NAMES`` (importing it here would be a
+#: cycle through the flang driver; ``tests/flows`` asserts the sync
+#: instead).
 ENGINES = ("compiled", "reference", "jit", "vector")
 
-#: The engine every signature, dataclass field and CLI flag defaults to.
-DEFAULT_ENGINE = "compiled"
+#: The engine every signature, dataclass field and CLI flag defaults to —
+#: ``Interpreter(engine=None)`` included (``machine`` imports it from here).
+#: ``jit`` wins every row of ``BENCH_interpreter.json``; ``compiled`` stays
+#: a named engine and is the jit's cold tier and per-op fallback.
+DEFAULT_ENGINE = "jit"
 
 
 @dataclass(frozen=True)
@@ -196,9 +199,12 @@ class ExecutionContext:
 class FlowResult:
     """Uniform result of one flow compilation: named stage snapshots.
 
-    ``stages`` maps stage name to module snapshot in pipeline order; the
+    ``stages`` maps every stage name to its module in pipeline order; the
     last non-``None`` stage is the module the machine model executes
-    (:attr:`module`).  Both drivers return subclasses that add their
+    (:attr:`module`).  An *intermediate* stage is a clone of the module
+    taken before later stages rewrote it in place, and is taken only when
+    the compile was asked for it by name (``stages=``) — otherwise it is
+    ``None`` here.  Both drivers return subclasses that add their
     historical attribute names (``fir_module``, ``optimised_module``, ...)
     as properties over the same stages dict.
     """
@@ -220,6 +226,15 @@ class FlowResult:
 
     def stage(self, name: str) -> Optional[Operation]:
         return self.stages[name]
+
+    def kept_stage(self, name: str) -> Operation:
+        """Stage ``name``, or a :class:`FlowError` saying how to keep it."""
+        module = self.stages[name]
+        if module is None:
+            raise FlowError(
+                f"flow '{self.flow}' did not keep its '{name}' stage: "
+                f"ask for it by name, stages=('{name}',)")
+        return module
 
     @property
     def module(self) -> Operation:
@@ -251,6 +266,8 @@ class Flow:
     name: str = "<unnamed>"
     description: str = ""
     schema: OptionsSchema = OptionsSchema()
+    #: The intermediate stages :meth:`run` can keep on request (``stages=``).
+    snapshot_stages: Tuple[str, ...] = ()
 
     # -- hooks -----------------------------------------------------------------
     def check_capabilities(self, workload, execution: ExecutionContext) -> None:
@@ -274,7 +291,8 @@ class Flow:
                 execution: ExecutionContext, *,
                 verify_each: bool = False,
                 collect_statistics: bool = True,
-                instrumentation: Sequence[PassInstrumentation] = ()) -> FlowResult:
+                instrumentation: Sequence[PassInstrumentation] = (),
+                stages: Sequence[str] = ()) -> FlowResult:
         raise NotImplementedError
 
     # -- entry point -----------------------------------------------------------
@@ -283,12 +301,20 @@ class Flow:
             verify_each: bool = False,
             collect_statistics: bool = True,
             instrumentation: Sequence[PassInstrumentation] = (),
-            function_cache: Any = _INHERIT_SETTINGS) -> FlowResult:
+            function_cache: Any = _INHERIT_SETTINGS,
+            stages: Sequence[str] = ()) -> FlowResult:
         """Check capabilities, normalise options, compile. The one entry point.
 
         ``collect_statistics=False`` skips the per-pass timing/IR-size
         bookkeeping — the compile service uses it since it discards
         :attr:`FlowResult.timing`.
+
+        ``stages`` names the intermediate stages (of
+        :attr:`snapshot_stages`) to keep in :attr:`FlowResult.stages`.
+        Each costs a clone of the whole module, so the default keeps none:
+        the service, the harness and the benches read
+        :attr:`FlowResult.module` alone; ``repro.opt --print-stages`` asks
+        for all of them.
 
         ``function_cache`` sets the ambient
         :func:`~repro.ir.pass_manager.pipeline_settings` for the compile: a
@@ -299,13 +325,20 @@ class Flow:
         registered flow gets it without overriding :meth:`compile`.
         """
         execution = execution or ExecutionContext()
+        unknown = sorted(set(stages) - set(self.snapshot_stages))
+        if unknown:
+            raise FlowError(
+                f"flow '{self.name}' has no intermediate stage "
+                f"{', '.join(map(repr, unknown))} (it can keep: "
+                f"{', '.join(self.snapshot_stages) or '<none>'})")
         self.check_capabilities(workload, execution)
         normalised = self.normalise_options(options, workload, execution)
         with pipeline_settings(function_cache=function_cache):
             return self.compile(workload, normalised, execution,
                                 verify_each=verify_each,
                                 collect_statistics=collect_statistics,
-                                instrumentation=instrumentation)
+                                instrumentation=instrumentation,
+                                stages=stages)
 
     def describe(self) -> str:
         return f"{self.name}: {self.description or '<no description>'}"

@@ -27,6 +27,7 @@ class FlangFlow(Flow):
     description = ("baseline Flang v20: HLFIR -> FIR, bespoke code "
                    "generation, runtime-library intrinsics (Figure 1)")
     schema = OptionsSchema()
+    snapshot_stages = ("hlfir",)
 
     def check_capabilities(self, workload, execution: ExecutionContext) -> None:
         if execution.gpu or workload.uses_openacc:
@@ -43,12 +44,14 @@ class FlangFlow(Flow):
                 execution: ExecutionContext, *,
                 verify_each: bool = False,
                 collect_statistics: bool = True,
-                instrumentation: Sequence[PassInstrumentation] = ()) -> FlowResult:
+                instrumentation: Sequence[PassInstrumentation] = (),
+                stages: Sequence[str] = ()) -> FlowResult:
         from ..flang import FlangCompiler
         compiler = FlangCompiler(verify_each=verify_each,
                                  collect_statistics=collect_statistics,
                                  instrumentations=instrumentation)
-        return compiler.compile(workload.source(scaled=True), stop_at="fir")
+        return compiler.compile(workload.source(scaled=True), stop_at="fir",
+                                stages=stages)
 
 
 @register_flow
@@ -71,6 +74,7 @@ class OursFlow(Flow):
         FlowOption("tile_size", int, 32, "tile size when tiling"),
         FlowOption("unroll", int, 0, "affine loop unroll factor (0 disables)"),
     )
+    snapshot_stages = ("hlfir", "standard")
 
     def normalise_options(self, options: Optional[Dict[str, Any]], workload,
                           execution: ExecutionContext) -> Dict[str, Any]:
@@ -88,7 +92,8 @@ class OursFlow(Flow):
                 execution: ExecutionContext, *,
                 verify_each: bool = False,
                 collect_statistics: bool = True,
-                instrumentation: Sequence[PassInstrumentation] = ()) -> FlowResult:
+                instrumentation: Sequence[PassInstrumentation] = (),
+                stages: Sequence[str] = ()) -> FlowResult:
         from ..core import StandardMLIRCompiler
         compiler = StandardMLIRCompiler(
             vector_width=options["vector_width"],
@@ -97,7 +102,7 @@ class OursFlow(Flow):
             unroll=options["unroll"], verify_each=verify_each,
             collect_statistics=collect_statistics,
             instrumentations=instrumentation)
-        return compiler.compile(workload.source(scaled=True))
+        return compiler.compile(workload.source(scaled=True), stages=stages)
 
 
 __all__ = ["FlangFlow", "OursFlow"]

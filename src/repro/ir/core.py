@@ -233,6 +233,40 @@ class Operation:
                     op.parent = None
                     op.drop_all_references()
 
+    def drop_references(self) -> None:
+        """Take this op's whole subtree apart so that reference counting
+        frees it the moment the last outside name goes.
+
+        IR is cyclic by construction (an op and its results, a value and
+        its users, a block and its ops, a region and its owner), so a
+        module nobody will read again otherwise waits for a generation-2
+        collection — which a batch of compiles keeps pushing back while the
+        dead modules pile up.  Every op, block and region under ``self`` is
+        unusable afterwards.
+        """
+        pending = [self]
+        while pending:
+            op = pending.pop()
+            for result in op.results:
+                result.uses = []
+            op.results = []
+            op._operands = []
+            op.successors = []
+            op.parent = None
+            for region in op.regions:
+                region.parent = None
+                for block in region.blocks:
+                    for arg in block.args:
+                        arg.uses = []
+                    block.args = []
+                    block.parent = None
+                    if hasattr(block, "_jit"):
+                        del block._jit
+                    pending.extend(block.ops)
+                    block.ops = []
+                region.blocks = []
+            op.regions = []
+
     # -- attribute helpers ---------------------------------------------------
     def get_attr(self, name: str, default: Optional[Attribute] = None) -> Optional[Attribute]:
         return self.attributes.get(name, default)

@@ -18,11 +18,12 @@ Execution engines
 -----------------
 
 Four engines execute the same IR with bit-identical observables
-(``engine="reference" | "compiled" | "jit" | "vector"``).  ``compiled`` — the
-default cached-dispatch engine — is described below; ``jit`` goes further
-and translates blocks into generated Python source
-(:mod:`repro.machine.jit`); ``vector`` evaluates matched loop nests as
-whole-array numpy expressions (:mod:`repro.machine.vector`).
+(``engine="reference" | "compiled" | "jit" | "vector"``).  ``compiled`` —
+the cached-dispatch engine — is described below; ``jit``, the default
+(:data:`repro.flows.DEFAULT_ENGINE`), goes further and translates hot
+blocks into generated Python source (:mod:`repro.machine.jit`), running
+cold ones on ``compiled``'s thunks; ``vector`` evaluates matched loop nests
+as whole-array numpy expressions (:mod:`repro.machine.vector`).
 
 Interpreting a table regeneration executes tens of millions of operations,
 so the cached-dispatch inner loop avoids all per-operation dispatch work:
@@ -65,6 +66,7 @@ import numpy as np
 
 from ..dialects import fir as fir_d
 from ..flang import runtime as flang_runtime
+from ..flows.base import DEFAULT_ENGINE
 from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
 from .semantics import (VALUE_OPS, VECTOR_REDUCTIONS, ValueOp,
@@ -179,7 +181,7 @@ class Interpreter:
     def __init__(self, module: Operation, *, max_ops: int = 80_000_000,
                  trace_output: bool = False, engine: Optional[str] = None):
         if engine is None:
-            engine = "compiled"
+            engine = DEFAULT_ENGINE
         if engine not in ENGINE_NAMES:
             raise InterpreterError(
                 f"unknown interpreter engine {engine!r} "

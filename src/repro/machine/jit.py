@@ -12,6 +12,15 @@ exit, and array accesses are emitted as direct indexing expressions.  The
 source is ``compile()``/``exec``-ed once and the resulting code object is
 re-run on every loop iteration.
 
+A translation is a handful of *units*, one generated function each, none
+above a fixed budget (:data:`_UNIT_OPS`): ``compile()`` needs memory in
+proportion to the largest function it is handed, and a 1,268-op loop body
+emitted whole was a 288 KB function that cost 20 MiB of peak RSS.  A step
+list above the budget is cut into consecutive runs, each emitted as
+``_jit_part_N(env)`` and called from where it was cut (:func:`_partition`);
+values crossing a cut travel through ``env`` under the rule that already
+moved them to fallback thunks.
+
 Numeric semantics stay centralized: every pure value op is emitted from its
 row in :data:`repro.machine.semantics.VALUE_OPS` — the row's expression
 template, or a call into its kernel — so all engines share one source of
@@ -33,8 +42,10 @@ flushed, so the Counter key sets also match.
 from __future__ import annotations
 
 import base64
+import hashlib
 import itertools
 import marshal
+import zlib
 from collections import OrderedDict
 from importlib.util import MAGIC_NUMBER
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -116,20 +127,61 @@ def _always_int(value: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 
+#: Translation-unit budget in planned ops (a fused pair weighs 2, a loop or
+#: conditional 1 + its bodies).  ``compile()`` needs memory in proportion
+#: to the largest function it is handed — one 288 KB unit cost 20 MiB of
+#: peak RSS — and the emitter writes ~170 B of source per op, so this keeps
+#: every unit near 32 KB.
+_UNIT_OPS = 192
+
+_TERMINAL_STEPS = frozenset({"return", "br", "condbr", "yield"})
+
+
 class _Plan:
-    """Structured translation plan for one block (plus inlined regions)."""
+    """Translation plan for one unit: a step tree and what it claims.
+
+    Step shapes: ``("inline", op)``, ``("fused" | "fusedcoor", op,
+    follower)``, ``("fallback", op)``, ``("loop", op, body_steps)``,
+    ``("if", op, then_steps, else_steps | None)``, a terminator
+    ``("return" | "br" | "condbr" | "yield", op)``, or ``("part", plan)`` —
+    a run of steps cut out into a unit of its own (see :func:`_partition`).
+    A part's values count as ``fallback_defined`` here, so the one
+    "used by an op outside this unit's ``inline_ops``" rule moves exactly
+    the cross-unit values through ``env``."""
 
     __slots__ = ("steps", "inline_ops", "defined", "fallback_defined")
 
-    def __init__(self):
-        #: nested step tree; see _plan_ops for the step tuple shapes
-        self.steps: List[Tuple] = []
-        #: every op handled by generated code (incl. terminators/loops/ifs)
+    def __init__(self, steps: List[Tuple]):
+        self.steps = steps
+        #: every op handled by this unit's code (incl. terminators/loops/ifs)
         self.inline_ops: Set[Operation] = set()
-        #: values the generated code itself defines (op results, body args)
+        #: values this unit's code itself defines (op results, body args)
         self.defined: List[Value] = []
-        #: values fallback thunks define (through env, possibly mid-loop)
+        #: values fallback thunks and parts define (through env)
         self.fallback_defined: List[Value] = []
+        self._claim(steps)
+
+    def _claim(self, steps: Sequence[Tuple]) -> None:
+        for step in steps:
+            kind = step[0]
+            if kind == "part":
+                self.fallback_defined += step[1].defined
+                self.fallback_defined += step[1].fallback_defined
+            elif kind == "fallback":
+                self.fallback_defined.extend(step[1].results)
+            elif kind in ("fused", "fusedcoor"):
+                self.inline_ops.update(step[1:])
+                self.defined.extend(step[2].results)
+            else:
+                op = step[1]
+                self.inline_ops.add(op)
+                self.defined.extend(op.results)
+                if kind == "loop":
+                    self.defined.extend(op.regions[0].blocks[0].args)
+                    self._claim(step[2])
+                elif kind == "if":
+                    self._claim(step[2])
+                    self._claim(step[3] or ())
 
 
 def _region_block(op: Operation, index: int) -> Optional[Block]:
@@ -195,7 +247,8 @@ def _if_inlineable(op: Operation) -> bool:
     return True
 
 
-def _plan_ops(block: Block, plan: _Plan, *, nested: bool) -> List[Tuple]:
+def _plan_ops(block: Block) -> List[Tuple]:
+    """Decide, per op, inline translation vs fallback thunk."""
     steps: List[Tuple] = []
     ops = block.ops
     position = 0
@@ -203,73 +256,92 @@ def _plan_ops(block: Block, plan: _Plan, *, nested: bool) -> List[Tuple]:
         op = ops[position]
         name = op.name
         if name in _RETURN_OPS:
-            plan.inline_ops.add(op)
             steps.append(("return", op))
             return steps
         if name in _BR_OPS:
-            plan.inline_ops.add(op)
             steps.append(("br", op))
             return steps
         if name in _COND_BR_OPS:
-            plan.inline_ops.add(op)
             steps.append(("condbr", op))
             return steps
         if name in _YIELD_OPS:
-            plan.inline_ops.add(op)
             steps.append(("yield", op))
             return steps
         follower = ops[position + 1] if position + 1 < len(ops) else None
         if name in ("fir.array_coor", "hlfir.designate") \
                 and _can_inline_simple(op) and _fusable(op, follower):
-            plan.inline_ops.add(op)
-            plan.inline_ops.add(follower)
-            plan.defined.extend(follower.results)
             steps.append(("fused", op, follower))
             position += 2
             continue
         if name == "fir.coordinate_of" and _coor_fusable(op, follower):
-            plan.inline_ops.add(op)
-            plan.inline_ops.add(follower)
-            plan.defined.extend(follower.results)
             steps.append(("fusedcoor", op, follower))
             position += 2
             continue
-        if name in _INLINE_LOOPS and _loop_inlineable(op):
-            body = op.regions[0].blocks[0]
-            plan.inline_ops.add(op)
-            plan.defined.extend(op.results)
-            plan.defined.extend(body.args)
-            body_steps = _plan_ops(body, plan, nested=True)
-            steps.append(("loop", op, body_steps))
-            position += 1
-            continue
-        if name in _INLINE_IFS and _if_inlineable(op):
-            then_block = _region_block(op, 0)
-            has_else = len(op.regions) > 1 and bool(op.regions[1].blocks)
-            plan.inline_ops.add(op)
-            plan.defined.extend(op.results)
-            then_steps = _plan_ops(then_block, plan, nested=True)
-            else_steps = _plan_ops(_region_block(op, 1), plan, nested=True) \
-                if has_else else None
-            steps.append(("if", op, then_steps, else_steps))
-            position += 1
-            continue
-        if _can_inline_simple(op):
-            plan.inline_ops.add(op)
-            plan.defined.extend(op.results)
-            steps.append(("inline", op))
-            position += 1
-            continue
-        plan.fallback_defined.extend(op.results)
-        steps.append(("fallback", op))
         position += 1
+        if name in _INLINE_LOOPS and _loop_inlineable(op):
+            steps.append(("loop", op, _plan_ops(op.regions[0].blocks[0])))
+        elif name in _INLINE_IFS and _if_inlineable(op):
+            has_else = len(op.regions) > 1 and bool(op.regions[1].blocks)
+            steps.append(("if", op, _plan_ops(_region_block(op, 0)),
+                          _plan_ops(_region_block(op, 1))
+                          if has_else else None))
+        elif _can_inline_simple(op):
+            steps.append(("inline", op))
+        else:
+            steps.append(("fallback", op))
     return steps
 
 
+def _weight(steps: Sequence[Tuple]) -> int:
+    total = 0
+    for step in steps:
+        kind = step[0]
+        if kind in ("fused", "fusedcoor"):
+            total += 2
+        elif kind == "loop":
+            total += 1 + _weight(step[2])
+        elif kind == "if":
+            total += 1 + _weight(step[2]) + _weight(step[3] or ())
+        else:
+            total += 1
+    return total
+
+
+def _partition(steps: List[Tuple], force: bool = False) -> List[Tuple]:
+    """Cut a step list heavier than :data:`_UNIT_OPS` into consecutive
+    runs within the budget, each a ``("part", plan)`` step.  A single
+    loop/if above the budget stays where it is with every body list cut
+    (``force``: its arms may each fit while their sum does not);
+    terminators stay too, so control never leaves from inside a part."""
+    if not force and _weight(steps) <= _UNIT_OPS:
+        return steps
+    out: List[Tuple] = []
+    run: List[Tuple] = []
+    load = 0
+    for step in steps:
+        kind = step[0]
+        weight = _weight((step,))
+        stays = kind in _TERMINAL_STEPS \
+            or (kind in ("loop", "if") and weight > _UNIT_OPS)
+        if run and (stays or load + weight > _UNIT_OPS):
+            out.append(("part", _Plan(run)))
+            run, load = [], 0
+        if kind in _TERMINAL_STEPS:
+            out.append(step)
+        elif stays:
+            out.append((kind, step[1]) + tuple(
+                body if body is None else _partition(body, force=True)
+                for body in step[2:]))
+        else:
+            run.append(step)
+            load += weight
+    if run:
+        out.append(("part", _Plan(run)))
+    return out
+
+
 def plan_block(block: Block) -> _Plan:
-    plan = _Plan()
-    plan.steps = _plan_ops(block, plan, nested=False)
-    return plan
+    return _Plan(_partition(_plan_ops(block)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +357,17 @@ class _Emitter:
     emission can be instantiated for any number of interpreters (see
     :func:`compile_block`'s process-level cache).  Interpreter-specific
     state is rebound per instantiation; fallback ops are recorded as
-    ``(name, op)`` pairs and compiled into thunks at instantiation time."""
+    ``(name, op)`` pairs and compiled into thunks at instantiation time.
 
-    def __init__(self, interp: Interpreter, plan: _Plan):
+    One emitter writes one unit (one generated function).  A ``part`` step
+    is written by a child emitter (``root`` given) that shares the root's
+    namespace, bound names, name sequence, fallback binds and list of
+    finished units, and keeps its own locals and counters."""
+
+    def __init__(self, interp: Interpreter, plan: _Plan,
+                 root: Optional["_Emitter"] = None):
         self.interp = interp
         self.plan = plan
-        self.fallback_binds: List[Tuple[str, Operation]] = []
         # values that must live in env: anything the generated code defines
         # that a non-inline op (fallback thunk, nested region, another block)
         # also reads
@@ -303,23 +380,33 @@ class _Emitter:
         self.inline_ops: Set[Operation] = inline_ops
         self.lines: List[Tuple[int, str]] = []
         self.ind = 1
-        self._seq = itertools.count()
-        self.ns: Dict[str, object] = {
-            "_interp": interp, "_stats": interp.stats,
-            "_np": np, "_nda": np.ndarray,
-            "_Cell": Cell, "_EPtr": ElementPtr, "_FArr": FortranArray,
-            "_ldel": load_element, "_stel": store_element,
-            "_int": int, "_float": float, "_bool": bool,
-            "_IErr": InterpreterError,
-            "_boxt": (Cell, FortranArray, ElementPtr, np.ndarray),
-            "_vload": vector_load, "_vstore": vector_store,
-            "_vbcast": vector_broadcast,
-        }
-        #: id(obj) -> ns name (the cast kernels keep their readable names)
-        self._bound: Dict[int, str] = {
-            id(int): "_int", id(float): "_float", id(bool): "_bool"}
+        if root is None:
+            self.fallback_binds: List[Tuple[str, Operation]] = []
+            self._seq = itertools.count()
+            self.ns: Dict[str, object] = {
+                "_interp": interp, "_stats": interp.stats,
+                "_np": np, "_nda": np.ndarray,
+                "_Cell": Cell, "_EPtr": ElementPtr, "_FArr": FortranArray,
+                "_ldel": load_element, "_stel": store_element,
+                "_int": int, "_float": float, "_bool": bool,
+                "_IErr": InterpreterError,
+                "_boxt": (Cell, FortranArray, ElementPtr, np.ndarray),
+                "_vload": vector_load, "_vstore": vector_store,
+                "_vbcast": vector_broadcast,
+            }
+            #: id(obj) -> ns name (the cast kernels keep readable names)
+            self._bound: Dict[int, str] = {
+                id(int): "_int", id(float): "_float", id(bool): "_bool"}
+            self.keys: Dict[Value, str] = {}     # value -> bound env-key name
+            self.units: List[str] = []           # finished part sources
+        else:
+            self.fallback_binds = root.fallback_binds
+            self._seq = root._seq
+            self.ns = root.ns
+            self._bound = root._bound
+            self.keys = root.keys
+            self.units = root.units
         self.names: Dict[Value, str] = {}    # value -> local variable
-        self.keys: Dict[Value, str] = {}     # value -> bound env-key name
         self.counters: Dict[str, str] = {}   # category -> local variable
         self.pending: Dict[str, int] = {}    # category -> deferred increments
         self.pending_total = 0
@@ -424,8 +511,8 @@ class _Emitter:
         self.pending.clear()
         self.pending_total = 0
 
-    def flush_all(self) -> None:
-        """Move every live counter into the interpreter's stats objects.
+    def flush_categories(self) -> None:
+        """Move every live category counter into the interpreter's stats.
 
         Counters cannot be gated on ``_t``: the in-loop stride check resets
         ``_t`` (total) without flushing the per-category locals, so a unit
@@ -439,6 +526,9 @@ class _Emitter:
             self.w(f"if {var}:")
             self.w(f"    _cts[{category!r}] += {var} * 1.0")
             self.w(f"    {var} = 0")
+
+    def flush_all(self) -> None:
+        self.flush_categories()
         self.w("if _t:")
         self.w("    _stats.total_ops += _t")
         self.w("    _t = 0")
@@ -471,6 +561,8 @@ class _Emitter:
                 self.emit_loop(step[1], step[2])
             elif kind == "if":
                 self.emit_if(step[1], step[2], step[3])
+            elif kind == "part":
+                self.emit_part(step[1])
             elif kind == "return":
                 self.emit_return(step[1])
             elif kind == "br":
@@ -524,6 +616,24 @@ class _Emitter:
         name = f"_f{next(self._seq)}"
         self.fallback_binds.append((name, op))
         self.w(f"{name}(env)")
+
+    # -- parts ---------------------------------------------------------------
+    def emit_part(self, plan: _Plan) -> None:
+        """A run of steps as a function of its own, called from here.
+
+        Everything the part reads from outside is bound in ``env`` by the
+        time it is called (SSA dominance), so it is read once on entry.
+        The part flushes its own category counters and *returns* its op
+        total: this unit's ``_t`` — and so every stride check around the
+        call — counts exactly what it would had the steps been inline."""
+        child = _Emitter(self.interp, plan, root=self)
+        child._hoist_invariants(plan.steps)
+        child.emit_steps(plan.steps)
+        child.flush_categories()
+        child.w("return _t")
+        name = f"_jit_part_{next(self._seq)}"
+        self.units.append(child.unit_source(name))
+        self.w(f"_t += {name}(env)")
 
     # -- straight-line ops ---------------------------------------------------
     def emit_inline(self, op: Operation) -> None:
@@ -908,7 +1018,7 @@ class _Emitter:
             elif kind == "yield":
                 for operand in step[1].operands:
                     note(operand)
-            # fallback steps read through env by design: not hoisted
+            # fallback and part steps read through env by design: not hoisted
 
     def _hoist_invariants(self, body_steps: Sequence[Tuple]) -> None:
         invariants: List[Value] = []
@@ -1060,17 +1170,20 @@ class _Emitter:
             self.store_result(res, var)
 
     # ------------------------------------------------------------------ build
-    def build(self) -> Tuple[str, Dict[str, object]]:
-        self.emit_steps(self.plan.steps)
-        terminal_kinds = {"return", "br", "condbr", "yield"}
-        if not self.plan.steps or self.plan.steps[-1][0] not in terminal_kinds:
-            self.emit_fallthrough()
-        body = self.lines
-        header: List[Tuple[int, str]] = [(0, "def _jit_block(env):"), (1, "_t = 0")]
+    def unit_source(self, name: str) -> str:
+        header: List[Tuple[int, str]] = [(0, f"def {name}(env):"), (1, "_t = 0")]
         header.extend((1, f"{var} = 0") for var in self.counters.values())
-        source = "\n".join("    " * indent + text
-                           for indent, text in header + body)
-        return source, self.ns
+        return "\n".join("    " * indent + text
+                         for indent, text in header + self.lines)
+
+    def build(self) -> Tuple[List[str], Dict[str, object]]:
+        """The block's units — ``_jit_block`` first, then every part it
+        calls — and the one namespace they all run in."""
+        steps = self.plan.steps
+        self.emit_steps(steps)
+        if not steps or steps[-1][0] not in _TERMINAL_STEPS:
+            self.emit_fallthrough()
+        return [self.unit_source("_jit_block")] + self.units, self.ns
 
 
 # ---------------------------------------------------------------------------
@@ -1084,23 +1197,31 @@ class _Emitter:
 #: every persisted translation then misses cleanly.
 #: v3: value ops are emitted from their ``semantics.VALUE_OPS`` row
 #: (``divf`` keeps ``/`` inside a ``try`` whose ``except`` calls the kernel).
-JIT_FORMAT_VERSION = 3
+#: v4: a translation is a tuple of units (:data:`_UNIT_OPS`): the source of
+#: record is the units joined by :data:`_UNIT_MARK`, stored as its digest,
+#: and ``bytecode`` is a list, one deflated blob per unit.
+JIT_FORMAT_VERSION = 4
+
+#: Separates the units in a translation's source of record.
+_UNIT_MARK = "\n# ---- jit unit ----\n"
 
 
 class _Translation:
     """One process-cached translation, addressed by structural fingerprint.
 
     Only what is *structure-portable* lives here: any block with the same
-    fingerprint executes the same code object, and none of the three
-    fields references IR, so the process cache never keeps a module
-    alive."""
+    fingerprint executes the same code objects (one per unit), and none of
+    the three fields references IR, so the process cache never keeps a
+    module alive.  The source itself is not kept — ``digest`` (SHA-256) is
+    what a new block object's emission is verified against, and
+    :meth:`JitEngine.source_for` re-emits on demand."""
 
-    __slots__ = ("code", "nops", "source")
+    __slots__ = ("code", "nops", "digest")
 
-    def __init__(self, code, nops, source):
+    def __init__(self, code: Tuple, nops: int, digest: bytes):
         self.code = code
         self.nops = nops
-        self.source = source
+        self.digest = digest
 
 
 class _Instantiation:
@@ -1208,26 +1329,43 @@ def translation_key(block: Block, check_stride: int) -> str:
     return _instantiation_for(block, check_stride).key
 
 
-def _payload_for(source: str, code, nops: int) -> Dict:
-    """Disk form of one translation: source of record plus a bytecode
-    fast path valid only under the exact same interpreter build."""
+def _compile_units(units: Sequence[str], filename: str) -> Tuple:
+    return tuple(compile(unit, filename, "exec") for unit in units)
+
+
+def _payload_for(digest: bytes, code: Tuple, nops: int) -> Dict:
+    """Disk form of one translation: the digest of its source of record
+    plus the per-unit bytecode, valid only under the exact same
+    interpreter build.  The source text is not stored: whoever restores a
+    translation has just emitted it afresh (the namespace template needs
+    the live block), so a digest verifies as much.  Shards are shared
+    between namespaces and parsed whole, so every byte here is a byte an
+    artifact read may have to parse: the blobs are deflated (4x)."""
     return {"format": JIT_FORMAT_VERSION,
-            "source": source,
+            "digest": digest.hex(),
             "nops": nops,
             "magic": MAGIC_NUMBER.hex(),
-            "bytecode": base64.b64encode(marshal.dumps(code)).decode()}
+            "bytecode": [base64.b64encode(
+                zlib.compress(marshal.dumps(unit), 1)).decode()
+                for unit in code]}
 
 
-def _code_from_payload(payload: Dict, filename: str):
-    """Code object for a stored payload: unmarshal the persisted bytecode
-    when the interpreter magic matches, else recompile the stored source
-    (the source is authoritative; bytecode is only a shortcut)."""
+def _code_from_payload(payload: Dict, units: Sequence[str],
+                       filename: str) -> Tuple:
+    """Code objects for a stored payload whose digest is that of ``units``
+    joined: unmarshal the persisted bytecode when the interpreter magic
+    matches, else recompile unit by unit (the source is authoritative;
+    bytecode is only a shortcut)."""
     if payload.get("magic") == MAGIC_NUMBER.hex():
         try:
-            return marshal.loads(base64.b64decode(payload["bytecode"]))
+            code = tuple(
+                marshal.loads(zlib.decompress(base64.b64decode(blob)))
+                for blob in payload["bytecode"])
+            if len(code) == len(units):
+                return code
         except Exception:
             pass
-    return compile(payload["source"], filename, "exec")
+    return _compile_units(units, filename)
 
 
 def _translation_for(interp: Interpreter, block: Block
@@ -1246,14 +1384,15 @@ def _translation_for(interp: Interpreter, block: Block
     # structure-portable.
     plan = plan_block(block)
     emitter = _Emitter(interp, plan)
-    source, ns = emitter.build()
+    units, ns = emitter.build()
     del ns["_interp"], ns["_stats"]    # rebound per instance
     record.template = ns
     record.fallback_binds = tuple(emitter.fallback_binds)
     nops = max(1, len(plan.steps))
     filename = f"<jit:{key[:12]}>"
+    digest = hashlib.sha256(_UNIT_MARK.join(units).encode()).digest()
 
-    if entry is not None and entry.source == source:
+    if entry is not None and entry.digest == digest:
         # same structure, new block object: the code is already here
         record.translation = entry
         _CODE_CACHE.move_to_end(key)
@@ -1267,27 +1406,27 @@ def _translation_for(interp: Interpreter, block: Block
             payload = store.get(key, ns="jit")
         except Exception:
             payload = None
-        if payload is not None and payload.get("source") == source:
-            # source-verified: the stored translation provably generates
-            # the exact code this block needs, so warm behaviour is
-            # bit-identical by construction
+        if payload is not None and payload.get("digest") == digest.hex():
+            # source-verified: the stored translation was compiled from
+            # exactly the source this block emits now, so warm behaviour
+            # is bit-identical by construction
             try:
-                code = _code_from_payload(payload, filename)
+                code = _code_from_payload(payload, units, filename)
             except Exception:
                 code = None
     if code is not None:
         _counters.inc("disk_hits")
     else:
-        code = compile(source, filename, "exec")
+        code = _compile_units(units, filename)
         _counters.inc("misses")
         if store is not None:
             try:
-                store.put(key, _payload_for(source, code, nops), ns="jit")
+                store.put(key, _payload_for(digest, code, nops), ns="jit")
                 _counters.inc("stores")
             except Exception:
                 pass
 
-    entry = record.translation = _Translation(code, nops, source)
+    entry = record.translation = _Translation(code, nops, digest)
     if key not in _CODE_CACHE and len(_CODE_CACHE) >= _CODE_CACHE_MAX:
         _CODE_CACHE.popitem(last=False)    # evict one LRU entry, not all
     _CODE_CACHE[key] = entry
@@ -1296,17 +1435,17 @@ def _translation_for(interp: Interpreter, block: Block
 
 
 def compile_block(interp: Interpreter, block: Block):
-    """Translate ``block`` into one generated function; returns (fn, nops)."""
+    """Translate ``block`` into its generated functions, all defined in
+    one namespace; returns (the block's entry function, nops)."""
     entry, record = _translation_for(interp, block)
     ns = dict(record.template)
     ns["_interp"] = interp
     ns["_stats"] = interp.stats
     for name, op in record.fallback_binds:
         ns[name] = Interpreter._compile_op(interp, op, None)
-    exec(entry.code, ns)
-    fn = ns["_jit_block"]
-    fn.__jit_source__ = entry.source
-    return fn, entry.nops
+    for unit in entry.code:
+        exec(unit, ns)
+    return ns["_jit_block"], entry.nops
 
 
 #: entries of a cold block before translation pays for itself; colder
@@ -1399,11 +1538,13 @@ class JitEngine:
         return fn(env)
 
     def source_for(self, block: Block) -> str:
-        """The generated Python source for ``block`` (debugging aid)."""
-        entry = self.cache.get(block)
-        if entry is None:
-            entry = self.cache[block] = compile_block(self.interp, block)
-        return entry[0].__jit_source__
+        """Translate ``block`` now, however cold, and return its generated
+        Python source (debugging aid) — emitted afresh: no cache keeps
+        source text alive."""
+        if block not in self.cache:
+            self.cache[block] = compile_block(self.interp, block)
+        units, _ = _Emitter(self.interp, plan_block(block)).build()
+        return _UNIT_MARK.join(units)
 
 
 __all__ = ["JitEngine", "compile_block", "plan_block",

@@ -211,13 +211,12 @@ def modeled_runtime(module, scaling: WorkloadScaling, *,
                     model: Optional[PerformanceModel] = None,
                     profile: CompilerProfile = OURS_PROFILE,
                     threads: int = 1, gpu: bool = False,
-                    engine: str = "compiled",
+                    engine: Optional[str] = None,
                     max_ops: int = 80_000_000) -> RuntimeBreakdown:
     """Execute ``module`` on the requested engine and model its runtime.
 
     One-stop convenience for callers outside the service path: the engine
-    (compiled / reference / jit) is an argument rather than being hardcoded
-    to the cached-dispatch engine.
+    is an argument (``None``: the interpreter's default).
     """
     from .interpreter import Interpreter
 

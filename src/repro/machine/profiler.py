@@ -10,7 +10,7 @@ quantities from the interpreter's dynamic operation statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 from .interpreter import ExecutionStats
 
@@ -36,12 +36,12 @@ class InstructionMix:
 
 
 def profile_module(module, *, work_ratio: float = 1.0,
-                   engine: str = "compiled",
+                   engine: Optional[str] = None,
                    max_ops: int = 80_000_000) -> InstructionMix:
     """Execute ``module`` on the requested interpreter engine and profile it.
 
-    The engine is a parameter (compiled / reference / jit / vector) instead
-    of being hardcoded to the cached-dispatch engine; all engines produce
+    The engine is a parameter (compiled / reference / jit / vector;
+    ``None``: the interpreter's default); all engines produce
     bit-identical statistics, so the mix is engine-independent — this hook
     exists so harness callers can route profiling through whichever engine
     they are already measuring with.

@@ -276,7 +276,9 @@ def _run_flow(args, source) -> int:
                       verify_each=args.verify_each,
                       instrumentation=_instrumentation(args),
                       function_cache=(None if args.no_incremental
-                                      else get_function_store()))
+                                      else get_function_store()),
+                      stages=(flow.snapshot_stages if args.print_stages
+                              else ()))
     if result.error is not None:
         print(f"error: flow '{flow.name}' failed: {result.error}",
               file=sys.stderr)

@@ -2,7 +2,7 @@
 shared by every artifact family through **namespaces**.
 
 Payloads are JSON dicts.  Three namespaces share one :class:`ArtifactCache`
-(and so one LRU, one byte budget, one checksum path, one fault site):
+(and so one byte budget, one checksum path, one fault site):
 
 * ``artifact`` — whole-module compile artifacts, keyed by the SHA-256 of
   their job's key material (see :mod:`repro.service.jobs`), which already
@@ -17,6 +17,13 @@ is the only place :data:`~repro.service.jobs.KEY_SCHEMA_VERSION` is folded
 into the non-artifact namespaces: bumping the salt retires all three
 families at once without touching the store, and the same raw key in two
 namespaces can never collide.
+
+Each payload has one in-memory home.  Over a disk tier the LRU here holds
+the ``artifact`` namespace only: ``function`` and ``jit`` entries are
+decoded by their clients into tiers of their own (the function store's
+live LRU, the jit's code cache), which always answer first, so an LRU copy
+of the encoded payload would never be read.  A memory-only cache, and a
+``durable=False`` put, have no other home and keep every namespace here.
 
 The disk tier is the sharded store of :mod:`repro.service.sharded`:
 
@@ -52,7 +59,7 @@ DEFAULT_MEMORY_ENTRIES = 1024
 NAMESPACES: Dict[str, tuple] = {
     "artifact": ("key", "ok"),
     "function": ("function",),
-    "jit": ("source",),
+    "jit": ("digest",),
 }
 
 
@@ -116,8 +123,9 @@ class ArtifactCache:
                                              key=f"{ns}:{key}")
             if payload is not None:
                 if all(field in payload for field in NAMESPACES[ns]):
-                    with self._lock:
-                        self._promote(where, payload)
+                    if ns == "artifact":
+                        with self._lock:
+                            self._promote(where, payload)
                     self.counters.inc(f"{ns}.disk_hits")
                     return payload
                 self.counters.inc(f"{ns}.corrupt_payloads")
@@ -134,7 +142,8 @@ class ArtifactCache:
     # ----------------------------------------------------------------- store
     def put(self, key: str, payload: Dict[str, Any], ns: str = "artifact",
             durable: bool = True) -> None:
-        """Store ``payload`` in both tiers.
+        """Store ``payload``: on disk when there is a disk tier, and in the
+        LRU when that is its one in-memory home (see the module docstring).
 
         ``durable=False`` keeps the entry in the in-memory LRU tier only —
         used for state that must not outlive this process, such as a
@@ -142,10 +151,15 @@ class ArtifactCache:
         re-attempt from scratch.
         """
         where = address(ns, key)
+        to_disk = durable and self.store is not None
         with self._lock:
-            self._promote(where, payload)
+            if ns == "artifact" or not to_disk:
+                self._promote(where, payload)
+            else:
+                # a non-durable predecessor must not shadow the disk entry
+                self._memory.pop(where, None)
         self.counters.inc(f"{ns}.stores")
-        if durable and self.store is not None:
+        if to_disk:
             self.store.put(where, payload)
 
     def _promote(self, where: str, payload: Dict[str, Any]) -> None:

@@ -258,6 +258,7 @@ def _run_resolved_job(job: CompileJob, flow, workload,
     from .incremental import get_function_store
 
     store = get_function_store() if job.incremental else None
+    result = None
     try:
         # the service discards FlowResult.timing, so skip the per-pass
         # timing/IR-size bookkeeping on this hot path
@@ -282,6 +283,15 @@ def _run_resolved_job(job: CompileJob, flow, workload,
         return CompiledArtifact(key=key, flow=job.flow, workload=workload.name,
                                 ok=False,
                                 error=f"{type(exc).__name__}: {exc}")
+    finally:
+        # the artifact is text and numbers: nothing reads this job's IR
+        # again, and left cyclic it would sit in memory until a
+        # generation-2 collection happens by (the function store keeps
+        # clones of its own)
+        if result is not None:
+            for module in result.stages.values():
+                if module is not None:
+                    module.drop_references()
 
 
 def spec_fault_key(spec: Dict[str, Any]) -> str:

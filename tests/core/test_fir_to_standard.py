@@ -381,12 +381,32 @@ class TestWholeFlow:
         assert uses_only_standard_dialects(module)
 
     def test_compiler_driver_stages(self, simple_program_source):
-        result = StandardMLIRCompiler(vector_width=4).compile(simple_program_source)
+        result = StandardMLIRCompiler(vector_width=4).compile(
+            simple_program_source, stages=("hlfir", "standard"))
         assert "hlfir" in dialects_used(result.hlfir_module)
         assert result.is_standard_only
         assert "affine" in dialects_used(result.optimised_module) or \
                "scf" in dialects_used(result.optimised_module)
         assert result.pipeline_description.startswith("builtin.module(")
+
+    def test_intermediate_stages_are_kept_only_on_request(
+            self, simple_program_source):
+        from repro.flows import FlowError
+        compiler = StandardMLIRCompiler(vector_width=4)
+        kept = compiler.compile(simple_program_source, stages=("standard",))
+        plain = compiler.compile(simple_program_source)
+        assert plain.stage_names == kept.stage_names
+        assert plain.stages["hlfir"] is plain.stages["standard"] is None
+        assert kept.stages["hlfir"] is None
+        assert kept.stages["standard"] is not None
+        # a snapshot that was not taken is an error that says what to pass,
+        # never a silent None
+        with pytest.raises(FlowError, match=r"stages=\('hlfir',\)"):
+            plain.hlfir_module
+        with pytest.raises(FlowError, match=r"stages=\('standard',\)"):
+            plain.is_standard_only
+        # and the final IR does not depend on what was kept
+        assert print_op(plain.module) == print_op(kept.module)
 
     def test_llvm_lowering_leaves_only_llvm_and_structure(self, simple_program_source):
         result = StandardMLIRCompiler(vector_width=0,

@@ -11,6 +11,7 @@ from repro.flows import (CapabilityError, ExecutionContext, Flow, FlowError,
                          FlowOption, FlowResult, OptionError, OptionsSchema,
                          available_flows, get_flow, register_flow, registered)
 from repro.flows.builtin import OursFlow
+from repro.ir import print_op
 from repro.service import ArtifactCache, CompileJob, CompileService, run_job
 from repro.service import use_service
 from repro.workloads import get_workload
@@ -126,6 +127,28 @@ class TestBuiltinFlows:
             assert "hlfir" in result.stage_names
             assert result.timing is not None and result.timing.timings
 
+    def test_intermediate_stages_are_kept_only_when_named(self):
+        workload = get_workload("dotproduct")
+        for name, final in (("flang", "fir"), ("ours", "optimised")):
+            flow = get_flow(name)
+            assert "hlfir" in flow.snapshot_stages
+            plain = flow.run(workload)
+            for stage in flow.snapshot_stages:
+                assert plain.stages[stage] is None
+            assert plain.module is plain.stages[final]
+            kept = flow.run(workload, stages=flow.snapshot_stages)
+            assert kept.stage_names == plain.stage_names
+            for stage in flow.snapshot_stages:
+                assert kept.stages[stage] is not None
+                assert kept.stages[stage] is not kept.module
+            assert print_op(kept.module) == print_op(plain.module)
+
+    def test_unknown_stage_name_is_a_flow_error(self):
+        with pytest.raises(FlowError, match="no intermediate stage 'standard'"
+                                            r".*can keep: hlfir"):
+            get_flow("flang").run(get_workload("dotproduct"),
+                                  stages=("standard",))
+
     def test_flow_run_records_timing_report(self):
         result = get_flow("ours").run(get_workload("sum"))
         names = [t.pass_name for t in result.timing.timings]
@@ -223,10 +246,35 @@ class TestNewFlowNeedsNoServiceEdits:
 
 class TestEngineNameSync:
     def test_flows_engines_match_interpreter_engine_names(self):
-        """flows.ENGINES and machine's ENGINE_NAMES cannot import each other
-        (cycle through the flang driver); this asserts they stay in sync,
-        including the order — the first entry is the oracle's baseline."""
+        """flows cannot import machine's ENGINE_NAMES (cycle through the
+        flang driver); this asserts they stay in sync, including the order
+        — the first entry is the oracle's baseline."""
         from repro.flows import ENGINES
         from repro.machine.interpreter import ENGINE_NAMES
         assert tuple(ENGINES) == tuple(ENGINE_NAMES)
         assert ENGINES[0] == "compiled"
+
+    def test_every_default_follows_the_one_definition(self, monkeypatch):
+        """``DEFAULT_ENGINE`` is spelled once: an interpreter, a job, an
+        execution context and the machine's convenience entry points all
+        land on it when no engine is named."""
+        from repro.flows import DEFAULT_ENGINE
+        from repro.machine import Interpreter, interpreter, profile_module
+        module = get_flow("ours").run(get_workload("dotproduct")).module
+        assert DEFAULT_ENGINE == "jit"
+        assert Interpreter(module).engine == DEFAULT_ENGINE
+        assert CompileJob("ours", "dotproduct").engine == DEFAULT_ENGINE
+        assert ExecutionContext().engine == DEFAULT_ENGINE
+        seen = []
+        real = interpreter.Interpreter
+
+        def spy(module, **kwargs):
+            interp = real(module, **kwargs)
+            seen.append(interp.engine)
+            return interp
+        monkeypatch.setattr(interpreter, "Interpreter", spy)
+        profile_module(module)
+        from repro.machine import WorkloadScaling, modeled_runtime
+        modeled_runtime(module, WorkloadScaling(work_ratio=1.0,
+                                                working_set_bytes=1 << 20))
+        assert seen == [DEFAULT_ENGINE, DEFAULT_ENGINE]

@@ -144,3 +144,58 @@ class TestWalkAndVerify:
         op = create_operation("arith.constant", result_types=[T.i32],
                               attributes={"value": IntegerAttr(3, T.i32)})
         assert isinstance(op, arith.ConstantOp)
+
+
+class TestDropReferences:
+    def test_a_dropped_module_is_freed_by_reference_count_alone(
+            self, simple_program_source):
+        # IR is cyclic (op <-> results, value <-> users, block <-> ops,
+        # region <-> owner): without drop_references a dead module waits
+        # for the cycle collector, with it the last name frees everything
+        import gc
+        import weakref
+        from repro.core import StandardMLIRCompiler
+        module = StandardMLIRCompiler(vector_width=4).compile(
+            simple_program_source).optimised_module
+        innermost = max(module.walk(),
+                        key=lambda op: sum(1 for _ in op.ancestors()))
+        assert innermost.results and innermost.parent is not None
+        refs = [weakref.ref(module), weakref.ref(innermost)]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            module.drop_references()
+            assert all(ref() is not None for ref in refs)
+            del module, innermost
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_an_executed_module_is_freed_too(self, simple_program_source):
+        # executing leaves the jit's instantiation records on the blocks;
+        # they go with the block
+        import gc
+        import weakref
+        from repro.flang import FlangCompiler
+        from repro.machine import Interpreter
+        module = FlangCompiler().compile(simple_program_source,
+                                         stop_at="fir").fir_module
+        interp = Interpreter(module, engine="jit")
+        for function in interp.functions.values():
+            for block in function.regions[0].blocks:
+                interp._jit.source_for(block)
+        interp.run_main()
+        alive = weakref.ref(module)
+        # the interpreter is itself cyclic (bound dispatch method): take it
+        # apart by hand so only the module's own cycles are under test
+        interp.__dict__.clear()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            module.drop_references()
+            del module, interp, function, block
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()

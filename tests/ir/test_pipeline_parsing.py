@@ -246,7 +246,8 @@ class TestRunStatistics:
           .add_instrumentation(Recorder())
         module = StandardMLIRCompiler().compile(
             "subroutine s(x)\n  real(kind=8), intent(out) :: x\n"
-            "  x = 1.0d0\nend subroutine s").standard_module
+            "  x = 1.0d0\nend subroutine s",
+            stages=("standard",)).standard_module
         pm.run(module)
         assert calls and all(anchor == "func.func" for anchor, _ in calls)
 

@@ -247,7 +247,7 @@ class TestGeneratorMechanics:
         module = _compile_fir(source)
         jit = Interpreter(module, engine="jit")
         jit.run_main()
-        sources = [fn.__jit_source__ for fn, _ in jit._jit.cache.values()]
+        sources = [jit._jit.source_for(block) for block in jit._jit.cache]
         assert any("while " in text for text in sources)
         # deferred stats: counters are integer locals flushed via _ctx_counts
         assert any("_ctx_counts" in text for text in sources)

@@ -158,10 +158,10 @@ class TestUidCollision:
         key_b = jit.translation_key(block_b, interp_b._check_stride)
         assert key_a != key_b
 
-        fn_a, _ = jit.compile_block(interp_a, block_a)
-        fn_b, _ = jit.compile_block(interp_b, block_b)
+        source_a = interp_a._jit.source_for(block_a)
+        source_b = interp_b._jit.source_for(block_b)
         assert len(jit._CODE_CACHE) == 2
-        assert fn_a.__jit_source__ != fn_b.__jit_source__
+        assert source_a != source_b
 
     def test_rebuilt_block_reuses_translation(self):
         # the converse guarantee: fresh frontend run, entirely new uids
@@ -312,13 +312,16 @@ class TestDiskTier:
         assert delta["misses"] >= 1
 
     def test_stale_source_payload_is_a_miss_and_restored(self, store):
-        # a payload whose source does not match what this block generates
-        # (foreign interpreter build, partial write) must never be used
+        # a payload compiled from other source than this block generates
+        # now (an emitter change without a version bump, a foreign writer)
+        # must never be used: the digest of the source of record decides
         printed, stats = self._seed(store)
         jit.clear_translation_cache()
 
         def stale(payload):
-            payload["source"] = "def _jit_block(env):\n    return None\n"
+            import hashlib
+            payload["digest"] = hashlib.sha256(
+                b"def _jit_block(env):\n    return None\n").hexdigest()
             return payload
 
         jit.set_translation_store(_TamperingStore(store, stale))
@@ -347,6 +350,66 @@ class TestDiskTier:
         assert delta["disk_hits"] >= 1
         assert delta["misses"] == 0
         assert (warm_printed, warm_stats) == (printed, stats)
+
+    def test_partitioned_translation_round_trips_unit_by_unit(
+            self, store, monkeypatch):
+        # every step list above 8 ops is cut, so the entry block of
+        # LOOP_PROGRAM is several units: one code object, one persisted
+        # bytecode blob and — on a foreign interpreter build — one
+        # compile() per unit, all verified against the one joined source
+        import builtins
+        monkeypatch.setattr(jit, "_UNIT_OPS", 8)
+        compiled = []
+
+        def spy(source, filename, mode):
+            compiled.append(source)
+            return builtins.compile(source, filename, mode)
+
+        monkeypatch.setattr(jit, "compile", spy, raising=False)
+        printed, stats = self._seed(store)
+        units = list(compiled)      # every unit the cold run compiled
+        stored = [store.get(key, ns="jit") for key in jit._CODE_CACHE]
+        assert max(len(payload["bytecode"]) for payload in stored) > 1
+        assert sum(len(payload["bytecode"]) for payload in stored) \
+            == len(units)
+        for entry, payload in zip(jit._CODE_CACHE.values(), stored):
+            assert isinstance(entry.code, tuple)
+            assert len(entry.code) == len(payload["bytecode"])
+            # neither home of a translation holds its source text
+            assert not any(isinstance(getattr(entry, slot), str)
+                           for slot in entry.__slots__)
+            assert entry.digest.hex() == payload["digest"]
+            assert not any(unit in str(payload) for unit in units)
+
+        def warm(rewrite):
+            jit.clear_translation_cache()
+            del compiled[:]
+            jit.set_translation_store(_TamperingStore(store, rewrite))
+            before = jit.snapshot_translation_counters()
+            observed = _run_jit(_compile_fir(LOOP_PROGRAM))
+            assert observed == (printed, stats)
+            return jit.translation_counters_delta(before)
+
+        # same build: the blobs are unmarshalled, nothing is compiled
+        delta = warm(lambda payload: payload)
+        assert delta["misses"] == 0 and delta["disk_hits"] >= 1
+        assert compiled == []
+
+        # foreign build: still a hit, recompiled from source unit by unit
+        def foreign(payload):
+            payload["magic"] = "00000000"
+            return payload
+        delta = warm(foreign)
+        assert delta["misses"] == 0 and delta["disk_hits"] >= 1
+        assert sorted(compiled) == sorted(units)
+
+        # compiled from other source than this block emits now: never used
+        def edited(payload):
+            payload["digest"] = "0" * 64
+            return payload
+        delta = warm(edited)
+        assert delta["disk_hits"] == 0
+        assert delta["stores"] == delta["misses"] >= 1
 
     def test_jit_engine_promotes_cold_blocks_with_stored_translations(
             self, store):

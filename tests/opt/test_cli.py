@@ -38,6 +38,26 @@ class TestFlowMode:
         assert code == 0
         for stage in ("hlfir", "standard", "optimised"):
             assert f"stage: {stage}" in out
+        code, out, _ = run_cli(capsys, "--flow", "flang",
+                               "--workload", "dotproduct", "--print-stages")
+        assert code == 0
+        assert "stage: hlfir" in out and "stage: fir" in out
+        assert "hlfir.declare" in out       # the snapshot, not the final IR
+
+    def test_stages_are_only_cloned_when_printed(self, capsys, monkeypatch):
+        from repro.flows import get_flow
+        asked = []
+        real = type(get_flow("ours")).compile
+
+        def spy(self, *args, stages=(), **kwargs):
+            asked.append(tuple(stages))
+            return real(self, *args, stages=stages, **kwargs)
+        monkeypatch.setattr(type(get_flow("ours")), "compile", spy)
+        code, out, _ = run_cli(capsys, "--flow", "ours", "--workload", "sum")
+        assert code == 0 and "stage:" not in out
+        run_cli(capsys, "--flow", "ours", "--workload", "sum",
+                "--print-stages")
+        assert asked == [(), ("hlfir", "standard")]
 
     def test_flang_flow_runs(self, capsys):
         code, out, _ = run_cli(capsys, "--flow", "flang",

@@ -41,8 +41,7 @@ def _bound_dirs():
 class TestStoreProtocol:
     def test_roundtrip(self, tmp_path):
         cache = ArtifactCache(cache_dir=str(tmp_path))
-        payload = {"format": 1, "source": "def _jit_block(env): pass\n",
-                   "nops": 3}
+        payload = {"format": 1, "digest": "d1" * 32, "nops": 3}
         fingerprint = "c0de" * 16
         assert cache.get(fingerprint, ns="jit") is None
         assert not cache.contains(fingerprint, ns="jit")
@@ -53,7 +52,7 @@ class TestStoreProtocol:
     def test_corrupt_payload_is_a_miss_not_an_error(self, tmp_path):
         fingerprint = "bad0" * 16
         ArtifactCache(cache_dir=str(tmp_path)).put(
-            fingerprint, {"format": 1, "nops": 3}, ns="jit")    # no source
+            fingerprint, {"format": 1, "nops": 3}, ns="jit")    # no digest
         reader = ArtifactCache(cache_dir=str(tmp_path))
         assert reader.get(fingerprint, ns="jit") is None
         assert reader.stats()["by_namespace"]["jit"]["misses"] == 1

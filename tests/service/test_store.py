@@ -4,6 +4,8 @@
   fold ``KEY_SCHEMA_VERSION`` exactly once and never collide;
 * the README's *what-invalidates-what* table, checked constant by constant;
 * per-namespace accounting whose flat totals are the sum over namespaces;
+* one in-memory home per payload: over a disk tier the LRU holds the
+  ``artifact`` namespace only (plus whatever was put non-durably);
 * a stateful history test: puts, non-durable puts, gets, memory clears,
   reopens, truncated shards, flipped bytes, foreign writers, injected
   corruption and eviction under a small budget, against a dict model;
@@ -150,6 +152,66 @@ def test_namespaces_are_accounted_separately_and_sum_to_the_flat_keys(
 
 
 # ---------------------------------------------------------------------------
+# one in-memory home per payload
+# ---------------------------------------------------------------------------
+
+def _sample_payload(ns):
+    return dict.fromkeys(NAMESPACES[ns], f"{ns}-payload")
+
+
+class TestMemoryHomes:
+    def test_over_a_disk_tier_the_lru_holds_artifacts_only(self, tmp_path):
+        # function / jit payloads are decoded into their clients' own
+        # tiers (live functions, code objects); a second, encoded copy in
+        # the LRU would only ever be memory
+        cache = ArtifactCache(str(tmp_path))
+        for ns in NAMESPACES:
+            cache.put("k", _sample_payload(ns), ns=ns)
+            assert cache.get("k", ns=ns) == _sample_payload(ns)
+            assert cache.get("k", ns=ns) == _sample_payload(ns)
+        assert list(cache._memory) == [address("artifact", "k")]
+        by_ns = cache.stats()["by_namespace"]
+        assert by_ns["artifact"]["memory_hits"] == 2
+        for ns in ("function", "jit"):
+            assert by_ns[ns]["memory_hits"] == 0
+            assert by_ns[ns]["disk_hits"] == 2
+
+    def test_what_has_no_other_home_stays_in_the_lru(self, tmp_path):
+        memory_only = ArtifactCache()
+        over_disk = ArtifactCache(str(tmp_path))
+        for ns in NAMESPACES:
+            memory_only.put("k", _sample_payload(ns), ns=ns)
+            over_disk.put("k", _sample_payload(ns), ns=ns, durable=False)
+        for cache in (memory_only, over_disk):
+            assert len(cache._memory) == len(NAMESPACES)
+            for ns in NAMESPACES:
+                assert cache.get("k", ns=ns) == _sample_payload(ns)
+        # ... and a later durable put does not leave the old one shadowing
+        newer = dict(_sample_payload("jit"), newer=True)
+        over_disk.put("k", newer, ns="jit")
+        assert over_disk.get("k", ns="jit") == newer
+
+    def test_a_cold_service_batch_leaves_only_artifacts_in_the_lru(
+            self, tmp_path, monkeypatch):
+        from repro.machine import jit
+        from repro.service import incremental
+        # a cold process: nothing in the clients' own tiers yet
+        monkeypatch.setattr(incremental, "_PROCESS_STORE",
+                            incremental.FunctionArtifactStore())
+        jit.clear_translation_cache()
+        service = CompileService(ArtifactCache(str(tmp_path)))
+        try:
+            report = service.submit(jobs_for("figure3"))
+            stats = service.cache.stats()["by_namespace"]
+            assert stats["function"]["stores"] and stats["jit"]["stores"]
+            assert set(service.cache._memory) == {
+                job.key() for job in jobs_for("figure3")}
+            assert len(service.cache._memory) == report.unique
+        finally:
+            incremental.bind_process_stores(None)
+
+
+# ---------------------------------------------------------------------------
 # stateful store history against a dict model
 # ---------------------------------------------------------------------------
 
@@ -160,7 +222,12 @@ SLOTS = st.tuples(st.sampled_from(sorted(NAMESPACES)), st.sampled_from(KEYS))
 class StoreHistory(RuleBasedStateMachine):
     """``mem``/``disk`` model the two tiers per ``(ns, key)``; ``shaky``
     holds disk entries that damage or eviction *may* have taken (a get may
-    then miss, but must never return anything else)."""
+    then miss, but must never return anything else).
+
+    Over a disk tier the LRU is the ``artifact`` namespace's memory home
+    only: ``function`` / ``jit`` payloads live there just when nothing
+    else holds them (a non-durable put), so a durable one is always read
+    from disk — where injected corruption can reach it."""
 
     def __init__(self):
         super().__init__()
@@ -180,6 +247,7 @@ class StoreHistory(RuleBasedStateMachine):
         self.cache = ArtifactCache(self.dir, byte_budget=self.budget)
         self.mem.clear()
         self.gets = dict.fromkeys(NAMESPACES, 0)
+        self.memory_hits = dict.fromkeys(NAMESPACES, 0)
         self.stores = dict.fromkeys(NAMESPACES, 0)
 
     def _payload(self, ns, key, pad):
@@ -199,7 +267,10 @@ class StoreHistory(RuleBasedStateMachine):
         payload = self._payload(ns, key, pad)
         self.cache.put(key, payload, ns=ns, durable=durable)
         self.stores[ns] += 1
-        self.mem[slot] = payload
+        if ns == "artifact" or not durable:
+            self.mem[slot] = payload
+        else:
+            self.mem.pop(slot, None)
         if durable:
             self.disk[slot] = payload
             self.shaky.discard(slot)
@@ -215,6 +286,7 @@ class StoreHistory(RuleBasedStateMachine):
         self.gets[ns] += 1
         if slot in self.mem:
             assert got == self.mem[slot]
+            self.memory_hits[ns] += 1
         elif corrupt or slot not in self.disk:
             assert got is None
         elif slot in self.shaky:
@@ -223,7 +295,8 @@ class StoreHistory(RuleBasedStateMachine):
             assert got == self.disk[slot]
         if got is not None:
             assert self.cache.contains(key, ns=ns)
-            self.mem[slot] = got
+            if ns == "artifact":
+                self.mem[slot] = got
 
     @rule()
     def clear_memory(self):
@@ -273,6 +346,7 @@ class StoreHistory(RuleBasedStateMachine):
         for ns, row in stats["by_namespace"].items():
             assert row["lookups"] == self.gets[ns]
             assert row["lookups"] == row["hits"] + row["misses"]
+            assert row["memory_hits"] == self.memory_hits[ns]
             assert row["stores"] == self.stores[ns]
         for name in ("memory_hits", "disk_hits", "misses", "stores",
                      "hits", "lookups"):
