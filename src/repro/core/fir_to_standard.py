@@ -1131,9 +1131,9 @@ class ConvertFirToStandardPass(Pass):
         self.result_module = lowering.run()
         # splice the new contents into the original module so in-place
         # pipelines observe the transformation
-        module.body.ops.clear()
-        for op in list(self.result_module.body.ops):
-            op.detach()
+        for op in module.body.ops:
+            op.erase(check_uses=False)
+        for op in self.result_module.body.ops:
             module.body.add_op(op)
 
 

@@ -12,7 +12,7 @@ possible.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Set
 
 from ..ir import types as ir_types
 from ..ir.core import Operation, Value
@@ -30,12 +30,16 @@ def _is_container_load(op: Operation) -> bool:
             and isinstance(src_type.element_type, ir_types.MemRefType))
 
 
-def _container_written_in(loop: Operation, container: Value) -> bool:
-    for op in loop.walk():
-        if op.name == "memref.store" and len(op.operands) >= 2 \
-                and op.operands[1] is container:
-            return True
-    return False
+def _loops_storing_to(func: Operation) -> Dict[Value, Set[Operation]]:
+    """Container -> the loops with a ``memref.store`` to it anywhere inside.
+    One sweep per function: hoisting moves loads, never stores, so the
+    answer holds for the whole pass."""
+    written: Dict[Value, Set[Operation]] = {}
+    for op in func.walk():
+        if op.name == "memref.store" and len(op.operands) >= 2:
+            written.setdefault(op.operands[1], set()).update(
+                _enclosing_loops(op))
+    return written
 
 
 def _enclosing_loops(op: Operation) -> List[Operation]:
@@ -50,6 +54,7 @@ def _enclosing_loops(op: Operation) -> List[Operation]:
 def hoist_descriptor_loads(func: Operation) -> int:
     """Hoist container loads out of loops; returns the number hoisted."""
     hoisted = 0
+    written = _loops_storing_to(func)
     changed = True
     while changed:
         changed = False
@@ -60,11 +65,12 @@ def hoist_descriptor_loads(func: Operation) -> int:
             if not loops:
                 continue
             container = op.operands[0]
+            writers = written.get(container, ())
             # hoist above the outermost enclosing loop in which the container
             # is not reallocated
             target_loop: Optional[Operation] = None
             for loop in loops:
-                if _container_written_in(loop, container):
+                if loop in writers:
                     break
                 # the container value must be defined outside this loop
                 defining = getattr(container, "op", None)

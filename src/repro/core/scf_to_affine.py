@@ -44,22 +44,30 @@ class ScfToAffine:
         self.promoted = 0
 
     def run(self) -> int:
-        changed = True
-        while changed:
-            changed = False
-            for op in list(self.func.walk()):
-                if op.name == "scf.for" and self._promote(op):
-                    changed = True
+        """One pre-order traversal, outer loops first; the body of a promoted
+        loop is visited through the ``affine.for`` that replaced it.  Whether
+        a loop can be promoted depends on its own ``iter_args`` and step
+        only, so nothing already passed ever needs a second look."""
+        stack = [self.func]
+        while stack:
+            op = stack.pop()
+            if op.name == "scf.for":
+                promoted = self._promote(op)
+                if promoted is not None:
                     self.promoted += 1
-                    break
+                    op = promoted
+            for region in reversed(op.regions):
+                for block in reversed(region.blocks):
+                    stack.extend(reversed(block.ops))
         return self.promoted
 
-    def _promote(self, loop: scf.ForOp) -> bool:
+    def _promote(self, loop: scf.ForOp) -> Optional[affine_d.AffineForOp]:
+        """The ``affine.for`` that replaced ``loop``, or ``None``."""
         if loop.iter_args:
-            return False
+            return None
         step = _constant_value(loop.step)
         if step is None or step <= 0:
-            return False
+            return None
         lower_ops, lower_map = _bound_map(loop.lower_bound)
         upper_ops, upper_map = _bound_map(loop.upper_bound)
         body = Block(arg_types=[ir_types.index])
@@ -77,7 +85,7 @@ class ScfToAffine:
         body.add_op(affine_d.AffineYieldOp())
         loop.erase(check_uses=False)
         self._raise_memory_ops(new_loop)
-        return True
+        return new_loop
 
     def _raise_memory_ops(self, loop: affine_d.AffineForOp) -> None:
         """memref.load/store whose indices are induction variables or

@@ -39,10 +39,7 @@ class InsertPoint:
     def after(op: Operation) -> "InsertPoint":
         if op.parent is None:
             raise IRError("cannot build an insertion point after a detached op")
-        block = op.parent
-        idx = block.ops.index(op)
-        anchor = block.ops[idx + 1] if idx + 1 < len(block.ops) else None
-        return InsertPoint(block, anchor)
+        return InsertPoint(op.parent, op._next)
 
 
 class Builder:

@@ -74,11 +74,8 @@ class Value:
         return len(self.uses) == 1
 
     def users(self) -> List["Operation"]:
-        seen: List[Operation] = []
-        for u in self.uses:
-            if u.operation not in seen:
-                seen.append(u.operation)
-        return seen
+        """Distinct using operations, in first-use order."""
+        return list(dict.fromkeys(u.operation for u in self.uses))
 
     def replace_all_uses_with(self, new_value: "Value") -> None:
         if new_value is self:
@@ -99,7 +96,11 @@ class OpResult(Value):
     __slots__ = ("op", "index")
 
     def __init__(self, op: "Operation", index: int, type: Type):
-        super().__init__(type)
+        # one per result of every op built or cloned: the slots are set
+        # here rather than through ``Value.__init__``
+        self.type = type
+        self.uses = []
+        self.name_hint = None
         self.op = op
         self.index = index
 
@@ -112,7 +113,9 @@ class BlockArgument(Value):
     __slots__ = ("block", "index")
 
     def __init__(self, block: "Block", index: int, type: Type):
-        super().__init__(type)
+        self.type = type
+        self.uses = []
+        self.name_hint = None
         self.block = block
         self.index = index
 
@@ -161,8 +164,10 @@ class Operation:
     #: Trait names (see :mod:`repro.ir.traits`), e.g. ``{"IsTerminator"}``.
     TRAITS: frozenset = frozenset()
 
+    #: ``_prev``/``_next`` link the op into its parent block's op list (see
+    #: :class:`Block`); both are ``None`` while the op is detached.
     __slots__ = ("name", "_operands", "results", "attributes", "regions",
-                 "successors", "parent", "_uid", "loc")
+                 "successors", "parent", "_uid", "loc", "_prev", "_next")
 
     def __init__(self,
                  operands: Sequence[Value] = (),
@@ -174,22 +179,53 @@ class Operation:
                  loc: Optional[Any] = None):
         self.name = name or type(self).OP_NAME
         self._uid = next(_op_counter)
-        self._operands: List[Value] = []
         self.results: List[OpResult] = [
             OpResult(self, i, t) for i, t in enumerate(result_types)
         ]
-        self.attributes: Dict[str, Attribute] = dict(attributes or {})
-        if isinstance(regions, int):
-            self.regions: List[Region] = [Region(parent=self) for _ in range(regions)]
+        self.attributes: Dict[str, Attribute] = \
+            dict(attributes) if attributes else {}
+        if not regions:
+            self.regions: List[Region] = []
+        elif isinstance(regions, int):
+            self.regions = [Region(parent=self) for _ in range(regions)]
         else:
             self.regions = list(regions)
             for r in self.regions:
                 r.parent = self
         self.successors: List[Block] = list(successors)
         self.parent: Optional[Block] = None
+        self._prev: Optional[Operation] = None
+        self._next: Optional[Operation] = None
         self.loc = loc
-        for v in operands:
-            self._append_operand(v)
+        # what ``_append_operand`` does, without a call per operand
+        own: List[Value] = []
+        self._operands = own
+        for value in operands:
+            if not isinstance(value, Value):
+                raise IRError(
+                    f"operand of {self.name} is not a Value: {value!r}")
+            value.uses.append(Use(self, len(own)))
+            own.append(value)
+
+    def __getstate__(self):
+        # the links are the parent block's to restore (``Block.__setstate__``):
+        # following ``_next`` here would recurse once per op of a block
+        return getattr(self, "__dict__", None) or None, {
+            "name": self.name, "_operands": self._operands,
+            "results": self.results, "attributes": self.attributes,
+            "regions": self.regions, "successors": self.successors,
+            "parent": self.parent, "_uid": self._uid, "loc": self.loc}
+
+    def __setstate__(self, state):
+        instance_dict, slots = state
+        if instance_dict:
+            self.__dict__.update(instance_dict)
+        for slot, value in slots.items():
+            setattr(self, slot, value)
+        # use-chains can reach this op from inside its own block's state, in
+        # which case the block finished loading first and has linked it
+        if not hasattr(self, "_next"):
+            self._prev = self._next = None
 
     # -- operand management -------------------------------------------------
     def _append_operand(self, value: Value) -> None:
@@ -229,6 +265,8 @@ class Operation:
         self.successors = []
         for region in self.regions:
             for block in region.blocks:
+                # the nested ops stay linked in their (dead) block: a walk
+                # that is already past ``self`` still has to find them
                 for op in block.ops:
                     op.parent = None
                     op.drop_all_references()
@@ -252,7 +290,7 @@ class Operation:
             op.results = []
             op._operands = []
             op.successors = []
-            op.parent = None
+            op.parent = op._prev = op._next = None
             for region in op.regions:
                 region.parent = None
                 for block in region.blocks:
@@ -263,7 +301,8 @@ class Operation:
                     if hasattr(block, "_jit"):
                         del block._jit
                     pending.extend(block.ops)
-                    block.ops = []
+                    block._first = block._last = None
+                    block._count = 0
                 region.blocks = []
             op.regions = []
 
@@ -313,15 +352,21 @@ class Operation:
         return any(a is self for a in other.ancestors())
 
     def walk(self, reverse: bool = False) -> Iterator["Operation"]:
-        """Post-order-entry walk: yields this op then all nested ops."""
+        """Pre-order walk: yields this op, then every nested op.
+
+        An op's children are read when the walk moves past it, not before,
+        so the caller may erase, move or replace the op it was just handed
+        (see :func:`_preorder`)."""
+        if reverse:
+            return self._walk_reverse()
+        return _preorder([self])
+
+    def _walk_reverse(self) -> Iterator["Operation"]:
         yield self
-        regions = reversed(self.regions) if reverse else self.regions
-        for region in regions:
-            blocks = reversed(region.blocks) if reverse else region.blocks
-            for block in blocks:
-                ops = reversed(block.ops) if reverse else list(block.ops)
-                for op in ops:
-                    yield from op.walk(reverse=reverse)
+        for region in reversed(self.regions):
+            for block in reversed(region.blocks):
+                for op in reversed(block.ops):
+                    yield from op._walk_reverse()
 
     def walk_postorder(self) -> Iterator["Operation"]:
         for region in self.regions:
@@ -332,9 +377,19 @@ class Operation:
 
     # -- position / mutation ---------------------------------------------------
     def detach(self) -> "Operation":
-        if self.parent is not None:
-            self.parent.ops.remove(self)
-            self.parent = None
+        block = self.parent
+        if block is not None:
+            before, after = self._prev, self._next
+            if before is None:
+                block._first = after
+            else:
+                before._next = after
+            if after is None:
+                block._last = before
+            else:
+                after._prev = before
+            block._count -= 1
+            self.parent = self._prev = self._next = None
         return self
 
     def erase(self, *, check_uses: bool = True) -> None:
@@ -347,28 +402,25 @@ class Operation:
         self.drop_all_references()
 
     def move_before(self, other: "Operation") -> None:
-        self.detach()
-        block = other.parent
-        if block is None:
+        if other.parent is None:
             raise IRError("cannot move before a detached operation")
-        idx = block.ops.index(other)
-        block.ops.insert(idx, self)
-        self.parent = block
+        other.parent.insert_before(other, self)
 
     def move_after(self, other: "Operation") -> None:
-        self.detach()
-        block = other.parent
-        if block is None:
+        if other.parent is None:
             raise IRError("cannot move after a detached operation")
-        idx = block.ops.index(other)
-        block.ops.insert(idx + 1, self)
-        self.parent = block
+        other.parent.insert_after(other, self)
 
     def is_before_in_block(self, other: "Operation") -> bool:
+        """Linear: a forward scan from ``self`` (there is no order index)."""
         if self.parent is None or self.parent is not other.parent:
             raise IRError("operations are not in the same block")
-        ops = self.parent.ops
-        return ops.index(self) < ops.index(other)
+        op = self._next
+        while op is not None:
+            if op is other:
+                return True
+            op = op._next
+        return False
 
     def replace_all_uses_with(self, new_values: "Sequence[Value] | Value") -> None:
         if isinstance(new_values, Value):
@@ -389,36 +441,29 @@ class Operation:
         """
         value_map = value_map if value_map is not None else {}
         block_map = block_map if block_map is not None else {}
-        new_operands = [value_map.get(v, v) for v in self._operands]
-        new_successors = [block_map.get(b, b) for b in self.successors]
-        cls = type(self)
-        new_op = Operation.__new__(cls)
-        Operation.__init__(
-            new_op,
-            operands=new_operands,
-            result_types=[r.type for r in self.results],
-            attributes=dict(self.attributes),
-            regions=0,
-            successors=new_successors,
-            name=self.name,
-            loc=self.loc,
-        )
-        for old_res, new_res in zip(self.results, new_op.results):
+        # the copy's slots are filled directly: every value is already a
+        # checked ``Value``, and the generic constructor's argument handling
+        # is most of what a clone of a large function would spend
+        new_op = Operation.__new__(type(self))
+        new_op.name = self.name
+        new_op._uid = next(_op_counter)
+        new_op.attributes = dict(self.attributes)
+        new_op.successors = [block_map.get(b, b) for b in self.successors] \
+            if self.successors else []
+        new_op.parent = new_op._prev = new_op._next = None
+        new_op.loc = self.loc
+        operands = new_op._operands = []
+        for value in self._operands:
+            value = value_map.get(value, value)
+            value.uses.append(Use(new_op, len(operands)))
+            operands.append(value)
+        results = new_op.results = []
+        for old_res in self.results:
+            new_res = OpResult(new_op, len(results), old_res.type)
+            results.append(new_res)
             value_map[old_res] = new_res
-        for region in self.regions:
-            new_region = Region(parent=new_op)
-            new_op.regions.append(new_region)
-            # first create blocks + arguments so forward branch references work
-            for block in region.blocks:
-                new_block = Block(arg_types=[a.type for a in block.args])
-                block_map[block] = new_block
-                for old_arg, new_arg in zip(block.args, new_block.args):
-                    value_map[old_arg] = new_arg
-                new_region.add_block(new_block)
-            for block in region.blocks:
-                new_block = block_map[block]
-                for op in block.ops:
-                    new_block.add_op(op.clone(value_map, block_map))
+        new_op.regions = [region.clone_into(value_map, block_map, new_op)
+                          for region in self.regions] if self.regions else []
         return new_op
 
     # -- verification -----------------------------------------------------------
@@ -433,11 +478,10 @@ class Operation:
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<Operation {self.name} #{self._uid}>"
 
+    # equality is identity (``object``'s); the hash is the uid rather than
+    # ``id()`` so that set/dict iteration order does not depend on addresses
     def __hash__(self):
         return self._uid
-
-    def __eq__(self, other):
-        return self is other
 
 
 class UnregisteredOp(Operation):
@@ -472,8 +516,76 @@ def create_operation(name: str,
 _block_counter = itertools.count()
 
 
+class BlockOps:
+    """Read-only view of a block's operations, in order.
+
+    The ops themselves are the list: each carries ``_prev``/``_next`` and
+    the block its two ends, so there is nothing here to mutate — insertion,
+    removal and moves go through :class:`Block` and :class:`Operation`.
+
+    Iteration reads an op's successor *before* yielding the op, so the loop
+    body may erase, detach or move the op it was handed, or insert ahead of
+    it, and the iteration continues with what was its successor.  Removing
+    the successor itself is not covered: iterate ``list(block.ops)`` when
+    the body touches ops other than the one in hand.
+    """
+
+    __slots__ = ("_block",)
+
+    def __init__(self, block: "Block"):
+        self._block = block
+
+    def __iter__(self) -> Iterator[Operation]:
+        op = self._block._first
+        while op is not None:
+            following = op._next
+            yield op
+            op = following
+
+    def __reversed__(self) -> Iterator[Operation]:
+        op = self._block._last
+        while op is not None:
+            preceding = op._prev
+            yield op
+            op = preceding
+
+    def __len__(self) -> int:
+        return self._block._count
+
+    def __bool__(self) -> bool:
+        return self._block._first is not None
+
+    def __contains__(self, op: object) -> bool:
+        return isinstance(op, Operation) and op.parent is self._block
+
+    def __getitem__(self, index):
+        """Both ends are direct; any other index or slice walks the block."""
+        if index == 0 or index == -1:
+            op = self._block._first if index == 0 else self._block._last
+            if op is None:
+                raise IndexError("block has no operations")
+            return op
+        return list(self)[index]
+
+    def index(self, op: Operation) -> int:
+        """Position of ``op`` (linear; nothing on the compile path asks)."""
+        for position, candidate in enumerate(self):
+            if candidate is op:
+                return position
+        raise ValueError(f"{op!r} is not in the block")
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return f"BlockOps({list(self)!r})"
+
+
 class Block:
     """A straight-line sequence of operations ending in a terminator.
+
+    The op list is intrusive: ``_first``/``_last``/``_count`` here, ``_prev``
+    /``_next`` on each :class:`Operation`, and :attr:`ops` a read-only
+    :class:`BlockOps` view over them.  Inserting next to an op, detaching,
+    erasing and moving are O(1); only the positional ``insert_op_at`` and
+    ``Operation.is_before_in_block`` walk the block.
 
     ``_jit`` is the jit engine's per-block instantiation material (see
     :mod:`repro.machine.jit`): unset until the block is first translated,
@@ -481,20 +593,41 @@ class Block:
     module instead of pinning it from a process-wide cache.
     """
 
-    __slots__ = ("args", "ops", "parent", "_uid", "_jit")
+    __slots__ = ("args", "_first", "_last", "_count", "parent", "_uid", "_jit")
 
     def __init__(self, arg_types: Sequence[Type] = ()):
         self._uid = next(_block_counter)
         self.args: List[BlockArgument] = [
             BlockArgument(self, i, t) for i, t in enumerate(arg_types)
         ]
-        self.ops: List[Operation] = []
+        self._first: Optional[Operation] = None
+        self._last: Optional[Operation] = None
+        self._count = 0
         self.parent: Optional[Region] = None
 
+    @property
+    def ops(self) -> BlockOps:
+        return BlockOps(self)
+
     def __getstate__(self):
-        # ``_jit`` binds live code objects and namespaces: never serialised
-        return None, {"args": self.args, "ops": self.ops,
+        # ``_jit`` binds live code objects and namespaces: never serialised.
+        # The ops travel as a plain list (the pickled shape predates the
+        # links, and a linked chain would recurse once per op)
+        return None, {"args": self.args, "ops": list(self.ops),
                       "parent": self.parent, "_uid": self._uid}
+
+    def __setstate__(self, state):
+        slots = state[1]
+        self.args = slots["args"]
+        self.parent = slots["parent"]
+        self._uid = slots["_uid"]
+        # relink; each op's ``parent`` comes with its own state
+        ops = slots["ops"]
+        for before, op, after in zip([None] + ops, ops, ops[1:] + [None]):
+            op._prev, op._next = before, after
+        self._first = ops[0] if ops else None
+        self._last = ops[-1] if ops else None
+        self._count = len(ops)
 
     # -- arguments ----------------------------------------------------------
     def add_argument(self, type: Type) -> BlockArgument:
@@ -512,8 +645,17 @@ class Block:
 
     # -- op list ------------------------------------------------------------
     def add_op(self, op: Operation) -> Operation:
-        op.detach()
-        self.ops.append(op)
+        if op.parent is not None:
+            op.detach()
+        last = self._last
+        op._prev = last
+        op._next = None
+        if last is None:
+            self._first = op
+        else:
+            last._next = op
+        self._last = op
+        self._count += 1
         op.parent = self
         return op
 
@@ -524,28 +666,60 @@ class Block:
             self.add_op(op)
 
     def insert_op_at(self, index: int, op: Operation) -> Operation:
+        """Insert at a position, with ``list.insert``'s reading of ``index``
+        (linear in ``index``; the anchor-based forms are O(1))."""
         op.detach()
-        self.ops.insert(index, op)
+        if index < 0:
+            index = max(index + self._count, 0)
+        if index >= self._count:
+            return self.add_op(op)
+        anchor = self._first
+        for _ in range(index):
+            anchor = anchor._next
+        return self.insert_before(anchor, op)
+
+    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
+        if anchor.parent is not self:
+            raise IRError(f"{anchor!r} is not in the block")
+        if op is anchor:
+            return op
+        if op.parent is not None:
+            op.detach()
+        before = anchor._prev
+        op._prev = before
+        op._next = anchor
+        anchor._prev = op
+        if before is None:
+            self._first = op
+        else:
+            before._next = op
+        self._count += 1
         op.parent = self
         return op
 
-    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
-        return self.insert_op_at(self.ops.index(anchor), op)
-
     def insert_after(self, anchor: Operation, op: Operation) -> Operation:
-        return self.insert_op_at(self.ops.index(anchor) + 1, op)
+        if anchor.parent is not self:
+            raise IRError(f"{anchor!r} is not in the block")
+        if op is anchor:
+            return op
+        if op.parent is not None:
+            op.detach()
+        after = anchor._next
+        if after is None:
+            return self.add_op(op)
+        return self.insert_before(after, op)
 
     @property
     def first_op(self) -> Optional[Operation]:
-        return self.ops[0] if self.ops else None
+        return self._first
 
     @property
     def last_op(self) -> Optional[Operation]:
-        return self.ops[-1] if self.ops else None
+        return self._last
 
     @property
     def terminator(self) -> Optional[Operation]:
-        last = self.last_op
+        last = self._last
         if last is not None and last.has_trait("IsTerminator"):
             return last
         return None
@@ -554,8 +728,7 @@ class Block:
         return self.parent.parent if self.parent is not None else None
 
     def walk(self) -> Iterator[Operation]:
-        for op in list(self.ops):
-            yield from op.walk()
+        return _preorder(list(reversed(self.ops)))
 
     def index_in_region(self) -> int:
         if self.parent is None:
@@ -581,18 +754,39 @@ class Block:
         if self.parent is not None:
             self.parent.blocks.remove(self)
             self.parent = None
-        for op in list(self.ops):
-            op.drop_all_references()
-        self.ops = []
+        for op in self.ops:
+            op.erase(check_uses=False)
 
     def __repr__(self):  # pragma: no cover - debugging aid
-        return f"<Block ^bb{self._uid} ({len(self.ops)} ops)>"
+        return f"<Block ^bb{self._uid} ({self._count} ops)>"
 
+    # identity equality, uid hash: as for :class:`Operation`
     def __hash__(self):
         return self._uid
 
-    def __eq__(self, other):
-        return self is other
+
+def _preorder(stack: List[Operation]) -> Iterator[Operation]:
+    """Pre-order traversal below the ops on ``stack`` (next to visit last).
+
+    One generator and one explicit stack for the whole tree, not a
+    ``yield from`` chain as deep as the nesting.  An op's children are
+    pushed after the consumer has seen the op, so erasing, moving or
+    replacing the op in hand is safe; ops nested in an op erased that way
+    are still reported — their ``parent`` is ``None`` by then, which is what
+    the pattern drivers test for.
+    """
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        op = pop()
+        yield op
+        if op.regions:
+            for region in reversed(op.regions):
+                for block in reversed(region.blocks):
+                    child = block._last
+                    while child is not None:
+                        push(child)
+                        child = child._prev
 
 
 # ---------------------------------------------------------------------------
@@ -644,9 +838,12 @@ class Region:
             other.blocks.append(block)
         self.blocks = []
 
-    def clone_into(self, value_map: Dict[Value, Value]) -> "Region":
-        new_region = Region()
-        block_map: Dict[Block, Block] = {}
+    def clone_into(self, value_map: Dict[Value, Value],
+                   block_map: Optional[Dict[Block, Block]] = None,
+                   parent: Optional[Operation] = None) -> "Region":
+        block_map = block_map if block_map is not None else {}
+        new_region = Region(parent=parent)
+        # first create blocks + arguments so forward branch references work
         for block in self.blocks:
             new_block = Block(arg_types=[a.type for a in block.args])
             block_map[block] = new_block
@@ -654,9 +851,9 @@ class Region:
                 value_map[old_arg] = new_arg
             new_region.add_block(new_block)
         for block in self.blocks:
-            nb = block_map[block]
+            new_block = block_map[block]
             for op in block.ops:
-                nb.add_op(op.clone(value_map, block_map))
+                new_block.add_op(op.clone(value_map, block_map))
         return new_region
 
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -672,6 +869,7 @@ __all__ = [
     "Operation",
     "UnregisteredOp",
     "Block",
+    "BlockOps",
     "Region",
     "OP_REGISTRY",
     "register_op",

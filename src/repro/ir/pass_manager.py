@@ -67,13 +67,34 @@ class Pass:
         return f"<Pass {self.NAME} {self.options}>"
 
 
+def anchored_ops(host: Operation, anchor: str) -> List[Operation]:
+    """The ``anchor`` ops under ``host`` (itself included), in walk order.
+
+    Looking for functions does not enter a function: the verifier rejects a
+    ``func.func`` inside another function's body, so there is nothing to
+    find there — and a nested pipeline asks this once per pass per function.
+    """
+    if anchor != "func.func":
+        return [op for op in host.walk() if op.name == anchor]
+    found: List[Operation] = []
+    stack = [host]
+    while stack:
+        op = stack.pop()
+        if op.name == anchor:
+            found.append(op)
+            continue
+        for region in reversed(op.regions):
+            for block in reversed(region.blocks):
+                stack.extend(reversed(block.ops))
+    return found
+
+
 class FunctionPass(Pass):
     """Pass that runs independently over every ``func.func`` in the module."""
 
     def run(self, module: Operation) -> None:
-        for op in list(module.walk()):
-            if op.name == "func.func":
-                self.run_on_function(op)
+        for func in anchored_ops(module, "func.func"):
+            self.run_on_function(func)
 
     def run_on_function(self, func: Operation) -> None:
         raise NotImplementedError
@@ -661,7 +682,7 @@ class PassManager:
                 cache = None
 
         spliced_from_cache = False
-        for target in [o for o in host.walk() if o.name == self.anchor]:
+        for target in anchored_ops(host, self.anchor):
             key = None
             if cache is not None and target.parent is not None:
                 try:

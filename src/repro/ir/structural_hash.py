@@ -108,39 +108,66 @@ class _Fingerprinter:
         return f"b{number}" if number is not None else "bext"
 
     def visit(self, op: Operation) -> None:
-        tokens = self._tokens
+        self._visit_ops((op,))
+
+    def _visit_ops(self, ops) -> None:
+        # Runs once per op of every function of every incremental lookup, so
+        # one frame serves a whole block and the common shapes (local
+        # operands, no successors, no regions) cost a dict probe and a
+        # concatenation each.  The token *stream* is what
+        # STRUCTURAL_HASH_VERSION fixes; how it is produced is not ("\x00"
+        # inside a token is the separator ``hexdigest`` joins with).
+        append = self._tokens.append
         values = self._values
-        tokens.append(f"op:{op.name}")
-        attributes = op.attributes
-        for key in sorted(attributes):
-            attr = attributes[key]
-            tokens.append(f"attr:{key}={type(attr).__name__}:{attr.mlir()}")
-        tokens.append("operands:" + ",".join(self._value_token(v)
-                                             for v in op.operands))
-        tokens.append("results:" + ",".join(self._type_token(r.type)
-                                            for r in op.results))
-        for result in op.results:
-            values[id(result)] = len(values)
-        if self._members is not None and op.results:
-            tokens.append("remote:" + self._remote_use_token(op.results))
-        tokens.append("successors:" + ",".join(self._block_token(b)
-                                               for b in op.successors))
-        tokens.append(f"regions:{len(op.regions)}")
-        for region in op.regions:
-            # number blocks first so successor forward references resolve
-            for block in region.blocks:
-                self._blocks[id(block)] = len(self._blocks)
-            for block in region.blocks:
-                tokens.append("block:" + ",".join(self._type_token(a.type)
-                                                  for a in block.args))
-                for arg in block.args:
-                    values[id(arg)] = len(values)
-                if self._members is not None and block.args:
-                    tokens.append(
-                        "bremote:" + self._remote_use_token(block.args))
-                for nested in block.ops:
-                    self.visit(nested)
-            tokens.append("endregion")
+        local = values.get
+        types = self._type_mlir
+        members = self._members
+        for op in ops:
+            append("op:" + op.name)
+            attributes = op.attributes
+            if attributes:
+                for key in sorted(attributes):
+                    attr = attributes[key]
+                    append(f"attr:{key}={type(attr).__name__}:{attr.mlir()}")
+            operands = []
+            for value in op._operands:
+                number = local(id(value))
+                operands.append(f"v{number}" if number is not None
+                                else self._value_token(value))
+            append("operands:" + ",".join(operands))
+            results = op.results
+            result_types = []
+            for result in results:
+                values[id(result)] = len(values)
+                type_ = result.type
+                token = types.get(id(type_))
+                if token is None:
+                    token = types[id(type_)] = type_.mlir()
+                result_types.append(token)
+            append("results:" + ",".join(result_types))
+            if members is not None and results:
+                append("remote:" + self._remote_use_token(results))
+            regions = op.regions
+            if not regions and not op.successors:
+                append("successors:\x00regions:0")
+                continue
+            append("successors:" + ",".join([self._block_token(b)
+                                             for b in op.successors]))
+            append(f"regions:{len(regions)}")
+            for region in regions:
+                # number blocks first so successor forward references resolve
+                for block in region.blocks:
+                    self._blocks[id(block)] = len(self._blocks)
+                for block in region.blocks:
+                    append("block:" + ",".join([self._type_token(a.type)
+                                                for a in block.args]))
+                    for arg in block.args:
+                        values[id(arg)] = len(values)
+                    if members is not None and block.args:
+                        append("bremote:"
+                               + self._remote_use_token(block.args))
+                    self._visit_ops(block.ops)
+                append("endregion")
 
     def hexdigest(self) -> str:
         return hashlib.sha256("\x00".join(self._tokens).encode()).hexdigest()
@@ -197,8 +224,7 @@ def fingerprint_block(block: Block, *, salt: str = "") -> str:
     if block.args:
         tokens.append("bremote:"
                       + fingerprinter._remote_use_token(block.args))
-    for op in block.ops:
-        fingerprinter.visit(op)
+    fingerprinter._visit_ops(block.ops)
     return fingerprinter.hexdigest()
 
 

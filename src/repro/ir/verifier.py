@@ -7,6 +7,7 @@ Checks the well-formedness rules the rest of the infrastructure relies on:
 * blocks with multiple operations end in a terminator when they have
   successors;
 * def-use chains are consistent (each operand registers exactly one use);
+* a ``func.func`` is never nested inside another function's body;
 * op-specific ``verify_`` hooks pass.
 """
 
@@ -67,6 +68,12 @@ def _verify_rec(op: Operation, toplevel: bool = False) -> None:
             raise VerificationError(
                 f"{op.name}: operand #{idx} does not register this use")
 
+    # the pass manager finds functions without searching function bodies
+    if op.name == "func.func" and any(a.name == "func.func"
+                                      for a in op.ancestors()):
+        raise VerificationError(
+            "func.func: a function may not sit inside another function's body")
+
     # region structure
     for region in op.regions:
         if region.parent is not op:
@@ -85,8 +92,9 @@ def _verify_rec(op: Operation, toplevel: bool = False) -> None:
                         raise VerificationError(
                             f"{inner.name}: successor block is not in the same region")
             # terminator checks: any op with successors must be last
-            for inner in block.ops[:-1]:
-                if inner.successors:
+            last = block.last_op
+            for inner in block.ops:
+                if inner.successors and inner is not last:
                     raise VerificationError(
                         f"{inner.name}: branch-like op must terminate its block")
 

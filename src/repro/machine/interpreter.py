@@ -317,7 +317,7 @@ class Interpreter:
 
     def _compile_block(self, block: Block) -> List[Callable]:
         code: List[Callable] = []
-        ops = block.ops
+        ops = list(block.ops)
         skip_next = False
         for position, op in enumerate(ops):
             if skip_next:

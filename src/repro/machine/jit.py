@@ -197,11 +197,12 @@ def _structured_body(block: Optional[Block]) -> bool:
     returns falls back to the generic handlers."""
     if block is None:
         return False
-    for position, op in enumerate(block.ops):
+    last = block.last_op
+    for op in block.ops:
         if op.name in _RETURN_OPS or op.name in _BR_OPS \
                 or op.name in _COND_BR_OPS:
             return False
-        if op.name in _YIELD_OPS and position != len(block.ops) - 1:
+        if op.name in _YIELD_OPS and op is not last:
             return False
     return True
 
@@ -240,7 +241,7 @@ def _if_inlineable(op: Operation) -> bool:
         if else_block is None:
             return False
         for block in (then_block, else_block):
-            term = block.ops[-1] if block.ops else None
+            term = block.last_op
             if term is None or term.name not in _YIELD_OPS \
                     or len(term.operands) != len(op.results):
                 return False
@@ -250,7 +251,7 @@ def _if_inlineable(op: Operation) -> bool:
 def _plan_ops(block: Block) -> List[Tuple]:
     """Decide, per op, inline translation vs fallback thunk."""
     steps: List[Tuple] = []
-    ops = block.ops
+    ops = list(block.ops)
     position = 0
     while position < len(ops):
         op = ops[position]

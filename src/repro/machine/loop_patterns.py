@@ -292,7 +292,7 @@ def _walk(plan: NestPlan, loop_op: Operation, depth: int,
     inits = _iter_operands(loop_op)
     if len(body.args) != 1 + len(inits):
         return False
-    ops = body.ops
+    ops = list(body.ops)
     if not ops:
         return False
     terminator = ops[-1]

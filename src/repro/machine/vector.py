@@ -857,7 +857,7 @@ class VectorEngine:
     def _compile_block(self, block) -> List:
         interp = self.interp
         code: List = []
-        ops = block.ops
+        ops = list(block.ops)
         skip_next = False
         for position, op in enumerate(ops):
             if skip_next:

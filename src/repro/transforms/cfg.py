@@ -18,19 +18,25 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import arith, cf, scf
 from ..ir import types as ir_types
-from ..ir.core import Block, Operation, Region, Value
+from ..ir.core import Block, IRError, Operation, Region, Value
 
 
 def split_block(block: Block, before: Operation) -> Block:
     """Split ``block`` before ``before``; the tail ops move to a new block that
     is inserted right after ``block`` in the parent region."""
+    if before.parent is not block:
+        raise IRError(f"{before!r} is not in the block being split")
     region = block.parent
-    idx = block.ops.index(before)
     tail = Block()
-    for op in block.ops[idx:]:
-        op.parent = tail
-        tail.ops.append(op)
-    del block.ops[idx:]
+    # from the end back to ``before``: the cost is the tail's length
+    moved = None
+    while moved is not before:
+        op = block.last_op
+        if moved is None:
+            tail.add_op(op)
+        else:
+            tail.insert_before(moved, op)
+        moved = op
     region.insert_block_at(block.index_in_region() + 1, tail)
     return tail
 

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import sys
+
 import pytest
 
 from repro.core import StandardMLIRCompiler, convert_fir_to_standard
@@ -93,3 +95,23 @@ def run_ours(source: str, **kwargs):
 def last_value(interp) -> float:
     assert interp.printed, "program produced no output"
     return float(interp.printed[-1].split()[-1])
+
+
+def count_lines(action) -> int:
+    """Python line events executed by ``action()`` — a deterministic stand-in
+    for its cost: the complexity guards compare counts, never seconds."""
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        action()
+    finally:
+        sys.settrace(previous)
+    return lines

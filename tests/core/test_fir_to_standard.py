@@ -408,6 +408,23 @@ class TestWholeFlow:
         # and the final IR does not depend on what was kept
         assert print_op(plain.module) == print_op(kept.module)
 
+    def test_in_place_pass_erases_what_it_replaces(self,
+                                                   simple_program_source):
+        """The pass form swaps the module's contents: the old top-level ops
+        must end up erased (``parent is None`` is what every pattern driver
+        reads as "gone"), not merely dropped from the list."""
+        from repro.core import ConvertFirToStandardPass
+        module = FlangCompiler().lower_to_hlfir(simple_program_source)
+        replaced = list(module.body.ops)
+        nested = [op for top in replaced for op in top.walk()]
+        ConvertFirToStandardPass().run(module)
+        assert all(op.parent is None for op in nested)
+        assert module.body.ops and \
+            all(op.parent is module.body for op in module.body.ops)
+        assert not set(replaced) & set(module.body.ops)
+        assert [print_op(op) for op in module.body.ops] == \
+            [print_op(op) for op in lower(simple_program_source).body.ops]
+
     def test_llvm_lowering_leaves_only_llvm_and_structure(self, simple_program_source):
         result = StandardMLIRCompiler(vector_width=0,
                                       lower_to_llvm=True).compile(simple_program_source)

@@ -106,6 +106,48 @@ class TestPassInfrastructure:
         assert "canonicalize" in pm.describe()
         assert "cse" in pm.describe()
 
+    def test_function_anchors_are_found_without_entering_functions(self):
+        """``anchored_ops`` skips function bodies; it must still find what
+        the full walk finds, in the same order."""
+        from repro.dialects.func import FuncOp
+        from repro.flows import available_flows, get_flow
+        from repro.ir import create_operation
+        from repro.ir.pass_manager import anchored_ops
+        from repro.workloads import all_workloads
+
+        def by_walking(host, anchor="func.func"):
+            return [op for op in host.walk() if op.name == anchor]
+
+        for workload in all_workloads():
+            for flow in available_flows():
+                module = get_flow(flow).run(
+                    workload, collect_statistics=False).module
+                assert anchored_ops(module, "func.func") == by_walking(module)
+        # functions inside a container that is not a function are found,
+        # a function host is its own only anchor, other anchors still walk
+        inner = FuncOp("inner", T.FunctionType((), ()))
+        container = create_operation("test.container", regions=1)
+        container.regions[0].add_block(Block())
+        container.regions[0].blocks[0].add_op(inner)
+        outer = FuncOp("outer", T.FunctionType((), ()))
+        constant = arith.ConstantOp(1, T.i32)
+        outer.entry_block.add_op(constant)
+        module = ModuleOp([outer])
+        module.body.add_op(container)
+        assert anchored_ops(module, "func.func") == [outer, inner]
+        assert anchored_ops(outer, "func.func") == [outer]
+        assert anchored_ops(module, "arith.constant") == [constant]
+
+    def test_verifier_rejects_a_function_inside_a_function_body(self):
+        from repro.dialects.func import FuncOp
+        from repro.ir import VerificationError, verify_operation
+        outer = FuncOp("outer", T.FunctionType((), ()))
+        module = ModuleOp([outer])
+        verify_operation(module)
+        outer.entry_block.add_op(FuncOp("inner", T.FunctionType((), ())))
+        with pytest.raises(VerificationError, match="inside another"):
+            verify_operation(module)
+
 
 class TestRewriter:
     def test_greedy_pattern_application(self):

@@ -11,8 +11,10 @@ import pytest
 
 from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.flang import FlangCompiler
-from repro.ir import StringAttr, structural_fingerprint
+from repro.flows import get_flow
+from repro.ir import StringAttr, structural_fingerprint, structural_hash
 from repro.ir.structural_hash import fingerprint_block
+from repro.workloads import all_workloads, get_workload
 
 TWO_FUNCS = """
 subroutine f1(n)
@@ -202,3 +204,89 @@ class TestBlockFingerprint:
         # `add` has a remote use
         consumer.erase()
         assert fingerprint_block(leaked) != fingerprint_block(local)
+
+
+# ---------------------------------------------------------------------------
+# the token stream is pinned: how it is produced may change, it may not
+# ---------------------------------------------------------------------------
+
+
+class _OneTokenAtATime(structural_hash._Fingerprinter):
+    """The token stream of STRUCTURAL_HASH_VERSION 1, written the obvious
+    way: the reference the production visitor's fast paths must match."""
+
+    def _visit_ops(self, ops) -> None:
+        tokens = self._tokens
+        for op in ops:
+            tokens.append(f"op:{op.name}")
+            for key in sorted(op.attributes):
+                attr = op.attributes[key]
+                tokens.append(
+                    f"attr:{key}={type(attr).__name__}:{attr.mlir()}")
+            tokens.append("operands:" + ",".join(
+                self._value_token(v) for v in op.operands))
+            tokens.append("results:" + ",".join(
+                self._type_token(r.type) for r in op.results))
+            for result in op.results:
+                self._values[id(result)] = len(self._values)
+            if self._members is not None and op.results:
+                tokens.append("remote:"
+                              + self._remote_use_token(op.results))
+            tokens.append("successors:" + ",".join(
+                self._block_token(b) for b in op.successors))
+            tokens.append(f"regions:{len(op.regions)}")
+            for region in op.regions:
+                for block in region.blocks:
+                    self._blocks[id(block)] = len(self._blocks)
+                for block in region.blocks:
+                    tokens.append("block:" + ",".join(
+                        self._type_token(a.type) for a in block.args))
+                    for arg in block.args:
+                        self._values[id(arg)] = len(self._values)
+                    if self._members is not None and block.args:
+                        tokens.append(
+                            "bremote:" + self._remote_use_token(block.args))
+                    self._visit_ops(list(block.ops))
+                tokens.append("endregion")
+
+
+#: ``ours``-flow final module / its first function's entry block, salt
+#: "pin", computed by the commit before the visitor grew its fast paths
+PINNED = {
+    "jacobi": (
+        "73ba37496e838fdead9da368b0af9e1812669efedf737bce6e50e1774694f832",
+        "71f9ca9f871e50d5fb906d8b8207c75e1fd53599cd3174905503ae5854ee5924"),
+    "pw-advection": (
+        "afb1f20a32ccccf193d88f4a3b5b1c84224ace8b041d75e208313a4eaf0f65bd",
+        "d5c21df2d445d7d19b02fd89a93221d69e61f3638b666316e69c3b5787c3ef6d"),
+    "dotproduct": (
+        "9cd46be625ed94a5420d3bcdcd1f4b17ab2da9a3d3d6e5999b4814942008649c",
+        "76e03cc046a1fb0885e37220c712a3b71c66c2be513b731a4aea601de1b7c1f4"),
+}
+
+
+class TestTokenStreamIsPinned:
+    @pytest.mark.parametrize("workload", [w.name for w in all_workloads()])
+    def test_digests_match_the_reference_visitor(self, workload,
+                                                 monkeypatch):
+        module = get_flow("ours").run(get_workload(workload),
+                                      collect_statistics=False).module
+        blocks = [b for op in module.walk() for r in op.regions
+                  for b in r.blocks]
+        def digests():
+            return ([structural_fingerprint(f, salt="s")
+                     for f in _funcs(module)],
+                    [fingerprint_block(b, salt="s") for b in blocks])
+
+        fast = digests()
+        if workload in PINNED:
+            assert PINNED[workload] == (
+                structural_fingerprint(module, salt="pin"),
+                fingerprint_block(_funcs(module)[0].regions[0].blocks[0],
+                                  salt="pin"))
+        monkeypatch.setattr(structural_hash, "_Fingerprinter",
+                            _OneTokenAtATime)
+        assert digests() == fast
+
+    def test_the_version_constant_did_not_move(self):
+        assert structural_hash.STRUCTURAL_HASH_VERSION == 1
