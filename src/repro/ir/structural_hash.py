@@ -13,26 +13,12 @@ This is the addressing scheme of function-granular incremental compilation:
 a ``func.func`` hashed at pipeline entry, salted with the nested pipeline's
 canonical description, keys the per-function stage artifacts in
 :mod:`repro.service.incremental`.
-
-:func:`fingerprint_block` extends the same scheme to a single *block*, the
-unit the jit engine translates.  A block is not an isolated subtree, so two
-structurally identical blocks can still require different generated code;
-the block fingerprint therefore folds in everything the emitter
-specializes on beyond the op stream:
-
-* **external constants** — an operand defined outside the block by
-  ``arith.constant`` carries its constant value in the token (the emitter
-  bakes e.g. the ``fir.do_loop`` direction from a statically known step,
-  even when that step is defined in a dominating block);
-* **remote uses** — for every value the block (tree) defines, whether any
-  consumer lives *outside* the tree (the emitter keeps such values
-  env-resident instead of collapsing them into locals).
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict
 
 from .core import Block, Operation, Value
 
@@ -53,8 +39,7 @@ class _Fingerprinter:
     the IR holds the objects alive, so ids cannot be recycled mid-run.
     """
 
-    def __init__(self, salt: str,
-                 members: Optional[FrozenSet[int]] = None):
+    def __init__(self, salt: str):
         self._tokens = [f"structural-hash:v{STRUCTURAL_HASH_VERSION}",
                         f"salt:{salt}"]
         #: Local numbering for values defined inside the hashed subtree,
@@ -66,11 +51,6 @@ class _Fingerprinter:
         self._external: Dict[int, int] = {}
         self._blocks: Dict[int, int] = {}
         self._type_mlir: Dict[int, str] = {}
-        #: When hashing a non-isolated block: ``id()`` of every op inside
-        #: the hashed tree.  Enables the external-constant and remote-use
-        #: tokens of :func:`fingerprint_block`; ``None`` (op-tree hashing)
-        #: keeps the token stream byte-identical to version 1.
-        self._members = members
 
     def _type_token(self, type_) -> str:
         token = self._type_mlir.get(id(type_))
@@ -84,24 +64,7 @@ class _Fingerprinter:
         if number is not None:
             return f"v{number}"
         number = self._external.setdefault(id(value), len(self._external))
-        token = f"ext{number}:{self._type_token(value.type)}"
-        if self._members is not None:
-            # a statically known external constant is codegen material: the
-            # jit emitter specializes on it (loop direction, bound folding)
-            defining = getattr(value, "op", None)
-            if defining is not None and defining.name == "arith.constant":
-                attr = defining.get_attr("value")
-                if attr is not None:
-                    token += f"=c:{attr.mlir()}"
-        return token
-
-    def _remote_use_token(self, values: Sequence[Value]) -> str:
-        """One flag per defined value: consumed outside the hashed tree?"""
-        members = self._members
-        return "".join(
-            "x" if any(id(use.operation) not in members
-                       for use in value.uses) else "."
-            for value in values)
+        return f"ext{number}:{self._type_token(value.type)}"
 
     def _block_token(self, block: Block) -> str:
         number = self._blocks.get(id(block))
@@ -121,7 +84,6 @@ class _Fingerprinter:
         values = self._values
         local = values.get
         types = self._type_mlir
-        members = self._members
         for op in ops:
             append("op:" + op.name)
             attributes = op.attributes
@@ -145,8 +107,6 @@ class _Fingerprinter:
                     token = types[id(type_)] = type_.mlir()
                 result_types.append(token)
             append("results:" + ",".join(result_types))
-            if members is not None and results:
-                append("remote:" + self._remote_use_token(results))
             regions = op.regions
             if not regions and not op.successors:
                 append("successors:\x00regions:0")
@@ -163,9 +123,6 @@ class _Fingerprinter:
                                                 for a in block.args]))
                     for arg in block.args:
                         values[id(arg)] = len(values)
-                    if members is not None and block.args:
-                        append("bremote:"
-                               + self._remote_use_token(block.args))
                     self._visit_ops(block.ops)
                 append("endregion")
 
@@ -187,46 +144,4 @@ def structural_fingerprint(op: Operation, *, salt: str = "") -> str:
     return fingerprinter.hexdigest()
 
 
-def _tree_member_ids(block: Block) -> FrozenSet[int]:
-    """``id()`` of every op inside ``block`` and its nested regions."""
-    members = set()
-    stack = [block]
-    while stack:
-        current = stack.pop()
-        for op in current.ops:
-            members.add(id(op))
-            for region in op.regions:
-                stack.extend(region.blocks)
-    return frozenset(members)
-
-
-def fingerprint_block(block: Block, *, salt: str = "") -> str:
-    """SHA-256 hex digest of one block's *translation-relevant* structure.
-
-    Two blocks fingerprint equal iff a deterministic per-block code
-    generator (the jit emitter) must treat them identically: the structural
-    material of :func:`structural_fingerprint` over the block's ops, plus
-    the block argument signature, the constant values of externally defined
-    ``arith.constant`` operands, and — for every value the block tree
-    defines — whether it has consumers outside the tree.  Object identity,
-    ``_uid`` counters and ``name_hint`` cosmetics are excluded, so the same
-    block rebuilt by a fresh frontend run in another process fingerprints
-    identically; this is the persistent translation cache's address.
-    """
-    fingerprinter = _Fingerprinter(salt, members=_tree_member_ids(block))
-    tokens = fingerprinter._tokens
-    tokens.append("block-fingerprint:v1")
-    fingerprinter._blocks[id(block)] = len(fingerprinter._blocks)
-    tokens.append("args:" + ",".join(fingerprinter._type_token(a.type)
-                                     for a in block.args))
-    for arg in block.args:
-        fingerprinter._values[id(arg)] = len(fingerprinter._values)
-    if block.args:
-        tokens.append("bremote:"
-                      + fingerprinter._remote_use_token(block.args))
-    fingerprinter._visit_ops(block.ops)
-    return fingerprinter.hexdigest()
-
-
-__all__ = ["structural_fingerprint", "fingerprint_block",
-           "STRUCTURAL_HASH_VERSION"]
+__all__ = ["structural_fingerprint", "STRUCTURAL_HASH_VERSION"]

@@ -32,6 +32,13 @@ result is observationally bit-identical to both other engines — printed
 output and :class:`~repro.machine.interpreter.ExecutionStats` — which the
 conformance oracle and ``tests/machine`` assert on every workload.
 
+A translation is addressed by the digest of the source it was compiled from
+(:func:`_translation_for`), so whatever changes the source changes the key
+and the emitter may specialise on anything it can see: :func:`_kind` reads
+a value's run-time class off its defining op, and the ``_emit_*`` functions
+write the one branch a proven class can take — the run-time switch only
+where the producer proves nothing.
+
 Why deferred counter flushing is exact: every statistics bump is an
 integer-valued float (``+= 1.0`` or an integer element count), and sums of
 integers in float64 are associative below 2**53, so adding ``3.0`` once is
@@ -53,9 +60,9 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..counters import PROCESS, Counters
+from ..dialects import fir as fir_d
 from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
-from ..ir.structural_hash import fingerprint_block
 from . import semantics
 from .interpreter import (_BR_OPS, _COND_BR_OPS, _RETURN_OPS, _YIELD_OPS,
                           _fusable, Interpreter, InterpreterError)
@@ -103,23 +110,81 @@ def _coor_fusable(op: Operation, follower: Optional[Operation]) -> bool:
     return False
 
 
-def _always_int(value: Value) -> bool:
-    """True when every engine binds ``value`` to an exact Python ``int``,
-    so an index use needs no ``int(...)`` conversion: induction variables
-    of the structured loops, ``affine.apply`` results, integer casts and
-    integer constants."""
+#: Test seam (monkeypatched, never set here): the emitter follows every
+#: :func:`_kind` it consults with an assertion that the run-time class is
+#: the proven one.  The instrumented source has its own digest, so it is
+#: its own translation and cannot poison a cache.
+_ASSERT_KINDS = False
+
+_SCALARS = frozenset({"int", "float", "scalar"})
+#: the class a constant holds / a cast kernel returns -> the kind it proves
+_CLASS_KINDS = {int: "int", float: "float", bool: "scalar"}
+_KIND_TESTS = {"int": "type({0}) is _int", "float": "type({0}) is _float",
+               "scalar": "not isinstance({0}, _boxt)",
+               "cell": "type({0}) is _Cell", "ndarray": "type({0}) is _nda"}
+
+
+def _convert_kind(target) -> Optional[str]:
+    """The kind ``fir.convert`` to ``target`` makes of a scalar (``None``:
+    the value passes through, as storage objects always do)."""
+    if isinstance(target, ir_types.FloatType):
+        return "float"
+    if isinstance(target, (ir_types.IntegerType, ir_types.IndexType)):
+        return "int"
+    return None
+
+
+def _kind(value: Value, memo: Dict[Value, Optional[str]]) -> Optional[str]:
+    """What the op defining ``value`` proves about its run-time class, on
+    every engine that can bind it: ``"int"`` / ``"float"`` (exactly that
+    Python type), ``"scalar"`` (a Python or NumPy number, never an ndarray
+    or a storage object), ``"cell"`` (a :class:`Cell`), ``"ndarray"`` (of
+    the memref's rank) — or ``None``: function and block arguments, loaded
+    ``fir`` values, call and fallback results prove nothing and keep the
+    run-time switch.  Whatever this changes in the emitted source changes
+    the translation's address with it."""
+    if value in memo:
+        return memo[value]
+    kind = None
     op = getattr(value, "op", None)
+    name = op.name if op is not None else None
     if op is None:
-        block = value.block
-        parent = block.parent.parent if block.parent is not None else None
-        return parent is not None and parent.name in _INLINE_LOOPS \
-            and value is block.args[0]
-    if op.name == "affine.apply":
-        return True
-    if op.name == "arith.constant":
-        return type(op.get_attr("value").value) is int
-    row = VALUE_OPS.get(op.name)
-    return row is not None and row.category == "cast" and row.bind(op) is int
+        loop = value.block.parent_op()
+        if loop is not None and loop.name in _INLINE_LOOPS \
+                and value is value.block.args[0]:
+            kind = "int"
+    elif name == "arith.constant":
+        kind = _CLASS_KINDS.get(type(op.get_attr("value").value))
+    elif name == "affine.apply":
+        kind = "int"
+    elif name == "vector.reduction":
+        kind = "float"
+    elif name == "fir.alloca":
+        if not isinstance(op.get_attr("in_type").type, fir_d.SequenceType):
+            kind = "cell"
+    elif name in ("memref.alloc", "memref.alloca"):
+        kind = "cell" if value.type.rank == 0 else "ndarray"
+    elif name in ("memref.load", "affine.load"):
+        subscripts = len(op.get_attr("map").results) \
+            if name == "affine.load" else len(op.operands) - 1
+        if _kind(op.operands[0], memo) == "ndarray" \
+                and subscripts == op.operands[0].type.rank:
+            kind = "scalar"
+    elif name == "fir.convert":
+        kind = _kind(op.operands[0], memo)     # storage passes through
+        if kind in _SCALARS:
+            kind = _convert_kind(value.type) or kind
+    elif name in VALUE_OPS:
+        kinds = [_kind(operand, memo) for operand in op.operands]
+        if VALUE_OPS[name].category == "cast":
+            kind = _CLASS_KINDS.get(VALUE_OPS[name].bind(op), kinds[0])
+        elif all(k == "int" for k in kinds) \
+                and name in ("arith.addi", "arith.subi", "arith.muli"):
+            kind = "int"
+        elif all(k in _SCALARS for k in kinds):
+            kind = "scalar"
+    memo[value] = kind
+    return kind
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +465,7 @@ class _Emitter:
                 id(int): "_int", id(float): "_float", id(bool): "_bool"}
             self.keys: Dict[Value, str] = {}     # value -> bound env-key name
             self.units: List[str] = []           # finished part sources
+            self.kinds: Dict[Value, Optional[str]] = {}     # _kind memo
         else:
             self.fallback_binds = root.fallback_binds
             self._seq = root._seq
@@ -407,6 +473,7 @@ class _Emitter:
             self._bound = root._bound
             self.keys = root.keys
             self.units = root.units
+            self.kinds = root.kinds
         self.names: Dict[Value, str] = {}    # value -> local variable
         self.counters: Dict[str, str] = {}   # category -> local variable
         self.pending: Dict[str, int] = {}    # category -> deferred increments
@@ -474,6 +541,18 @@ class _Emitter:
         self.w(f"{var} = {expr}")
         self.store_result(value, var)
         return var
+
+    def alias(self, value: Value, name: str) -> None:
+        """``value`` is whatever ``name`` already holds: no line, no local."""
+        self.names[value] = name
+        self.store_result(value, name)
+
+    def kind(self, value: Value) -> Optional[str]:
+        """:func:`_kind` of a value the code emitted so far can read."""
+        kind = _kind(value, self.kinds)
+        if _ASSERT_KINDS and kind is not None:
+            self.w("assert " + _KIND_TESTS[kind].format(self.read(value)))
+        return kind
 
     # -- statistics ----------------------------------------------------------
     def counter(self, category: str) -> str:
@@ -641,7 +720,7 @@ class _Emitter:
         name = op.name
         res = op.results[0] if op.results else None
         if name == "arith.constant":
-            self.compute(res, self.bind(op.get_attr("value").value, "c"))
+            self.alias(res, self.bind(op.get_attr("value").value, "c"))
             return
         row = VALUE_OPS.get(name)
         if row is not None:
@@ -687,7 +766,7 @@ class _Emitter:
             self.bump("vector_reduce")
             return
         if name == "fir.array_coor":
-            indices = ", ".join(f"_int({self.read(v)})" for v in op.indices)
+            indices = ", ".join(self.int_of(v) for v in op.indices)
             self.compute(res, f"_EPtr({self.read(op.memref)}, "
                               f"indices=({indices}{',' if indices else ''}))")
             self.bump("index_arith")
@@ -697,13 +776,13 @@ class _Emitter:
             unwrapped = self.tmp()
             self.w(f"{unwrapped} = {base}.value "
                    f"if type({base}) is _Cell else {base}")
-            indices = ", ".join(f"_int({self.read(v)})" for v in op.indices)
+            indices = ", ".join(self.int_of(v) for v in op.indices)
             self.compute(res, f"_EPtr({unwrapped}, "
                               f"indices=({indices}{',' if indices else ''}))")
             self.bump("index_arith")
             return
         if name == "fir.box_addr":
-            self.compute(res, self.read(op.operands[0]))
+            self.alias(res, self.operand_var(op.operands[0]))
             self.bump("load")
             return
         if name == "fir.box_dims":
@@ -713,10 +792,10 @@ class _Emitter:
             self._emit_fir_coordinate_of(op)
             return
         if name == "fir.embox":
-            self.compute(res, self.read(op.operands[0]))
+            self.alias(res, self.operand_var(op.operands[0]))
             return
         if name in ("fir.shape", "fir.shape_shift"):
-            items = ", ".join(f"_int({self.read(v)})" for v in op.operands)
+            items = ", ".join(self.int_of(v) for v in op.operands)
             self.compute(res, f"({items}{',' if items else ''})")
             return
         if name in ("fir.undefined", "fir.absent", "fir.zero_bits"):
@@ -729,23 +808,25 @@ class _Emitter:
             f"jit planner marked {name} inline without an emitter")
 
     def _emit_fir_box_dims(self, op: Operation) -> None:
-        box = self.operand_var(op.operands[0])
-        dim = self.tmp()
-        self.w(f"{dim} = _int({self.read(op.operands[1])})")
-        shape = self.tmp()
-        self.w(f"{shape} = {box}.shape "
-               f"if isinstance({box}, (_FArr, _nda)) else (1,)")
-        self.compute(op.results[0], "1")
-        self.compute(op.results[1],
-                     f"_int({shape}[{dim}]) if {dim} < len({shape}) else 1")
-        self.compute(op.results[2], "1")
+        lower, extent, stride = op.results      # only what is used
+        if extent.uses:
+            box = self.operand_var(op.operands[0])
+            dim = self.index_operand(op.operands[1])
+            shape = self.tmp()
+            self.w(f"{shape} = {box}.shape "
+                   f"if isinstance({box}, (_FArr, _nda)) else (1,)")
+            self.compute(extent, f"_int({shape}[{dim}]) "
+                                 f"if {dim} < len({shape}) else 1")
+        for unit in (lower, stride):
+            if unit.uses:
+                self.compute(unit, "1")
         self.bump("load")
 
     def _emit_fir_coordinate_of(self, op: Operation) -> None:
         base = self.operand_var(op.operands[0])
         flat = self.tmp()
         if len(op.operands) > 1:
-            self.w(f"{flat} = _int({self.read(op.operands[1])})")
+            self.w(f"{flat} = {self.int_of(op.operands[1])}")
         else:
             self.w(f"{flat} = 0")
         var = self.result_var(op.results[0])
@@ -763,18 +844,20 @@ class _Emitter:
         operand expressions, else a call of its bound kernel."""
         fn = row.bind(op)
         operands = op.operands
+        res = op.results[0]
+        if fn in (int, float) and self.kind(operands[0]) == fn.__name__:
+            self.alias(res, self.operand_var(operands[0]))  # int(int) is it
+            self.bump(row.category)
+            return
         if row.probe == "operand":      # used twice: computed on and probed
             args = [self.operand_var(operands[0])] \
                 + [self.read(v) for v in operands[1:]]
         else:
             args = [self.read(v) for v in operands]
-        if fn is int and _always_int(operands[0]):
-            expr = args[0]
-        elif row.template is not None:
+        if row.template is not None:
             expr = row.template.format(*args)
         else:
             expr = f"{self.bind(fn)}({', '.join(args)})"
-        res = op.results[0]
         var = self.result_var(res)
         if row.guarded:
             # zero-cost unless it raises: the kernel then gives the IEEE value
@@ -785,38 +868,39 @@ class _Emitter:
         else:
             self.w(f"{var} = {expr}")
         self.store_result(res, var)
-        if row.probe is None:
-            self.bump(row.scalar_category(op))
+        probed = {"result": res, "operand": operands[0]}.get(row.probe)
+        if probed is None or self.kind(probed) in _SCALARS:
+            self.bump(row.scalar_category(op))      # proven: no run-time probe
         else:
             self.bump_total()
-            self.dyncat(var if row.probe == "result" else args[0],
+            self.dyncat(var if probed is res else args[0],
                         row.vector_category, row.scalar_category(op))
 
     def _emit_fir_convert(self, op: Operation) -> None:
-        target = op.results[0].type
-        if isinstance(target, ir_types.FloatType):
-            convert, fast = "_float", "float"
-        elif isinstance(target, (ir_types.IntegerType, ir_types.IndexType)):
-            convert, fast = "_int", "int"
-        else:
-            convert = fast = None
-        a = self.operand_var(op.operands[0])
-        if convert is None:
-            self.compute(op.results[0], a)
+        res, source = op.results[0], op.operands[0]
+        target = _convert_kind(res.type)
+        kind = self.kind(source)
+        if target is None or kind in (target, "cell", "ndarray"):
+            self.alias(res, self.operand_var(source))   # passes through
+        elif kind in _SCALARS:
+            self.compute(res, f"_{target}({self.read(source)})")
         else:
             # fast path: an exact int/float converts to itself, so the
             # common scalar case skips the box-type isinstance entirely
-            var = self.result_var(op.results[0])
-            self.w(f"if type({a}) is {fast}:")
-            self.w(f"    {var} = {a}")
-            self.w(f"elif isinstance({a}, _boxt):")
+            a = self.operand_var(source)
+            var = self.result_var(res)
+            self.w(f"if type({a}) is {target} or isinstance({a}, _boxt):")
             self.w(f"    {var} = {a}")
             self.w("else:")
-            self.w(f"    {var} = {convert}({a})")
-            self.store_result(op.results[0], var)
+            self.w(f"    {var} = _{target}({a})")
+            self.store_result(res, var)
         self.bump("cast")
 
     def _emit_fir_load(self, op: Operation) -> None:
+        if self.kind(op.operands[0]) == "cell":
+            self.compute(op.results[0], f"{self.read(op.operands[0])}.value")
+            self.bump("load")
+            return
         src = self.operand_var(op.operands[0])
         var = self.result_var(op.results[0])
         self.w(f"if type({src}) is _Cell:")
@@ -830,6 +914,10 @@ class _Emitter:
 
     def _emit_fir_store(self, op: Operation) -> None:
         value = self.read(op.operands[0])
+        self.bump("store")
+        if self.kind(op.operands[1]) == "cell":
+            self.w(f"{self.read(op.operands[1])}.value = {value}")
+            return
         dest = self.operand_var(op.operands[1])
         self.w(f"if type({dest}) is _Cell:")
         self.w(f"    {dest}.value = {value}")
@@ -838,34 +926,47 @@ class _Emitter:
         self.w("else:")
         self.w("    raise _IErr('fir.store destination is not a "
                "storage location')")
-        self.bump("store")
+
+    def _emit_access(self, op: Operation, mem_value: Value,
+                     subscript: str) -> None:
+        """``memref`` / ``affine`` load or store of ``mem[subscript]``; a
+        rank-0 memref is a :class:`Cell`.  A proven memory kind emits the
+        one form that can run."""
+        kind = self.kind(mem_value)
+        mem = self.read(mem_value) if kind in ("cell", "ndarray") \
+            else self.operand_var(mem_value)
+        cell, element = f"{mem}.value", f"{mem}[{subscript or '()'}]"
+        if op.results:
+            var = self.result_var(op.results[0])
+            statement = f"{var} = {{}}".format
+        else:
+            statement = f"{{}} = {self.read(op.operands[0])}".format
+        if kind == "cell":
+            self.w(statement(cell))
+        elif kind == "ndarray":
+            self.w(statement(element))
+        else:
+            self.w(f"if type({mem}) is _Cell:")
+            self.w("    " + statement(cell))
+            self.w("else:")
+            self.w("    " + statement(element))
+        if op.results:
+            self.store_result(op.results[0], var)
+        self.bump("load" if op.results else "store")
 
     def _emit_memref_access(self, op: Operation) -> None:
-        load = op.name == "memref.load"
-        mem_index = 0 if load else 1
-        mem = self.operand_var(op.operands[mem_index])
-        index_vals = op.operands[mem_index + 1:]
-        subscript = ", ".join(f"_int({self.read(v)})" for v in index_vals)
-        element = f"{mem}[{subscript}]" if index_vals else f"{mem}[()]"
-        if load:
-            var = self.result_var(op.results[0])
-            self.w(f"if type({mem}) is _Cell:")
-            self.w(f"    {var} = {mem}.value")
-            self.w("else:")
-            self.w(f"    {var} = {element}")
-            self.store_result(op.results[0], var)
-            self.bump("load")
-        else:
-            value = self.read(op.operands[0])
-            self.w(f"if type({mem}) is _Cell:")
-            self.w(f"    {mem}.value = {value}")
-            self.w("else:")
-            self.w(f"    {element} = {value}")
-            self.bump("store")
+        mem_index = 0 if op.results else 1
+        self._emit_access(op, op.operands[mem_index], ", ".join(
+            self.int_of(v) for v in op.operands[mem_index + 1:]))
+
+    def int_of(self, value: Value) -> str:
+        """An expression for ``int(value)``: a proven int is its own."""
+        name = self.read(value)
+        return name if self.kind(value) == "int" else f"_int({name})"
 
     def index_operand(self, value: Value) -> str:
         """A name holding ``int(value)`` (map sources may repeat it)."""
-        if _always_int(value):
+        if self.kind(value) == "int":
             return self.operand_var(value)
         var = self.tmp()
         self.w(f"{var} = _int({self.read(value)})")
@@ -885,26 +986,9 @@ class _Emitter:
             self.compute(op.results[0], source)
             self.bump("index_arith")
             return
-        load = op.name == "affine.load"
-        mem_index = 0 if load else 1
-        mem = self.operand_var(op.operands[mem_index])
-        sources = self.map_sources(amap, op.operands[mem_index + 1:])
-        element = f"{mem}[{', '.join(sources)}]" if sources else f"{mem}[()]"
-        if load:
-            var = self.result_var(op.results[0])
-            self.w(f"if type({mem}) is _Cell:")
-            self.w(f"    {var} = {mem}.value")
-            self.w("else:")
-            self.w(f"    {var} = {element}")
-            self.store_result(op.results[0], var)
-            self.bump("load")
-        else:
-            value = self.read(op.operands[0])
-            self.w(f"if type({mem}) is _Cell:")
-            self.w(f"    {mem}.value = {value}")
-            self.w("else:")
-            self.w(f"    {element} = {value}")
-            self.bump("store")
+        mem_index = 0 if op.results else 1
+        self._emit_access(op, op.operands[mem_index], ", ".join(
+            self.map_sources(amap, op.operands[mem_index + 1:])))
 
     def _emit_vector_access(self, op: Operation) -> None:
         load = op.name == "vector.load"
@@ -935,7 +1019,7 @@ class _Emitter:
             self.w(f"{unwrapped} = {base}.value "
                    f"if type({base}) is _Cell else {base}")
             base = unwrapped
-        indices = ", ".join(f"_int({self.read(v)})" for v in op.indices)
+        indices = ", ".join(self.int_of(v) for v in op.indices)
         index_tuple = f"({indices}{',' if indices else ''})"
         self.bump("index_arith")
         if follower.name == "fir.load":
@@ -953,7 +1037,7 @@ class _Emitter:
         base = self.operand_var(op.operands[0])
         flat = self.tmp()
         if len(op.operands) > 1:
-            self.w(f"{flat} = _int({self.read(op.operands[1])})")
+            self.w(f"{flat} = {self.int_of(op.operands[1])}")
         else:
             self.w(f"{flat} = 0")
         self.bump("index_arith")
@@ -983,16 +1067,22 @@ class _Emitter:
 
     # -- structured control flow ---------------------------------------------
     def _collect_invariant_reads(self, steps: Sequence[Tuple],
-                                 out: List[Value]) -> None:
+                                 out: List[Value],
+                                 loop: Optional[Operation]) -> None:
         """Values the generated code will read inside ``steps`` that are
-        defined outside this unit entirely — safe to hoist into one env read
-        before the loop (SSA dominance guarantees they are bound by then)."""
+        bound in env before ``steps`` start — defined outside this unit
+        entirely, or by a fallback thunk or part that is not inside the
+        ``loop`` being entered — and so safe to hoist into one env read
+        before it (SSA: bound by then, never rebound within)."""
 
         def note(value: Value) -> None:
-            if value in self.defined or value in self.names \
-                    or value in self.fallback_defined or value in out:
+            if value in self.defined or value in self.names or value in out:
                 return
             defining_op = getattr(value, "op", None)
+            if value in self.fallback_defined and (
+                    loop is None or defining_op is None
+                    or loop.is_ancestor_of(defining_op)):
+                return
             if defining_op is not None and defining_op in self.inline_ops:
                 return  # fused-away address: never materialized anywhere
             out.append(value)
@@ -1010,20 +1100,21 @@ class _Emitter:
             elif kind == "loop":
                 for operand in step[1].operands:
                     note(operand)
-                self._collect_invariant_reads(step[2], out)
+                self._collect_invariant_reads(step[2], out, loop)
             elif kind == "if":
                 note(step[1].operands[0])
-                self._collect_invariant_reads(step[2], out)
+                self._collect_invariant_reads(step[2], out, loop)
                 if step[3] is not None:
-                    self._collect_invariant_reads(step[3], out)
+                    self._collect_invariant_reads(step[3], out, loop)
             elif kind == "yield":
                 for operand in step[1].operands:
                     note(operand)
             # fallback and part steps read through env by design: not hoisted
 
-    def _hoist_invariants(self, body_steps: Sequence[Tuple]) -> None:
+    def _hoist_invariants(self, body_steps: Sequence[Tuple],
+                          loop: Optional[Operation] = None) -> None:
         invariants: List[Value] = []
-        self._collect_invariant_reads(body_steps, invariants)
+        self._collect_invariant_reads(body_steps, invariants, loop)
         for value in invariants:
             var = self.tmp()
             self.w(f"{var} = env[{self.key(value)}]")
@@ -1066,7 +1157,7 @@ class _Emitter:
 
     def emit_loop(self, op: Operation, body_steps: Sequence[Tuple]) -> None:
         self.flush_pending()
-        self._hoist_invariants(body_steps)
+        self._hoist_invariants(body_steps, op)
         body = op.regions[0].blocks[0]
         if op.name == "affine.for":
             lo, = self.map_sources(op.lower_bound_map, op.lower_operands)
@@ -1074,10 +1165,7 @@ class _Emitter:
             step = op.step_value
             inits = op.iter_args
         else:
-            lo, hi, st = self.tmp(), self.tmp(), self.tmp()
-            self.w(f"{lo} = _int({self.read(op.operands[0])})")
-            self.w(f"{hi} = _int({self.read(op.operands[1])})")
-            self.w(f"{st} = _int({self.read(op.operands[2])})")
+            lo, hi, st = (self.index_operand(v) for v in op.operands[:3])
             inits = op.operands[3:]
         carried = []
         for init in inits:
@@ -1119,9 +1207,9 @@ class _Emitter:
                 condition = f"{iv} <= {hi}" if static_step > 0 \
                     else f"{iv} >= {hi}"
             else:
-                direction = self.tmp()
-                self.w(f"if {st} == 0:")
-                self.w(f"    {st} = 1")
+                nonzero, direction = self.tmp(), self.tmp()
+                self.w(f"{nonzero} = {st} or 1")    # st may be another's name
+                st = nonzero
                 self.w(f"{direction} = {st} > 0")
                 condition = f"({iv} <= {hi}) if {direction} " \
                             f"else ({iv} >= {hi})"
@@ -1192,37 +1280,36 @@ class _Emitter:
 # ---------------------------------------------------------------------------
 
 
-#: Version of the translation format: the emitted source shape, the payload
-#: layout stored on disk, and the meaning of the fingerprint salt.  Bump
-#: whenever :class:`_Emitter` changes its output for the same input block —
-#: every persisted translation then misses cleanly.
+#: Version of the translation format: the payload layout stored on disk and
+#: the preimage of a translation's address.  The emitted source needs no
+#: version of its own — it *is* the address — so an emitter change alone
+#: moves exactly the translations whose source it changes.
 #: v3: value ops are emitted from their ``semantics.VALUE_OPS`` row
 #: (``divf`` keeps ``/`` inside a ``try`` whose ``except`` calls the kernel).
-#: v4: a translation is a tuple of units (:data:`_UNIT_OPS`): the source of
-#: record is the units joined by :data:`_UNIT_MARK`, stored as its digest,
-#: and ``bytecode`` is a list, one deflated blob per unit.
-JIT_FORMAT_VERSION = 4
+#: v4: a translation is a tuple of units (:data:`_UNIT_OPS`) and
+#: ``bytecode`` is a list, one deflated blob per unit.
+#: v5: the address is the salted digest of the emitted units (it was a
+#: structural fingerprint of the block, verified against a stored digest);
+#: the payload is the bytecode alone.
+JIT_FORMAT_VERSION = 5
 
 #: Separates the units in a translation's source of record.
 _UNIT_MARK = "\n# ---- jit unit ----\n"
 
 
 class _Translation:
-    """One process-cached translation, addressed by structural fingerprint.
-
-    Only what is *structure-portable* lives here: any block with the same
-    fingerprint executes the same code objects (one per unit), and none of
-    the three fields references IR, so the process cache never keeps a
-    module alive.  The source itself is not kept — ``digest`` (SHA-256) is
-    what a new block object's emission is verified against, and
+    """One process-cached translation, addressed by the digest of its
+    emitted source: any block that emits the same units runs the same code
+    objects (one per unit).  Neither field references IR, so the process
+    cache never keeps a module alive, and both are functions of the
+    address.  The source itself is not kept —
     :meth:`JitEngine.source_for` re-emits on demand."""
 
-    __slots__ = ("code", "nops", "digest")
+    __slots__ = ("code", "nops")
 
-    def __init__(self, code: Tuple, nops: int, digest: bytes):
+    def __init__(self, code: Tuple, nops: int):
         self.code = code
         self.nops = nops
-        self.digest = digest
 
 
 class _Instantiation:
@@ -1230,36 +1317,45 @@ class _Instantiation:
     block (``Block._jit``) so it dies with the module.
 
     The emitter binds live objects into the generated function's
-    namespace — ``Value`` env keys, successor ``Block``s, the ops behind
-    fallback thunks — so ``template`` and ``fallback_binds`` are valid
-    only for the exact block they were planned against; ``key`` is that
-    block's translation address and ``translation`` the cache entry whose
-    source the plan was checked against (``None`` until first planned)."""
+    namespace — ``Value`` env keys, constants, successor ``Block``s, the
+    ops behind fallback thunks — so ``template`` and ``fallback_binds`` are
+    valid only for the exact block they were planned against; ``key`` is
+    the address of what that plan emitted and ``translation`` the cache
+    entry it resolved to (both ``None`` until first planned).  ``hot``
+    memoises :func:`_worth_translating`."""
 
-    __slots__ = ("key", "translation", "template", "fallback_binds")
+    __slots__ = ("salt", "key", "translation", "template", "fallback_binds",
+                 "hot")
 
-    def __init__(self, key: str):
-        self.key = key
+    def __init__(self, salt: str):
+        self.salt = salt
+        self.key: Optional[str] = None
         self.translation: Optional[_Translation] = None
         self.template: Dict[str, object] = {}
         self.fallback_binds: Tuple[Tuple[str, Operation], ...] = ()
+        self.hot: Optional[bool] = None
+
+    def live(self) -> Optional[_Translation]:
+        """The translation, while the process cache still holds it."""
+        entry = self.translation
+        return entry if entry is not None \
+            and _CODE_CACHE.get(self.key) is entry else None
 
 
-#: process-level translation cache: structural fingerprint (see
+#: process-level translation cache: source address (see
 #: :func:`translation_key`) -> :class:`_Translation`.  The expensive work —
-#: source emission's ``compile()`` — happens once per block *structure* per
-#: process, and planning once per block *object*; every further
-#: interpreter only copies the namespace, rebinds its own
-#: ``_interp``/``_stats``/fallback thunks and ``exec``s the cached code
-#: object.  Ordered for LRU eviction: overflow evicts the single
-#: least-recently-used entry, never the whole cache.
+#: ``compile()`` — happens once per distinct emitted *source* per process,
+#: and planning once per block *object*; every further interpreter only
+#: copies the namespace, rebinds its own ``_interp``/``_stats``/fallback
+#: thunks and ``exec``s the cached code object.  Ordered for LRU eviction:
+#: overflow evicts the single least-recently-used entry, never the whole
+#: cache.
 _CODE_CACHE: "OrderedDict[str, _Translation]" = OrderedDict()
 _CODE_CACHE_MAX = 4096
 
 #: Optional persistent tier (bound by the service layer): the ``jit``
-#: namespace of an ``ArtifactCache`` — anything with ``get(key, ns=)``,
-#: ``put(key, payload, ns=)`` and ``contains(key, ns=)``.  ``None`` keeps
-#: the cache process-local.
+#: namespace of an ``ArtifactCache`` — anything with ``get(key, ns=)`` and
+#: ``put(key, payload, ns=)``.  ``None`` keeps the cache process-local.
 _TRANSLATION_STORE = None
 
 #: :func:`_translation_for` outcomes, in the process-wide registry so pool
@@ -1291,19 +1387,18 @@ def clear_translation_cache() -> None:
     """Drop every in-process translation (tests simulate a fresh process);
     the persistent tier and the counters are left untouched.  A live
     block keeps its :class:`_Instantiation`, but without the cache entry
-    its next run re-plans and re-verifies like a new block's."""
+    its next run re-plans and looks up like a new block's."""
     _CODE_CACHE.clear()
 
 
 def _instantiation_for(block: Block, check_stride: int) -> _Instantiation:
     """``block``'s instantiation record under the current versions.
 
-    Fingerprinting walks the whole block, and a process shared by many
-    short interpreter instances (the bench's steady state, the daemon)
-    would otherwise re-fingerprint every block once per instance — so
-    the record is memoised on the block, under everything the fingerprint
-    is salted with: a version bump or another check stride is simply
-    another entry."""
+    A process shared by many short interpreter instances (the bench's
+    steady state, the daemon) must not re-plan every block once per
+    instance — so the record is memoised on the block, under everything
+    the address is salted with: a version bump or another check stride is
+    simply another entry."""
     versions = (JIT_FORMAT_VERSION, semantics.SEMANTICS_VERSION, check_stride)
     try:
         return block._jit[versions]
@@ -1311,40 +1406,24 @@ def _instantiation_for(block: Block, check_stride: int) -> _Instantiation:
         block._jit = {}
     except KeyError:
         pass
-    salt = "jit:v%d:sem%d:stride%d" % versions
     record = block._jit[versions] = \
-        _Instantiation(fingerprint_block(block, salt=salt))
+        _Instantiation("jit:v%d:sem%d:stride%d" % versions)
     return record
-
-
-def translation_key(block: Block, check_stride: int) -> str:
-    """Stable cross-process address of ``block``'s translation.
-
-    A structural fingerprint (:func:`fingerprint_block`) salted with the
-    translation-format version, the numeric-semantics version and the
-    check stride the generated source hard-codes into its execution-limit
-    checks.  Unlike the block's ``_uid`` — reused after unpickling and
-    meaningless across processes — the fingerprint is identical for every
-    rebuild of the same block, and distinct for structurally different
-    blocks even when their uids collide."""
-    return _instantiation_for(block, check_stride).key
 
 
 def _compile_units(units: Sequence[str], filename: str) -> Tuple:
     return tuple(compile(unit, filename, "exec") for unit in units)
 
 
-def _payload_for(digest: bytes, code: Tuple, nops: int) -> Dict:
-    """Disk form of one translation: the digest of its source of record
-    plus the per-unit bytecode, valid only under the exact same
-    interpreter build.  The source text is not stored: whoever restores a
-    translation has just emitted it afresh (the namespace template needs
-    the live block), so a digest verifies as much.  Shards are shared
-    between namespaces and parsed whole, so every byte here is a byte an
-    artifact read may have to parse: the blobs are deflated (4x)."""
+def _payload_for(code: Tuple) -> Dict:
+    """Disk form of one translation: the per-unit bytecode, valid only
+    under the exact same interpreter build.  The source text is not
+    stored: whoever restores a translation has just emitted it afresh (the
+    namespace template needs the live block) and found this payload at
+    that emission's address.  Shards are shared between namespaces and
+    parsed whole, so every byte here is a byte an artifact read may have
+    to parse: the blobs are deflated (4x)."""
     return {"format": JIT_FORMAT_VERSION,
-            "digest": digest.hex(),
-            "nops": nops,
             "magic": MAGIC_NUMBER.hex(),
             "bytecode": [base64.b64encode(
                 zlib.compress(marshal.dumps(unit), 1)).decode()
@@ -1353,10 +1432,10 @@ def _payload_for(digest: bytes, code: Tuple, nops: int) -> Dict:
 
 def _code_from_payload(payload: Dict, units: Sequence[str],
                        filename: str) -> Tuple:
-    """Code objects for a stored payload whose digest is that of ``units``
-    joined: unmarshal the persisted bytecode when the interpreter magic
-    matches, else recompile unit by unit (the source is authoritative;
-    bytecode is only a shortcut)."""
+    """Code objects for the payload stored at the address of ``units``:
+    unmarshal the persisted bytecode when the interpreter magic matches,
+    else recompile unit by unit (the source is authoritative; bytecode is
+    only a shortcut)."""
     if payload.get("magic") == MAGIC_NUMBER.hex():
         try:
             code = tuple(
@@ -1372,17 +1451,18 @@ def _code_from_payload(payload: Dict, units: Sequence[str],
 def _translation_for(interp: Interpreter, block: Block
                      ) -> Tuple[_Translation, _Instantiation]:
     record = _instantiation_for(block, interp._check_stride)
-    key = record.key
-    entry = _CODE_CACHE.get(key)
-    if entry is not None and record.translation is entry:
-        _CODE_CACHE.move_to_end(key)
+    entry = record.live()
+    if entry is not None:
+        _CODE_CACHE.move_to_end(record.key)
         _counters.inc("memory_hits")
         return entry, record
 
-    # A true miss, or a fingerprint hit from a block object not yet
-    # checked against the cached entry.  Both need a plan/emit: the
-    # namespace template binds live objects, so only the compiled code is
-    # structure-portable.
+    # A block object not yet planned (or whose translation was evicted):
+    # the namespace template binds live objects, so every block object is
+    # planned and emitted once — and what it emits *is* its address, salted
+    # with the versions and folded with everything else a translation
+    # carries.  Any two blocks that meet here run the same source, so a
+    # cached translation is source-verified by construction.
     plan = plan_block(block)
     emitter = _Emitter(interp, plan)
     units, ns = emitter.build()
@@ -1390,31 +1470,26 @@ def _translation_for(interp: Interpreter, block: Block
     record.template = ns
     record.fallback_binds = tuple(emitter.fallback_binds)
     nops = max(1, len(plan.steps))
-    filename = f"<jit:{key[:12]}>"
-    digest = hashlib.sha256(_UNIT_MARK.join(units).encode()).digest()
+    key = record.key = hashlib.sha256("\n".join(
+        (record.salt, str(nops), _UNIT_MARK.join(units))).encode()).hexdigest()
 
-    if entry is not None and entry.digest == digest:
-        # same structure, new block object: the code is already here
+    entry = _CODE_CACHE.get(key)
+    if entry is not None:
         record.translation = entry
         _CODE_CACHE.move_to_end(key)
         _counters.inc("memory_hits")
         return entry, record
 
+    filename = f"<jit:{key[:12]}>"
     store = _TRANSLATION_STORE
     code = None
-    if entry is None and store is not None:
+    if store is not None:
         try:
             payload = store.get(key, ns="jit")
-        except Exception:
-            payload = None
-        if payload is not None and payload.get("digest") == digest.hex():
-            # source-verified: the stored translation was compiled from
-            # exactly the source this block emits now, so warm behaviour
-            # is bit-identical by construction
-            try:
+            if payload is not None:
                 code = _code_from_payload(payload, units, filename)
-            except Exception:
-                code = None
+        except Exception:
+            code = None
     if code is not None:
         _counters.inc("disk_hits")
     else:
@@ -1422,17 +1497,27 @@ def _translation_for(interp: Interpreter, block: Block
         _counters.inc("misses")
         if store is not None:
             try:
-                store.put(key, _payload_for(digest, code, nops), ns="jit")
+                store.put(key, _payload_for(code), ns="jit")
                 _counters.inc("stores")
             except Exception:
                 pass
 
-    entry = record.translation = _Translation(code, nops, digest)
-    if key not in _CODE_CACHE and len(_CODE_CACHE) >= _CODE_CACHE_MAX:
+    entry = record.translation = _Translation(code, nops)
+    if len(_CODE_CACHE) >= _CODE_CACHE_MAX:
         _CODE_CACHE.popitem(last=False)    # evict one LRU entry, not all
     _CODE_CACHE[key] = entry
-    _CODE_CACHE.move_to_end(key)
     return entry, record
+
+
+def translation_key(interp: Interpreter, block: Block) -> str:
+    """Stable cross-process address of ``block``'s translation, translating
+    it now if need be: the SHA-256 of the units it emits, salted with the
+    translation-format version, the numeric-semantics version and the
+    check stride (the source hard-codes it into its execution-limit
+    checks), with the block's op count folded in.  Identical for every
+    rebuild of the same block — and for any other block that emits the
+    same source, whatever constants it binds."""
+    return _translation_for(interp, block)[1].key
 
 
 def compile_block(interp: Interpreter, block: Block):
@@ -1490,42 +1575,25 @@ class JitEngine:
     has been entered :data:`_PROMOTE_AFTER` times.  Both tiers are
     observationally bit-identical, so the mix never shows in stats."""
 
-    __slots__ = ("interp", "cache", "entries", "known")
+    __slots__ = ("interp", "cache", "entries")
 
     def __init__(self, interp: Interpreter):
         self.interp = interp
         self.cache: Dict[Block, Tuple] = {}
         self.entries: Dict[Block, int] = {}
-        #: fingerprint -> persistent-tier ``contains`` verdict, memoised so
-        #: the tiering bypass costs one disk probe per structure, not one
-        #: per cold entry.
-        self.known: Dict[str, bool] = {}
-
-    def _translated(self, key: str) -> bool:
-        """Is a translation already available (memory or disk) for pennies?"""
-        if key in _CODE_CACHE:
-            return True
-        known = self.known.get(key)
-        if known is None:
-            store = _TRANSLATION_STORE
-            try:
-                known = store is not None and bool(
-                    store.contains(key, ns="jit"))
-            except Exception:
-                known = False
-            self.known[key] = known
-        return known
 
     def run_block(self, block: Block, env: Dict) -> Tuple[str, object]:
         entry = self.cache.get(block)
         if entry is None:
-            # an already-available translation (this process or the
-            # persistent tier) instantiates for pennies — use it
-            # regardless of how cold this block looks to the tiering
-            key = translation_key(block, self.interp._check_stride)
-            if not self._translated(key) and not _worth_translating(block):
+            # a translation this block object already resolved
+            # instantiates for pennies — use it however cold the block
+            # looks; the tiering verdict is a walk, so it is made once
+            record = _instantiation_for(block, self.interp._check_stride)
+            if record.live() is None:
+                if record.hot is None:
+                    record.hot = _worth_translating(block)
                 count = self.entries.get(block, 0)
-                if count < _PROMOTE_AFTER:
+                if not record.hot and count < _PROMOTE_AFTER:
                     self.entries[block] = count + 1
                     return self.interp._run_block_compiled(block, env)
             entry = self.cache[block] = compile_block(self.interp, block)

@@ -9,8 +9,8 @@ Payloads are JSON dicts.  Three namespaces share one :class:`ArtifactCache`
   carries the schema salt: the key is the address, unchanged;
 * ``function`` — per-function pipeline-stage results, keyed by structural
   fingerprint (:mod:`repro.service.incremental`);
-* ``jit`` — jit translations, keyed by block fingerprint
-  (:mod:`repro.machine.jit`).
+* ``jit`` — jit translations, keyed by the digest of their emitted
+  source (:mod:`repro.machine.jit`).
 
 :func:`address` is the only place a raw key becomes a store address, so it
 is the only place :data:`~repro.service.jobs.KEY_SCHEMA_VERSION` is folded
@@ -59,7 +59,7 @@ DEFAULT_MEMORY_ENTRIES = 1024
 NAMESPACES: Dict[str, tuple] = {
     "artifact": ("key", "ok"),
     "function": ("function",),
-    "jit": ("digest",),
+    "jit": ("bytecode",),
 }
 
 

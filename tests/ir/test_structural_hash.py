@@ -13,7 +13,6 @@ from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.flang import FlangCompiler
 from repro.flows import get_flow
 from repro.ir import StringAttr, structural_fingerprint, structural_hash
-from repro.ir.structural_hash import fingerprint_block
 from repro.workloads import all_workloads, get_workload
 
 TWO_FUNCS = """
@@ -120,93 +119,6 @@ def test_operand_wiring_matters():
 
 
 # ---------------------------------------------------------------------------
-# Block fingerprints: the persistent jit translation cache's address
-# ---------------------------------------------------------------------------
-
-def _entry_blocks(module):
-    return [func.regions[0].blocks[0] for func in _funcs(module)]
-
-
-class TestBlockFingerprint:
-    def test_rebuilt_frontend_run_collides(self):
-        # fresh uids, fresh objects — only structure survives, and the
-        # persistent cache's cross-process addressing depends on it
-        a, b = _compile_module(), _compile_module()
-        for ba, bb in zip(_entry_blocks(a), _entry_blocks(b)):
-            assert fingerprint_block(ba) == fingerprint_block(bb)
-
-    def test_different_blocks_differ(self):
-        b1, b2 = _entry_blocks(_compile_module())
-        assert fingerprint_block(b1) != fingerprint_block(b2)
-
-    def test_salt_separates(self):
-        block = _entry_blocks(_compile_module())[0]
-        assert fingerprint_block(block, salt="stride1") != \
-            fingerprint_block(block, salt="stride4096")
-
-    def test_block_and_function_hashes_are_distinct_schemes(self):
-        func = _funcs(_compile_module())[0]
-        block = func.regions[0].blocks[0]
-        assert fingerprint_block(block) != structural_fingerprint(func)
-
-    def test_external_constant_value_is_codegen_material(self):
-        # the jit emitter specializes loop code on statically known
-        # externally defined constants (e.g. a do-loop step's sign), so
-        # two blocks differing only in such a constant's *value* must
-        # address different translations
-        from repro.dialects import arith, scf
-        from repro.ir import Block
-        from repro.ir import types as T
-
-        def nest(step_value):
-            # bounds defined in a *dominating* block, loop in the
-            # fingerprinted one — the step reaches the emitter as an
-            # externally defined constant
-            defs = Block()
-            lo = arith.ConstantOp(0, T.index)
-            hi = arith.ConstantOp(8, T.index)
-            st = arith.ConstantOp(step_value, T.index)
-            defs.add_ops([lo, hi, st])
-            entry = Block()
-            loop = scf.ForOp(lo.result, hi.result, st.result)
-            entry.add_op(loop)
-            loop.regions[0].blocks[0].add_op(scf.YieldOp())
-            return entry
-
-        assert fingerprint_block(nest(1)) != fingerprint_block(nest(2))
-        assert fingerprint_block(nest(2)) == fingerprint_block(nest(2))
-
-    def test_remote_uses_are_codegen_material(self):
-        # a value consumed outside the fingerprinted tree must stay
-        # env-resident in generated code; consuming it or not changes
-        # the translation, so it must change the address
-        from repro.dialects import arith
-        from repro.ir import Block
-        from repro.ir import types as T
-
-        def block_with_leak(leak):
-            block = Block()
-            c = arith.ConstantOp(3, T.i32)
-            add = arith.AddIOp(c.result, c.result)
-            block.add_ops([c, add])
-            consumer = arith.AddIOp(add.result, add.result)
-            if leak:
-                # consumer lives OUTSIDE the fingerprinted block
-                Block().add_op(consumer)
-            else:
-                block.add_op(consumer)
-            return block, consumer
-
-        leaked, _ = block_with_leak(True)
-        local, consumer = block_with_leak(False)
-        # compare against the local block with its consumer removed, so
-        # both blocks hold the same two ops and differ only in whether
-        # `add` has a remote use
-        consumer.erase()
-        assert fingerprint_block(leaked) != fingerprint_block(local)
-
-
-# ---------------------------------------------------------------------------
 # the token stream is pinned: how it is produced may change, it may not
 # ---------------------------------------------------------------------------
 
@@ -229,9 +141,6 @@ class _OneTokenAtATime(structural_hash._Fingerprinter):
                 self._type_token(r.type) for r in op.results))
             for result in op.results:
                 self._values[id(result)] = len(self._values)
-            if self._members is not None and op.results:
-                tokens.append("remote:"
-                              + self._remote_use_token(op.results))
             tokens.append("successors:" + ",".join(
                 self._block_token(b) for b in op.successors))
             tokens.append(f"regions:{len(op.regions)}")
@@ -243,25 +152,19 @@ class _OneTokenAtATime(structural_hash._Fingerprinter):
                         self._type_token(a.type) for a in block.args))
                     for arg in block.args:
                         self._values[id(arg)] = len(self._values)
-                    if self._members is not None and block.args:
-                        tokens.append(
-                            "bremote:" + self._remote_use_token(block.args))
                     self._visit_ops(list(block.ops))
                 tokens.append("endregion")
 
 
-#: ``ours``-flow final module / its first function's entry block, salt
-#: "pin", computed by the commit before the visitor grew its fast paths
+#: ``ours``-flow final module, salt "pin", computed by the commit before
+#: the visitor grew its fast paths
 PINNED = {
-    "jacobi": (
+    "jacobi":
         "73ba37496e838fdead9da368b0af9e1812669efedf737bce6e50e1774694f832",
-        "71f9ca9f871e50d5fb906d8b8207c75e1fd53599cd3174905503ae5854ee5924"),
-    "pw-advection": (
+    "pw-advection":
         "afb1f20a32ccccf193d88f4a3b5b1c84224ace8b041d75e208313a4eaf0f65bd",
-        "d5c21df2d445d7d19b02fd89a93221d69e61f3638b666316e69c3b5787c3ef6d"),
-    "dotproduct": (
+    "dotproduct":
         "9cd46be625ed94a5420d3bcdcd1f4b17ab2da9a3d3d6e5999b4814942008649c",
-        "76e03cc046a1fb0885e37220c712a3b71c66c2be513b731a4aea601de1b7c1f4"),
 }
 
 
@@ -271,19 +174,14 @@ class TestTokenStreamIsPinned:
                                                  monkeypatch):
         module = get_flow("ours").run(get_workload(workload),
                                       collect_statistics=False).module
-        blocks = [b for op in module.walk() for r in op.regions
-                  for b in r.blocks]
         def digests():
-            return ([structural_fingerprint(f, salt="s")
-                     for f in _funcs(module)],
-                    [fingerprint_block(b, salt="s") for b in blocks])
+            return [structural_fingerprint(f, salt="s")
+                    for f in _funcs(module)]
 
         fast = digests()
         if workload in PINNED:
-            assert PINNED[workload] == (
-                structural_fingerprint(module, salt="pin"),
-                fingerprint_block(_funcs(module)[0].regions[0].blocks[0],
-                                  salt="pin"))
+            assert PINNED[workload] == \
+                structural_fingerprint(module, salt="pin")
         monkeypatch.setattr(structural_hash, "_Fingerprinter",
                             _OneTokenAtATime)
         assert digests() == fast

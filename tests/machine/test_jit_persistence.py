@@ -3,11 +3,12 @@
 The broad engine-parity guarantee lives in ``test_engine_parity``; these
 tests target the translation *cache* mechanics the persistence work fixed
 and introduced: bounded LRU eviction (a full cache evicts one entry, not
-all), fingerprint keying (structurally different blocks with colliding
-uids get distinct translations), the disk roundtrip (a simulated and a
-real fresh process compile from the stored source with bit-identical
-output and stats), version bumps as clean misses, and stale/corrupt
-payload handling (source of record wins, never an error).
+all), source-digest keying (blocks that emit different source get distinct
+translations whatever their uids; a rebuilt block finds its own), the disk
+roundtrip (a simulated and a real fresh process load the stored bytecode
+with bit-identical output and stats), version bumps and emitter changes as
+clean misses, and corrupt payload handling (source of record wins, never
+an error).
 """
 
 import json
@@ -44,12 +45,14 @@ LOOP_PROGRAM = _program("""
 """)
 
 
-def _loop_program(scale: str) -> str:
+def _loop_program(operator: str) -> str:
+    """One hot loop per arithmetic operator: each emits its own source
+    (programs differing only in a constant would share one translation)."""
     return _program(f"""
   integer :: i
   real(kind=8), dimension(1024) :: a
   do i = 1, 1024
-    a(i) = real(i, 8) * {scale}
+    a(i) = real(i, 8) {operator} 2.0d0
   end do
   print *, a(1), a(1024)
 """)
@@ -87,14 +90,11 @@ def _isolated_translation_cache():
 class TestCodeCacheLRU:
     def test_full_cache_evicts_one_entry_not_all(self, monkeypatch):
         monkeypatch.setattr(jit, "_CODE_CACHE_MAX", 3)
-        modules = [_compile_fir(_loop_program(f"{k}.0d0"))
-                   for k in (2, 3, 5, 7)]
+        modules = [_compile_fir(_loop_program(operator))
+                   for operator in "*+-/"]
         interps = [Interpreter(m, engine="jit") for m in modules]
-        keys = []
-        for interp in interps[:3]:
-            block = _entry_block(interp)
-            jit.compile_block(interp, block)
-            keys.append(jit.translation_key(block, interp._check_stride))
+        keys = [jit.translation_key(interp, _entry_block(interp))
+                for interp in interps[:3]]
         assert len(set(keys)) == 3
         assert len(jit._CODE_CACHE) == 3
 
@@ -103,9 +103,7 @@ class TestCodeCacheLRU:
 
         # overflowing evicts exactly the single LRU entry (keys[1]) —
         # the old behaviour cleared the whole cache here
-        block = _entry_block(interps[3])
-        jit.compile_block(interps[3], block)
-        key3 = jit.translation_key(block, interps[3]._check_stride)
+        key3 = jit.translation_key(interps[3], _entry_block(interps[3]))
         assert len(jit._CODE_CACHE) == 3
         assert keys[0] in jit._CODE_CACHE
         assert keys[1] not in jit._CODE_CACHE
@@ -114,8 +112,8 @@ class TestCodeCacheLRU:
 
     def test_refilling_evicted_entry_keeps_cache_bounded(self, monkeypatch):
         monkeypatch.setattr(jit, "_CODE_CACHE_MAX", 2)
-        modules = [_compile_fir(_loop_program(f"{k}.0d0"))
-                   for k in (2, 3, 5)]
+        modules = [_compile_fir(_loop_program(operator))
+                   for operator in "*+-"]
         interps = [Interpreter(m, engine="jit") for m in modules]
         for _ in range(2):    # cycle through all three twice
             for interp in interps:
@@ -124,7 +122,7 @@ class TestCodeCacheLRU:
 
 
 # ---------------------------------------------------------------------------
-# Fingerprint keying vs uid aliasing
+# Source-digest keying vs uid aliasing
 # ---------------------------------------------------------------------------
 
 class TestUidCollision:
@@ -132,30 +130,14 @@ class TestUidCollision:
         # a long-lived daemon can see two different blocks with the same
         # _uid (uids restart after unpickling); the old (_uid, stride) key
         # would alias their translations
-        mul = _program("""
-  integer :: i
-  real(kind=8), dimension(1024) :: a
-  do i = 1, 1024
-    a(i) = real(i, 8) * 2.0d0
-  end do
-  print *, a(1), a(1024)
-""")
-        add = _program("""
-  integer :: i
-  real(kind=8), dimension(1024) :: a
-  do i = 1, 1024
-    a(i) = real(i, 8) + 2.0d0
-  end do
-  print *, a(1), a(1024)
-""")
-        interp_a = Interpreter(_compile_fir(mul), engine="jit")
-        interp_b = Interpreter(_compile_fir(add), engine="jit")
+        interp_a = Interpreter(_compile_fir(_loop_program("*")), engine="jit")
+        interp_b = Interpreter(_compile_fir(_loop_program("+")), engine="jit")
         block_a, block_b = _entry_block(interp_a), _entry_block(interp_b)
         block_b._uid = block_a._uid
         assert block_a._uid == block_b._uid
 
-        key_a = jit.translation_key(block_a, interp_a._check_stride)
-        key_b = jit.translation_key(block_b, interp_b._check_stride)
+        key_a = jit.translation_key(interp_a, block_a)
+        key_b = jit.translation_key(interp_b, block_b)
         assert key_a != key_b
 
         source_a = interp_a._jit.source_for(block_a)
@@ -165,13 +147,11 @@ class TestUidCollision:
 
     def test_rebuilt_block_reuses_translation(self):
         # the converse guarantee: fresh frontend run, entirely new uids
-        # and objects, same structure -> same key, no second translation
+        # and objects, same emitted source -> same key, no second translation
         interp_a = Interpreter(_compile_fir(LOOP_PROGRAM), engine="jit")
         interp_b = Interpreter(_compile_fir(LOOP_PROGRAM), engine="jit")
         block_a, block_b = _entry_block(interp_a), _entry_block(interp_b)
         assert block_a is not block_b
-        assert jit.translation_key(block_a, interp_a._check_stride) == \
-            jit.translation_key(block_b, interp_b._check_stride)
 
         before = jit.snapshot_translation_counters()
         jit.compile_block(interp_a, block_a)
@@ -180,6 +160,8 @@ class TestUidCollision:
         assert delta["misses"] == 1
         assert delta["memory_hits"] == 1
         assert len(jit._CODE_CACHE) == 1
+        assert jit.translation_key(interp_a, block_a) == \
+            jit.translation_key(interp_b, block_b)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +234,6 @@ class _TamperingStore:
     def put(self, key, payload, ns):
         self._inner.put(key, payload, ns=ns)
 
-    def contains(self, key, ns):
-        return self._inner.contains(key, ns=ns)
-
 
 class TestDiskTier:
     @pytest.fixture
@@ -272,7 +251,7 @@ class TestDiskTier:
         assert delta["disk_hits"] == 0
         return printed, stats
 
-    def test_fresh_process_compiles_from_stored_source(self, store):
+    def test_fresh_process_loads_what_it_stored(self, store):
         printed, stats = self._seed(store)
         jit.clear_translation_cache()    # simulate a fresh process
 
@@ -311,20 +290,17 @@ class TestDiskTier:
         assert delta["disk_hits"] == 0
         assert delta["misses"] >= 1
 
-    def test_stale_source_payload_is_a_miss_and_restored(self, store):
-        # a payload compiled from other source than this block generates
-        # now (an emitter change without a version bump, a foreign writer)
-        # must never be used: the digest of the source of record decides
+    def test_emitter_change_without_a_version_bump_is_a_clean_miss(
+            self, store, monkeypatch):
+        # the address *is* the emitted source: an emitter that writes
+        # anything else (here: the kind-assertion test seam) looks up
+        # another address, so a payload compiled from other source than
+        # this block generates now cannot be found, let alone used — and
+        # the changed emitter's translations cannot poison the original's
         printed, stats = self._seed(store)
         jit.clear_translation_cache()
 
-        def stale(payload):
-            import hashlib
-            payload["digest"] = hashlib.sha256(
-                b"def _jit_block(env):\n    return None\n").hexdigest()
-            return payload
-
-        jit.set_translation_store(_TamperingStore(store, stale))
+        monkeypatch.setattr(jit, "_ASSERT_KINDS", True)
         before = jit.snapshot_translation_counters()
         warm_printed, warm_stats = _run_jit(_compile_fir(LOOP_PROGRAM))
         delta = jit.translation_counters_delta(before)
@@ -332,6 +308,13 @@ class TestDiskTier:
         assert delta["misses"] >= 1
         assert delta["stores"] == delta["misses"]
         assert (warm_printed, warm_stats) == (printed, stats)
+
+        monkeypatch.setattr(jit, "_ASSERT_KINDS", False)
+        jit.clear_translation_cache()
+        before = jit.snapshot_translation_counters()
+        assert _run_jit(_compile_fir(LOOP_PROGRAM)) == (printed, stats)
+        delta = jit.translation_counters_delta(before)
+        assert delta["misses"] == 0 and delta["disk_hits"] >= 1
 
     def test_corrupt_bytecode_falls_back_to_stored_source(self, store):
         # the marshal fast path is only a shortcut: flipping its bytes
@@ -352,20 +335,13 @@ class TestDiskTier:
         assert (warm_printed, warm_stats) == (printed, stats)
 
     def test_partitioned_translation_round_trips_unit_by_unit(
-            self, store, monkeypatch):
+            self, store, monkeypatch, compiled_sources):
         # every step list above 8 ops is cut, so the entry block of
         # LOOP_PROGRAM is several units: one code object, one persisted
         # bytecode blob and — on a foreign interpreter build — one
-        # compile() per unit, all verified against the one joined source
-        import builtins
+        # compile() per unit, all addressed by the one joined source
         monkeypatch.setattr(jit, "_UNIT_OPS", 8)
-        compiled = []
-
-        def spy(source, filename, mode):
-            compiled.append(source)
-            return builtins.compile(source, filename, mode)
-
-        monkeypatch.setattr(jit, "compile", spy, raising=False)
+        compiled = compiled_sources
         printed, stats = self._seed(store)
         units = list(compiled)      # every unit the cold run compiled
         stored = [store.get(key, ns="jit") for key in jit._CODE_CACHE]
@@ -375,10 +351,11 @@ class TestDiskTier:
         for entry, payload in zip(jit._CODE_CACHE.values(), stored):
             assert isinstance(entry.code, tuple)
             assert len(entry.code) == len(payload["bytecode"])
-            # neither home of a translation holds its source text
-            assert not any(isinstance(getattr(entry, slot), str)
+            # neither home of a translation holds its source text, nor a
+            # second digest of it: the address is the only one
+            assert not any(isinstance(getattr(entry, slot), (str, bytes))
                            for slot in entry.__slots__)
-            assert entry.digest.hex() == payload["digest"]
+            assert set(payload) == {"format", "magic", "bytecode"}
             assert not any(unit in str(payload) for unit in units)
 
         def warm(rewrite):
@@ -403,41 +380,84 @@ class TestDiskTier:
         assert delta["misses"] == 0 and delta["disk_hits"] >= 1
         assert sorted(compiled) == sorted(units)
 
-        # compiled from other source than this block emits now: never used
-        def edited(payload):
-            payload["digest"] = "0" * 64
+        # a blob list that does not fit the emission (torn): the source
+        # decides, unit by unit
+        def torn(payload):
+            payload["bytecode"] = payload["bytecode"][:-1]
             return payload
-        delta = warm(edited)
-        assert delta["disk_hits"] == 0
-        assert delta["stores"] == delta["misses"] >= 1
+        delta = warm(torn)
+        assert delta["misses"] == 0 and delta["disk_hits"] >= 1
+        assert sorted(compiled) == sorted(units)
 
-    def test_jit_engine_promotes_cold_blocks_with_stored_translations(
-            self, store):
-        # tiering normally defers cold blocks to the compiled engine; a
-        # stored translation instantiates for pennies, so the engine must
-        # use it on first entry instead
-        cold = _program("""
+    @staticmethod
+    def _calls(count: int) -> str:
+        """``bump`` is a handful of ops per entry — cold to the tiering —
+        entered ``count`` times from a loop the main program runs hot."""
+        return """
+subroutine bump(total, i)
+  implicit none
+  integer, intent(inout) :: total
+  integer, intent(in) :: i
+  total = total + i
+end subroutine bump
+""" + _program(f"""
   integer :: i, total
   total = 0
-  do i = 1, 4
-    total = total + i
+  do i = 1, {count}
+    call bump(total, i)
   end do
   print *, total
 """)
+
+    @staticmethod
+    def _bump_block(interp):
+        return next(func for name, func in interp.functions.items()
+                    if "bump" in name).regions[0].blocks[0]
+
+    def test_cold_block_looks_nothing_up_until_promoted(self, store):
+        # a block's address is what it emits, and a cold block is not
+        # worth an emission: it runs on thunks — no plan, no lookup in
+        # memory or on disk — until it has been entered _PROMOTE_AFTER
+        # times, then translates and is stored like any other
         jit.set_translation_store(store)
-        interp = Interpreter(_compile_fir(cold), engine="jit")
-        block = _entry_block(interp)
-        jit.compile_block(interp, block)    # force-translate + store
-        assert store.contains(
-            jit.translation_key(block, interp._check_stride), ns="jit")
-        jit.clear_translation_cache()
+        before = jit.snapshot_translation_counters()
+        few = Interpreter(_compile_fir(self._calls(jit._PROMOTE_AFTER)),
+                          engine="jit")
+        few.run_main()
+        delta = jit.translation_counters_delta(before)
+        assert self._bump_block(few) not in few._jit.cache
+        assert delta["lookups"] == delta["stores"] == 1     # the main program
 
         before = jit.snapshot_translation_counters()
-        interp2 = Interpreter(_compile_fir(cold), engine="jit")
+        many = Interpreter(_compile_fir(self._calls(12)), engine="jit")
+        many.run_main()
+        delta = jit.translation_counters_delta(before)
+        assert self._bump_block(many) in many._jit.cache
+        assert delta["lookups"] == 2 and delta["stores"] == delta["misses"]
+
+        jit.clear_translation_cache()               # a fresh process
+        before = jit.snapshot_translation_counters()
+        again = Interpreter(_compile_fir(self._calls(12)), engine="jit")
+        again.run_main()
+        delta = jit.translation_counters_delta(before)
+        assert delta["lookups"] == delta["disk_hits"] == 2
+        assert again.printed == many.printed
+        assert stats_to_dict(again.stats) == stats_to_dict(many.stats)
+
+    def test_live_translation_is_used_at_once_however_cold(self):
+        # a translation the block object already resolved instantiates
+        # for pennies: the next interpreter on the module uses it on
+        # first entry, whatever the tiering thinks of the block
+        module = _compile_fir(self._calls(2))
+        interp = Interpreter(module, engine="jit")
+        jit.compile_block(interp, self._bump_block(interp))     # forced
+        interp.run_main()
+        before = jit.snapshot_translation_counters()
+        interp2 = Interpreter(module, engine="jit")
         interp2.run_main()
         delta = jit.translation_counters_delta(before)
-        assert delta["disk_hits"] >= 1
-        assert _entry_block(interp2) in interp2._jit.cache
+        assert self._bump_block(interp2) in interp2._jit.cache
+        assert delta["memory_hits"] == delta["lookups"] == 2
 
 
 # ---------------------------------------------------------------------------

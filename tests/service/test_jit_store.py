@@ -41,20 +41,22 @@ def _bound_dirs():
 class TestStoreProtocol:
     def test_roundtrip(self, tmp_path):
         cache = ArtifactCache(cache_dir=str(tmp_path))
-        payload = {"format": 1, "digest": "d1" * 32, "nops": 3}
-        fingerprint = "c0de" * 16
-        assert cache.get(fingerprint, ns="jit") is None
-        assert not cache.contains(fingerprint, ns="jit")
-        cache.put(fingerprint, payload, ns="jit")
-        assert cache.contains(fingerprint, ns="jit")
-        assert cache.get(fingerprint, ns="jit") == payload
+        payload = {"format": 5, "magic": "00", "bytecode": ["AAAA"]}
+        digest = "c0de" * 16
+        assert cache.get(digest, ns="jit") is None
+        assert not cache.contains(digest, ns="jit")
+        cache.put(digest, payload, ns="jit")
+        assert cache.contains(digest, ns="jit")
+        assert cache.get(digest, ns="jit") == payload
+        assert ArtifactCache(cache_dir=str(tmp_path)).get(
+            digest, ns="jit") == payload
 
     def test_corrupt_payload_is_a_miss_not_an_error(self, tmp_path):
-        fingerprint = "bad0" * 16
+        digest = "bad0" * 16
         ArtifactCache(cache_dir=str(tmp_path)).put(
-            fingerprint, {"format": 1, "nops": 3}, ns="jit")    # no digest
+            digest, {"format": 5, "magic": "00"}, ns="jit")    # no bytecode
         reader = ArtifactCache(cache_dir=str(tmp_path))
-        assert reader.get(fingerprint, ns="jit") is None
+        assert reader.get(digest, ns="jit") is None
         assert reader.stats()["by_namespace"]["jit"]["misses"] == 1
 
 

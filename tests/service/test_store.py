@@ -90,14 +90,14 @@ def _sample_addresses():
         "program p\n  integer :: i\n  i = 1\n  print *, i\nend program p\n",
         stop_at="fir").fir_module
     func = next(op for op in module.walk() if op.name == "func.func")
-    jit.clear_translation_cache()       # drops the fingerprint memo too
+    jit.clear_translation_cache()
     interp = Interpreter(module, engine="jit")
     return {
         "artifact": address("artifact", CompileJob("ours", "sum").key()),
         "function": address("function",
                             structural_fingerprint(func, salt="nest")),
         "jit": address("jit", jit.translation_key(
-            func.regions[0].blocks[0], interp._check_stride)),
+            interp, func.regions[0].blocks[0])),
     }
 
 
