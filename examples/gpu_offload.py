@@ -9,7 +9,8 @@ with the internal error reported in Section VI-C.
 """
 
 from repro.core import StandardMLIRCompiler
-from repro.flang import FlangCompiler
+from repro.flang import FlangCodegenError
+from repro.flows import get_flow
 from repro.harness import format_table, table5
 from repro.workloads import pw_advection
 
@@ -19,9 +20,11 @@ def main() -> None:
     source = workload.source(scaled=True)
 
     print("Baseline Flang on OpenACC input:")
-    result = FlangCompiler().compile(source)
-    print("  compiled:", result.succeeded)
-    print("  error   :", result.error)
+    try:
+        get_flow("flang").run(workload)
+    except FlangCodegenError as error:
+        print("  compiled: False")
+        print("  error   :", error)
     print()
 
     print("Standard MLIR flow with the OpenACC -> GPU lowering:")

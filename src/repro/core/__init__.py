@@ -3,8 +3,8 @@
 Contains the Section V mapping (``fir_to_standard``), the paper's own
 optimisation passes (static shape recovery, allocatable-descriptor load
 hoisting, scf->affine promotion, affine super-vectorisation, tiling and
-unrolling, scf->parallel, OpenACC->GPU), the pass pipelines of Listing 1 and
-Figure 3, and the end-to-end driver (Figure 2).
+unrolling, scf->parallel, OpenACC->GPU), the flow's pass pipelines, and the
+end-to-end driver (Figure 2).
 """
 
 from .acc_to_gpu import ConvertAccToGpuPass
@@ -17,10 +17,8 @@ from .fir_to_standard import (ConversionError, ConvertFirToStandardPass,
                               FirToStandardLowering, convert_fir_to_standard)
 from .hoist_descriptor_loads import (HoistDescriptorLoadsPass,
                                      hoist_descriptor_loads)
-from .pipelines import (BASE_PIPELINE, GPU_PIPELINE, OPENMP_PIPELINE,
-                        OPTIMISE_PIPELINE, VECTORIZE_PIPELINE, base_pipeline,
-                        gpu_pipeline, openmp_pipeline, optimise_pipeline,
-                        to_llvm_pipeline)
+from .pipelines import (GPU_PIPELINE, OPENMP_PIPELINE, gpu_pipeline,
+                        openmp_pipeline, optimise_pipeline)
 from .scf_to_affine import ScfToAffinePass
 from .scf_to_parallel import ScfForToParallelPass, convert_loop_to_parallel
 from .static_shapes import StaticShapeRecoveryPass
@@ -32,9 +30,7 @@ __all__ = [
     "StandardFlowResult", "StandardMLIRCompiler", "ConversionError",
     "ConvertFirToStandardPass", "FirToStandardLowering",
     "convert_fir_to_standard", "HoistDescriptorLoadsPass",
-    "hoist_descriptor_loads", "BASE_PIPELINE", "GPU_PIPELINE",
-    "OPENMP_PIPELINE", "OPTIMISE_PIPELINE", "VECTORIZE_PIPELINE",
-    "base_pipeline", "gpu_pipeline", "openmp_pipeline", "optimise_pipeline",
-    "to_llvm_pipeline", "ScfToAffinePass", "ScfForToParallelPass",
+    "hoist_descriptor_loads", "GPU_PIPELINE", "OPENMP_PIPELINE",
+    "gpu_pipeline", "openmp_pipeline", "optimise_pipeline", "ScfToAffinePass", "ScfForToParallelPass",
     "convert_loop_to_parallel", "StaticShapeRecoveryPass",
 ]

@@ -8,7 +8,7 @@ MLIR provides no pass out of the ``acc`` dialect, so the paper develops one:
   ``convert-parallel-loops-to-gpu`` pass later turns the parallel loops into
   ``gpu.launch`` kernels),
 * CUDA managed memory is assumed: ``acc.create`` / ``acc.copyin`` become
-  ``gpu.host_register`` and ``acc.delete`` / ``acc.copyout`` become
+  ``gpu.host_register`` and ``acc.delete`` becomes
   ``gpu.host_unregister``.
 """
 
@@ -37,7 +37,7 @@ class ConvertAccToGpuPass(FunctionPass):
                 if op.results:
                     op.replace_all_uses_with([op.operands[0]])
                 op.erase(check_uses=False)
-            elif op.name in ("acc.delete", "acc.copyout"):
+            elif op.name == "acc.delete":
                 unregister = gpu_d.HostUnregisterOp(op.operands[0])
                 op.parent.insert_before(op, unregister)
                 op.erase(check_uses=False)

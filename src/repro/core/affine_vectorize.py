@@ -1,8 +1,9 @@
 """``affine-super-vectorize``: vectorise innermost affine loops.
 
 Figure 3 of the paper: affine loops are super-vectorised with a virtual
-vector size of 4 (AVX2, 256-bit doubles on the AMD Rome CPUs of ARCHER2),
-then lowered through scf/cf and ``convert-vector-to-llvm{enable-x86vector}``.
+vector size of 4 (AVX2, 256-bit doubles on the AMD Rome CPUs of ARCHER2);
+the paper then lowers through scf/cf and
+``convert-vector-to-llvm{enable-x86vector}``, which is not modelled.
 
 The implementation vectorises an innermost ``affine.for`` when:
 
@@ -245,9 +246,8 @@ class LoopVectorizer:
                 if kind == "contiguous":
                     vload = vector_d.VectorLoadOp(
                         ir_types.VectorType([width], elem), op.operands[0], operands)
-                    # keep the affine map by re-expressing through affine.apply:
-                    # subscripts are materialised by lower-affine later; here the
-                    # map is stored on the op for the cost model / lowering.
+                    # the affine map is stored on the op: the engines index
+                    # through it
                     vload.set_attr("map", op.get_attr("map"))
                     new_body.add_op(vload)
                     vec_map[op.results[0]] = vload.results[0]

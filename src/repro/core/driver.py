@@ -2,9 +2,10 @@
 
 Fortran source is parsed with the (reused) Flang frontend, the combined
 HLFIR/FIR IR is intercepted and lowered to the standard MLIR dialects by the
-transformation of Section V, the standard optimisation passes (plus the
-paper's own passes) are applied, and the result is finally lowered to the
-``llvm`` dialect by the existing MLIR conversions (Listing 1).
+transformation of Section V, and the standard optimisation passes (plus the
+paper's own passes) are applied.  The driver stops at that optimised
+standard-dialect module — the level the machine executes; the lowering to
+the ``llvm`` dialect that ends Listing 1 is not modelled.
 
 The optimisation stage runs as ONE op-anchored nested pipeline
 (:func:`repro.core.pipelines.standard_flow_pipeline`), so a compilation
@@ -29,22 +30,20 @@ class StandardFlowResult(FlowResult):
     """All stages of one standard-MLIR-flow compilation.
 
     A :class:`~repro.flows.base.FlowResult` whose stages are ``hlfir``,
-    ``standard``, ``optimised`` and (optionally) ``llvm``; the historical
-    attribute names remain available as properties.  ``hlfir`` and
-    ``standard`` are intermediate: kept only when the compile named them.
+    ``standard`` and ``optimised``; the historical attribute names remain
+    available as properties.  ``hlfir`` and ``standard`` are intermediate:
+    kept only when the compile named them.
     """
 
     def __init__(self, source: str, hlfir_module: Optional[ModuleOp],
                  standard_module: Optional[ModuleOp],
                  optimised_module: ModuleOp,
-                 llvm_module: Optional[ModuleOp] = None,
                  pipeline_description: str = "",
                  timing: Optional[PassTimingReport] = None):
         super().__init__(flow="ours", source=source,
                          stages={"hlfir": hlfir_module,
                                  "standard": standard_module,
-                                 "optimised": optimised_module,
-                                 "llvm": llvm_module},
+                                 "optimised": optimised_module},
                          pipeline=pipeline_description, timing=timing)
 
     @property
@@ -58,10 +57,6 @@ class StandardFlowResult(FlowResult):
     @property
     def optimised_module(self) -> ModuleOp:
         return self.stages["optimised"]
-
-    @property
-    def llvm_module(self) -> Optional[ModuleOp]:
-        return self.stages["llvm"]
 
     @property
     def pipeline_description(self) -> str:
@@ -94,8 +89,8 @@ class StandardMLIRCompiler:
 
     def __init__(self, *, vector_width: int = 4, parallelise: bool = False,
                  gpu: bool = False, tile: bool = False, tile_size: int = 32,
-                 unroll: int = 0, lower_to_llvm: bool = False,
-                 verify_each: bool = False, collect_statistics: bool = True,
+                 unroll: int = 0, verify_each: bool = False,
+                 collect_statistics: bool = True,
                  instrumentations: Sequence[PassInstrumentation] = ()):
         self.vector_width = vector_width
         self.parallelise = parallelise
@@ -103,7 +98,6 @@ class StandardMLIRCompiler:
         self.tile = tile
         self.tile_size = tile_size
         self.unroll = unroll
-        self.lower_to_llvm = lower_to_llvm
         self.verify_each = verify_each
         self.collect_statistics = collect_statistics
         self.instrumentations = list(instrumentations)
@@ -123,8 +117,9 @@ class StandardMLIRCompiler:
             steps.append("scf.parallel -> OpenMP dialect (convert-scf-to-openmp)")
         if self.gpu:
             steps.append("OpenACC -> scf.parallel -> gpu dialect")
-        steps.append("lower to LLVM dialect via mlir-opt (Listing 1)")
-        steps.append("mlir-translate -> LLVM-IR, clang links with Flang runtime")
+        steps.append("(paper, not modelled: lower to the llvm dialect via "
+                     "mlir-opt, Listing 1; mlir-translate; clang links the "
+                     "Flang runtime)")
         return steps
 
     def build_pipeline(self):
@@ -152,23 +147,14 @@ class StandardMLIRCompiler:
         optimised = standard_module
         opt_pm = self.build_pipeline()
         opt_pm.run(optimised)
-        timing = opt_pm.last_report
-
-        llvm_module = None
-        if self.lower_to_llvm:
-            llvm_module = optimised.clone()
-            llvm_pm = pipelines.to_llvm_pipeline()
-            llvm_pm.run(llvm_module)
-            timing = timing.merged(llvm_pm.last_report)
 
         return StandardFlowResult(
             source=source,
             hlfir_module=hlfir_snapshot,
             standard_module=standard_snapshot,
             optimised_module=optimised,
-            llvm_module=llvm_module,
             pipeline_description=opt_pm.describe(),
-            timing=timing,
+            timing=opt_pm.last_report,
         )
 
 

@@ -385,10 +385,13 @@ class FirToStandardLowering:
         inner = fir.dereferenced_type(storage_type)
         fortran_attrs = op.fortran_attrs
 
-        # dummy argument?
+        source = getattr(memref_value, "op", None)
         mapped = self.value_map.get(memref_value)
-        if mapped is not None and not isinstance(getattr(memref_value, "op", None),
-                                                 (fir.AllocaOp, fir.AddressOfOp)):
+        if isinstance(source, fir.AddressOfOp):
+            # a module variable: the global itself, not a local copy
+            binding = self.bindings[memref_value]
+        elif mapped is not None and not isinstance(source, fir.AllocaOp):
+            # dummy argument
             binding = self._bind_existing(mapped, inner, name)
         elif isinstance(inner, fir.BoxType):
             # allocatable / pointer local: outer memref on the stack
@@ -481,9 +484,6 @@ class FirToStandardLowering:
 
     def _op_fir_shape(self, op: fir.ShapeOp) -> None:
         # shapes are consumed structurally (by declares/emboxes); nothing to emit
-        self.value_map[op.results[0]] = self._map(op.operands[0]) if op.operands else None
-
-    def _op_fir_shape_shift(self, op) -> None:
         self.value_map[op.results[0]] = self._map(op.operands[0]) if op.operands else None
 
     def _op_fir_address_of(self, op: fir.AddressOfOp) -> None:
@@ -947,9 +947,6 @@ class FirToStandardLowering:
     def _op_func_return(self, op: Operation) -> None:
         self._insert(func_d.ReturnOp([self._map(v) for v in op.operands]))
 
-    def _op_func_call(self, op: Operation) -> None:
-        self._op_fir_call(op)  # same handling
-
     # ------------------------------------------------------------------ intrinsics
     def _op_hlfir_sum(self, op) -> None:
         self._reduction_to_linalg(op, kind="add")
@@ -1045,11 +1042,9 @@ class FirToStandardLowering:
                 target_memref = self._element_base(ElementRef(binding=target_binding))
         inputs = [self._array_memref(v) for v in op.operands]
         if target_memref is None:
-            # materialise a temporary for the expression value
-            shape, sizes = self._result_shape_for(kind, inputs)
-            elem = inputs[0].type.element_type
-            target_memref = self._insert(memref_d.AllocOp(
-                ir_types.MemRefType(shape, elem), sizes)).results[0]
+            raise ConversionError(
+                f"the result of {kind}() must be assigned to an array "
+                f"variable (no temporary is materialised for it)")
         if kind == "matmul":
             zero = self._insert(arith.ConstantOp(
                 0.0 if isinstance(inputs[0].type.element_type, ir_types.FloatType) else 0,
@@ -1071,29 +1066,6 @@ class FirToStandardLowering:
                 is_section=True, section_value=target_memref)
             self._consumed_assigns = getattr(self, "_consumed_assigns", set())
             self._consumed_assigns.add(assign_user)
-
-    def _result_shape_for(self, kind: str, inputs: List[Value]):
-        a_type = inputs[0].type
-        shape = []
-        sizes = []
-        if kind == "matmul":
-            b_type = inputs[1].type
-            dims = [(a_type, 0), (b_type, 1)]
-        else:
-            dims = [(a_type, 1), (a_type, 0)]
-        for t, d in dims:
-            if t.shape[d] == ir_types.DYNAMIC:
-                shape.append(ir_types.DYNAMIC)
-                dim_c = self._constant_index(d)
-                sizes.append(self._insert(memref_d.DimOp(inputs[0] if t is a_type else inputs[1], dim_c)).results[0])
-            else:
-                shape.append(t.shape[d])
-        return shape, sizes
-
-    # intercept assigns that were already satisfied by matmul/transpose
-    def _op_hlfir_assign_consumed_check(self, op) -> bool:
-        consumed = getattr(self, "_consumed_assigns", set())
-        return op in consumed
 
 
 def _wrap_assign_dispatch(cls):

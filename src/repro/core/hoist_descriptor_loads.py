@@ -30,15 +30,16 @@ def _is_container_load(op: Operation) -> bool:
             and isinstance(src_type.element_type, ir_types.MemRefType))
 
 
-def _loops_storing_to(func: Operation) -> Dict[Value, Set[Operation]]:
-    """Container -> the loops with a ``memref.store`` to it anywhere inside.
-    One sweep per function: hoisting moves loads, never stores, so the
-    answer holds for the whole pass."""
+def _ops_storing_to(func: Operation) -> Dict[Value, Set[Operation]]:
+    """Container -> every op with a ``memref.store`` to it anywhere inside
+    (the store itself included).  One sweep per function: hoisting moves
+    loads, never stores, so the answer holds for the whole pass."""
     written: Dict[Value, Set[Operation]] = {}
     for op in func.walk():
         if op.name == "memref.store" and len(op.operands) >= 2:
-            written.setdefault(op.operands[1], set()).update(
-                _enclosing_loops(op))
+            writers = written.setdefault(op.operands[1], set())
+            writers.add(op)
+            writers.update(op.ancestors())
     return written
 
 
@@ -54,7 +55,7 @@ def _enclosing_loops(op: Operation) -> List[Operation]:
 def hoist_descriptor_loads(func: Operation) -> int:
     """Hoist container loads out of loops; returns the number hoisted."""
     hoisted = 0
-    written = _loops_storing_to(func)
+    written = _ops_storing_to(func)
     changed = True
     while changed:
         changed = False
@@ -84,25 +85,32 @@ def hoist_descriptor_loads(func: Operation) -> int:
             hoisted += 1
             changed = True
     # merge duplicate hoisted loads that now sit next to each other
-    hoisted += _deduplicate_adjacent_loads(func)
+    hoisted += _deduplicate_loads(func, written)
     return hoisted
 
 
-def _deduplicate_adjacent_loads(func: Operation) -> int:
+def _deduplicate_loads(func: Operation,
+                       written: Dict[Value, Set[Operation]]) -> int:
+    """Within each block, a container load repeats the previous one of the
+    same container unless something in between may have reallocated it (a
+    store to it, nested however deep, or a call it is passed to)."""
     removed = 0
     for block in [b for op in func.walk() for r in op.regions for b in r.blocks] + \
                  [b for r in func.regions for b in r.blocks]:
-        seen = {}
+        seen: Dict[Value, Operation] = {}
         for op in list(block.ops):
             if not _is_container_load(op):
+                for container in [c for c in seen if c in op.operands
+                                  or op in written.get(c, ())]:
+                    del seen[container]
                 continue
-            key = id(op.operands[0])
-            if key in seen:
-                op.replace_all_uses_with([seen[key].results[0]])
+            container = op.operands[0]
+            if container in seen:
+                op.replace_all_uses_with([seen[container].results[0]])
                 op.erase(check_uses=False)
                 removed += 1
             else:
-                seen[key] = op
+                seen[container] = op
     return removed
 
 

@@ -1,8 +1,12 @@
 """Pass pipelines used by the standard-MLIR flow.
 
-``BASE_PIPELINE`` is the mlir-opt invocation of Listing 1; the vectorisation
-flow of Figure 3 and the threading / GPU flows extend it with the additional
-passes developed by the paper.
+:func:`standard_flow_pipeline` is the whole flow up to the optimised
+standard-dialect module the machine executes: the paper's own passes
+(static shape recovery, descriptor-load hoisting, affine promotion,
+super-vectorisation) between standard cleanups, with the threading / GPU
+lowerings in front when asked for.  The conversions to the ``llvm`` dialect
+that end the paper's Listing 1 and Figure 3 are not modelled (README quotes
+both pipelines as text).
 """
 
 from __future__ import annotations
@@ -18,39 +22,6 @@ from . import (acc_to_gpu as _acc, affine_transforms as _at,
                scf_to_affine as _sta, scf_to_parallel as _stp,
                static_shapes as _ss)  # noqa: F401
 
-#: Listing 1: the base mlir-opt pipeline lowering the standard dialects to llvm.
-BASE_PIPELINE = (
-    "builtin.module(canonicalize, cse, loop-invariant-code-motion, "
-    "convert-linalg-to-loops, convert-scf-to-cf, "
-    "convert-cf-to-llvm{index-bitwidth=64}, fold-memref-alias-ops, "
-    "lower-affine, finalize-memref-to-llvm, "
-    "convert-arith-to-llvm{index-bitwidth=64}, convert-func-to-llvm, "
-    "math-uplift-to-fma, convert-math-to-llvm, fold-memref-alias-ops, "
-    "lower-affine, finalize-memref-to-llvm, reconcile-unrealized-casts)"
-)
-
-#: The optimisation stage run before lowering to llvm: the paper's own passes
-#: (static shape recovery, descriptor-load hoisting, affine promotion,
-#: super-vectorisation) followed by cleanups.  This is the IR level the
-#: machine model consumes.
-OPTIMISE_PIPELINE = (
-    "builtin.module(canonicalize, cse, loop-invariant-code-motion, "
-    "recover-static-shapes, hoist-allocatable-loads, "
-    "convert-linalg-to-loops, raise-scf-to-affine, "
-    "affine-super-vectorize{virtual-vector-size=4}, "
-    "math-uplift-to-fma, canonicalize, cse)"
-)
-
-#: Figure 3: vectorisation pipeline from affine down to llvm.
-VECTORIZE_PIPELINE = (
-    "builtin.module(affine-super-vectorize{virtual-vector-size=4}, "
-    "lower-affine, convert-scf-to-cf, "
-    "convert-vector-to-llvm{enable-x86vector}, "
-    "convert-cf-to-llvm{index-bitwidth=64}, finalize-memref-to-llvm, "
-    "convert-arith-to-llvm{index-bitwidth=64}, convert-func-to-llvm, "
-    "reconcile-unrealized-casts)"
-)
-
 #: Threading: convert eligible loops to scf.parallel and lower to OpenMP.
 OPENMP_PIPELINE = (
     "builtin.module(convert-scf-for-to-parallel, convert-scf-to-openmp, "
@@ -62,10 +33,6 @@ GPU_PIPELINE = (
     "builtin.module(convert-acc-to-gpu, convert-parallel-loops-to-gpu, "
     "canonicalize, cse)"
 )
-
-
-def base_pipeline() -> PassManager:
-    return PassManager.from_pipeline(BASE_PIPELINE)
 
 
 def optimise_pipeline(vector_width: int = 4, *, tile: bool = False,
@@ -102,7 +69,7 @@ def optimise_pipeline(vector_width: int = 4, *, tile: bool = False,
 def standard_flow_pipeline(vector_width: int = 4, *, tile: bool = False,
                            tile_size: int = 32, unroll: int = 0,
                            parallelise: bool = False,
-                           gpu: bool = False, **_ignored) -> PassManager:
+                           gpu: bool = False) -> PassManager:
     """The whole standard flow as ONE op-anchored nested pipeline.
 
     This is what the ``ours`` flow's pipeline builder returns: every stage —
@@ -140,20 +107,7 @@ def gpu_pipeline() -> PassManager:
     return PassManager.from_pipeline(GPU_PIPELINE)
 
 
-def to_llvm_pipeline() -> PassManager:
-    """The tail of Listing 1: lower everything that remains to the llvm dialect."""
-    return PassManager.from_pipeline(
-        "builtin.module(lower-affine, convert-scf-to-cf, "
-        "convert-vector-to-llvm{enable-x86vector}, "
-        "convert-cf-to-llvm{index-bitwidth=64}, fold-memref-alias-ops, "
-        "finalize-memref-to-llvm, convert-arith-to-llvm{index-bitwidth=64}, "
-        "convert-func-to-llvm, convert-math-to-llvm, "
-        "reconcile-unrealized-casts)")
-
-
 __all__ = [
-    "BASE_PIPELINE", "OPTIMISE_PIPELINE", "VECTORIZE_PIPELINE",
-    "OPENMP_PIPELINE", "GPU_PIPELINE", "base_pipeline", "optimise_pipeline",
+    "OPENMP_PIPELINE", "GPU_PIPELINE", "optimise_pipeline",
     "standard_flow_pipeline", "openmp_pipeline", "gpu_pipeline",
-    "to_llvm_pipeline",
 ]

@@ -2,7 +2,7 @@
 
 The paper notes that MLIR has *no* lowering out of the acc dialect; Section
 VI-C develops one (acc.kernels -> scf.parallel, acc.create ->
-gpu.host_register, acc.delete / acc.copyout -> gpu.host_unregister) which is
+gpu.host_register, acc.delete -> gpu.host_unregister) which is
 implemented in :mod:`repro.core.acc_to_gpu`.
 """
 
@@ -35,21 +35,6 @@ class KernelsOp(Operation):
                  body: Optional[Block] = None):
         super().__init__(operands=list(data_operands),
                          regions=[Region([body or Block()])])
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-
-@register_op
-class LoopOp(Operation):
-    """``acc.loop`` — marks a loop nest inside a kernels/parallel region."""
-
-    OP_NAME = "acc.loop"
-    TRAITS = frozenset({STRUCTURED_CONTROL_FLOW})
-
-    def __init__(self, body: Optional[Block] = None):
-        super().__init__(regions=[Region([body or Block()])])
 
     @property
     def body(self) -> Block:
@@ -103,14 +88,6 @@ class CopyinOp(_DataClauseOp):
 
 
 @register_op
-class CopyoutOp(_DataClauseOp):
-    OP_NAME = "acc.copyout"
-
-    def __init__(self, host: Value, name: Optional[str] = None):
-        super().__init__(host, with_result=False, name=name)
-
-
-@register_op
 class DeleteOp(_DataClauseOp):
     OP_NAME = "acc.delete"
 
@@ -118,5 +95,5 @@ class DeleteOp(_DataClauseOp):
         super().__init__(host, with_result=False, name=name)
 
 
-__all__ = ["TerminatorOp", "KernelsOp", "LoopOp", "DataOp", "CreateOp",
-           "CopyinOp", "CopyoutOp", "DeleteOp"]
+__all__ = ["TerminatorOp", "KernelsOp", "DataOp", "CreateOp",
+           "CopyinOp", "DeleteOp"]

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import AffineExpr, AffineMapAttr, IntegerAttr
+from ..ir.attributes import AffineMapAttr, IntegerAttr
 from ..ir.core import Block, Operation, Region, Value, register_op
-from ..ir.traits import (IS_TERMINATOR, LOOP_LIKE, PURE, READ_ONLY,
+from ..ir.traits import (IS_TERMINATOR, LOOP_LIKE, READ_ONLY,
                          STRUCTURED_CONTROL_FLOW, WRITES_MEMORY)
 from ..ir.types import MemRefType, Type, index
 
@@ -60,12 +60,6 @@ class AffineForOp(Operation):
         return AffineForOp([], AffineMapAttr.constant_map(lower),
                            [], AffineMapAttr.constant_map(upper), step, body=body)
 
-    @staticmethod
-    def ssa_bounds(lower: Value, upper: Value, step: int = 1,
-                   body: Optional[Block] = None) -> "AffineForOp":
-        ident = AffineMapAttr(1, 0, [AffineExpr.dim(0)])
-        return AffineForOp([lower], ident, [upper], ident, step, body=body)
-
     # -- accessors -----------------------------------------------------------------
     @property
     def step_value(self) -> int:
@@ -105,18 +99,6 @@ class AffineForOp(Operation):
     @property
     def induction_variable(self) -> Value:
         return self.body.args[0]
-
-    def constant_trip_count(self) -> Optional[int]:
-        """Trip count when both bounds are constant maps."""
-        lb, ub = self.lower_bound_map, self.upper_bound_map
-        if (len(lb.results) == 1 and lb.results[0].kind == "const"
-                and len(ub.results) == 1 and ub.results[0].kind == "const"):
-            lo, hi = lb.results[0].value, ub.results[0].value
-            step = self.step_value
-            if hi <= lo:
-                return 0
-            return (hi - lo + step - 1) // step
-        return None
 
 
 class _AffineMemOp(Operation):
@@ -186,51 +168,4 @@ class AffineStoreOp(_AffineMemOp):
         return self.attributes["map"]
 
 
-@register_op
-class AffineApplyOp(Operation):
-    """Apply an affine map to index operands, producing a single index."""
-
-    OP_NAME = "affine.apply"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, map_attr: AffineMapAttr, operands: Sequence[Value]):
-        if len(map_attr.results) != 1:
-            raise ValueError("affine.apply requires a single-result map")
-        super().__init__(operands=list(operands), result_types=[index],
-                         attributes={"map": map_attr})
-
-    @property
-    def map(self) -> AffineMapAttr:
-        return self.attributes["map"]
-
-
-@register_op
-class AffineParallelOp(Operation):
-    """``affine.parallel`` over a constant rectangular iteration space."""
-
-    OP_NAME = "affine.parallel"
-    TRAITS = frozenset({STRUCTURED_CONTROL_FLOW, LOOP_LIKE})
-
-    def __init__(self, lower: Sequence[int], upper: Sequence[int],
-                 steps: Sequence[int], body: Optional[Block] = None):
-        from ..ir.attributes import DenseIntElementsAttr
-        rank = len(lower)
-        if body is None:
-            body = Block(arg_types=[index] * rank)
-        super().__init__(
-            regions=[Region([body])],
-            attributes={
-                "lower": DenseIntElementsAttr(lower),
-                "upper": DenseIntElementsAttr(upper),
-                "steps": DenseIntElementsAttr(steps),
-            })
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-
-__all__ = [
-    "AffineForOp", "AffineYieldOp", "AffineLoadOp", "AffineStoreOp",
-    "AffineApplyOp", "AffineParallelOp",
-]
+__all__ = ["AffineForOp", "AffineYieldOp", "AffineLoadOp", "AffineStoreOp"]

@@ -1,13 +1,12 @@
-"""Builtin dialect: module container and unrealized conversion casts."""
+"""Builtin dialect: the module container."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from ..ir.attributes import StringAttr
-from ..ir.core import Block, Operation, Region, Value, register_op
+from ..ir.core import Block, Operation, Region, register_op
 from ..ir.traits import SYMBOL_TABLE
-from ..ir.types import Type
 
 
 @register_op
@@ -45,14 +44,4 @@ class ModuleOp(Operation):
         return [op for op in self.body.ops if op.name == "func.func"]
 
 
-@register_op
-class UnrealizedConversionCastOp(Operation):
-    """Marker cast between types during progressive lowering."""
-
-    OP_NAME = "builtin.unrealized_conversion_cast"
-
-    def __init__(self, operands: Sequence[Value], result_types: Sequence[Type]):
-        super().__init__(operands=operands, result_types=result_types)
-
-
-__all__ = ["ModuleOp", "UnrealizedConversionCastOp"]
+__all__ = ["ModuleOp"]

@@ -154,19 +154,6 @@ class ShapeType(Type):
         return f"!fir.shape<{self.rank}>"
 
 
-class ShapeShiftType(Type):
-    __slots__ = ("rank",)
-
-    def __init__(self, rank: int):
-        self.rank = rank
-
-    def _key(self):
-        return (self.rank,)
-
-    def mlir(self) -> str:
-        return f"!fir.shapeshift<{self.rank}>"
-
-
 class RecordType(Type):
     """``!fir.type<name{member: type, ...}>`` — a derived type."""
 
@@ -314,18 +301,6 @@ class ShapeOp(Operation):
 
 
 @register_op
-class ShapeShiftOp(Operation):
-    """``fir.shape_shift`` — packages (lower bound, extent) pairs."""
-
-    OP_NAME = "fir.shape_shift"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, pairs: Sequence[Value]):
-        super().__init__(operands=list(pairs),
-                         result_types=[ShapeShiftType(len(pairs) // 2)])
-
-
-@register_op
 class EmboxOp(Operation):
     """``fir.embox`` — create a descriptor (box) from a memory reference."""
 
@@ -395,51 +370,6 @@ class CoordinateOfOp(Operation):
     @property
     def coordinates(self):
         return self.operands[1:]
-
-
-@register_op
-class ArrayCoorOp(Operation):
-    """``fir.array_coor`` — address of an array element (1-based indices)."""
-
-    OP_NAME = "fir.array_coor"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, memref: Value, shape: Optional[Value],
-                 indices: Sequence[Value], result_type: Type):
-        operands = [memref] + ([shape] if shape is not None else []) + list(indices)
-        attrs = {"has_shape": IntegerAttr(1 if shape is not None else 0)}
-        super().__init__(operands=operands, result_types=[result_type],
-                         attributes=attrs)
-
-    @property
-    def memref(self) -> Value:
-        return self.operands[0]
-
-    @property
-    def indices(self):
-        start = 1 + self.attributes["has_shape"].value
-        return self.operands[start:]
-
-    @property
-    def shape(self) -> Optional[Value]:
-        return self.operands[1] if self.attributes["has_shape"].value else None
-
-
-@register_op
-class FieldIndexOp(Operation):
-    """``fir.field_index`` — symbolic index of a derived-type member."""
-
-    OP_NAME = "fir.field_index"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, field_name: str, record_type: RecordType):
-        super().__init__(result_types=[index],
-                         attributes={"field_id": StringAttr(field_name),
-                                     "on_type": TypeAttr(record_type)})
-
-    @property
-    def field_name(self) -> str:
-        return self.attributes["field_id"].value
 
 
 # ---------------------------------------------------------------------------
@@ -598,15 +528,6 @@ class CallOp(Operation):
         return self.attributes["callee"].root
 
 
-@register_op
-class UnreachableOp(Operation):
-    OP_NAME = "fir.unreachable"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self):
-        super().__init__()
-
-
 # ---------------------------------------------------------------------------
 # FIR globals & misc
 # ---------------------------------------------------------------------------
@@ -620,15 +541,11 @@ class GlobalOp(Operation):
     TRAITS = frozenset({SYMBOL})
 
     def __init__(self, sym_name: str, global_type: Type,
-                 initial_value: Optional[Attribute] = None,
-                 constant: bool = False, body: Optional[Block] = None):
+                 initial_value: Optional[Attribute] = None):
         attrs = {"sym_name": StringAttr(sym_name), "type": TypeAttr(global_type)}
         if initial_value is not None:
             attrs["initial_value"] = initial_value
-        if constant:
-            attrs["constant"] = IntegerAttr(1)
-        regions = [Region([body])] if body is not None else [Region()]
-        super().__init__(attributes=attrs, regions=regions)
+        super().__init__(attributes=attrs, regions=[Region()])
 
     @property
     def sym_name(self) -> str:
@@ -654,35 +571,6 @@ class AddressOfOp(Operation):
 
 
 @register_op
-class HasValueOp(Operation):
-    """Terminator of fir.global initialiser regions."""
-
-    OP_NAME = "fir.has_value"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, value: Value):
-        super().__init__(operands=[value])
-
-
-@register_op
-class UndefinedOp(Operation):
-    OP_NAME = "fir.undefined"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, result_type: Type):
-        super().__init__(result_types=[result_type])
-
-
-@register_op
-class AbsentOp(Operation):
-    OP_NAME = "fir.absent"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, result_type: Type):
-        super().__init__(result_types=[result_type])
-
-
-@register_op
 class StringLitOp(Operation):
     OP_NAME = "fir.string_lit"
     TRAITS = frozenset({PURE})
@@ -696,27 +584,16 @@ class StringLitOp(Operation):
         return self.attributes["value"].value
 
 
-@register_op
-class ZeroBitsOp(Operation):
-    OP_NAME = "fir.zero_bits"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, result_type: Type):
-        super().__init__(result_types=[result_type])
-
-
 __all__ = [
     # types
     "ReferenceType", "HeapType", "PointerType", "BoxType", "SequenceType",
-    "CharType", "LogicalType", "ShapeType", "ShapeShiftType", "RecordType",
+    "CharType", "LogicalType", "ShapeType", "RecordType",
     "dereferenced_type", "element_type_of",
     # memory ops
     "AllocaOp", "AllocMemOp", "FreeMemOp", "LoadOp", "StoreOp", "ShapeOp",
-    "ShapeShiftOp", "EmboxOp", "BoxAddrOp", "BoxDimsOp", "ConvertOp",
-    "CoordinateOfOp", "ArrayCoorOp", "FieldIndexOp",
+    "EmboxOp", "BoxAddrOp", "BoxDimsOp", "ConvertOp", "CoordinateOfOp",
     # control flow
-    "ResultOp", "IfOp", "DoLoopOp", "IterateWhileOp", "CallOp", "UnreachableOp",
+    "ResultOp", "IfOp", "DoLoopOp", "IterateWhileOp", "CallOp",
     # globals & misc
-    "GlobalOp", "AddressOfOp", "HasValueOp", "UndefinedOp", "AbsentOp",
-    "StringLitOp", "ZeroBitsOp",
+    "GlobalOp", "AddressOfOp", "StringLitOp",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import DictAttr, StringAttr, SymbolRefAttr, TypeAttr
+from ..ir.attributes import StringAttr, SymbolRefAttr, TypeAttr
 from ..ir.core import Block, Operation, Region, Value, register_op
 from ..ir.traits import (AUTOMATIC_ALLOCATION_SCOPE, CALL_LIKE, IS_TERMINATOR,
                          SYMBOL)
@@ -20,16 +20,12 @@ class FuncOp(Operation):
 
     def __init__(self, name: str, function_type: FunctionType,
                  *, visibility: str = "public",
-                 arg_attrs: Optional[Sequence[dict]] = None,
                  create_entry_block: bool = True):
         attrs = {
             "sym_name": StringAttr(name),
             "function_type": TypeAttr(function_type),
             "sym_visibility": StringAttr(visibility),
         }
-        if arg_attrs:
-            attrs["arg_attrs"] = DictAttr(
-                {str(i): DictAttr(a) for i, a in enumerate(arg_attrs)})
         region = Region()
         if create_entry_block:
             region.add_block(Block(arg_types=function_type.inputs))

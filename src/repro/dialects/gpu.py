@@ -1,14 +1,12 @@
-"""The ``gpu`` dialect: kernel launch, host registration and device memory."""
+"""The ``gpu`` dialect: kernel launch and host registration."""
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import IntegerAttr, StringAttr, SymbolRefAttr
 from ..ir.core import Block, Operation, Region, Value, register_op
-from ..ir.traits import (IS_TERMINATOR, LOOP_LIKE, STRUCTURED_CONTROL_FLOW,
-                         SYMBOL, SYMBOL_TABLE)
-from ..ir.types import MemRefType, Type, index
+from ..ir.traits import IS_TERMINATOR, LOOP_LIKE, STRUCTURED_CONTROL_FLOW
+from ..ir.types import index
 
 
 @register_op
@@ -18,15 +16,6 @@ class TerminatorOp(Operation):
 
     def __init__(self):
         super().__init__()
-
-
-@register_op
-class ReturnOp(Operation):
-    OP_NAME = "gpu.return"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, values: Sequence[Value] = ()):
-        super().__init__(operands=list(values))
 
 
 @register_op
@@ -45,47 +34,6 @@ class HostUnregisterOp(Operation):
 
     def __init__(self, memref: Value):
         super().__init__(operands=[memref])
-
-
-@register_op
-class GPUModuleOp(Operation):
-    """``gpu.module`` — container of device functions."""
-
-    OP_NAME = "gpu.module"
-    TRAITS = frozenset({SYMBOL, SYMBOL_TABLE})
-
-    def __init__(self, sym_name: str):
-        super().__init__(regions=[Region([Block()])],
-                         attributes={"sym_name": StringAttr(sym_name)})
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-    @property
-    def sym_name(self) -> str:
-        return self.attributes["sym_name"].value
-
-
-@register_op
-class GPUFuncOp(Operation):
-    """``gpu.func`` — a device kernel function."""
-
-    OP_NAME = "gpu.func"
-    TRAITS = frozenset({SYMBOL})
-
-    def __init__(self, sym_name: str, arg_types: Sequence[Type]):
-        super().__init__(regions=[Region([Block(arg_types=arg_types)])],
-                         attributes={"sym_name": StringAttr(sym_name),
-                                     "kernel": IntegerAttr(1)})
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-    @property
-    def sym_name(self) -> str:
-        return self.attributes["sym_name"].value
 
 
 @register_op
@@ -121,85 +69,4 @@ class LaunchOp(Operation):
         return self.regions[0].blocks[0]
 
 
-@register_op
-class LaunchFuncOp(Operation):
-    """``gpu.launch_func`` — launch a named kernel."""
-
-    OP_NAME = "gpu.launch_func"
-
-    def __init__(self, kernel: str, grid: Sequence[Value], block: Sequence[Value],
-                 kernel_operands: Sequence[Value] = ()):
-        super().__init__(operands=[*grid, *block, *kernel_operands],
-                         attributes={"kernel": SymbolRefAttr(kernel)})
-
-    @property
-    def kernel(self) -> str:
-        return self.attributes["kernel"].root
-
-
-@register_op
-class AllocOp(Operation):
-    OP_NAME = "gpu.alloc"
-
-    def __init__(self, memref_type: MemRefType, dynamic_sizes: Sequence[Value] = ()):
-        super().__init__(operands=list(dynamic_sizes), result_types=[memref_type])
-
-
-@register_op
-class DeallocOp(Operation):
-    OP_NAME = "gpu.dealloc"
-
-    def __init__(self, memref: Value):
-        super().__init__(operands=[memref])
-
-
-@register_op
-class MemcpyOp(Operation):
-    OP_NAME = "gpu.memcpy"
-
-    def __init__(self, dst: Value, src: Value):
-        super().__init__(operands=[dst, src])
-
-
-@register_op
-class ThreadIdOp(Operation):
-    OP_NAME = "gpu.thread_id"
-
-    def __init__(self, dimension: str = "x"):
-        super().__init__(result_types=[index],
-                         attributes={"dimension": StringAttr(dimension)})
-
-
-@register_op
-class BlockIdOp(Operation):
-    OP_NAME = "gpu.block_id"
-
-    def __init__(self, dimension: str = "x"):
-        super().__init__(result_types=[index],
-                         attributes={"dimension": StringAttr(dimension)})
-
-
-@register_op
-class BlockDimOp(Operation):
-    OP_NAME = "gpu.block_dim"
-
-    def __init__(self, dimension: str = "x"):
-        super().__init__(result_types=[index],
-                         attributes={"dimension": StringAttr(dimension)})
-
-
-@register_op
-class GridDimOp(Operation):
-    OP_NAME = "gpu.grid_dim"
-
-    def __init__(self, dimension: str = "x"):
-        super().__init__(result_types=[index],
-                         attributes={"dimension": StringAttr(dimension)})
-
-
-__all__ = [
-    "TerminatorOp", "ReturnOp", "HostRegisterOp", "HostUnregisterOp",
-    "GPUModuleOp", "GPUFuncOp", "LaunchOp", "LaunchFuncOp", "AllocOp",
-    "DeallocOp", "MemcpyOp", "ThreadIdOp", "BlockIdOp", "BlockDimOp",
-    "GridDimOp",
-]
+__all__ = ["TerminatorOp", "HostRegisterOp", "HostUnregisterOp", "LaunchOp"]

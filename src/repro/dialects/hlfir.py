@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import (DictAttr, IntegerAttr, StringAttr, TypeAttr)
-from ..ir.core import Block, Operation, Region, Value, register_op
-from ..ir.traits import IS_TERMINATOR, PURE, READ_ONLY, WRITES_MEMORY
-from ..ir.types import Type, i32, index
+from ..ir.attributes import IntegerAttr, StringAttr, TypeAttr
+from ..ir.core import Operation, Value, register_op
+from ..ir.traits import PURE, READ_ONLY, WRITES_MEMORY
+from ..ir.types import Type, i32
 from .fir import (BoxType, ReferenceType, SequenceType, dereferenced_type)
 
 
@@ -147,51 +147,6 @@ class DesignateOp(Operation):
         return attr.value if attr is not None else None
 
 
-@register_op
-class ElementalOp(Operation):
-    """``hlfir.elemental`` — an elemental array expression evaluated per index."""
-
-    OP_NAME = "hlfir.elemental"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, shape: Value, result_type: ExprType,
-                 body: Optional[Block] = None):
-        rank = len(result_type.shape)
-        if body is None:
-            body = Block(arg_types=[index] * rank)
-        super().__init__(operands=[shape], result_types=[result_type],
-                         regions=[Region([body])])
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-
-@register_op
-class YieldElementOp(Operation):
-    OP_NAME = "hlfir.yield_element"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, value: Value):
-        super().__init__(operands=[value])
-
-
-@register_op
-class EndAssociateOp(Operation):
-    OP_NAME = "hlfir.end_associate"
-
-    def __init__(self, value: Value):
-        super().__init__(operands=[value])
-
-
-@register_op
-class DestroyOp(Operation):
-    OP_NAME = "hlfir.destroy"
-
-    def __init__(self, value: Value):
-        super().__init__(operands=[value])
-
-
 # ---------------------------------------------------------------------------
 # Transformational intrinsics
 # ---------------------------------------------------------------------------
@@ -300,8 +255,7 @@ TRANSFORMATIONAL_INTRINSICS = (
 
 
 __all__ = [
-    "ExprType", "DeclareOp", "AssignOp", "DesignateOp", "ElementalOp",
-    "YieldElementOp", "EndAssociateOp", "DestroyOp", "SumOp", "ProductOp",
+    "ExprType", "DeclareOp", "AssignOp", "DesignateOp", "SumOp", "ProductOp",
     "MaxvalOp", "MinvalOp", "CountOp", "DotProductOp", "MatmulOp",
     "TransposeOp", "TRANSFORMATIONAL_INTRINSICS",
 ]

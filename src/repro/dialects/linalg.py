@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import DenseIntElementsAttr, StringAttr
+from ..ir.attributes import DenseIntElementsAttr
 from ..ir.core import Block, Operation, Region, Value, register_op
 from ..ir.traits import IS_TERMINATOR, WRITES_MEMORY
 from ..ir.types import MemRefType
@@ -129,48 +129,7 @@ class ReduceOp(_NamedLinalgOp):
         return self.regions[0].blocks[0]
 
 
-@register_op
-class GenericOp(_NamedLinalgOp):
-    """A simplified ``linalg.generic``: elementwise map over ins/outs.
-
-    Only the identity-indexing elementwise form is needed by the lowering of
-    Fortran elemental array expressions.
-    """
-
-    OP_NAME = "linalg.generic"
-    NUM_INPUTS = 1
-
-    def __init__(self, inputs: Sequence[Value], outputs: Sequence[Value],
-                 body: Optional[Block] = None, iterator_types: Sequence[str] = ()):
-        element_types = [v.type.element_type for v in inputs] + \
-                        [v.type.element_type for v in outputs]
-        if body is None:
-            body = Block(arg_types=element_types)
-        attrs = {
-            "num_inputs": DenseIntElementsAttr([len(inputs)]),
-            "iterator_types": StringAttr(",".join(iterator_types)),
-        }
-        Operation.__init__(self, operands=[*inputs, *outputs], attributes=attrs,
-                           regions=[Region([body])])
-
-    @property
-    def num_inputs(self) -> int:
-        return self.attributes["num_inputs"].values[0]
-
-    @property
-    def inputs(self):
-        return self.operands[:self.num_inputs]
-
-    @property
-    def outputs(self):
-        return self.operands[self.num_inputs:]
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-
 __all__ = [
     "LinalgYieldOp", "MatmulOp", "DotOp", "TransposeOp", "FillOp", "CopyOp",
-    "ReduceOp", "GenericOp",
+    "ReduceOp",
 ]

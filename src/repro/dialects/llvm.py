@@ -1,92 +1,33 @@
-"""The ``llvm`` MLIR dialect: the final target of both compilation flows.
+"""The part of the ``llvm`` MLIR dialect the standard flow emits.
 
-Both the baseline Flang flow (direct FIR -> llvm lowering) and the paper's
-standard-MLIR flow end at this dialect; ``mlir-translate`` would then emit
-LLVM-IR.  The dialect here carries enough structure for the interpreter and
-the cost model to execute/analyse the result.
+Section V-B maps a Fortran module *scalar* variable to an
+``llvm.mlir.global`` accessed through ``llvm.mlir.addressof`` +
+``llvm.load`` / ``llvm.store`` (module arrays are ``memref.global``); those
+four operations and the pointer type are all that is defined here.  Neither
+flow lowers any further into this dialect — the repo stops at the optimised
+standard-dialect module.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..ir.attributes import (Attribute, DenseIntElementsAttr, IntegerAttr,
-                             StringAttr, SymbolRefAttr, TypeAttr)
-from ..ir.core import Block, Operation, Region, Value, register_op
-from ..ir.traits import (ALLOCATES, CALL_LIKE, IS_TERMINATOR, PURE, READ_ONLY,
-                         SYMBOL, WRITES_MEMORY)
-from ..ir.types import FunctionType, IntegerType, Type
+from ..ir.attributes import Attribute, StringAttr, SymbolRefAttr, TypeAttr
+from ..ir.core import Operation, Region, Value, register_op
+from ..ir.traits import PURE, READ_ONLY, SYMBOL, WRITES_MEMORY
+from ..ir.types import Type
 
 
 class LLVMPointerType(Type):
     """An opaque LLVM pointer (``!llvm.ptr``)."""
 
-    __slots__ = ("pointee",)
-
-    def __init__(self, pointee: Optional[Type] = None):
-        self.pointee = pointee
-
-    def _key(self):
-        return (self.pointee,)
+    __slots__ = ()
 
     def mlir(self) -> str:
-        if self.pointee is None:
-            return "!llvm.ptr"
-        return f"!llvm.ptr<{self.pointee.mlir()}>"
-
-
-class LLVMStructType(Type):
-    """A literal LLVM struct type (used for memref descriptors)."""
-
-    __slots__ = ("members",)
-
-    def __init__(self, members: Sequence[Type]):
-        self.members = tuple(members)
-
-    def _key(self):
-        return (self.members,)
-
-    def mlir(self) -> str:
-        return "!llvm.struct<(" + ", ".join(m.mlir() for m in self.members) + ")>"
-
-
-class LLVMArrayType(Type):
-    __slots__ = ("size", "element_type")
-
-    def __init__(self, size: int, element_type: Type):
-        self.size = size
-        self.element_type = element_type
-
-    def _key(self):
-        return (self.size, self.element_type)
-
-    def mlir(self) -> str:
-        return f"!llvm.array<{self.size} x {self.element_type.mlir()}>"
+        return "!llvm.ptr"
 
 
 ptr = LLVMPointerType()
-
-
-@register_op
-class LLVMFuncOp(Operation):
-    """``llvm.func`` — used for runtime-library declarations."""
-
-    OP_NAME = "llvm.func"
-    TRAITS = frozenset({SYMBOL})
-
-    def __init__(self, name: str, function_type: FunctionType,
-                 create_entry_block: bool = False):
-        region = Region()
-        if create_entry_block:
-            region.add_block(Block(arg_types=function_type.inputs))
-        super().__init__(regions=[region], attributes={
-            "sym_name": StringAttr(name),
-            "function_type": TypeAttr(function_type),
-        })
-
-    @property
-    def sym_name(self) -> str:
-        return self.attributes["sym_name"].value
 
 
 @register_op
@@ -97,26 +38,14 @@ class GlobalOp(Operation):
     TRAITS = frozenset({SYMBOL})
 
     def __init__(self, sym_name: str, global_type: Type,
-                 value: Optional[Attribute] = None, constant: bool = False,
-                 body: Optional[Block] = None):
+                 value: Optional[Attribute] = None):
         attrs = {
             "sym_name": StringAttr(sym_name),
             "global_type": TypeAttr(global_type),
         }
         if value is not None:
             attrs["value"] = value
-        if constant:
-            attrs["constant"] = IntegerAttr(1)
-        regions = [Region([body])] if body is not None else [Region()]
-        super().__init__(attributes=attrs, regions=regions)
-
-    @property
-    def sym_name(self) -> str:
-        return self.attributes["sym_name"].value
-
-    @property
-    def global_type(self) -> Type:
-        return self.attributes["global_type"].type
+        super().__init__(attributes=attrs, regions=[Region()])
 
 
 @register_op
@@ -126,47 +55,9 @@ class AddressOfOp(Operation):
     OP_NAME = "llvm.mlir.addressof"
     TRAITS = frozenset({PURE})
 
-    def __init__(self, sym_name: str, result_type: Optional[Type] = None):
-        super().__init__(result_types=[result_type or ptr],
+    def __init__(self, sym_name: str):
+        super().__init__(result_types=[ptr],
                          attributes={"global_name": SymbolRefAttr(sym_name)})
-
-    @property
-    def global_name(self) -> str:
-        return self.attributes["global_name"].root
-
-
-@register_op
-class ConstantOp(Operation):
-    OP_NAME = "llvm.mlir.constant"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, value: Attribute, result_type: Type):
-        super().__init__(result_types=[result_type], attributes={"value": value})
-
-
-@register_op
-class UndefOp(Operation):
-    OP_NAME = "llvm.mlir.undef"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, result_type: Type):
-        super().__init__(result_types=[result_type])
-
-
-@register_op
-class AllocaOp(Operation):
-    """``llvm.alloca`` — stack allocation of `size` elements of `elem_type`."""
-
-    OP_NAME = "llvm.alloca"
-    TRAITS = frozenset({ALLOCATES})
-
-    def __init__(self, size: Value, elem_type: Type):
-        super().__init__(operands=[size], result_types=[ptr],
-                         attributes={"elem_type": TypeAttr(elem_type)})
-
-    @property
-    def elem_type(self) -> Type:
-        return self.attributes["elem_type"].type
 
 
 @register_op
@@ -187,319 +78,5 @@ class StoreOp(Operation):
         super().__init__(operands=[value, address])
 
 
-@register_op
-class GEPOp(Operation):
-    """``llvm.getelementptr`` — address arithmetic."""
-
-    OP_NAME = "llvm.getelementptr"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, base: Value, indices: Sequence[Value], elem_type: Type):
-        super().__init__(operands=[base, *indices], result_types=[ptr],
-                         attributes={"elem_type": TypeAttr(elem_type)})
-
-    @property
-    def base(self) -> Value:
-        return self.operands[0]
-
-    @property
-    def indices(self):
-        return self.operands[1:]
-
-
-@register_op
-class CallOp(Operation):
-    OP_NAME = "llvm.call"
-    TRAITS = frozenset({CALL_LIKE})
-
-    def __init__(self, callee: str, operands: Sequence[Value],
-                 result_types: Sequence[Type] = ()):
-        super().__init__(operands=list(operands), result_types=list(result_types),
-                         attributes={"callee": SymbolRefAttr(callee)})
-
-    @property
-    def callee(self) -> str:
-        return self.attributes["callee"].root
-
-
-@register_op
-class ReturnOp(Operation):
-    OP_NAME = "llvm.return"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, values: Sequence[Value] = ()):
-        super().__init__(operands=list(values))
-
-
-@register_op
-class BrOp(Operation):
-    OP_NAME = "llvm.br"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, dest: Block, operands: Sequence[Value] = ()):
-        super().__init__(operands=list(operands), successors=[dest])
-
-
-@register_op
-class CondBrOp(Operation):
-    OP_NAME = "llvm.cond_br"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, condition: Value, true_dest: Block, false_dest: Block,
-                 true_operands: Sequence[Value] = (),
-                 false_operands: Sequence[Value] = ()):
-        super().__init__(
-            operands=[condition, *true_operands, *false_operands],
-            successors=[true_dest, false_dest],
-            attributes={"num_true_operands": IntegerAttr(len(true_operands))})
-
-    @property
-    def condition(self) -> Value:
-        return self.operands[0]
-
-
-class _LLVMBinOp(Operation):
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, lhs: Value, rhs: Value):
-        super().__init__(operands=[lhs, rhs], result_types=[lhs.type])
-
-
-@register_op
-class AddOp(_LLVMBinOp):
-    OP_NAME = "llvm.add"
-
-
-@register_op
-class SubOp(_LLVMBinOp):
-    OP_NAME = "llvm.sub"
-
-
-@register_op
-class MulOp(_LLVMBinOp):
-    OP_NAME = "llvm.mul"
-
-
-@register_op
-class SDivOp(_LLVMBinOp):
-    OP_NAME = "llvm.sdiv"
-
-
-@register_op
-class SRemOp(_LLVMBinOp):
-    OP_NAME = "llvm.srem"
-
-
-@register_op
-class AndOp(_LLVMBinOp):
-    OP_NAME = "llvm.and"
-
-
-@register_op
-class OrOp(_LLVMBinOp):
-    OP_NAME = "llvm.or"
-
-
-@register_op
-class XOrOp(_LLVMBinOp):
-    OP_NAME = "llvm.xor"
-
-
-@register_op
-class FAddOp(_LLVMBinOp):
-    OP_NAME = "llvm.fadd"
-
-
-@register_op
-class FSubOp(_LLVMBinOp):
-    OP_NAME = "llvm.fsub"
-
-
-@register_op
-class FMulOp(_LLVMBinOp):
-    OP_NAME = "llvm.fmul"
-
-
-@register_op
-class FDivOp(_LLVMBinOp):
-    OP_NAME = "llvm.fdiv"
-
-
-@register_op
-class FRemOp(_LLVMBinOp):
-    OP_NAME = "llvm.frem"
-
-
-@register_op
-class FNegOp(Operation):
-    OP_NAME = "llvm.fneg"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, value: Value):
-        super().__init__(operands=[value], result_types=[value.type])
-
-
-@register_op
-class FMulAddOp(Operation):
-    """``llvm.intr.fmuladd`` — scalar FMA intrinsic."""
-
-    OP_NAME = "llvm.intr.fmuladd"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, a: Value, b: Value, c: Value):
-        super().__init__(operands=[a, b, c], result_types=[a.type])
-
-
-@register_op
-class ICmpOp(Operation):
-    OP_NAME = "llvm.icmp"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, predicate: str, lhs: Value, rhs: Value):
-        super().__init__(operands=[lhs, rhs], result_types=[IntegerType(1)],
-                         attributes={"predicate": StringAttr(predicate)})
-
-    @property
-    def predicate(self) -> str:
-        return self.attributes["predicate"].value
-
-
-@register_op
-class FCmpOp(Operation):
-    OP_NAME = "llvm.fcmp"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, predicate: str, lhs: Value, rhs: Value):
-        super().__init__(operands=[lhs, rhs], result_types=[IntegerType(1)],
-                         attributes={"predicate": StringAttr(predicate)})
-
-    @property
-    def predicate(self) -> str:
-        return self.attributes["predicate"].value
-
-
-class _LLVMCastOp(Operation):
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, value: Value, result_type: Type):
-        super().__init__(operands=[value], result_types=[result_type])
-
-
-@register_op
-class SExtOp(_LLVMCastOp):
-    OP_NAME = "llvm.sext"
-
-
-@register_op
-class ZExtOp(_LLVMCastOp):
-    OP_NAME = "llvm.zext"
-
-
-@register_op
-class TruncOp(_LLVMCastOp):
-    OP_NAME = "llvm.trunc"
-
-
-@register_op
-class SIToFPOp(_LLVMCastOp):
-    OP_NAME = "llvm.sitofp"
-
-
-@register_op
-class FPToSIOp(_LLVMCastOp):
-    OP_NAME = "llvm.fptosi"
-
-
-@register_op
-class FPExtOp(_LLVMCastOp):
-    OP_NAME = "llvm.fpext"
-
-
-@register_op
-class FPTruncOp(_LLVMCastOp):
-    OP_NAME = "llvm.fptrunc"
-
-
-@register_op
-class BitcastOp(_LLVMCastOp):
-    OP_NAME = "llvm.bitcast"
-
-
-@register_op
-class PtrToIntOp(_LLVMCastOp):
-    OP_NAME = "llvm.ptrtoint"
-
-
-@register_op
-class IntToPtrOp(_LLVMCastOp):
-    OP_NAME = "llvm.inttoptr"
-
-
-@register_op
-class SelectOp(Operation):
-    OP_NAME = "llvm.select"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, condition: Value, true_value: Value, false_value: Value):
-        super().__init__(operands=[condition, true_value, false_value],
-                         result_types=[true_value.type])
-
-
-@register_op
-class ExtractValueOp(Operation):
-    OP_NAME = "llvm.extractvalue"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, container: Value, position: Sequence[int], result_type: Type):
-        super().__init__(operands=[container], result_types=[result_type],
-                         attributes={"position": DenseIntElementsAttr(position)})
-
-
-@register_op
-class InsertValueOp(Operation):
-    OP_NAME = "llvm.insertvalue"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, container: Value, value: Value, position: Sequence[int]):
-        super().__init__(operands=[container, value], result_types=[container.type],
-                         attributes={"position": DenseIntElementsAttr(position)})
-
-
-@register_op
-class StackSaveOp(Operation):
-    """``llvm.intr.stacksave`` — noted by the paper around OpenMP loops."""
-
-    OP_NAME = "llvm.intr.stacksave"
-
-    def __init__(self):
-        super().__init__(result_types=[ptr])
-
-
-@register_op
-class StackRestoreOp(Operation):
-    OP_NAME = "llvm.intr.stackrestore"
-
-    def __init__(self, saved: Value):
-        super().__init__(operands=[saved])
-
-
-@register_op
-class UnreachableOp(Operation):
-    OP_NAME = "llvm.unreachable"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self):
-        super().__init__()
-
-
-__all__ = [
-    "LLVMPointerType", "LLVMStructType", "LLVMArrayType", "ptr",
-    "LLVMFuncOp", "GlobalOp", "AddressOfOp", "ConstantOp", "UndefOp",
-    "AllocaOp", "LoadOp", "StoreOp", "GEPOp", "CallOp", "ReturnOp", "BrOp",
-    "CondBrOp", "AddOp", "SubOp", "MulOp", "SDivOp", "SRemOp", "AndOp", "OrOp",
-    "XOrOp", "FAddOp", "FSubOp", "FMulOp", "FDivOp", "FRemOp", "FNegOp",
-    "FMulAddOp", "ICmpOp", "FCmpOp", "SExtOp", "ZExtOp", "TruncOp", "SIToFPOp",
-    "FPToSIOp", "FPExtOp", "FPTruncOp", "BitcastOp", "PtrToIntOp", "IntToPtrOp",
-    "SelectOp", "ExtractValueOp", "InsertValueOp", "StackSaveOp",
-    "StackRestoreOp", "UnreachableOp",
-]
+__all__ = ["LLVMPointerType", "ptr", "GlobalOp", "AddressOfOp", "LoadOp",
+           "StoreOp"]

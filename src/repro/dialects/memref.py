@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..ir.attributes import (Attribute, BoolAttr, DenseFloatElementsAttr,
-                             DenseIntElementsAttr, IntegerAttr, StringAttr,
-                             TypeAttr, UnitAttr)
+from ..ir.attributes import (Attribute, DenseIntElementsAttr, IntegerAttr,
+                             StringAttr, TypeAttr)
 from ..ir.core import Block, Operation, Region, Value, register_op
 from ..ir.traits import (ALLOCATES, AUTOMATIC_ALLOCATION_SCOPE, FREES,
                          IS_TERMINATOR, PURE, READ_ONLY, SYMBOL,
@@ -128,26 +127,6 @@ class DimOp(Operation):
 
 
 @register_op
-class CastOp(Operation):
-    """Memref cast between compatible (static/dynamic) shapes."""
-
-    OP_NAME = "memref.cast"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, source: Value, result_type: MemRefType):
-        super().__init__(operands=[source], result_types=[result_type])
-
-
-@register_op
-class CopyOp(Operation):
-    OP_NAME = "memref.copy"
-    TRAITS = frozenset({WRITES_MEMORY})
-
-    def __init__(self, source: Value, target: Value):
-        super().__init__(operands=[source, target])
-
-
-@register_op
 class SubViewOp(Operation):
     """A strided view into a memref (used for Fortran array slices).
 
@@ -237,16 +216,13 @@ class GlobalOp(Operation):
     TRAITS = frozenset({SYMBOL})
 
     def __init__(self, sym_name: str, memref_type: MemRefType,
-                 initial_value: Optional[Attribute] = None,
-                 constant: bool = False):
+                 initial_value: Optional[Attribute] = None):
         attrs = {
             "sym_name": StringAttr(sym_name),
             "type": TypeAttr(memref_type),
         }
         if initial_value is not None:
             attrs["initial_value"] = initial_value
-        if constant:
-            attrs["constant"] = UnitAttr()
         super().__init__(attributes=attrs)
 
     @property
@@ -273,7 +249,7 @@ class GetGlobalOp(Operation):
 
 
 __all__ = [
-    "AllocOp", "AllocaOp", "DeallocOp", "LoadOp", "StoreOp", "DimOp", "CastOp",
-    "CopyOp", "SubViewOp", "AllocaScopeOp", "AllocaScopeReturnOp", "GlobalOp",
+    "AllocOp", "AllocaOp", "DeallocOp", "LoadOp", "StoreOp", "DimOp",
+    "SubViewOp", "AllocaScopeOp", "AllocaScopeReturnOp", "GlobalOp",
     "GetGlobalOp",
 ]

@@ -93,22 +93,4 @@ class WsLoopOp(Operation):
         return self.body.args[:self.rank]
 
 
-@register_op
-class BarrierOp(Operation):
-    OP_NAME = "omp.barrier"
-
-    def __init__(self):
-        super().__init__()
-
-
-@register_op
-class MasterOp(Operation):
-    OP_NAME = "omp.master"
-    TRAITS = frozenset({STRUCTURED_CONTROL_FLOW})
-
-    def __init__(self, body: Optional[Block] = None):
-        super().__init__(regions=[Region([body or Block()])])
-
-
-__all__ = ["TerminatorOp", "YieldOp", "ParallelOp", "WsLoopOp", "BarrierOp",
-           "MasterOp"]
+__all__ = ["TerminatorOp", "YieldOp", "ParallelOp", "WsLoopOp"]

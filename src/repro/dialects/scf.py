@@ -210,51 +210,4 @@ class ParallelOp(Operation):
         return self.body.args[:self.rank]
 
 
-@register_op
-class ReduceOp(Operation):
-    """``scf.reduce`` inside an scf.parallel: combines a value into a reduction."""
-
-    OP_NAME = "scf.reduce"
-
-    def __init__(self, operand: Value, body: Optional[Block] = None):
-        if body is None:
-            body = Block(arg_types=[operand.type, operand.type])
-        super().__init__(operands=[operand], regions=[Region([body])])
-
-    @property
-    def body(self) -> Block:
-        return self.regions[0].blocks[0]
-
-
-@register_op
-class ReduceReturnOp(Operation):
-    OP_NAME = "scf.reduce.return"
-    TRAITS = frozenset({IS_TERMINATOR})
-
-    def __init__(self, value: Value):
-        super().__init__(operands=[value])
-
-
-@register_op
-class ExecuteRegionOp(Operation):
-    """``scf.execute_region``: an inline region with arbitrary control flow."""
-
-    OP_NAME = "scf.execute_region"
-    TRAITS = frozenset({STRUCTURED_CONTROL_FLOW})
-
-    def __init__(self, result_types: Sequence[Type] = (),
-                 region: Optional[Region] = None):
-        super().__init__(result_types=list(result_types),
-                         regions=[region or Region([Block()])])
-
-
-def ensure_terminator(block: Block) -> None:
-    """Append an empty ``scf.yield`` when the block lacks a terminator."""
-    if block.terminator is None:
-        block.add_op(YieldOp([]))
-
-
-__all__ = [
-    "YieldOp", "ConditionOp", "ForOp", "IfOp", "WhileOp", "ParallelOp",
-    "ReduceOp", "ReduceReturnOp", "ExecuteRegionOp", "ensure_terminator",
-]
+__all__ = ["YieldOp", "ConditionOp", "ForOp", "IfOp", "WhileOp", "ParallelOp"]

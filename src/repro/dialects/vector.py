@@ -1,7 +1,7 @@
-"""The ``vector`` dialect: SIMD loads, stores, FMA and reductions.
+"""The ``vector`` dialect: SIMD loads, stores, broadcasts and reductions.
 
 Produced by the affine super-vectorisation pass (Section VI, Figure 3) and
-lowered to the ``llvm`` dialect by ``convert-vector-to-llvm``.
+executed as such (the paper goes on to ``convert-vector-to-llvm``).
 """
 
 from __future__ import annotations
@@ -66,26 +66,6 @@ class BroadcastOp(Operation):
         super().__init__(operands=[value], result_types=[result_type])
 
 
-@register_op
-class SplatOp(Operation):
-    OP_NAME = "vector.splat"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, result_type: VectorType, value: Value):
-        super().__init__(operands=[value], result_types=[result_type])
-
-
-@register_op
-class FMAOp(Operation):
-    """Fused multiply-add on vectors: ``a * b + c``."""
-
-    OP_NAME = "vector.fma"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, a: Value, b: Value, c: Value):
-        super().__init__(operands=[a, b, c], result_types=[a.type])
-
-
 #: Supported reduction kinds.
 REDUCTION_KINDS = ("add", "mul", "minf", "maxf", "minsi", "maxsi", "and", "or")
 
@@ -109,27 +89,5 @@ class ReductionOp(Operation):
         return self.attributes["kind"].value
 
 
-@register_op
-class ExtractElementOp(Operation):
-    OP_NAME = "vector.extractelement"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, vector: Value, position: Value):
-        super().__init__(operands=[vector, position],
-                         result_types=[vector.type.element_type])
-
-
-@register_op
-class InsertElementOp(Operation):
-    OP_NAME = "vector.insertelement"
-    TRAITS = frozenset({PURE})
-
-    def __init__(self, value: Value, vector: Value, position: Value):
-        super().__init__(operands=[value, vector, position],
-                         result_types=[vector.type])
-
-
-__all__ = [
-    "VectorLoadOp", "VectorStoreOp", "BroadcastOp", "SplatOp", "FMAOp",
-    "ReductionOp", "ExtractElementOp", "InsertElementOp", "REDUCTION_KINDS",
-]
+__all__ = ["VectorLoadOp", "VectorStoreOp", "BroadcastOp", "ReductionOp",
+           "REDUCTION_KINDS"]

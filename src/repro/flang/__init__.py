@@ -1,17 +1,15 @@
-"""The baseline Flang compilation flow: HLFIR -> FIR -> LLVM dialect.
+"""The baseline Flang compilation flow: HLFIR -> FIR.
 
 This package models the *status quo* the paper compares against: Flang's
 bespoke lowering that bypasses the standard MLIR dialects and optimisation
-passes (Figure 1).
+passes (Figure 1).  The flow stops at FIR, the level the machine executes.
 """
 
-from .codegen import FirCfgConversionPass, FirToLLVMPass, FlangCodegenError
-from .driver import FlangCompilationResult, FlangCompiler, FlangV17Compiler
+from .driver import FlangCodegenError, FlangCompilationResult, FlangCompiler
 from .hlfir_to_fir import ConvertHlfirToFirPass, convert_hlfir_to_fir
 from . import runtime
 
 __all__ = [
-    "FirCfgConversionPass", "FirToLLVMPass", "FlangCodegenError",
-    "FlangCompilationResult", "FlangCompiler", "FlangV17Compiler",
+    "FlangCodegenError", "FlangCompilationResult", "FlangCompiler",
     "ConvertHlfirToFirPass", "convert_hlfir_to_fir", "runtime",
 ]

@@ -170,12 +170,10 @@ class _HlfirToFir:
         for op in list(self.module.walk()):
             if isinstance(op, hlfir.AssignOp):
                 self.lower_assign(op)
-        # 4. declares (and any remaining hlfir bookkeeping ops)
+        # 4. declares
         for op in list(self.module.walk()):
             if isinstance(op, hlfir.DeclareOp):
                 self.lower_declare(op)
-            elif op.name in ("hlfir.end_associate", "hlfir.destroy"):
-                self.rewriter.erase_op(op)
 
 
 @register_pass

@@ -149,10 +149,8 @@ class OptionsSchema:
 #: (:mod:`repro.machine.vector`).  All of them must be observationally
 #: identical — the conformance oracle runs every kernel on every engine and
 #: diffs the observables bit for bit.  The order matters: the first entry is
-#: the oracle's parity baseline.  Must stay in sync with
-#: ``repro.machine.interpreter.ENGINE_NAMES`` (importing it here would be a
-#: cycle through the flang driver; ``tests/flows`` asserts the sync
-#: instead).
+#: the oracle's parity baseline.
+#: ``repro.machine.interpreter.ENGINE_NAMES`` is this tuple, imported.
 ENGINES = ("compiled", "reference", "jit", "vector")
 
 #: The engine every signature, dataclass field and CLI flag defaults to —

@@ -7,7 +7,7 @@ HLFIR + FIR dialects mixed with a handful of standard MLIR dialects.
 
 from .ast_nodes import CompilationUnit
 from .lexer import LexError, Token, tokenize
-from .lowering import FortranLowering, LoweringError, lower_to_hlfir, lower_unit
+from .lowering import FortranLowering, LoweringError, lower_to_hlfir
 from .parser import ParseError, Parser, parse_source
 from .semantics import (AnalysisResult, SemanticAnalyzer, SemanticError,
                         Symbol, SymbolTable, analyze)
@@ -15,7 +15,7 @@ from . import ast_nodes, ftypes, intrinsics
 
 __all__ = [
     "CompilationUnit", "LexError", "Token", "tokenize", "FortranLowering",
-    "LoweringError", "lower_to_hlfir", "lower_unit", "ParseError", "Parser",
+    "LoweringError", "lower_to_hlfir", "ParseError", "Parser",
     "parse_source", "AnalysisResult", "SemanticAnalyzer", "SemanticError",
     "Symbol", "SymbolTable", "analyze", "ast_nodes", "ftypes", "intrinsics",
 ]

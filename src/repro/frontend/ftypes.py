@@ -81,13 +81,6 @@ class FType:
             raise TypeError("derived types have no single element IR type")
         raise TypeError(f"unknown Fortran base type {self.base!r}")
 
-    def fir_value_type(self) -> ir_types.Type:
-        """The FIR value type (what fir.load of a variable of this type yields)."""
-        elem = self.element_ir_type()
-        if self.is_array:
-            return fir.SequenceType(self.shape(), elem)
-        return elem
-
     def fir_storage_type(self) -> ir_types.Type:
         """The FIR reference type used for the variable's storage.
 

@@ -10,8 +10,9 @@ mixes the ``hlfir``/``fir`` dialects with a handful of standard dialects
 * assignments use ``hlfir.assign``; array elements are addressed with
   ``hlfir.designate`` using 1-based Fortran indices,
 * do loops become ``fir.do_loop`` (storing the index into the loop variable
-  at the top of each body, as Flang does), do-while / do-with-exit loops
-  become ``fir.iterate_while``,
+  at the top of each body, as Flang does), do-while loops become
+  ``fir.iterate_while`` (semantics has rewritten every EXIT into a
+  flag-guarded loop by then),
 * allocatable arrays are boxed (``!fir.ref<!fir.box<!fir.heap<...>>>``),
 * transformational intrinsics stay abstract as ``hlfir.sum`` etc.
 """
@@ -54,6 +55,12 @@ class VariableInfo:
     by_value: bool = False         # scalar parameter folded to a constant
 
 
+def _typed_constant(value, ft: FType) -> arith.ConstantOp:
+    """A folded scalar as an ``arith.constant`` of ``ft``'s element type."""
+    cast = int if ft.base == "integer" else float
+    return arith.ConstantOp(cast(value), ft.element_ir_type())
+
+
 class FortranLowering:
     """Lowers one compilation unit into a HLFIR/FIR module."""
 
@@ -63,7 +70,6 @@ class FortranLowering:
         self.builder = Builder()
         self.variables: Dict[str, VariableInfo] = {}
         self.current_info = None
-        self.loop_exit_flags: List[Value] = []
         self.globals_emitted: Dict[str, FType] = {}
 
     # ------------------------------------------------------------------ driver
@@ -237,6 +243,9 @@ class FortranLowering:
         else:
             alloca = self._insert(fir.AllocaOp(elem, bindc_name=sym.name))
             declare = self._insert(hlfir.DeclareOp(alloca.result, uniq_name=sym.name))
+            if sym.initial_value is not None:
+                init = self._insert(_typed_constant(sym.initial_value, ft))
+                self._insert(hlfir.AssignOp(init.result, declare.results[0]))
         self.variables[sym.name] = VariableInfo(
             symbol=sym, address=declare.results[0], ftype=ft, extents=extents)
 
@@ -255,12 +264,10 @@ class FortranLowering:
         else:
             gtype = elem
         init = None
-        if sym.parameter_value is not None and not ft.is_array:
-            if ft.base == "integer":
-                init = arith.ConstantOp(int(sym.parameter_value), elem).attributes["value"]
-            elif ft.base == "real":
-                from ..ir.attributes import FloatAttr
-                init = FloatAttr(float(sym.parameter_value), elem)
+        value = sym.parameter_value if sym.is_parameter else sym.initial_value
+        if value is not None and not ft.is_array \
+                and ft.base in ("integer", "real"):
+            init = _typed_constant(value, ft).attributes["value"]
         self.module.add(fir.GlobalOp(f"_QM{sym.name}", gtype, initial_value=init))
         self.globals_emitted[sym.name] = ft
 
@@ -307,7 +314,8 @@ class FortranLowering:
         elif isinstance(stmt, ast.ContinueStmt):
             pass
         elif isinstance(stmt, ast.ExitStmt):
-            self._lower_exit()
+            # semantics desugars every EXIT that is inside a loop
+            raise LoweringError("EXIT outside of a loop")
         elif isinstance(stmt, ast.DirectiveRegion):
             self._lower_directive_region(stmt)
         elif isinstance(stmt, ast.PointerAssignment):
@@ -356,24 +364,9 @@ class FortranLowering:
             self._insert(fir.ResultOp())
         self.builder.set_insertion_point(saved)
 
-    @staticmethod
-    def _contains_exit(stmts: Sequence[ast.Stmt]) -> bool:
-        for s in stmts:
-            if isinstance(s, ast.ExitStmt):
-                return True
-            if isinstance(s, ast.IfBlock):
-                if any(FortranLowering._contains_exit(b) for b in s.bodies):
-                    return True
-                if FortranLowering._contains_exit(s.else_body):
-                    return True
-        return False
-
     def _lower_do(self, stmt: ast.DoLoop) -> None:
         if stmt.directives and any(d.startswith("omp") for d in stmt.directives):
             self._lower_omp_do(stmt)
-            return
-        if self._contains_exit(stmt.body):
-            self._lower_do_with_exit(stmt)
             return
         lower = self._to_index(self._lower_expr(stmt.start))
         upper = self._to_index(self._lower_expr(stmt.end))
@@ -392,36 +385,6 @@ class FortranLowering:
         if loop.body.terminator is None:
             self._insert(fir.ResultOp())
         self.builder.set_insertion_point(saved)
-
-    def _lower_do_with_exit(self, stmt: ast.DoLoop) -> None:
-        """A counted loop containing EXIT lowers to fir.iterate_while."""
-        lower = self._to_index(self._lower_expr(stmt.start))
-        upper = self._to_index(self._lower_expr(stmt.end))
-        step = (self._to_index(self._lower_expr(stmt.step))
-                if stmt.step is not None else self._index_constant(1))
-        true_val = self._insert(arith.ConstantOp(True, ir_types.i1)).result
-        loop = self._insert(fir.IterateWhileOp(lower, upper, step, true_val))
-        var = self.variables[stmt.var]
-        saved = self.builder.insertion_point
-        self.builder.set_insertion_point_to_end(loop.body)
-        iv_cast = self._convert(loop.body.args[0], var.ftype.element_ir_type())
-        self._insert(fir.StoreOp(iv_cast, var.address))
-        self.loop_exit_flags.append(loop.body.args[1])
-        self._exit_requested: Optional[Value] = None
-        self._lower_statements(stmt.body)
-        flag = self.loop_exit_flags.pop()
-        if loop.body.terminator is None:
-            current_flag = getattr(self, "_current_ok_flag", None) or flag
-            self._insert(fir.ResultOp([current_flag]))
-        self._current_ok_flag = None
-        self.builder.set_insertion_point(saved)
-
-    def _lower_exit(self) -> None:
-        """EXIT sets the iterate_while ok-flag to false for the next check."""
-        if not self.loop_exit_flags:
-            raise LoweringError("EXIT outside of a loop that supports early exit")
-        false_val = self._insert(arith.ConstantOp(False, ir_types.i1)).result
-        self._current_ok_flag = false_val
 
     def _lower_do_while(self, stmt: ast.DoWhile) -> None:
         """do while(cond) lowers to fir.iterate_while with a huge trip bound."""
@@ -598,10 +561,8 @@ class FortranLowering:
             raise LoweringError(f"unknown variable {name}")
         sym = var.symbol
         if sym.is_parameter and sym.parameter_value is not None and not sym.ftype.is_array:
-            elem = sym.ftype.element_ir_type()
-            if sym.ftype.base == "integer":
-                return self._insert(arith.ConstantOp(int(sym.parameter_value), elem)).result
-            return self._insert(arith.ConstantOp(float(sym.parameter_value), elem)).result
+            return self._insert(
+                _typed_constant(sym.parameter_value, sym.ftype)).result
         if var.ftype.is_array:
             # whole-array reference: yield the variable address (or its box)
             return var.address
@@ -722,7 +683,7 @@ class FortranLowering:
         if name in ("size",):
             return self._lower_size(expr)
         if name == "allocated":
-            return self._lower_allocated(expr)
+            raise LoweringError("allocated() is not supported")
         if name in ("lbound", "ubound"):
             return self._lower_bound_inquiry(expr)
         args = [self._lower_expr(a) for a in expr.args]
@@ -837,14 +798,6 @@ class FortranLowering:
         dims = self._insert(fir.BoxDimsOp(box, dim_index))
         return self._convert(dims.results[1], ir_types.i32)
 
-    def _lower_allocated(self, expr: ast.IntrinsicCall) -> Value:
-        var = self.variables[expr.args[0].name]
-        box = self._insert(fir.LoadOp(var.address)).result
-        addr = self._insert(fir.BoxAddrOp(box)).result
-        as_int = self._insert(fir.ConvertOp(addr, ir_types.i64)).result
-        zero = self._insert(arith.ConstantOp(0, ir_types.i64)).result
-        return self._insert(arith.CmpIOp("ne", as_int, zero)).result
-
     def _lower_bound_inquiry(self, expr: ast.IntrinsicCall) -> Value:
         name = expr.name.lower()
         var = self.variables.get(getattr(expr.args[0], "name", ""))
@@ -921,9 +874,5 @@ def lower_to_hlfir(source: str) -> ModuleOp:
     return FortranLowering(analysis).lower()
 
 
-def lower_unit(analysis: AnalysisResult) -> ModuleOp:
-    return FortranLowering(analysis).lower()
-
-
-__all__ = ["FortranLowering", "LoweringError", "lower_to_hlfir", "lower_unit",
+__all__ = ["FortranLowering", "LoweringError", "lower_to_hlfir",
            "VariableInfo"]

@@ -428,8 +428,9 @@ class Parser:
         elif kw in ("print", "write", "read"):
             stmt = self.parse_io(kw)
         elif kw == "where":
-            # treat single-line where(mask) assignment as a guarded assignment
-            stmt = self.parse_where()
+            # not an array-call statement: say so instead of mis-parsing it
+            tok = self.ts.peek()
+            raise ParseError(f"line {tok.line}: WHERE is not supported")
         elif kw == "nullify":
             self._skip_statement()
             return None
@@ -652,16 +653,6 @@ class Parser:
             if not self.ts.accept("OP", ","):
                 break
         return ast.PrintStmt(items=items)
-
-    def parse_where(self) -> ast.Stmt:
-        """Single-statement WHERE: ``where (mask) a = b`` lowered as a guarded
-        assignment (block WHERE constructs are outside the supported subset)."""
-        self.ts.expect("NAME", "where")
-        self.ts.expect("OP", "(")
-        mask = self.parse_expr()
-        self.ts.expect("OP", ")")
-        assign = self.parse_assignment_or_call()
-        return ast.IfBlock(conditions=[mask], bodies=[[assign]])
 
     def parse_assignment_or_call(self) -> ast.Stmt:
         target = self.parse_primary(allow_call=True)

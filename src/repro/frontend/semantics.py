@@ -28,6 +28,8 @@ class Symbol:
     intent: Optional[str] = None
     is_parameter: bool = False
     parameter_value: Optional[object] = None
+    #: folded ``integer :: k = 3`` initialiser of a non-parameter entity
+    initial_value: Optional[object] = None
     is_function_result: bool = False
     is_global: bool = False
     #: dimension bound expressions that could not be folded to constants
@@ -104,7 +106,8 @@ class SemanticAnalyzer:
             for dt in module.derived_types:
                 self._register_derived_type(dt)
             for decl in module.declarations:
-                for sym in self._declaration_symbols(decl, is_argument=False):
+                for sym in self._declaration_symbols(decl, is_argument=False,
+                                                     saves=True):
                     sym.is_global = True
                     self.result.globals.define(sym)
         # first pass: function result types so calls can be typed
@@ -124,6 +127,11 @@ class SemanticAnalyzer:
         for decl in dt.components:
             base = self._base_ftype(decl.type_spec)
             for entity in decl.entities:
+                if entity.init is not None:
+                    raise SemanticError(
+                        f"default initialisation of component "
+                        f"'{dt.name}%{entity.name}' ({decl.loc}) is not "
+                        f"supported")
                 dims = self._resolve_dims(entity.dims or decl.default_dims, None)
                 components.append((entity.name, base.with_dims(dims)))
         self.result.derived_types[dt.name] = DerivedType(dt.name, components)
@@ -163,7 +171,11 @@ class SemanticAnalyzer:
 
     def _declaration_symbols(self, decl: ast.Declaration,
                              is_argument: bool,
-                             symbols: Optional[SymbolTable] = None) -> List[Symbol]:
+                             symbols: Optional[SymbolTable] = None, *,
+                             saves: bool = False) -> List[Symbol]:
+        """Symbols of one declaration.  ``saves``: the scope's variables
+        live for the whole run (a module, the main program), which is what
+        an initialiser on a non-``parameter`` entity asks for."""
         base = self._base_ftype(decl.type_spec)
         allocatable = "allocatable" in decl.attributes
         pointer = "pointer" in decl.attributes
@@ -180,11 +192,31 @@ class SemanticAnalyzer:
                          intent=decl.intent, is_parameter=parameter)
             if parameter and entity.init is not None:
                 sym.parameter_value = self._fold_constant(entity.init, symbols)
+            elif entity.init is not None:
+                sym.initial_value = self._initial_value(
+                    entity, decl, ft, symbols, saves)
             sym.dynamic_bounds = [
                 (d.lower, d.upper) for d in dim_specs
             ]
             out.append(sym)
         return out
+
+    def _initial_value(self, entity: ast.EntityDecl, decl: ast.Declaration,
+                       ft: FType, symbols: Optional[SymbolTable],
+                       saves: bool):
+        """The folded initialiser of a variable, or a diagnostic: one that
+        cannot be honoured exactly is rejected, never dropped."""
+        where = f"'{entity.name}' ({decl.loc})"
+        if not saves:
+            raise SemanticError(
+                f"initialiser on {where}: an initialised local of a "
+                f"subprogram is SAVEd, which is not supported")
+        value = self._fold_constant(entity.init, symbols)
+        if value is None or ft.is_array or ft.base not in ("integer", "real"):
+            raise SemanticError(
+                f"initialiser on {where}: only constant integer and real "
+                f"scalar initialisers are supported")
+        return value
 
     def _resolve_dims(self, dim_specs: List[ast.DimSpec],
                       symbols: Optional[SymbolTable]) -> Tuple[ArrayDim, ...]:
@@ -253,7 +285,8 @@ class SemanticAnalyzer:
         # declared entities
         for decl in sp.declarations:
             is_arg_decl = any(e.name in sp.args for e in decl.entities)
-            for sym in self._declaration_symbols(decl, is_arg_decl, symbols):
+            for sym in self._declaration_symbols(
+                    decl, is_arg_decl, symbols, saves=sp.kind == "program"):
                 sym.is_argument = sym.name in sp.args
                 symbols.define(sym)
         # undeclared dummy arguments get implicit types

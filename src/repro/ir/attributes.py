@@ -10,7 +10,7 @@ be added by subclassing :class:`Attribute`.
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Tuple
+from typing import Any, Iterable, Iterator, Sequence, Tuple
 
 
 class Attribute:
@@ -36,15 +36,6 @@ class Attribute:
     # Pretty, MLIR-ish syntax used by the printer.
     def mlir(self) -> str:
         return repr(self)
-
-
-class UnitAttr(Attribute):
-    """Presence-only attribute (MLIR ``unit``)."""
-
-    __slots__ = ()
-
-    def mlir(self) -> str:
-        return "unit"
 
 
 class BoolAttr(Attribute):
@@ -163,23 +154,6 @@ class ArrayAttr(Attribute):
         return "[" + ", ".join(e.mlir() for e in self.elements) + "]"
 
 
-class DictAttr(Attribute):
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Mapping[str, Attribute]):
-        self.entries = tuple(sorted(entries.items()))
-
-    def _key(self):
-        return (self.entries,)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
-    def mlir(self) -> str:
-        inner = ", ".join(f'"{k}" = {v.mlir()}' for k, v in self.entries)
-        return "{" + inner + "}"
-
-
 class DenseIntElementsAttr(Attribute):
     """Small dense integer element attribute (e.g. ``array<i64: 1, 2>``)."""
 
@@ -200,27 +174,6 @@ class DenseIntElementsAttr(Attribute):
 
     def mlir(self) -> str:
         et = self.element_type.mlir() if self.element_type is not None else "i64"
-        return f"array<{et}: " + ", ".join(str(v) for v in self.values) + ">"
-
-
-class DenseFloatElementsAttr(Attribute):
-    __slots__ = ("values", "element_type")
-
-    def __init__(self, values: Iterable[float], element_type: "Attribute | None" = None):
-        self.values = tuple(float(v) for v in values)
-        self.element_type = element_type
-
-    def _key(self):
-        return (self.values, self.element_type)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def mlir(self) -> str:
-        et = self.element_type.mlir() if self.element_type is not None else "f64"
         return f"array<{et}: " + ", ".join(str(v) for v in self.values) + ">"
 
 
@@ -295,18 +248,6 @@ class AffineExpr:
         if self.kind == "ceildiv":
             return -((-lhs) // rhs)
         raise ValueError(f"unknown affine expr kind {self.kind}")
-
-    def is_pure_affine(self) -> bool:
-        """True when mul/div/mod only involve constants on one side."""
-        if self.kind in ("dim", "sym", "const"):
-            return True
-        lhs_ok = self.lhs.is_pure_affine()
-        rhs_ok = self.rhs.is_pure_affine()
-        if self.kind == "add":
-            return lhs_ok and rhs_ok
-        # mul/mod/div: at least one side must be constant
-        const_side = self.lhs.kind == "const" or self.rhs.kind == "const"
-        return lhs_ok and rhs_ok and const_side
 
     def __str__(self) -> str:
         if self.kind == "dim":
@@ -482,7 +423,6 @@ _COMPILED_MAPS_LOCK = threading.Lock()
 
 __all__ = [
     "Attribute",
-    "UnitAttr",
     "BoolAttr",
     "IntegerAttr",
     "FloatAttr",
@@ -490,9 +430,7 @@ __all__ = [
     "SymbolRefAttr",
     "TypeAttr",
     "ArrayAttr",
-    "DictAttr",
     "DenseIntElementsAttr",
-    "DenseFloatElementsAttr",
     "AffineExpr",
     "AffineMapAttr",
     "CompiledAffineMap",

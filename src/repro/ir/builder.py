@@ -7,9 +7,9 @@ inserts every created operation there, mirroring ``mlir::OpBuilder``.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Optional, Sequence
+from typing import Optional
 
-from .core import Block, IRError, Operation, Region, Value
+from .core import Block, IRError, Operation, Value
 
 
 class InsertPoint:
@@ -24,16 +24,6 @@ class InsertPoint:
     @staticmethod
     def at_end(block: Block) -> "InsertPoint":
         return InsertPoint(block, None)
-
-    @staticmethod
-    def at_start(block: Block) -> "InsertPoint":
-        return InsertPoint(block, block.first_op)
-
-    @staticmethod
-    def before(op: Operation) -> "InsertPoint":
-        if op.parent is None:
-            raise IRError("cannot build an insertion point before a detached op")
-        return InsertPoint(op.parent, op)
 
     @staticmethod
     def after(op: Operation) -> "InsertPoint":
@@ -59,15 +49,6 @@ class Builder:
     def set_insertion_point_to_end(self, block: Block) -> None:
         self._ip = InsertPoint.at_end(block)
 
-    def set_insertion_point_to_start(self, block: Block) -> None:
-        self._ip = InsertPoint.at_start(block)
-
-    def set_insertion_point_before(self, op: Operation) -> None:
-        self._ip = InsertPoint.before(op)
-
-    def set_insertion_point_after(self, op: Operation) -> None:
-        self._ip = InsertPoint.after(op)
-
     @contextmanager
     def at(self, ip: InsertPoint):
         """Temporarily move the insertion point."""
@@ -77,11 +58,6 @@ class Builder:
             yield self
         finally:
             self._ip = saved
-
-    @contextmanager
-    def at_end_of(self, block: Block):
-        with self.at(InsertPoint.at_end(block)):
-            yield self
 
     # -- insertion --------------------------------------------------------------
     def insert(self, op: Operation) -> Operation:
@@ -94,22 +70,6 @@ class Builder:
         else:
             block.insert_before(anchor, op)
         return op
-
-    def insert_all(self, ops: Sequence[Operation]) -> None:
-        for op in ops:
-            self.insert(op)
-
-    # -- region/block helpers ------------------------------------------------------
-    def create_block(self, region: Region, arg_types: Sequence = ()) -> Block:
-        block = Block(arg_types=arg_types)
-        region.add_block(block)
-        return block
-
-    def create_block_before(self, region: Region, index: int,
-                            arg_types: Sequence = ()) -> Block:
-        block = Block(arg_types=arg_types)
-        region.insert_block_at(index, block)
-        return block
 
 
 __all__ = ["InsertPoint", "Builder"]

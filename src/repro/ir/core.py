@@ -140,10 +140,6 @@ def register_op(cls: PyType["Operation"]) -> PyType["Operation"]:
     return cls
 
 
-def registered_op(name: str) -> Optional[PyType["Operation"]]:
-    return OP_REGISTRY.get(name)
-
-
 # ---------------------------------------------------------------------------
 # Operation
 # ---------------------------------------------------------------------------
@@ -197,7 +193,7 @@ class Operation:
         self._prev: Optional[Operation] = None
         self._next: Optional[Operation] = None
         self.loc = loc
-        # what ``_append_operand`` does, without a call per operand
+        # every operand registers a use (inline: no call per operand)
         own: List[Value] = []
         self._operands = own
         for value in operands:
@@ -228,13 +224,6 @@ class Operation:
             self._prev = self._next = None
 
     # -- operand management -------------------------------------------------
-    def _append_operand(self, value: Value) -> None:
-        if not isinstance(value, Value):
-            raise IRError(f"operand of {self.name} is not a Value: {value!r}")
-        index = len(self._operands)
-        self._operands.append(value)
-        value.add_use(Use(self, index))
-
     @property
     def operands(self) -> Tuple[Value, ...]:
         return tuple(self._operands)
@@ -244,13 +233,6 @@ class Operation:
         old.remove_use(self, index)
         self._operands[index] = value
         value.add_use(Use(self, index))
-
-    def set_operands(self, values: Sequence[Value]) -> None:
-        for i, v in enumerate(self._operands):
-            v.remove_use(self, i)
-        self._operands = []
-        for v in values:
-            self._append_operand(v)
 
     def drop_all_references(self) -> None:
         """Drop operand uses and successor references (pre-erase cleanup).
@@ -316,9 +298,6 @@ class Operation:
     def has_attr(self, name: str) -> bool:
         return name in self.attributes
 
-    def remove_attr(self, name: str) -> None:
-        self.attributes.pop(name, None)
-
     # -- structural queries --------------------------------------------------
     @property
     def result(self) -> OpResult:
@@ -339,9 +318,6 @@ class Operation:
         region = self.parent.parent
         return region.parent if region is not None else None
 
-    def parent_region(self) -> Optional["Region"]:
-        return self.parent.parent if self.parent is not None else None
-
     def ancestors(self) -> Iterator["Operation"]:
         op = self.parent_op()
         while op is not None:
@@ -351,22 +327,13 @@ class Operation:
     def is_ancestor_of(self, other: "Operation") -> bool:
         return any(a is self for a in other.ancestors())
 
-    def walk(self, reverse: bool = False) -> Iterator["Operation"]:
+    def walk(self) -> Iterator["Operation"]:
         """Pre-order walk: yields this op, then every nested op.
 
         An op's children are read when the walk moves past it, not before,
         so the caller may erase, move or replace the op it was just handed
         (see :func:`_preorder`)."""
-        if reverse:
-            return self._walk_reverse()
         return _preorder([self])
-
-    def _walk_reverse(self) -> Iterator["Operation"]:
-        yield self
-        for region in reversed(self.regions):
-            for block in reversed(region.blocks):
-                for op in reversed(block.ops):
-                    yield from op._walk_reverse()
 
     def walk_postorder(self) -> Iterator["Operation"]:
         for region in self.regions:
@@ -410,17 +377,6 @@ class Operation:
         if other.parent is None:
             raise IRError("cannot move after a detached operation")
         other.parent.insert_after(other, self)
-
-    def is_before_in_block(self, other: "Operation") -> bool:
-        """Linear: a forward scan from ``self`` (there is no order index)."""
-        if self.parent is None or self.parent is not other.parent:
-            raise IRError("operations are not in the same block")
-        op = self._next
-        while op is not None:
-            if op is other:
-                return True
-            op = op._next
-        return False
 
     def replace_all_uses_with(self, new_values: "Sequence[Value] | Value") -> None:
         if isinstance(new_values, Value):
@@ -469,10 +425,6 @@ class Operation:
     # -- verification -----------------------------------------------------------
     def verify_(self) -> None:
         """Op-specific verification; subclasses may override."""
-
-    def verify(self) -> None:
-        from .verifier import verify_operation
-        verify_operation(self)
 
     # -- misc ---------------------------------------------------------------------
     def __repr__(self):  # pragma: no cover - debugging aid
@@ -584,8 +536,8 @@ class Block:
     The op list is intrusive: ``_first``/``_last``/``_count`` here, ``_prev``
     /``_next`` on each :class:`Operation`, and :attr:`ops` a read-only
     :class:`BlockOps` view over them.  Inserting next to an op, detaching,
-    erasing and moving are O(1); only the positional ``insert_op_at`` and
-    ``Operation.is_before_in_block`` walk the block.
+    erasing and moving are O(1); only the positional ``insert_op_at`` walks
+    the block.
 
     ``_jit`` is the jit engine's per-block instantiation material (see
     :mod:`repro.machine.jit`): unset until the block is first translated,
@@ -634,14 +586,6 @@ class Block:
         arg = BlockArgument(self, len(self.args), type)
         self.args.append(arg)
         return arg
-
-    def erase_argument(self, index: int) -> None:
-        arg = self.args[index]
-        if arg.num_uses:
-            raise IRError("erasing a block argument that still has uses")
-        del self.args[index]
-        for i, a in enumerate(self.args):
-            a.index = i
 
     # -- op list ------------------------------------------------------------
     def add_op(self, op: Operation) -> Operation:
@@ -730,33 +674,6 @@ class Block:
     def walk(self) -> Iterator[Operation]:
         return _preorder(list(reversed(self.ops)))
 
-    def index_in_region(self) -> int:
-        if self.parent is None:
-            raise IRError("block has no parent region")
-        return self.parent.blocks.index(self)
-
-    def predecessors(self) -> List["Block"]:
-        """Blocks that list this block as a successor (within the region)."""
-        if self.parent is None:
-            return []
-        preds = []
-        for block in self.parent.blocks:
-            term = block.last_op
-            if term is not None and self in term.successors:
-                preds.append(block)
-        return preds
-
-    def successors_of_terminator(self) -> List["Block"]:
-        term = self.last_op
-        return list(term.successors) if term is not None else []
-
-    def erase(self) -> None:
-        if self.parent is not None:
-            self.parent.blocks.remove(self)
-            self.parent = None
-        for op in self.ops:
-            op.erase(check_uses=False)
-
     def __repr__(self):  # pragma: no cover - debugging aid
         return f"<Block ^bb{self._uid} ({self._count} ops)>"
 
@@ -809,11 +726,6 @@ class Region:
         block.parent = self
         return block
 
-    def insert_block_at(self, index: int, block: Block) -> Block:
-        self.blocks.insert(index, block)
-        block.parent = self
-        return block
-
     @property
     def entry_block(self) -> Optional[Block]:
         return self.blocks[0] if self.blocks else None
@@ -831,12 +743,6 @@ class Region:
 
     def is_empty(self) -> bool:
         return not self.blocks or all(not b.ops for b in self.blocks)
-
-    def move_blocks_to(self, other: "Region") -> None:
-        for block in self.blocks:
-            block.parent = other
-            other.blocks.append(block)
-        self.blocks = []
 
     def clone_into(self, value_map: Dict[Value, Value],
                    block_map: Optional[Dict[Block, Block]] = None,
@@ -873,6 +779,5 @@ __all__ = [
     "Region",
     "OP_REGISTRY",
     "register_op",
-    "registered_op",
     "create_operation",
 ]

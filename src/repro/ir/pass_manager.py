@@ -3,14 +3,14 @@
 Passes are registered by name so that pipelines can be described with the
 same textual syntax the paper uses for ``mlir-opt`` (Listing 1), e.g.::
 
-    builtin.module(canonicalize, cse, convert-scf-to-cf,
-                   convert-cf-to-llvm{index-bitwidth=64})
+    builtin.module(canonicalize, cse, raise-scf-to-affine,
+                   affine-super-vectorize{virtual-vector-size=4})
 
 Pipelines may be *op-anchored*: a ``func.func(...)`` entry nests a
 sub-pipeline that runs independently over every ``func.func`` in the module,
 mirroring MLIR's ``OpPassManager`` nesting::
 
-    builtin.module(func.func(canonicalize, cse), convert-scf-to-cf)
+    builtin.module(func.func(canonicalize, cse), raise-scf-to-affine)
 
 :class:`PassManager` parses such strings, instantiates the registered passes
 with their options and runs them in order over a module.  Every ``run()``
@@ -432,29 +432,6 @@ class PassTimingReport:
     def total_s(self) -> float:
         return sum(t.wall_s for t in self.timings)
 
-    def as_dict(self) -> Dict[str, Any]:
-        return {"pipeline": self.pipeline, "total_s": self.total_s,
-                "passes": [t.as_dict() for t in self.timings]}
-
-    @classmethod
-    def merge(cls, reports: Sequence["PassTimingReport"]) -> "PassTimingReport":
-        """Associative merge: order-preserving concatenation of reports.
-
-        ``merge([a, b, c]) == merge([merge([a, b]), c]) ==
-        merge([a, merge([b, c])])`` — pipeline texts join with ``"; "`` and
-        timing tuples concatenate.  Inputs are never mutated (timings are
-        immutable tuples of frozen dataclasses), so merging is safe from any
-        thread.
-        """
-        reports = [r for r in reports if r is not None]
-        if not reports:
-            return cls(pipeline="")
-        return cls(pipeline="; ".join(r.pipeline for r in reports),
-                   timings=tuple(t for r in reports for t in r.timings))
-
-    def merged(self, other: "PassTimingReport") -> "PassTimingReport":
-        return PassTimingReport.merge([self, other])
-
     def render(self, *, indent: str = "  ") -> str:
         """mlir-opt style ``-mlir-timing`` report text."""
         lines = ["===-------------------------------------------------------===",
@@ -533,7 +510,7 @@ class PassManager:
 
         pm = PassManager()
         pm.nest("func.func").add("canonicalize").add("cse")
-        pm.add("convert-scf-to-cf")
+        pm.add("raise-scf-to-affine")
 
     Each :meth:`run` resets the per-run statistics: ``pm.statistics`` holds
     ``(pass name, seconds)`` pairs for that run only and ``pm.last_report``

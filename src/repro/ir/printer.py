@@ -104,16 +104,4 @@ def print_op(op: Operation) -> str:
     return Printer().print_module(op)
 
 
-def print_block(block: Block) -> str:
-    out = StringIO()
-    printer = Printer()
-    for op in block.ops:
-        printer._print_op(op, out, 0)
-    return out.getvalue()
-
-
-def dump(op: Operation) -> None:  # pragma: no cover - convenience
-    print(print_op(op))
-
-
-__all__ = ["Printer", "print_op", "print_block", "dump"]
+__all__ = ["Printer", "print_op"]

@@ -116,24 +116,6 @@ class PatternRewriter(Builder):
     def was_erased(self, op: Operation) -> bool:
         return op in self._erased
 
-    def insert_before(self, anchor: Operation, op: Operation) -> Operation:
-        anchor.parent.insert_before(anchor, op)
-        self._created.append(op)
-        self.modified = True
-        return op
-
-    def insert_after(self, anchor: Operation, op: Operation) -> Operation:
-        anchor.parent.insert_after(anchor, op)
-        self._created.append(op)
-        self.modified = True
-        return op
-
-    def insert_at_start(self, block: Block, op: Operation) -> Operation:
-        block.insert_op_at(0, op)
-        self._created.append(op)
-        self.modified = True
-        return op
-
     def notify_modified(self) -> None:
         self.modified = True
 
@@ -175,11 +157,6 @@ class RewritePatternSet:
     def __init__(self, patterns: Iterable[RewritePattern] = ()):
         self.patterns: List[RewritePattern] = list(patterns)
         self.patterns.sort(key=lambda p: -p.BENEFIT)
-
-    def add(self, pattern: RewritePattern) -> "RewritePatternSet":
-        self.patterns.append(pattern)
-        self.patterns.sort(key=lambda p: -p.BENEFIT)
-        return self
 
 
 def _apply_on_op(op: Operation, patterns: RewritePatternSet,

@@ -52,25 +52,6 @@ CONSTANT_LIKE = "ConstantLike"
 CALL_LIKE = "CallLike"
 
 
-def is_pure(op) -> bool:
-    """An op is pure if it carries the trait and has no regions with effects."""
-    return op.has_trait(PURE)
-
-
-def is_terminator(op) -> bool:
-    return op.has_trait(IS_TERMINATOR)
-
-
-def has_side_effects(op) -> bool:
-    """Conservative side-effect query used by CSE/DCE/LICM."""
-    if op.has_trait(PURE) or op.has_trait(CONSTANT_LIKE):
-        return False
-    if op.has_trait(READ_ONLY):
-        # reads are not re-orderable past writes, but are removable if unused
-        return False
-    return True
-
-
 __all__ = [
     "IS_TERMINATOR",
     "PURE",
@@ -86,7 +67,4 @@ __all__ = [
     "COMMUTATIVE",
     "CONSTANT_LIKE",
     "CALL_LIKE",
-    "is_pure",
-    "is_terminator",
-    "has_side_effects",
 ]

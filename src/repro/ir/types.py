@@ -66,19 +66,6 @@ class FloatType(Type):
         return f"f{self.width}"
 
 
-class ComplexType(Type):
-    __slots__ = ("element_type",)
-
-    def __init__(self, element_type: Type):
-        self.element_type = element_type
-
-    def _key(self):
-        return (self.element_type,)
-
-    def mlir(self) -> str:
-        return f"complex<{self.element_type.mlir()}>"
-
-
 class FunctionType(Type):
     __slots__ = ("inputs", "results")
 
@@ -96,19 +83,6 @@ class FunctionType(Type):
         else:
             outs = "(" + ", ".join(t.mlir() for t in self.results) + ")"
         return f"({ins}) -> {outs}"
-
-
-class TupleType(Type):
-    __slots__ = ("types",)
-
-    def __init__(self, types: Sequence[Type]):
-        self.types = tuple(types)
-
-    def _key(self):
-        return (self.types,)
-
-    def mlir(self) -> str:
-        return "tuple<" + ", ".join(t.mlir() for t in self.types) + ">"
 
 
 class ShapedType(Type):
@@ -172,14 +146,6 @@ class MemRefType(ShapedType):
         return f"memref<{inner}>"
 
 
-class TensorType(ShapedType):
-    __slots__ = ()
-
-    def mlir(self) -> str:
-        inner = self._shape_str() if self.shape else self.element_type.mlir()
-        return f"tensor<{inner}>"
-
-
 class VectorType(ShapedType):
     __slots__ = ()
 
@@ -207,31 +173,6 @@ index = IndexType()
 none = NoneType()
 
 
-def is_integer(t: Attribute) -> bool:
-    return isinstance(t, (IntegerType, IndexType))
-
-
-def is_float(t: Attribute) -> bool:
-    return isinstance(t, FloatType)
-
-
-def is_scalar(t: Attribute) -> bool:
-    return is_integer(t) or is_float(t) or isinstance(t, ComplexType)
-
-
-def bitwidth(t: Attribute) -> int:
-    """Bit width of a scalar type (index counts as 64)."""
-    if isinstance(t, IntegerType):
-        return t.width
-    if isinstance(t, FloatType):
-        return t.width
-    if isinstance(t, IndexType):
-        return 64
-    if isinstance(t, ComplexType):
-        return 2 * bitwidth(t.element_type)
-    raise TypeError(f"no bitwidth for type {t}")
-
-
 __all__ = [
     "DYNAMIC",
     "Type",
@@ -239,12 +180,9 @@ __all__ = [
     "IndexType",
     "IntegerType",
     "FloatType",
-    "ComplexType",
     "FunctionType",
-    "TupleType",
     "ShapedType",
     "MemRefType",
-    "TensorType",
     "VectorType",
     "i1",
     "i8",
@@ -255,8 +193,4 @@ __all__ = [
     "f64",
     "index",
     "none",
-    "is_integer",
-    "is_float",
-    "is_scalar",
-    "bitwidth",
 ]

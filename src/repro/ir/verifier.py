@@ -22,40 +22,6 @@ class VerificationError(IRError):
     """Raised when the IR violates a structural invariant."""
 
 
-def _enclosing_values(op: Operation) -> Set[Value]:
-    """Values visible to ``op``: results/args defined above it in the IR tree."""
-    visible: Set[Value] = set()
-    block = op.parent
-    current: Operation | None = op
-    while block is not None:
-        visible.update(block.args)
-        for other in block.ops:
-            if other is current:
-                break
-            visible.update(other.results)
-        parent_op = block.parent_op()
-        if parent_op is None:
-            break
-        # values defined in ancestor blocks before the parent op are visible too
-        current = parent_op
-        block = parent_op.parent
-        # also all block args of every block of regions between are handled when
-        # walking upwards; sibling blocks of the same region are visible for
-        # branch-style dialects, handled conservatively below.
-    return visible
-
-
-def _region_values(op: Operation) -> Set[Value]:
-    """All values defined anywhere inside the regions of ``op`` (conservative)."""
-    vals: Set[Value] = set()
-    for region in op.regions:
-        for block in region.blocks:
-            vals.update(block.args)
-            for o in block.ops:
-                vals.update(o.results)
-    return vals
-
-
 def verify_operation(op: Operation, *, allow_unregistered: bool = True) -> None:
     """Verify ``op`` and everything nested inside it."""
     _verify_rec(op, toplevel=True)

@@ -7,26 +7,23 @@ substitution rationale).
 """
 
 from .interpreter import (ENGINE_NAMES, ExecutionLimitExceeded,
-                          ExecutionStats, Interpreter, InterpreterError,
-                          run_module)
+                          ExecutionStats, Interpreter, InterpreterError)
 from .models import (ARCHER2, CIRRUS_V100, CRAY_PROFILE, FLANG_V17_PROFILE,
                      FLANG_V20_PROFILE, GNU_PROFILE, NVFORTRAN_PROFILE,
                      OURS_PROFILE, CompilerProfile, CPUModel, GPUModel)
-from .perf import (PerformanceModel, RuntimeBreakdown, WorkloadScaling,
-                   modeled_runtime)
-from .profiler import InstructionMix, profile_module, profile_stats
+from .perf import PerformanceModel, RuntimeBreakdown, WorkloadScaling
+from .profiler import InstructionMix, profile_stats
 from .semantics import int_ceildiv, int_div, int_floordiv, int_rem
-from .values import (Cell, ElementPtr, FortranArray, as_ndarray, load_element,
-                     store_element)
+from .values import Cell, ElementPtr, FortranArray, as_ndarray
 
 __all__ = [
     "ENGINE_NAMES", "ExecutionLimitExceeded", "ExecutionStats", "Interpreter",
-    "InterpreterError", "run_module", "ARCHER2", "CIRRUS_V100", "CRAY_PROFILE",
+    "InterpreterError", "ARCHER2", "CIRRUS_V100", "CRAY_PROFILE",
     "FLANG_V17_PROFILE", "FLANG_V20_PROFILE", "GNU_PROFILE",
     "NVFORTRAN_PROFILE", "OURS_PROFILE", "CompilerProfile", "CPUModel",
     "GPUModel", "PerformanceModel", "RuntimeBreakdown", "WorkloadScaling",
-    "InstructionMix", "modeled_runtime", "profile_module", "profile_stats",
+    "InstructionMix", "profile_stats",
     "Cell", "ElementPtr", "FortranArray",
-    "as_ndarray", "load_element", "store_element", "int_div", "int_rem",
+    "as_ndarray", "int_div", "int_rem",
     "int_floordiv", "int_ceildiv",
 ]

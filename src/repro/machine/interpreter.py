@@ -1,14 +1,19 @@
 """Multi-dialect IR interpreter with dynamic operation accounting.
 
-The interpreter executes modules at any of the levels the two compilation
-flows produce — HLFIR/FIR (Flang frontend output and FIR-only baseline form)
-and the standard dialects (scf/affine/memref/vector/linalg, optionally with
-omp/acc/gpu regions) — so that:
+The interpreter executes modules at the three levels the two compilation
+flows are run at — FIR after ``convert-hlfir-to-fir`` (the baseline), and
+the standard dialects (scf/affine/memref/vector/linalg, optionally with
+omp/acc/gpu regions) before and after the optimisation stage — so that:
 
 * numerical results of the two flows can be compared (correctness gate), and
 * dynamic operation counts per category feed the machine cost model
   (:mod:`repro.machine.perf`), which is how modeled runtimes for the paper's
   tables are produced.
+
+HLFIR and the ``llvm`` dialect are never executed: both flows lower HLFIR
+away before the first stage anything interprets, and neither lowers to
+``llvm`` (the four ``llvm`` ops for module scalars aside).  An op without a
+handler raises a clean :class:`InterpreterError`.
 
 Statistics are kept per execution context: ``serial``, ``parallel`` (inside
 omp/scf.parallel regions) and ``gpu`` (inside gpu.launch kernels), which the
@@ -34,10 +39,7 @@ so the cached-dispatch inner loop avoids all per-operation dispatch work:
 * every block is compiled on first entry into a list of closures ("thunks"),
   one per operation, with operands, results, attributes and the stats
   category already resolved; re-executing the block (every loop iteration)
-  just calls the thunks.  Adjacent address-computation + load/store pairs
-  (``fir.array_coor``/``hlfir.designate`` feeding a single ``fir.load``,
-  ``fir.store`` or ``hlfir.assign``) are fused into a single thunk that
-  skips the intermediate :class:`ElementPtr` allocation.
+  just calls the thunks.
 * affine maps run in their compiled form
   (:meth:`~repro.ir.attributes.AffineMapAttr.compiled`): thunks specialise
   on it when they are built — constant maps index with a fixed tuple,
@@ -66,13 +68,13 @@ import numpy as np
 
 from ..dialects import fir as fir_d
 from ..flang import runtime as flang_runtime
-from ..flows.base import DEFAULT_ENGINE
+from ..flows.base import DEFAULT_ENGINE, ENGINES
 from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
 from .semantics import (VALUE_OPS, VECTOR_REDUCTIONS, ValueOp,
                         vector_broadcast, vector_load, vector_store)
-from .values import (Cell, ElementPtr, FortranArray, as_ndarray, load_element,
-                     numpy_dtype_for, store_element)
+from .values import (Cell, ElementPtr, FortranArray, as_ndarray,
+                     numpy_dtype_for)
 
 
 class InterpreterError(Exception):
@@ -103,9 +105,6 @@ class ExecutionStats:
     def total(self, category: str, contexts: Optional[Sequence[str]] = None) -> float:
         contexts = contexts or list(self.counts)
         return sum(self.counts[c].get(category, 0.0) for c in contexts)
-
-    def context_total(self, context: str) -> float:
-        return sum(self.counts[context].values())
 
     def merged(self) -> Counter:
         """All per-context counts folded into one Counter (single pass)."""
@@ -152,24 +151,24 @@ class ExecutionStats:
 # Block-structure sets used by every execution engine
 # ---------------------------------------------------------------------------
 
-_RETURN_OPS = frozenset({"func.return", "llvm.return"})
-_BR_OPS = frozenset({"cf.br", "llvm.br"})
-_COND_BR_OPS = frozenset({"cf.cond_br", "llvm.cond_br"})
+_RETURN_OPS = frozenset({"func.return"})
+_BR_OPS = frozenset({"cf.br"})
+_COND_BR_OPS = frozenset({"cf.cond_br"})
 _YIELD_OPS = frozenset({
     "scf.yield", "fir.result", "affine.yield", "omp.yield",
     "omp.terminator", "acc.terminator", "gpu.terminator",
-    "linalg.yield", "scf.reduce.return", "memref.alloca_scope.return",
-    "scf.condition", "hlfir.yield_element", "fir.has_value"})
+    "linalg.yield", "memref.alloca_scope.return", "scf.condition"})
 
 
-#: The four interpreter engines.  ``reference`` executes one op at a time
+#: The four interpreter engines (named in :data:`repro.flows.ENGINES`, the
+#: one place they are written).  ``reference`` executes one op at a time
 #: (string-built getattr dispatch), ``compiled`` caches per-block thunk
 #: lists, ``jit`` translates blocks (and structured loop bodies) into
 #: generated Python source (see :mod:`repro.machine.jit`), and ``vector``
 #: evaluates matched affine/scf/fir loop nests as whole-array numpy
 #: expressions with analytic statistics (see :mod:`repro.machine.vector`).
 #: All four are observationally bit-identical — output and statistics.
-ENGINE_NAMES = ("compiled", "reference", "jit", "vector")
+ENGINE_NAMES = ENGINES
 
 
 class Interpreter:
@@ -220,25 +219,22 @@ class Interpreter:
     def _collect_symbols(self) -> None:
         for op in self.module.body.ops:
             sym = op.get_attr("sym_name")
-            if op.name in ("func.func", "llvm.func") and sym is not None:
+            if op.name == "func.func" and sym is not None:
                 self.functions[sym.value] = op
             elif op.name in ("fir.global", "memref.global", "llvm.mlir.global") \
                     and sym is not None:
                 self.globals[sym.value] = self._init_global(op)
 
     def _init_global(self, op: Operation):
-        gtype = op.get_attr("type") or op.get_attr("global_type")
-        t = gtype.type if gtype is not None else None
+        gtype = (op.get_attr("type") or op.get_attr("global_type")).type
+        if isinstance(gtype, ir_types.MemRefType):
+            return np.zeros(gtype.shape,
+                            dtype=numpy_dtype_for(gtype.element_type))
+        storage = _new_storage(gtype)
         init = op.get_attr("initial_value") or op.get_attr("value")
-        if isinstance(t, fir_d.SequenceType):
-            arr = FortranArray(t.shape, dtype=numpy_dtype_for(t.element_type))
-            return arr
-        if isinstance(t, ir_types.MemRefType):
-            return np.zeros(t.shape, dtype=numpy_dtype_for(t.element_type))
-        cell = Cell(0)
-        if init is not None and hasattr(init, "value"):
-            cell.value = init.value
-        return cell
+        if init is not None:
+            storage.value = init.value
+        return storage
 
     # ------------------------------------------------------------------ context
     @property
@@ -316,22 +312,9 @@ class Interpreter:
         return "yield", (None, [])
 
     def _compile_block(self, block: Block) -> List[Callable]:
-        code: List[Callable] = []
-        ops = list(block.ops)
-        skip_next = False
-        for position, op in enumerate(ops):
-            if skip_next:
-                skip_next = False
-                continue
-            follower = ops[position + 1] if position + 1 < len(ops) else None
-            thunk = self._compile_op(op, follower)
-            if thunk is _FUSED_WITH_NEXT:
-                thunk = self._fused_thunk(op, follower)
-                skip_next = True
-            code.append(thunk)
-        return code
+        return [self._compile_op(op) for op in block.ops]
 
-    def _compile_op(self, op: Operation, follower: Optional[Operation]) -> Callable:
+    def _compile_op(self, op: Operation) -> Callable:
         name = op.name
         interp = self
         stats = self.stats
@@ -373,8 +356,6 @@ class Interpreter:
             return do_yield
         maker = _THUNK_MAKERS.get(name)
         if maker is not None:
-            if maker in _FUSABLE_MAKERS and _fusable(op, follower):
-                return _FUSED_WITH_NEXT
             return maker(self, op)
         handler = self._resolve_handler(name)
         if handler is None:
@@ -394,42 +375,6 @@ class Interpreter:
             handler = getattr(cls, "_exec_" + name.replace(".", "_"), None)
             cls._HANDLER_CACHE[name] = handler
             return handler
-
-    def _fused_thunk(self, op: Operation, follower: Operation) -> Callable:
-        """One thunk for an address computation plus the single load/store
-        that consumes it (skips the intermediate ElementPtr)."""
-        interp = self
-        stats = self.stats
-        unwrap_cell = op.name == "hlfir.designate"
-        base_v = op.operands[0]
-        index_vals = tuple(op.indices)
-        if follower.name == "fir.load":
-            res = follower.results[0]
-
-            def fused_load(env):
-                base = env[base_v]
-                counts = interp._ctx_counts
-                counts["index_arith"] += 1.0
-                counts["load"] += 1.0
-                stats.total_ops += 2
-                if unwrap_cell and type(base) is Cell:
-                    base = base.value
-                env[res] = load_element(
-                    base, tuple(int(env[v]) for v in index_vals))
-            return fused_load
-        value_v = follower.operands[0]
-
-        def fused_store(env):
-            base = env[base_v]
-            counts = interp._ctx_counts
-            counts["index_arith"] += 1.0
-            counts["store"] += 1.0
-            stats.total_ops += 2
-            if unwrap_cell and type(base) is Cell:
-                base = base.value
-            store_element(base, tuple(int(env[v]) for v in index_vals),
-                          env[value_v])
-        return fused_store
 
     # The reference engine: one op at a time, exactly the pre-cached-dispatch
     # behaviour (per-op limit check, string-built getattr dispatch).  Kept as
@@ -504,28 +449,11 @@ class Interpreter:
 
     # -- FIR memory ----------------------------------------------------------------
     def _exec_fir_alloca(self, op, env) -> None:
-        in_type = op.get_attr("in_type").type
         self.stats.bump(self.context, "alloc")
-        if isinstance(in_type, fir_d.SequenceType):
-            shape = []
-            dyn = iter([env[v] for v in op.operands])
-            for d in in_type.shape:
-                shape.append(int(next(dyn)) if d == ir_types.DYNAMIC else d)
-            env[op.results[0]] = FortranArray(shape, numpy_dtype_for(in_type.element_type))
-        else:
-            env[op.results[0]] = Cell(0)
+        env[op.results[0]] = _new_storage(op.get_attr("in_type").type,
+                                          [env[v] for v in op.operands])
 
-    def _exec_fir_allocmem(self, op, env) -> None:
-        in_type = op.get_attr("in_type").type
-        self.stats.bump(self.context, "alloc")
-        if isinstance(in_type, fir_d.SequenceType):
-            shape = []
-            dyn = iter([env[v] for v in op.operands])
-            for d in in_type.shape:
-                shape.append(int(next(dyn)) if d == ir_types.DYNAMIC else d)
-            env[op.results[0]] = FortranArray(shape, numpy_dtype_for(in_type.element_type))
-        else:
-            env[op.results[0]] = Cell(0)
+    _exec_fir_allocmem = _exec_fir_alloca
 
     def _exec_fir_freemem(self, op, env) -> None:
         self.stats.bump(self.context, "free")
@@ -553,8 +481,6 @@ class Interpreter:
     def _exec_fir_shape(self, op, env) -> None:
         env[op.results[0]] = tuple(int(env[v]) for v in op.operands)
 
-    _exec_fir_shape_shift = _exec_fir_shape
-
     def _exec_fir_embox(self, op, env) -> None:
         env[op.results[0]] = env[op.operands[0]]
 
@@ -576,12 +502,11 @@ class Interpreter:
         base = env[op.operands[0]]
         self.stats.bump(self.context, "index_arith")
         if op.get_attr("field") is not None:
-            # derived-type member access on a Cell holding a dict
-            if isinstance(base, Cell) and isinstance(base.value, dict):
-                env[op.results[0]] = base.value.setdefault(
-                    op.get_attr("field").value, Cell(0))
-            else:
-                env[op.results[0]] = base
+            # derived-type member access: a record is a Cell holding a dict
+            if not (isinstance(base, Cell) and isinstance(base.value, dict)):
+                raise InterpreterError(
+                    "fir.coordinate_of field access on non-record storage")
+            env[op.results[0]] = base.value[op.get_attr("field").value]
             return
         flat = int(env[op.operands[1]]) if len(op.operands) > 1 else 0
         if isinstance(base, FortranArray):
@@ -593,130 +518,11 @@ class Interpreter:
         else:
             raise InterpreterError("fir.coordinate_of on a non-array value")
 
-    def _exec_fir_array_coor(self, op, env) -> None:
-        base = env[op.memref]
-        indices = [int(env[v]) for v in op.indices]
-        self.stats.bump(self.context, "index_arith")
-        env[op.results[0]] = ElementPtr(base, indices=tuple(indices))
-
-    def _exec_fir_undefined(self, op, env) -> None:
-        env[op.results[0]] = 0
-
-    _exec_fir_absent = _exec_fir_undefined
-    _exec_fir_zero_bits = _exec_fir_undefined
-
     def _exec_fir_string_lit(self, op, env) -> None:
         env[op.results[0]] = op.get_attr("value").value
 
     def _exec_fir_address_of(self, op, env) -> None:
         env[op.results[0]] = self.globals.get(op.get_attr("symbol").root, Cell(0))
-
-    def _exec_fir_field_index(self, op, env) -> None:
-        env[op.results[0]] = op.get_attr("field_id").value
-
-    def _exec_fir_unreachable(self, op, env) -> None:
-        raise InterpreterError("reached fir.unreachable")
-
-    # -- HLFIR ----------------------------------------------------------------------
-    def _exec_hlfir_declare(self, op, env) -> None:
-        value = env[op.operands[0]]
-        env[op.results[0]] = value
-        env[op.results[1]] = value
-        # derived-type storage: a Cell holding a member dict
-        inner = fir_d.dereferenced_type(op.operands[0].type)
-        if isinstance(inner, fir_d.RecordType) and isinstance(value, Cell) \
-                and not isinstance(value.value, dict):
-            value.value = {}
-            for member, mtype in inner.members:
-                if isinstance(mtype, fir_d.SequenceType):
-                    value.value[member] = FortranArray(
-                        mtype.shape, numpy_dtype_for(mtype.element_type))
-                else:
-                    value.value[member] = Cell(0)
-
-    def _exec_hlfir_designate(self, op, env) -> None:
-        base = env[op.memref]
-        self.stats.bump(self.context, "index_arith")
-        component = op.component
-        if component is not None:
-            if isinstance(base, Cell) and isinstance(base.value, dict):
-                env[op.results[0]] = base.value.setdefault(component, Cell(0))
-            else:
-                raise InterpreterError("component access on non-derived storage")
-            return
-        if isinstance(base, Cell):
-            base = base.value
-        if op.triplets:
-            arr = as_ndarray(base)
-            trip = [int(env[v]) for v in op.triplets]
-            slices = []
-            for d in range(len(trip) // 3):
-                lo, hi, st = trip[3 * d:3 * d + 3]
-                slices.append(slice(lo - 1, hi, st))
-            env[op.results[0]] = arr[tuple(slices)]
-            return
-        indices = tuple(int(env[v]) for v in op.indices)
-        env[op.results[0]] = ElementPtr(base, indices=indices)
-
-    def _exec_hlfir_assign(self, op, env) -> None:
-        value, dest = env[op.rhs], env[op.lhs]
-        self.stats.bump(self.context, "store")
-        if isinstance(dest, Cell):
-            if isinstance(dest.value, FortranArray) or isinstance(value, (FortranArray, np.ndarray)):
-                dest = dest.value if isinstance(dest.value, FortranArray) else dest
-        if isinstance(dest, ElementPtr):
-            dest.store(value)
-        elif isinstance(dest, Cell):
-            dest.value = value
-        elif isinstance(dest, FortranArray):
-            if isinstance(value, FortranArray):
-                dest.data[:] = value.data
-            elif isinstance(value, np.ndarray):
-                dest.data[:] = value.reshape(-1, order="F")
-            else:
-                dest.data[:] = value
-            self.stats.bump(self.context, "array_assign_elements", dest.size)
-        elif isinstance(dest, np.ndarray):
-            dest[...] = as_ndarray(value) if not np.isscalar(value) else value
-        else:
-            raise InterpreterError("hlfir.assign to a non-storage value")
-
-    def _hlfir_reduction(self, op, env, fn) -> None:
-        array = as_ndarray(self._unbox(env[op.operands[0]]))
-        env[op.results[0]] = fn(array)
-        self.stats.bump(self.context, "runtime_elem", array.size)
-
-    def _exec_hlfir_sum(self, op, env) -> None:
-        self._hlfir_reduction(op, env, lambda a: float(np.sum(a)))
-
-    def _exec_hlfir_product(self, op, env) -> None:
-        self._hlfir_reduction(op, env, lambda a: float(np.prod(a)))
-
-    def _exec_hlfir_maxval(self, op, env) -> None:
-        self._hlfir_reduction(op, env, lambda a: float(np.max(a)))
-
-    def _exec_hlfir_minval(self, op, env) -> None:
-        self._hlfir_reduction(op, env, lambda a: float(np.min(a)))
-
-    def _exec_hlfir_count(self, op, env) -> None:
-        self._hlfir_reduction(op, env, lambda a: int(np.count_nonzero(a)))
-
-    def _exec_hlfir_dot_product(self, op, env) -> None:
-        a = as_ndarray(self._unbox(env[op.operands[0]]))
-        b = as_ndarray(self._unbox(env[op.operands[1]]))
-        env[op.results[0]] = float(np.dot(a.ravel(), b.ravel()))
-        self.stats.bump(self.context, "runtime_elem", a.size * 2)
-
-    def _exec_hlfir_matmul(self, op, env) -> None:
-        a = as_ndarray(self._unbox(env[op.operands[0]]))
-        b = as_ndarray(self._unbox(env[op.operands[1]]))
-        env[op.results[0]] = a @ b
-        self.stats.bump(self.context, "runtime_elem", a.shape[0] * b.shape[-1])
-
-    def _exec_hlfir_transpose(self, op, env) -> None:
-        a = as_ndarray(self._unbox(env[op.operands[0]]))
-        env[op.results[0]] = a.T.copy()
-        self.stats.bump(self.context, "runtime_elem", a.size)
 
     def _unbox(self, value):
         return value.value if isinstance(value, Cell) else value
@@ -768,14 +574,6 @@ class Interpreter:
         dim = int(env[op.operands[1]])
         env[op.results[0]] = int(memref_value.shape[dim])
         self.stats.bump(self.context, "load")
-
-    def _exec_memref_copy(self, op, env) -> None:
-        src, dst = env[op.operands[0]], env[op.operands[1]]
-        dst[...] = src
-        self.stats.bump(self.context, "array_assign_elements", dst.size)
-
-    def _exec_memref_cast(self, op, env) -> None:
-        env[op.results[0]] = env[op.operands[0]]
 
     def _exec_memref_subview(self, op, env) -> None:
         base = env[op.operands[0]]
@@ -834,8 +632,6 @@ class Interpreter:
         width = op.results[0].type.shape[0]
         env[op.results[0]] = vector_broadcast(env[op.operands[0]], width)
         self.stats.bump(self.context, "vector_int")
-
-    _exec_vector_splat = _exec_vector_broadcast
 
     def _exec_vector_reduction(self, op, env) -> None:
         reduce = VECTOR_REDUCTIONS[op.get_attr("kind").value]
@@ -935,11 +731,6 @@ class Interpreter:
             memref_value.value = value
         else:
             memref_value[tuple(indices) if indices else ()] = value
-
-    def _exec_affine_apply(self, op, env) -> None:
-        operand_values = [int(env[v]) for v in op.operands]
-        env[op.results[0]] = op.get_attr("map").evaluate(operand_values)[0]
-        self.stats.bump(self.context, "index_arith")
 
     def _exec_scf_while(self, op, env) -> None:
         before = op.regions[0].blocks[0]
@@ -1084,9 +875,6 @@ class Interpreter:
         finally:
             self._pop_context()
 
-    def _exec_omp_barrier(self, op, env) -> None:
-        self.stats.bump(self.context, "sync")
-
     def _exec_acc_kernels(self, op, env) -> None:
         self.stats.gpu_kernel_launches += 1
         self._push_context("gpu")
@@ -1109,10 +897,8 @@ class Interpreter:
 
     _exec_acc_copyin = _exec_acc_create
 
-    def _exec_acc_copyout(self, op, env) -> None:
+    def _exec_acc_delete(self, op, env) -> None:
         self.stats.bump(self.context, "gpu_data_clause")
-
-    _exec_acc_delete = _exec_acc_copyout
 
     def _exec_gpu_host_register(self, op, env) -> None:
         self.stats.bump(self.context, "gpu_data_clause")
@@ -1168,11 +954,13 @@ class Interpreter:
 
     def _exec_linalg_reduce(self, op, env) -> None:
         src, out = env[op.operands[0]], env[op.operands[1]]
-        total = float(np.sum(src))
-        if isinstance(out, Cell):
-            out.value = (out.value or 0.0) + total
-        else:
-            out[()] = out[()] + total
+        body = op.regions[0].blocks[0]
+        element, accumulator = body.args
+        env[accumulator] = out.value
+        for value in src.flat:      # the order of the lowered loop nest
+            env[element] = value
+            _, (env[accumulator],) = self._run_nested_block(body, env)
+        out.value = env[accumulator]
         self.stats.bump(self.context, "linalg_elements", src.size)
 
     # -- calls ---------------------------------------------------------------------------------
@@ -1184,11 +972,10 @@ class Interpreter:
             env[res] = val
 
     _exec_fir_call = _exec_func_call
-    _exec_llvm_call = _exec_func_call
 
     def _runtime_call(self, name: str, args: List, result_types) -> List:
         """Calls that do not resolve to a function in the module: Fortran
-        runtime entry points, OpenMP runtime, libm, malloc/free."""
+        runtime entry points."""
         self.stats.runtime_calls[name] += 1
         self.stats.bump(self.context, "runtime_call")
         if name in flang_runtime.IO_SYMBOLS or name.startswith("_FortranAio"):
@@ -1228,20 +1015,20 @@ class Interpreter:
             self.stats.runtime_elements[intrinsic] += elements
             self.stats.bump(self.context, "runtime_elem", elements)
             return [result]
-        if name in ("malloc",):
-            return [Cell(0)]
-        if name.startswith("__kmpc") or name in ("free", "memcpy"):
-            return []
-        if name in ("sqrt", "exp", "log", "sin", "cos", "pow", "fabs", "fma"):
-            fn = {"sqrt": np.sqrt, "exp": np.exp, "log": np.log, "sin": np.sin,
-                  "cos": np.cos, "fabs": np.abs}.get(name)
-            if fn is not None and args:
-                return [float(fn(args[0]))]
-            if name == "pow" and len(args) >= 2:
-                return [float(args[0] ** args[1])]
-            if name == "fma" and len(args) >= 3:
-                return [float(args[0] * args[1] + args[2])]
         return []
+
+
+def _new_storage(t, extents: Sequence = ()):
+    """Zeroed storage for a FIR in-memory type: an array, a record (a
+    :class:`Cell` holding one storage per member) or a scalar cell."""
+    if isinstance(t, fir_d.SequenceType):
+        dynamic = iter(extents)
+        return FortranArray([int(next(dynamic)) if d == ir_types.DYNAMIC else d
+                             for d in t.shape],
+                            numpy_dtype_for(t.element_type))
+    if isinstance(t, fir_d.RecordType):
+        return Cell({name: _new_storage(member) for name, member in t.members})
+    return Cell(0)
 
 
 class _FunctionReturn(Exception):
@@ -1547,19 +1334,6 @@ def _mk_affine_store(interp, op):
     return run
 
 
-def _mk_affine_apply(interp, op):
-    operand_vals = op.operands
-    scalar = op.get_attr("map").compiled().scalar
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        env[res] = scalar(*[int(env[v]) for v in operand_vals])
-        interp._ctx_counts["index_arith"] += 1.0
-        stats.total_ops += 1
-    return run
-
-
 def _affine_bound(amap, operand_vals):
     """``fn(env) -> int`` for one ``affine.for`` bound."""
     form = amap.compiled()
@@ -1657,42 +1431,6 @@ def _mk_vector_reduction(interp, op):
     return run
 
 
-def _mk_fir_array_coor(interp, op):
-    mem = op.memref
-    index_vals = tuple(op.indices)
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        interp._ctx_counts["index_arith"] += 1.0
-        stats.total_ops += 1
-        env[res] = ElementPtr(env[mem],
-                              indices=tuple(int(env[v]) for v in index_vals))
-    return run
-
-
-def _mk_hlfir_designate(interp, op):
-    # only the plain element-designator form is thunked; components and
-    # sections (triplets) keep the generic handler
-    if op.component is not None or op.triplets:
-        handler = Interpreter._resolve_handler(op.name)
-        return partial(handler.__get__(interp, type(interp)), op)
-    mem = op.memref
-    index_vals = tuple(op.indices)
-    res = op.results[0]
-    stats = interp.stats
-
-    def run(env):
-        base = env[mem]
-        interp._ctx_counts["index_arith"] += 1.0
-        stats.total_ops += 1
-        if type(base) is Cell:
-            base = base.value
-        env[res] = ElementPtr(base,
-                              indices=tuple(int(env[v]) for v in index_vals))
-    return run
-
-
 _THUNK_MAKERS: Dict[str, Callable] = {"arith.constant": _mk_constant,
                                       "fir.convert": _mk_fir_convert,
                                       "fir.load": _mk_fir_load,
@@ -1703,52 +1441,11 @@ _THUNK_MAKERS: Dict[str, Callable] = {"arith.constant": _mk_constant,
                                       "llvm.store": _mk_llvm_store,
                                       "affine.load": _mk_affine_load,
                                       "affine.store": _mk_affine_store,
-                                      "affine.apply": _mk_affine_apply,
                                       "affine.for": _mk_affine_for,
                                       "vector.load": _mk_vector_load,
                                       "vector.store": _mk_vector_store,
                                       "vector.broadcast": _mk_vector_broadcast,
-                                      "vector.splat": _mk_vector_broadcast,
-                                      "vector.reduction": _mk_vector_reduction,
-                                      "fir.array_coor": _mk_fir_array_coor,
-                                      "hlfir.designate": _mk_hlfir_designate}
+                                      "vector.reduction": _mk_vector_reduction}
 _THUNK_MAKERS.update(dict.fromkeys(VALUE_OPS, _mk_value_op))
-#: sentinel returned by _compile_op when the op fuses with its follower
-_FUSED_WITH_NEXT = object()
-#: makers whose ops are address computations eligible for load/store fusion
-_FUSABLE_MAKERS = {_mk_fir_array_coor, _mk_hlfir_designate}
-
-
-def _fusable(op: Operation, follower: Optional[Operation]) -> bool:
-    """True when ``op`` is an element-address computation whose single use is
-    the immediately following load/store, so the pair can run as one thunk."""
-    if follower is None or not op.results:
-        return False
-    if op.name == "hlfir.designate" and (op.component is not None or op.triplets):
-        return False
-    address = op.results[0]
-    if len(address.uses) != 1 or address.uses[0].operation is not follower:
-        return False
-    if follower.name == "fir.load":
-        return follower.operands[0] is address
-    if follower.name == "fir.store":
-        return follower.operands[1] is address and follower.operands[0] is not address
-    if follower.name == "hlfir.assign":
-        return follower.operands[1] is address and follower.operands[0] is not address
-    return False
-
-
-def run_module(module: Operation, *, entry: Optional[str] = None,
-               args: Sequence = (), max_ops: int = 80_000_000,
-               engine: Optional[str] = None) -> Tuple[List, ExecutionStats]:
-    """Execute a module (its main program by default); returns (results, stats)."""
-    interp = Interpreter(module, max_ops=max_ops, engine=engine)
-    if entry is None:
-        results = interp.run_main()
-    else:
-        results = interp.call(entry, list(args))
-    return results, interp.stats
-
-
 __all__ = ["ENGINE_NAMES", "Interpreter", "ExecutionStats", "InterpreterError",
-           "ExecutionLimitExceeded", "run_module"]
+           "ExecutionLimitExceeded"]

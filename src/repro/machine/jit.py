@@ -65,13 +65,12 @@ from ..ir import types as ir_types
 from ..ir.core import Block, Operation, Value
 from . import semantics
 from .interpreter import (_BR_OPS, _COND_BR_OPS, _RETURN_OPS, _YIELD_OPS,
-                          _fusable, Interpreter, InterpreterError)
+                          Interpreter, InterpreterError)
 from .loop_patterns import (static_constant as _static_constant,
                             static_trip_count as _static_trips)
 from .semantics import (VALUE_OPS, VECTOR_REDUCTIONS, ValueOp,
                         vector_broadcast, vector_load, vector_store)
-from .values import (Cell, ElementPtr, FortranArray, load_element,
-                     store_element)
+from .values import Cell, ElementPtr, FortranArray
 
 #: loop ops whose single-block bodies are inlined as native ``while`` loops
 _INLINE_LOOPS = frozenset({"scf.for", "affine.for", "fir.do_loop"})
@@ -85,14 +84,12 @@ _ALL_TERMINATORS = _RETURN_OPS | _BR_OPS | _COND_BR_OPS | _YIELD_OPS
 _SIMPLE_INLINE = frozenset(VALUE_OPS) | frozenset({
     "arith.constant", "fir.convert", "fir.load", "fir.store", "memref.load",
     "memref.store", "llvm.load", "llvm.store", "affine.load", "affine.store",
-    "affine.apply", "fir.array_coor", "hlfir.designate",
     "fir.box_addr", "fir.box_dims", "fir.coordinate_of", "fir.embox",
-    "fir.shape", "fir.shape_shift", "fir.undefined", "fir.absent",
-    "fir.zero_bits", "fir.string_lit", "vector.load", "vector.store",
-    "vector.broadcast", "vector.splat", "vector.reduction"})
+    "fir.shape", "fir.string_lit", "vector.load", "vector.store",
+    "vector.broadcast", "vector.reduction"})
 
 
-def _coor_fusable(op: Operation, follower: Optional[Operation]) -> bool:
+def _fuses_coordinate(op: Operation, follower: Optional[Operation]) -> bool:
     """``fir.coordinate_of`` whose single use is the adjacent load/store:
     the pair runs as one direct flat access (stats-identical: the fused
     emission bumps the same index_arith + load/store pair)."""
@@ -155,8 +152,6 @@ def _kind(value: Value, memo: Dict[Value, Optional[str]]) -> Optional[str]:
             kind = "int"
     elif name == "arith.constant":
         kind = _CLASS_KINDS.get(type(op.get_attr("value").value))
-    elif name == "affine.apply":
-        kind = "int"
     elif name == "vector.reduction":
         kind = "float"
     elif name == "fir.alloca":
@@ -205,8 +200,8 @@ _TERMINAL_STEPS = frozenset({"return", "br", "condbr", "yield"})
 class _Plan:
     """Translation plan for one unit: a step tree and what it claims.
 
-    Step shapes: ``("inline", op)``, ``("fused" | "fusedcoor", op,
-    follower)``, ``("fallback", op)``, ``("loop", op, body_steps)``,
+    Step shapes: ``("inline", op)``, ``("fusedcoor", op, follower)``,
+    ``("fallback", op)``, ``("loop", op, body_steps)``,
     ``("if", op, then_steps, else_steps | None)``, a terminator
     ``("return" | "br" | "condbr" | "yield", op)``, or ``("part", plan)`` —
     a run of steps cut out into a unit of its own (see :func:`_partition`).
@@ -234,7 +229,7 @@ class _Plan:
                 self.fallback_defined += step[1].fallback_defined
             elif kind == "fallback":
                 self.fallback_defined.extend(step[1].results)
-            elif kind in ("fused", "fusedcoor"):
+            elif kind == "fusedcoor":
                 self.inline_ops.update(step[1:])
                 self.defined.extend(step[2].results)
             else:
@@ -276,8 +271,6 @@ def _can_inline_simple(op: Operation) -> bool:
     name = op.name
     if name not in _SIMPLE_INLINE:
         return False
-    if name == "hlfir.designate":
-        return op.component is None and not op.triplets
     if name == "fir.coordinate_of":
         return op.get_attr("field") is None
     if name == "vector.reduction":
@@ -334,12 +327,7 @@ def _plan_ops(block: Block) -> List[Tuple]:
             steps.append(("yield", op))
             return steps
         follower = ops[position + 1] if position + 1 < len(ops) else None
-        if name in ("fir.array_coor", "hlfir.designate") \
-                and _can_inline_simple(op) and _fusable(op, follower):
-            steps.append(("fused", op, follower))
-            position += 2
-            continue
-        if name == "fir.coordinate_of" and _coor_fusable(op, follower):
+        if name == "fir.coordinate_of" and _fuses_coordinate(op, follower):
             steps.append(("fusedcoor", op, follower))
             position += 2
             continue
@@ -362,7 +350,7 @@ def _weight(steps: Sequence[Tuple]) -> int:
     total = 0
     for step in steps:
         kind = step[0]
-        if kind in ("fused", "fusedcoor"):
+        if kind == "fusedcoor":
             total += 2
         elif kind == "loop":
             total += 1 + _weight(step[2])
@@ -453,7 +441,6 @@ class _Emitter:
                 "_interp": interp, "_stats": interp.stats,
                 "_np": np, "_nda": np.ndarray,
                 "_Cell": Cell, "_EPtr": ElementPtr, "_FArr": FortranArray,
-                "_ldel": load_element, "_stel": store_element,
                 "_int": int, "_float": float, "_bool": bool,
                 "_IErr": InterpreterError,
                 "_boxt": (Cell, FortranArray, ElementPtr, np.ndarray),
@@ -631,8 +618,6 @@ class _Emitter:
             kind = step[0]
             if kind == "inline":
                 self.emit_inline(step[1])
-            elif kind == "fused":
-                self.emit_fused(step[1], step[2])
             elif kind == "fusedcoor":
                 self.emit_fused_coordinate(step[1], step[2])
             elif kind == "fallback":
@@ -749,13 +734,13 @@ class _Emitter:
             self.w(f"    {dest}.value = {self.read(op.operands[0])}")
             self.bump("store")
             return
-        if name in ("affine.load", "affine.store", "affine.apply"):
+        if name in ("affine.load", "affine.store"):
             self._emit_affine(op)
             return
         if name in ("vector.load", "vector.store"):
             self._emit_vector_access(op)
             return
-        if name in ("vector.broadcast", "vector.splat"):
+        if name == "vector.broadcast":
             width = res.type.shape[0]
             self.compute(res, f"_vbcast({self.read(op.operands[0])}, {width})")
             self.bump("vector_int")
@@ -764,22 +749,6 @@ class _Emitter:
             reduce = self.bind(VECTOR_REDUCTIONS[op.get_attr("kind").value])
             self.compute(res, f"_float({reduce}({self.read(op.operands[0])}))")
             self.bump("vector_reduce")
-            return
-        if name == "fir.array_coor":
-            indices = ", ".join(self.int_of(v) for v in op.indices)
-            self.compute(res, f"_EPtr({self.read(op.memref)}, "
-                              f"indices=({indices}{',' if indices else ''}))")
-            self.bump("index_arith")
-            return
-        if name == "hlfir.designate":
-            base = self.operand_var(op.memref)
-            unwrapped = self.tmp()
-            self.w(f"{unwrapped} = {base}.value "
-                   f"if type({base}) is _Cell else {base}")
-            indices = ", ".join(self.int_of(v) for v in op.indices)
-            self.compute(res, f"_EPtr({unwrapped}, "
-                              f"indices=({indices}{',' if indices else ''}))")
-            self.bump("index_arith")
             return
         if name == "fir.box_addr":
             self.alias(res, self.operand_var(op.operands[0]))
@@ -794,12 +763,9 @@ class _Emitter:
         if name == "fir.embox":
             self.alias(res, self.operand_var(op.operands[0]))
             return
-        if name in ("fir.shape", "fir.shape_shift"):
+        if name == "fir.shape":
             items = ", ".join(self.int_of(v) for v in op.operands)
             self.compute(res, f"({items}{',' if items else ''})")
-            return
-        if name in ("fir.undefined", "fir.absent", "fir.zero_bits"):
-            self.compute(res, "0")
             return
         if name == "fir.string_lit":
             self.compute(res, self.bind(op.get_attr("value").value, "c"))
@@ -980,15 +946,9 @@ class _Emitter:
         return form.sources([self.index_operand(v) for v in operands])
 
     def _emit_affine(self, op: Operation) -> None:
-        amap = op.get_attr("map")
-        if op.name == "affine.apply":
-            source, = self.map_sources(amap, op.operands)
-            self.compute(op.results[0], source)
-            self.bump("index_arith")
-            return
         mem_index = 0 if op.results else 1
-        self._emit_access(op, op.operands[mem_index], ", ".join(
-            self.map_sources(amap, op.operands[mem_index + 1:])))
+        self._emit_access(op, op.operands[mem_index], ", ".join(self.map_sources(
+            op.get_attr("map"), op.operands[mem_index + 1:])))
 
     def _emit_vector_access(self, op: Operation) -> None:
         load = op.name == "vector.load"
@@ -1009,26 +969,6 @@ class _Emitter:
             value = self.read(op.operands[0])
             self.w(f"_vstore({mem}, {indices}, {value})")
             self.bump("vector_store")
-
-    def emit_fused(self, op: Operation, follower: Operation) -> None:
-        """Address computation + its single consuming load/store, with the
-        intermediate ElementPtr skipped (same as the compiled engine)."""
-        base = self.operand_var(op.operands[0])
-        if op.name == "hlfir.designate":
-            unwrapped = self.tmp()
-            self.w(f"{unwrapped} = {base}.value "
-                   f"if type({base}) is _Cell else {base}")
-            base = unwrapped
-        indices = ", ".join(self.int_of(v) for v in op.indices)
-        index_tuple = f"({indices}{',' if indices else ''})"
-        self.bump("index_arith")
-        if follower.name == "fir.load":
-            self.compute(follower.results[0], f"_ldel({base}, {index_tuple})")
-            self.bump("load")
-        else:
-            value = self.read(follower.operands[0])
-            self.w(f"_stel({base}, {index_tuple}, {value})")
-            self.bump("store")
 
     def emit_fused_coordinate(self, op: Operation,
                               follower: Operation) -> None:
@@ -1092,7 +1032,7 @@ class _Emitter:
             if kind == "inline":
                 for operand in step[1].operands:
                     note(operand)
-            elif kind in ("fused", "fusedcoor"):
+            elif kind == "fusedcoor":
                 for operand in step[1].operands:
                     note(operand)
                 for operand in step[2].operands:
@@ -1528,7 +1468,7 @@ def compile_block(interp: Interpreter, block: Block):
     ns["_interp"] = interp
     ns["_stats"] = interp.stats
     for name, op in record.fallback_binds:
-        ns[name] = Interpreter._compile_op(interp, op, None)
+        ns[name] = interp._compile_op(op)
     for unit in entry.code:
         exec(unit, ns)
     return ns["_jit_block"], entry.nops

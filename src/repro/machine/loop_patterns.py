@@ -2,23 +2,20 @@
 
 :func:`match_nest` inspects an ``scf.for`` / ``affine.for`` /
 ``fir.do_loop`` operation and, when every operation in the (possibly
-nested) loop bodies is pure element-wise / reduction / addressing
-dataflow the whole-array evaluator understands, produces a
-:class:`NestPlan`:
+nested) loop bodies is pure element-wise / addressing dataflow the
+whole-array evaluator understands, produces a :class:`NestPlan`:
 
 * a flattened, program-order list of steps (``enter loop`` / ``body op``
-  / ``exit loop``), each tagged with the loop that directly contains it,
+  / ``exit loop``), each tagged with the loop that directly contains it, and
 * per-loop statistics footprints — how many bumps of which
   :class:`~repro.machine.interpreter.ExecutionStats` category one
   iteration of that loop contributes — so the engine can synthesize the
   exact counters the iterative engines would have produced from the trip
-  counts alone, and
-* reduction specs for ``iter_args`` loops restricted to the shapes whose
-  whole-array evaluation is bit-identical to sequential evaluation
-  (integer ``addi``/``muli``, ``maxsi``/``minsi``,
-  ``maximumf``/``minimumf``; float ``addf``/``mulf`` accumulators are
-  *declined* because numpy's pairwise summation is not the sequential
-  sum).
+  counts alone.
+
+A loop that carries values (``iter_args``) declines: no pass produces one
+from Fortran, and a float accumulator could not be batched anyway
+(numpy's pairwise summation is not the sequential sum).
 
 Everything here is static — no environment access, no numpy.  A matched
 plan can still abort at run time (zero trips, runtime-varying bounds,
@@ -40,20 +37,9 @@ LOOP_OPS = frozenset({"scf.for", "affine.for", "fir.do_loop"})
 
 _LOAD_OPS = frozenset({"fir.load", "memref.load", "affine.load"})
 _STORE_OPS = frozenset({"fir.store", "memref.store", "affine.store"})
-_ADDRESS_OPS = frozenset({"fir.array_coor", "hlfir.designate",
-                          "fir.coordinate_of", "affine.apply"})
 _BOX_OPS = frozenset({"fir.box_addr", "fir.box_dims"})
 #: Body operations whose subscripts go through an affine map attribute.
-_MAPPED_OPS = frozenset({"affine.load", "affine.store", "affine.apply"})
-#: Operations that bind a value but bump no statistics category.
-_FREE_OPS = frozenset({"arith.constant", "fir.undefined", "fir.absent",
-                       "fir.zero_bits"})
-
-#: ``iter_args`` combiners whose whole-array reduction is bit-identical
-#: to the sequential fold (associative over their value domain).
-REDUCE_COMBINERS = frozenset({
-    "arith.addi", "arith.muli", "arith.maxsi", "arith.minsi",
-    "arith.maximumf", "arith.minimumf"})
+_MAPPED_OPS = frozenset({"affine.load", "affine.store"})
 
 _SCALAR_TYPES = (ir_types.FloatType, ir_types.IntegerType,
                  ir_types.IndexType)
@@ -137,7 +123,7 @@ def stats_category(op: Operation) -> Optional[str]:
     row = VALUE_OPS.get(name)
     if row is not None:
         return row.scalar_category(op)
-    if name in _FREE_OPS or name == "fir.string_lit":
+    if name == "arith.constant":
         return None
     if name == "fir.convert":
         return "cast"
@@ -145,37 +131,21 @@ def stats_category(op: Operation) -> Optional[str]:
         return "load"
     if name in _STORE_OPS:
         return "store"
-    if name in _ADDRESS_OPS:
+    if name == "fir.coordinate_of":
         return "index_arith"
     raise AssertionError(f"unclassified nest op {name}")
-
-
-class Reduction:
-    """One ``iter_args`` accumulator in the restricted reduction shape:
-    ``yield combiner(acc, expr)`` with ``acc`` single-use."""
-
-    __slots__ = ("kind", "expr", "init", "combiner")
-
-    def __init__(self, kind: str, expr: Value, init: Value,
-                 combiner: Operation):
-        self.kind = kind          # combiner op name
-        self.expr = expr          # per-iteration contribution value
-        self.init = init          # initial accumulator operand
-        self.combiner = combiner  # the op itself (skipped during eval)
 
 
 class LoopInfo:
     """One loop of a matched nest."""
 
-    __slots__ = ("op", "kind", "depth", "parent", "reductions", "body",
-                 "bounds")
+    __slots__ = ("op", "kind", "depth", "parent", "body", "bounds")
 
     def __init__(self, op: Operation, kind: str, depth: int, parent: int):
         self.op = op
         self.kind = kind          # "scf" | "affine" | "fir"
         self.depth = depth        # number of enclosing nest loops
         self.parent = parent      # index of enclosing loop, -1 for root
-        self.reductions: List[Reduction] = []
         self.body = op.regions[0].blocks[0]
         #: compiled (lower, upper) bound maps of an ``affine.for``
         self.bounds = (op.lower_bound_map.compiled(),
@@ -210,60 +180,17 @@ def _loop_kind(name: str) -> str:
             "fir.do_loop": "fir"}[name]
 
 
-def _iter_operands(op: Operation) -> List[Value]:
-    """The initial accumulator operands of a loop op."""
-    if op.name == "affine.for":
-        return list(op.iter_args)
-    return list(op.operands[3:])
-
-
-def _defining_op(value: Value) -> Optional[Operation]:
-    return getattr(value, "op", None)
-
-
-def _match_reductions(info: LoopInfo, inits: List[Value],
-                      terminator: Operation) -> bool:
-    """Recognize every iter_arg as a restricted reduction; False declines."""
-    body = info.body
-    carried = list(body.args[1:])
-    if len(terminator.operands) != len(carried):
-        return False
-    for arg, init, yielded in zip(carried, inits, terminator.operands):
-        combiner = _defining_op(yielded)
-        if combiner is None or combiner.parent is not body \
-                or combiner.name not in REDUCE_COMBINERS:
-            return False
-        if len(arg.uses) != 1 or len(yielded.uses) != 1:
-            return False
-        a, b = combiner.operands[0], combiner.operands[1]
-        if a is arg and b is not arg:
-            expr = b
-        elif b is arg and a is not arg:
-            expr = a
-        else:
-            return False
-        if expr in carried:
-            return False
-        info.reductions.append(
-            Reduction(combiner.name, expr, init, combiner))
-    return True
-
-
 def _supported_body_op(op: Operation) -> bool:
     """Per-op admission check (loop ops handled by the caller)."""
     name = op.name
     if op.regions or op.successors:
         return False
-    if name in _FREE_OPS or name == "fir.convert":
+    if name in ("arith.constant", "fir.convert"):
         return True
     if name in _LOAD_OPS or name in _STORE_OPS or name in _BOX_OPS:
         return True
     if name == "fir.coordinate_of":
         return op.get_attr("field") is None and len(op.operands) <= 2
-    if name == "hlfir.designate":
-        return op.component is None and not op.triplets
-    if name in ("fir.array_coor", "affine.apply"):
-        return True
     if name in VALUE_OPS:
         # pure scalar dataflow only: vector-typed (e.g. vector<4xf64>)
         # operands/results would make the per-op runtime stats category
@@ -289,21 +216,15 @@ def _walk(plan: NestPlan, loop_op: Operation, depth: int,
     plan.steps.append(("loop", index))
 
     body = info.body
-    inits = _iter_operands(loop_op)
-    if len(body.args) != 1 + len(inits):
-        return False
     ops = list(body.ops)
     if not ops:
         return False
     terminator = ops[-1]
     if terminator.name not in _YIELD_OPS:
         return False
-    if inits and not _match_reductions(info, inits, terminator):
-        return False
-    if not inits and terminator.operands:
-        return False
+    if len(body.args) != 1 or terminator.operands:
+        return False    # loop-carried values (no pass makes one): iterate
 
-    skip = {red.combiner for red in info.reductions}
     for op in ops[:-1]:
         if op.name in LOOP_OPS:
             if not _walk(plan, op, depth + 1, index):
@@ -316,10 +237,9 @@ def _walk(plan: NestPlan, loop_op: Operation, depth: int,
             plan.cat_counts[index][category] = \
                 plan.cat_counts[index].get(category, 0) + 1
             plan.tops[index] += 1
-        if op not in skip:
-            plan.steps.append(("op", op, depth + 1, index))
-            if op.name in _MAPPED_OPS:
-                plan.maps[op] = op.get_attr("map").compiled()
+        plan.steps.append(("op", op, depth + 1, index))
+        if op.name in _MAPPED_OPS:
+            plan.maps[op] = op.get_attr("map").compiled()
     plan.steps.append(("end", index))
     return True
 
@@ -335,6 +255,6 @@ def match_nest(loop_op: Operation) -> Optional[NestPlan]:
     return plan
 
 
-__all__ = ["LOOP_OPS", "REDUCE_COMBINERS", "VECTOR_WORK_FLOOR", "LoopInfo",
-           "NestPlan", "Reduction", "match_nest", "stats_category",
-           "static_constant", "static_trip_count", "estimated_nest_work"]
+__all__ = ["LOOP_OPS", "VECTOR_WORK_FLOOR", "LoopInfo", "NestPlan",
+           "match_nest", "stats_category", "static_constant",
+           "static_trip_count", "estimated_nest_work"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from .interpreter import ExecutionStats
 from .models import (ARCHER2, CIRRUS_V100, CompilerProfile, CPUModel,
@@ -207,27 +207,4 @@ class PerformanceModel:
                                 "memory" if memory_s > compute_s else "compute")
 
 
-def modeled_runtime(module, scaling: WorkloadScaling, *,
-                    model: Optional[PerformanceModel] = None,
-                    profile: CompilerProfile = OURS_PROFILE,
-                    threads: int = 1, gpu: bool = False,
-                    engine: Optional[str] = None,
-                    max_ops: int = 80_000_000) -> RuntimeBreakdown:
-    """Execute ``module`` on the requested engine and model its runtime.
-
-    One-stop convenience for callers outside the service path: the engine
-    is an argument (``None``: the interpreter's default).
-    """
-    from .interpreter import Interpreter
-
-    interpreter = Interpreter(module, max_ops=max_ops, engine=engine)
-    interpreter.run_main()
-    model = model or PerformanceModel()
-    if gpu:
-        return model.gpu_runtime(interpreter.stats, scaling, profile)
-    return model.cpu_runtime(interpreter.stats, scaling, profile,
-                             threads=threads)
-
-
-__all__ = ["PerformanceModel", "RuntimeBreakdown", "WorkloadScaling",
-           "modeled_runtime"]
+__all__ = ["PerformanceModel", "RuntimeBreakdown", "WorkloadScaling"]

@@ -10,7 +10,7 @@ quantities from the interpreter's dynamic operation statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from .interpreter import ExecutionStats
 
@@ -33,24 +33,6 @@ class InstructionMix:
             "index_arith_fraction": self.index_arith_fraction,
             "estimated_memory_stall_fraction": self.estimated_memory_stall_fraction,
         }
-
-
-def profile_module(module, *, work_ratio: float = 1.0,
-                   engine: Optional[str] = None,
-                   max_ops: int = 80_000_000) -> InstructionMix:
-    """Execute ``module`` on the requested interpreter engine and profile it.
-
-    The engine is a parameter (compiled / reference / jit / vector;
-    ``None``: the interpreter's default); all engines produce
-    bit-identical statistics, so the mix is engine-independent — this hook
-    exists so harness callers can route profiling through whichever engine
-    they are already measuring with.
-    """
-    from .interpreter import Interpreter
-
-    interpreter = Interpreter(module, max_ops=max_ops, engine=engine)
-    interpreter.run_main()
-    return profile_stats(interpreter.stats, work_ratio)
 
 
 def profile_stats(stats: ExecutionStats, work_ratio: float = 1.0) -> InstructionMix:
@@ -87,4 +69,4 @@ def profile_stats(stats: ExecutionStats, work_ratio: float = 1.0) -> Instruction
     )
 
 
-__all__ = ["InstructionMix", "profile_module", "profile_stats"]
+__all__ = ["InstructionMix", "profile_stats"]

@@ -451,8 +451,7 @@ VALUE_OPS = {row.name: row for row in (
     _float_fn("math.atan2", 2, np.arctan2),
     *(_float_fn(name, 2, float_pow)
       for name in ("math.powf", "math.fpowi", "math.ipowi")),
-    *(_float_fn(name, 3, _fma, "float_fma", template="{0} * {1} + {2}")
-      for name in ("math.fma", "vector.fma", "llvm.intr.fmuladd")),
+    _float_fn("math.fma", 3, _fma, "float_fma", template="{0} * {1} + {2}"),
     _float_fn("arith.negf", 1, operator.neg, "float_arith",
               template="-{0}"),
     ValueOp("arith.cmpi", 2,
@@ -502,7 +501,7 @@ def vector_store(memref_value, indices, value) -> None:
 
 
 def vector_broadcast(scalar, width: int):
-    """``vector.broadcast`` / ``vector.splat`` of one scalar."""
+    """``vector.broadcast`` of one scalar."""
     return np.full(width, float(scalar))
 
 

@@ -6,13 +6,13 @@
 * memrefs are NumPy arrays (row-major, matching the reversed-dimension
   mapping of the standard flow) and rank-0 memrefs are :class:`Cell`,
 * vector values are small NumPy arrays of the vector width,
-* element references produced by HLFIR designators are :class:`ElementPtr`.
+* element references (``fir.coordinate_of``) are :class:`ElementPtr`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -32,33 +32,14 @@ class Cell:
 class FortranArray:
     """Column-major Fortran array storage used at the FIR level."""
 
-    __slots__ = ("data", "shape", "strides")
+    __slots__ = ("data", "shape")
 
-    def __init__(self, shape: Sequence[int], dtype=np.float64,
-                 data: Optional[np.ndarray] = None):
+    def __init__(self, shape: Sequence[int], dtype=np.float64):
         self.shape = tuple(int(s) for s in shape)
         size = 1
-        strides = []
         for s in self.shape:
-            strides.append(size)
             size *= s
-        #: column-major element strides, precomputed once (hot-path indexing)
-        self.strides = tuple(strides)
-        self.data = data if data is not None else np.zeros(size, dtype=dtype)
-
-    # -- indexing (1-based Fortran indices) ---------------------------------------
-    def flat_index(self, indices: Sequence[int]) -> int:
-        """Column-major flattening of 1-based indices."""
-        flat = 0
-        for idx, stride in zip(indices, self.strides):
-            flat += (int(idx) - 1) * stride
-        return flat
-
-    def get(self, indices: Sequence[int]):
-        return self.data[self.flat_index(indices)]
-
-    def set(self, indices: Sequence[int], value) -> None:
-        self.data[self.flat_index(indices)] = value
+        self.data = np.zeros(size, dtype=dtype)
 
     def as_numpy(self) -> np.ndarray:
         """The array as a NumPy ndarray with its Fortran shape."""
@@ -74,60 +55,25 @@ class FortranArray:
 
 @dataclass(slots=True)
 class ElementPtr:
-    """A reference to one element of an array (FIR-level designator)."""
+    """A reference to one element of an array (``fir.coordinate_of``)."""
 
     array: object                       # FortranArray | np.ndarray | Cell
-    indices: Tuple = ()                 # 1-based (FortranArray) or flat index
-    flat: Optional[int] = None
+    flat: int = 0                       # element offset in storage order
 
     def load(self):
         if isinstance(self.array, Cell):
             return self.array.value
         if isinstance(self.array, FortranArray):
-            if self.flat is not None:
-                return self.array.data[self.flat]
-            return self.array.get(self.indices)
-        if self.flat is not None:
-            return self.array.reshape(-1)[self.flat]
-        return self.array[tuple(int(i) for i in self.indices)]
+            return self.array.data[self.flat]
+        return self.array.reshape(-1)[self.flat]
 
     def store(self, value) -> None:
         if isinstance(self.array, Cell):
             self.array.value = value
-            return
-        if isinstance(self.array, FortranArray):
-            if self.flat is not None:
-                self.array.data[self.flat] = value
-            else:
-                self.array.set(self.indices, value)
-            return
-        if self.flat is not None:
-            self.array.reshape(-1)[self.flat] = value
+        elif isinstance(self.array, FortranArray):
+            self.array.data[self.flat] = value
         else:
-            self.array[tuple(int(i) for i in self.indices)] = value
-
-
-def load_element(array, indices: Tuple):
-    """Read one element, as :meth:`ElementPtr.load` would for these indices,
-    without allocating the intermediate pointer (interpreter fast path)."""
-    t = type(array)
-    if t is FortranArray:
-        return array.get(indices)
-    if t is Cell:
-        return array.value
-    return array[tuple(int(i) for i in indices)]
-
-
-def store_element(array, indices: Tuple, value) -> None:
-    """Write one element, as :meth:`ElementPtr.store` would for these indices,
-    without allocating the intermediate pointer (interpreter fast path)."""
-    t = type(array)
-    if t is FortranArray:
-        array.set(indices, value)
-    elif t is Cell:
-        array.value = value
-    else:
-        array[tuple(int(i) for i in indices)] = value
+            self.array.reshape(-1)[self.flat] = value
 
 
 def as_ndarray(value) -> np.ndarray:
@@ -155,4 +101,4 @@ def numpy_dtype_for(type_obj) -> np.dtype:
 
 
 __all__ = ["Cell", "FortranArray", "ElementPtr", "as_ndarray",
-           "load_element", "store_element", "numpy_dtype_for"]
+           "numpy_dtype_for"]

@@ -9,9 +9,7 @@ the *entire* nest as one batch of numpy array operations:
 * each loop's induction variable becomes an ``np.arange`` grid reshaped to
   its own broadcast axis (axis == loop depth), so an N-deep nest evaluates
   its body once over N-dimensional arrays instead of once per iteration;
-* loads gather, stores scatter, ``iter_args`` accumulators reduce with the
-  matching ufunc (restricted to combiners whose whole-array fold is
-  bit-identical to the sequential one);
+* loads gather, stores scatter;
 * every pure value op runs through its row of
   :data:`~repro.machine.semantics.VALUE_OPS` — the same kernel the
   iterative engines use, or the row's whole-array form where that differs
@@ -40,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..ir import types as ir_types
-from .interpreter import _FUSED_WITH_NEXT, Interpreter
+from .interpreter import Interpreter
 from .loop_patterns import (LOOP_OPS, VECTOR_WORK_FLOOR, estimated_nest_work,
                             match_nest)
 from .semantics import VALUE_OPS, Declined, int_grid
@@ -134,7 +132,6 @@ class _NestEval:
         self.shape: List[int] = []      # trip counts along self.path
         self.numel = 1
         self.rt_trips: List[int] = [0] * len(plan.loops)
-        self.rt_inits: List[List] = [None] * len(plan.loops)
         self.rt_final_iv: List[int] = [0] * len(plan.loops)
         self.seq = 0
         self.stores: List[_Store] = []
@@ -249,72 +246,18 @@ class _NestEval:
         body = info.body
         self._set(body.args[0], iv)
         self.iv_ids.add(id(iv))
-        self.rt_inits[index] = [self.value(red.init)
-                                for red in info.reductions]
 
     def _exit(self, index: int) -> None:
         info = self.plan.loops[index]
         trips = self.shape.pop()
         self.path.pop()
         self.numel //= trips
-        results = []
-        if info.kind == "fir":
-            results.append(self.rt_final_iv[index])
-        for red, init in zip(info.reductions, self.rt_inits[index]):
-            results.append(self._reduce(red, init, trips))
+        results = [self.rt_final_iv[index]] if info.kind == "fir" else []
         if info.parent < 0:
             self.root_results = list(zip(info.op.results, results))
         else:
             for res, val in zip(info.op.results, results):
                 self._set(res, val)
-
-    def _reduce(self, red, init, trips: int):
-        kind = red.kind
-        e = self.value(red.expr)
-        outer = len(self.shape)
-        if isinstance(e, np.ndarray):
-            full = tuple(self.shape) + (trips,)
-            eb = np.broadcast_to(self._align(e, outer + 1), full)
-            if eb.dtype.kind == "b":
-                raise _Abort
-            if kind == "arith.addi":
-                r = np.add.reduce(eb, axis=-1, dtype=eb.dtype)
-            elif kind == "arith.muli":
-                r = np.multiply.reduce(eb, axis=-1, dtype=eb.dtype)
-            elif kind in ("arith.maxsi", "arith.maximumf"):
-                r = np.maximum.reduce(eb, axis=-1)
-            else:
-                r = np.minimum.reduce(eb, axis=-1)
-            ia = self._align(init, outer)
-            if kind == "arith.addi":
-                out = ia + r
-            elif kind == "arith.muli":
-                out = ia * r
-            elif kind in ("arith.maxsi", "arith.maximumf"):
-                out = np.maximum(ia, r)
-            else:
-                out = np.minimum(ia, r)
-            if isinstance(out, np.ndarray):
-                self.grid_ids.add(id(out))
-            return out
-        # invariant per-iteration contribution
-        if isinstance(init, np.ndarray):
-            raise _Abort
-        if kind in ("arith.maxsi", "arith.minsi"):
-            # idempotent: folding an invariant t times == folding it once
-            return max(init, e) if kind == "arith.maxsi" else min(init, e)
-        if kind in ("arith.maximumf", "arith.minimumf"):
-            return np.maximum(init, e) if kind == "arith.maximumf" \
-                else np.minimum(init, e)
-        # exact only in unbounded Python ints; numpy scalars would wrap
-        if not isinstance(init, int) or isinstance(init, bool) \
-                or not isinstance(e, int) or isinstance(e, bool):
-            raise _Abort
-        if kind == "arith.addi":
-            return init + e * trips
-        if e not in (-1, 0, 1) and trips > 64:
-            raise _Abort        # muli blow-up: fall back
-        return init * e ** trips
 
     # ------------------------------------------------------------------ cells
     def _cell_load(self, cell: Cell, d: int):
@@ -479,20 +422,6 @@ class _NestEval:
         self.seq += 1
         return self.seq
 
-    def _ref_of_ptr(self, ptr: ElementPtr) -> _Ref:
-        arr = ptr.array
-        if isinstance(arr, Cell):
-            return _Ref("cell", arr)
-        if isinstance(arr, FortranArray):
-            flat = ptr.flat if ptr.flat is not None \
-                else arr.flat_index(ptr.indices)
-            return _Ref("fa", arr, flat)
-        if isinstance(arr, np.ndarray):
-            if ptr.flat is not None:
-                return _Ref("ndflat", arr, ptr.flat)
-            return _Ref("nd", arr, tuple(int(i) for i in ptr.indices))
-        raise _Abort
-
     # ------------------------------------------------------------------ body ops
     def _op(self, op, d: int) -> None:
         name = op.name
@@ -510,7 +439,7 @@ class _NestEval:
             elif t is _Ref:
                 r = self._gather(src, d)
             elif t is ElementPtr:
-                r = self._gather(self._ref_of_ptr(src), d)
+                raise _Abort     # an element address made outside the nest
             else:
                 r = src
             self._set(op.results[0], r)
@@ -522,17 +451,8 @@ class _NestEval:
                 self._cell_store(dest, value, op)
             elif t is _Ref:
                 self._scatter(dest, value, d, op)
-            elif t is ElementPtr:
-                self._scatter(self._ref_of_ptr(dest), value, d, op)
-            else:
-                raise _Abort     # iterative handler raises InterpreterError
-        elif name in ("fir.array_coor", "hlfir.designate"):
-            base = self.value(op.memref)
-            if name == "hlfir.designate" and type(base) is Cell:
-                base = base.value
-            comps = [self._int_like(self._align(self.value(v), d))
-                     for v in op.indices]
-            self._set(op.results[0], self._mk_ref(base, comps))
+            else:   # an outside ElementPtr, or what the handler rejects
+                raise _Abort
         elif name == "fir.coordinate_of":
             base = self.value(op.operands[0])
             if len(op.operands) > 1:
@@ -613,10 +533,6 @@ class _NestEval:
                     self._scatter(_Ref("ndflat", mem, 0), value, d, op)
                 else:
                     self._scatter(_Ref("nd", mem, indices), value, d, op)
-        elif name == "affine.apply":
-            comps = [self._int_like(self._align(self.value(v), d))
-                     for v in op.operands]
-            self._set(op.results[0], self.plan.maps[op].scalar(*comps))
         elif name == "arith.constant":
             self.vals[op.results[0]] = op.get_attr("value").value
         elif name == "fir.convert":
@@ -658,27 +574,8 @@ class _NestEval:
             self._set(op.results[1],
                       int(shape[dim]) if dim < len(shape) else 1)
             self._set(op.results[2], 1)
-        elif name in ("fir.undefined", "fir.absent", "fir.zero_bits"):
-            self.vals[op.results[0]] = 0
         else:
             raise _Abort
-
-    def _mk_ref(self, base, comps: List) -> _Ref:
-        if isinstance(base, FortranArray):
-            flat = 0
-            for c, s in zip(comps, base.strides):
-                flat = flat + (c - 1) * s
-            if isinstance(flat, np.ndarray):
-                self.grid_ids.add(id(flat))
-            return _Ref("fa", base, flat)
-        if isinstance(base, np.ndarray):
-            if id(base) in self.grid_ids:
-                raise _Abort
-            return _Ref("nd", base, tuple(comps))
-        if isinstance(base, Cell):
-            # ElementPtr(cell, ...) ignores indices: cell semantics
-            return _Ref("cell", base)
-        raise _Abort
 
     # ------------------------------------------------------------------ validate
     def _validate(self) -> None:
@@ -795,7 +692,7 @@ class _NestThunk:
         self.engine = engine
         self.plan = plan
         #: the iterative fallback: the compiled engine's own loop thunk
-        self.handler = engine.interp._compile_op(op, None)
+        self.handler = engine.interp._compile_op(op)
         self.aborts = 0
         self.iterative = False
 
@@ -857,13 +754,7 @@ class VectorEngine:
     def _compile_block(self, block) -> List:
         interp = self.interp
         code: List = []
-        ops = list(block.ops)
-        skip_next = False
-        for position, op in enumerate(ops):
-            if skip_next:
-                skip_next = False
-                continue
-            follower = ops[position + 1] if position + 1 < len(ops) else None
+        for op in block.ops:
             if op.name in LOOP_OPS:
                 work = estimated_nest_work(op)
                 if work is not None and work < VECTOR_WORK_FLOOR:
@@ -876,11 +767,7 @@ class VectorEngine:
                     continue
                 else:
                     self.declined_sites += 1
-            thunk = interp._compile_op(op, follower)
-            if thunk is _FUSED_WITH_NEXT:
-                thunk = interp._fused_thunk(op, follower)
-                skip_next = True
-            code.append(thunk)
+            code.append(interp._compile_op(op))
         return code
 
 

@@ -54,7 +54,10 @@ from .serialization import stats_from_dict, stats_to_dict
 #: v8: IEEE ``divf`` / pow on scalar floats (``SEMANTICS_VERSION`` 2) — a
 #: stored ``ok=False ... ZeroDivisionError`` artifact now means a printed
 #: ``inf`` / ``nan``.
-KEY_SCHEMA_VERSION = 8
+#: v9: declaration initialisers are honoured, module variables are the
+#: globals themselves in the standard flow and a FIR record is a record —
+#: a stored artifact of a program using one may hold a wrong answer.
+KEY_SCHEMA_VERSION = 9
 
 
 class ServiceError(RuntimeError):

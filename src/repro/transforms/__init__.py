@@ -1,30 +1,17 @@
 """Standard MLIR transformation and conversion passes.
 
 Importing this package registers every pass with the pass registry so that
-``PassManager.from_pipeline`` can resolve the pipeline strings used in the
-paper (Listing 1 and Figure 3).
+``PassManager.from_pipeline`` can resolve pipeline strings.
 """
 
-from .cleanup import (CanonicalizePass, CSEPass, FoldMemrefAliasOpsPass,
-                      LoopInvariantCodeMotionPass, MathUpliftToFMAPass,
-                      ReconcileUnrealizedCastsPass)
+from .cleanup import (CanonicalizePass, CSEPass, LoopInvariantCodeMotionPass,
+                      MathUpliftToFMAPass)
 from .convert_linalg_to_loops import ConvertLinalgToLoopsPass
-from .convert_scf_to_cf import ConvertScfToCfPass
-from .lower_affine import LowerAffinePass
-from .parallel_lowering import (ConvertOpenMPToLLVMPass,
-                                ConvertParallelLoopsToGpuPass,
+from .parallel_lowering import (ConvertParallelLoopsToGpuPass,
                                 ConvertScfToOpenMPPass)
-from .to_llvm import (ConvertArithToLLVMPass, ConvertCfToLLVMPass,
-                      ConvertFuncToLLVMPass, ConvertMathToLLVMPass,
-                      ConvertVectorToLLVMPass, FinalizeMemrefToLLVMPass)
 
 __all__ = [
-    "CanonicalizePass", "CSEPass", "FoldMemrefAliasOpsPass",
-    "LoopInvariantCodeMotionPass", "MathUpliftToFMAPass",
-    "ReconcileUnrealizedCastsPass", "ConvertLinalgToLoopsPass",
-    "ConvertScfToCfPass", "LowerAffinePass", "ConvertOpenMPToLLVMPass",
+    "CanonicalizePass", "CSEPass", "LoopInvariantCodeMotionPass",
+    "MathUpliftToFMAPass", "ConvertLinalgToLoopsPass",
     "ConvertParallelLoopsToGpuPass", "ConvertScfToOpenMPPass",
-    "ConvertArithToLLVMPass", "ConvertCfToLLVMPass", "ConvertFuncToLLVMPass",
-    "ConvertMathToLLVMPass", "ConvertVectorToLLVMPass",
-    "FinalizeMemrefToLLVMPass",
 ]

@@ -1,5 +1,5 @@
-"""Generic cleanup passes: canonicalisation, CSE, LICM, cast reconciliation,
-FMA uplifting and memref alias folding (all named in Listing 1 of the paper).
+"""Generic cleanup passes: canonicalisation, CSE, LICM, FMA uplifting and
+scalar store forwarding.
 """
 
 from __future__ import annotations
@@ -293,24 +293,6 @@ class LoopInvariantCodeMotionPass(Pass):
 
 
 # ---------------------------------------------------------------------------
-# reconcile-unrealized-casts
-# ---------------------------------------------------------------------------
-
-
-@register_pass
-class ReconcileUnrealizedCastsPass(Pass):
-    NAME = "reconcile-unrealized-casts"
-
-    def run(self, module: Operation) -> None:
-        for op in list(module.walk()):
-            if op.name != "builtin.unrealized_conversion_cast":
-                continue
-            if len(op.operands) == len(op.results):
-                op.replace_all_uses_with(list(op.operands))
-                op.erase(check_uses=False)
-
-
-# ---------------------------------------------------------------------------
 # math-uplift-to-fma
 # ---------------------------------------------------------------------------
 
@@ -338,49 +320,9 @@ class MathUpliftToFMAPass(Pass):
                     break
 
 
-# ---------------------------------------------------------------------------
-# fold-memref-alias-ops
-# ---------------------------------------------------------------------------
-
-
-@register_pass
-class FoldMemrefAliasOpsPass(Pass):
-    """Fold memref.subview views into the loads/stores that use them (for the
-    unit-stride case), removing the intermediate view at access time."""
-
-    NAME = "fold-memref-alias-ops"
-
-    def run(self, module: Operation) -> None:
-        for op in list(module.walk()):
-            if op.name not in ("memref.load", "memref.store", "affine.load",
-                               "affine.store", "vector.load", "vector.store"):
-                continue
-            memref_index = 0 if op.name in ("memref.load", "affine.load", "vector.load") else 1
-            source = op.operands[memref_index]
-            subview = getattr(source, "op", None)
-            if subview is None or subview.name != "memref.subview":
-                continue
-            strides = [_constant_of(s) for s in subview.strides]
-            if any(s != 1 for s in strides):
-                continue
-            base = subview.source
-            offsets = list(subview.offsets)
-            indices = list(op.operands[memref_index + 1:])
-            if len(indices) != len(offsets):
-                continue
-            new_indices = []
-            for index, offset in zip(indices, offsets):
-                add = arith.AddIOp(index, offset)
-                op.parent.insert_before(op, add)
-                new_indices.append(add.result)
-            new_operands = list(op.operands[:memref_index]) + [base] + new_indices
-            op.set_operands(new_operands)
-
-
 __all__ = [
     "CanonicalizePass", "CSEPass", "LoopInvariantCodeMotionPass",
-    "ReconcileUnrealizedCastsPass", "MathUpliftToFMAPass",
-    "FoldMemrefAliasOpsPass",
+    "MathUpliftToFMAPass",
 ]
 
 

@@ -23,7 +23,6 @@ class LinalgToLoops:
                 "linalg.dot": self._lower_dot,
                 "linalg.transpose": self._lower_transpose,
                 "linalg.reduce": self._lower_reduce,
-                "linalg.generic": self._lower_generic,
             }.get(op.name)
             if handler is not None and op.parent is not None:
                 handler(op)
@@ -171,30 +170,6 @@ class LinalgToLoops:
         if result_value is None and body.ops:
             result_value = body.ops[-1].results[0]
         body.add_op(memref_d.StoreOp(result_value, out, []))
-        self._finish_nest(loops)
-        op.erase(check_uses=False)
-
-    def _lower_generic(self, op: linalg.GenericOp) -> None:
-        inputs = list(op.inputs)
-        outputs = list(op.outputs)
-        extents = self._dims(op, outputs[0])
-        loops, ivs, body = self._loop_nest(op, extents)
-        loads = []
-        for value in inputs:
-            load = memref_d.LoadOp(value, ivs)
-            body.add_op(load)
-            loads.append(load.results[0])
-        region = op.body
-        value_map = dict(zip(region.args, loads))
-        yielded: Optional[Value] = None
-        for inner in region.ops:
-            if inner.name == "linalg.yield":
-                yielded = value_map.get(inner.operands[0], inner.operands[0])
-                continue
-            clone = inner.clone(value_map)
-            body.add_op(clone)
-        if yielded is not None:
-            body.add_op(memref_d.StoreOp(yielded, outputs[0], ivs))
         self._finish_nest(loops)
         op.erase(check_uses=False)
 

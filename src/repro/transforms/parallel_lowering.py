@@ -35,7 +35,7 @@ class ConvertScfToOpenMPPass(FunctionPass):
             old_iv.replace_all_uses_with(new_iv)
         for inner in list(op.body.ops):
             inner.detach()
-            if inner.name in ("scf.yield", "scf.reduce"):
+            if inner.name == "scf.yield":
                 inner.drop_all_references()
                 continue
             wsloop.body.add_op(inner)
@@ -98,7 +98,7 @@ class ConvertParallelLoopsToGpuPass(FunctionPass):
             target_block = loop.body
         for inner in list(op.body.ops):
             inner.detach()
-            if inner.name in ("scf.yield", "scf.reduce"):
+            if inner.name == "scf.yield":
                 inner.drop_all_references()
                 continue
             target_block.add_op(inner)
@@ -115,21 +115,4 @@ class ConvertParallelLoopsToGpuPass(FunctionPass):
         op.erase(check_uses=False)
 
 
-@register_pass
-class ConvertOpenMPToLLVMPass(FunctionPass):
-    """``convert-openmp-to-llvm``: in MLIR this converts the *contents* of omp
-    regions to the llvm dialect; the region structure itself survives until
-    translation.  Here it simply marks the omp ops as ready for translation
-    (their bodies are converted by the other to-llvm passes)."""
-
-    NAME = "convert-openmp-to-llvm"
-
-    def run_on_function(self, func: Operation) -> None:
-        from ..ir.attributes import IntegerAttr
-        for op in func.walk():
-            if op.dialect == "omp":
-                op.set_attr("llvm_ready", IntegerAttr(1))
-
-
-__all__ = ["ConvertScfToOpenMPPass", "ConvertParallelLoopsToGpuPass",
-           "ConvertOpenMPToLLVMPass"]
+__all__ = ["ConvertScfToOpenMPPass", "ConvertParallelLoopsToGpuPass"]

@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import os
 import sys
 
 import pytest
@@ -8,6 +9,9 @@ from repro.core import StandardMLIRCompiler, convert_fir_to_standard
 from repro.flang import FlangCompiler
 from repro.machine import Interpreter
 
+
+#: path fragment of the package under test (``count_lines``)
+_SRC = os.sep + os.path.join("src", "repro") + os.sep
 
 SIMPLE_PROGRAM = """
 program main
@@ -98,12 +102,17 @@ def last_value(interp) -> float:
 
 
 def count_lines(action) -> int:
-    """Python line events executed by ``action()`` — a deterministic stand-in
-    for its cost: the complexity guards compare counts, never seconds."""
+    """Python line events ``action()`` executes under ``src/repro`` — a
+    deterministic stand-in for its cost: the complexity guards compare
+    counts, never seconds.  Frames from elsewhere are not counted: a
+    collection that starts inside ``action`` runs hypothesis's
+    ``gc.callbacks`` hook, which is Python too."""
     lines = 0
 
     def tracer(frame, event, arg):
         nonlocal lines
+        if _SRC not in frame.f_code.co_filename:
+            return None
         if event == "line":
             lines += 1
         return tracer

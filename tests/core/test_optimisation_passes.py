@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import StandardMLIRCompiler, convert_fir_to_standard
-from repro.flang import FlangCompiler
 from repro.ir.pass_manager import PassManager
 from repro.ir.printer import print_op
 
@@ -212,8 +211,8 @@ class TestGPULowering:
         """Section VI-C: Flang v18 ICEs with a missing
         LLVMTranslationDialectInterface when OpenACC is used."""
         from repro.flang import FlangCodegenError
+        from repro.flows import get_flow
         from repro.workloads import pw_advection
-        src = pw_advection(openacc=True).source(scaled=True)
-        result = FlangCompiler().compile(src, stop_at="llvm")
-        assert not result.succeeded
-        assert "LLVMTranslationDialectInterface" in result.error
+        with pytest.raises(FlangCodegenError,
+                           match="LLVMTranslationDialectInterface"):
+            get_flow("flang").run(pw_advection(openacc=True))

@@ -13,8 +13,8 @@ import pytest
 from repro.conformance.generator import generate
 from repro.core import convert_fir_to_standard
 from repro.core.hoist_descriptor_loads import (
-    HoistDescriptorLoadsPass, _deduplicate_adjacent_loads, _enclosing_loops,
-    _is_container_load)
+    HoistDescriptorLoadsPass, _deduplicate_loads, _enclosing_loops,
+    _is_container_load, _ops_storing_to)
 from repro.core.scf_to_affine import ScfToAffine
 from repro.flang import FlangCompiler
 from repro.flows import available_flows, get_flow
@@ -65,7 +65,7 @@ def reference_hoist(func) -> int:
             target_loop.parent.insert_before(target_loop, op)
             hoisted += 1
             changed = True
-    hoisted += _deduplicate_adjacent_loads(func)
+    hoisted += _deduplicate_loads(func, _ops_storing_to(func))
     return hoisted
 
 

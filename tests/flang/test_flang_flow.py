@@ -1,9 +1,8 @@
-"""Tests for the baseline Flang flow (HLFIR -> FIR -> LLVM dialect)."""
+"""Tests for the baseline Flang flow (HLFIR -> FIR)."""
 
 import pytest
 
 from repro.dialects import dialects_used
-from repro.flang import FlangCompiler, FlangV17Compiler
 from repro.flang.runtime import (RUNTIME_SYMBOLS, dispatch, is_runtime_symbol)
 from repro.ir.printer import print_op
 from repro.machine import Interpreter
@@ -71,34 +70,6 @@ end program p
         body_names = [op.name for op in loops[0].walk()]
         # the box is re-loaded inside the loop (no hoisting in the baseline)
         assert "fir.load" in body_names and "fir.box_addr" in body_names
-
-
-class TestCodegen:
-    def test_llvm_only_output(self, simple_program_source, flang_compiler):
-        result = flang_compiler.compile(simple_program_source)
-        assert result.succeeded
-        used = dialects_used(result.llvm_module)
-        assert "fir" not in used and "hlfir" not in used
-        assert "scf" not in used and "memref" not in used
-        assert "llvm" in used
-
-    def test_loops_flattened_to_branches(self, simple_program_source, flang_compiler):
-        result = flang_compiler.compile(simple_program_source)
-        text = print_op(result.llvm_module)
-        assert '"llvm.br"' in text
-        assert '"llvm.cond_br"' in text
-
-    def test_scalar_only_floating_point(self, simple_program_source, flang_compiler):
-        """Section IV: Flang produces entirely scalar FP operations."""
-        result = flang_compiler.compile(simple_program_source)
-        text = print_op(result.llvm_module)
-        assert "vector" not in text
-
-    def test_v17_flow_description_differs(self):
-        v20 = FlangCompiler()
-        v17 = FlangV17Compiler()
-        assert v17.version.startswith("17")
-        assert v20.flow_description() != v17.flow_description()
 
 
 class TestRuntimeLibrary:

@@ -83,18 +83,19 @@ class TestAffineExpr:
 
 
 class TestPassInfrastructure:
-    def test_parse_pipeline_listing1(self):
-        from repro.core.pipelines import BASE_PIPELINE
-        entries = parse_pipeline(BASE_PIPELINE)
+    def test_parse_pipeline_optimise_stage(self):
+        from repro.core.pipelines import optimise_pipeline
+        entries = parse_pipeline(optimise_pipeline().describe())
         names = [n for n, _ in entries]
         assert names[0] == "canonicalize"
-        assert "convert-scf-to-cf" in names
-        assert ("convert-cf-to-llvm", {"index_bitwidth": 64}) in entries
+        assert "raise-scf-to-affine" in names
+        assert ("affine-super-vectorize",
+                {"virtual_vector_size": 4}) in entries
 
-    def test_every_listing1_pass_is_registered(self):
-        from repro.core.pipelines import BASE_PIPELINE
+    def test_every_optimise_stage_pass_is_registered(self):
+        from repro.core.pipelines import optimise_pipeline
         registered = set(available_passes())
-        for name, _ in parse_pipeline(BASE_PIPELINE):
+        for name, _ in parse_pipeline(optimise_pipeline().describe()):
             assert name in registered, f"pass {name} not registered"
 
     def test_unknown_pass_raises(self):

@@ -23,7 +23,6 @@ from repro.ir.attributes import IntegerAttr
 from repro.ir.builder import InsertPoint
 from repro.ir.core import Operation
 from repro.ir.serial import dumps_op, loads_op
-from repro.transforms.cfg import split_block
 
 from ..conftest import count_lines
 
@@ -144,30 +143,6 @@ class OpListHistory(RuleBasedStateMachine):
         self.models[self.side].append(op)
 
     @rule(position=POSITION)
-    def split_main(self, position):
-        before = self._pick(self.main, position)
-        if before is None:
-            return
-        model = self.models[self.main]
-        cut = model.index(before)
-        # split_block takes ops off the end until it meets ``before``: with a
-        # stale ``_last`` it would spin, so fail here instead
-        model[-1].detach()
-        assert self.main.last_op is (model[-2] if len(model) > 1 else None)
-        self.main.add_op(model[-1])
-        tail = split_block(self.main, before)
-        assert self.region.blocks == [self.main, tail, self.side]
-        assert list(tail.ops) == model[cut:]
-        assert all(op.parent is tail for op in tail.ops)
-        del model[cut:]
-        # fold the tail back in so the machine keeps its two blocks
-        for op in tail.ops:
-            self.side.add_op(op)
-            self.models[self.side].append(op)
-        assert not tail.ops
-        self.region.blocks.remove(tail)
-
-    @rule(position=POSITION)
     def foreign_anchor_is_refused(self, position):
         anchor = self._pick(self.side, position)
         if anchor is None:
@@ -195,11 +170,6 @@ class OpListHistory(RuleBasedStateMachine):
                 assert ops[probe] is model[probe]
                 assert ops.index(model[probe]) == probe
                 assert ops[1:probe + 1] == model[1:probe + 1]
-                other = (self.steps * 7 + 3) % len(model)
-                if probe != other:
-                    assert model[probe].is_before_in_block(model[other]) \
-                        is (probe < other)
-                assert not model[probe].is_before_in_block(model[probe])
             else:
                 with pytest.raises(IndexError):
                     ops[0]

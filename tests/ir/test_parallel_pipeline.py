@@ -1,13 +1,11 @@
-"""What function-granular compilation rides on: associative timing-report
-merges, the pickle layer the function store persists through, ambient
-pipeline settings, and the one-nest shape of the standard flow.
+"""What function-granular compilation rides on: the pickle layer the
+function store persists through, ambient pipeline settings, and the
+one-nest shape of the standard flow.
 """
 
 from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.flang import FlangCompiler
-from repro.ir import (PassManager, dumps_op, loads_op, pipeline_settings,
-                      print_op)
-from repro.ir.pass_manager import PassTimingReport
+from repro.ir import dumps_op, loads_op, pipeline_settings, print_op
 
 MULTI_FUNC = """
 subroutine pa(n)
@@ -43,37 +41,9 @@ subroutine pc(n)
 end subroutine pc
 """
 
-PIPELINE = ("builtin.module(func.func(canonicalize,cse,"
-            "forward-scalar-stores,canonicalize,cse,"
-            "loop-invariant-code-motion))")
-
-
 def _module():
     return convert_fir_to_standard(
         FlangCompiler().lower_to_hlfir(MULTI_FUNC))
-
-
-def _timing_structure(report):
-    return [(t.pass_name, t.anchor, t.ops_before, t.ops_after)
-            for t in report.timings]
-
-
-def _run():
-    module = _module()
-    pm = PassManager.from_pipeline(PIPELINE)
-    with pipeline_settings(function_cache=None):
-        pm.run(module)
-    return print_op(module), pm.last_report
-
-
-def test_merge_is_associative_and_order_preserving():
-    _, r1 = _run()
-    _, r2 = _run()
-    _, r3 = _run()
-    left = PassTimingReport.merge([PassTimingReport.merge([r1, r2]), r3])
-    right = PassTimingReport.merge([r1, PassTimingReport.merge([r2, r3])])
-    assert _timing_structure(left) == _timing_structure(right)
-    assert _timing_structure(left)[:len(r1.timings)] == _timing_structure(r1)
 
 
 def test_pickle_roundtrip_preserves_ir_and_renumbers_uids():

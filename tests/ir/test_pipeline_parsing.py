@@ -62,9 +62,9 @@ class TestOptionParsing:
 class TestPipelineParsing:
     def test_whitespace_and_newlines(self):
         entries = parse_pipeline(
-            "builtin.module(  canonicalize ,\n   cse  ,\tlower-affine )")
+            "builtin.module(  canonicalize ,\n   cse  ,\traise-scf-to-affine )")
         assert [n for n, _ in entries] == ["canonicalize", "cse",
-                                           "lower-affine"]
+                                           "raise-scf-to-affine"]
 
     def test_empty_entries_are_skipped(self):
         entries = parse_pipeline("builtin.module(canonicalize,,cse,)")
@@ -92,10 +92,10 @@ class TestPipelineParsing:
 
     def test_nested_anchor_entries(self):
         entries = parse_pipeline(
-            "builtin.module(func.func(canonicalize, cse), lower-affine)")
+            "builtin.module(func.func(canonicalize, cse), raise-scf-to-affine)")
         assert entries[0][0] == "func.func"
         assert [n for n, _ in entries[0][1]] == ["canonicalize", "cse"]
-        assert entries[1] == ("lower-affine", {})
+        assert entries[1] == ("raise-scf-to-affine", {})
 
     def test_nested_anchor_with_options(self):
         entries = parse_pipeline(
@@ -124,21 +124,22 @@ class TestDescribeRoundTrip:
     def test_flat_round_trip(self):
         pm = PassManager.from_pipeline(
             "builtin.module(canonicalize, cse, "
-            "convert-cf-to-llvm{index-bitwidth=64})")
+            "affine-super-vectorize{virtual-vector-size=4})")
         self.round_trip(pm)
 
     def test_nested_round_trip(self):
         pm = PassManager()
         pm.nest("func.func").add("canonicalize").add("cse")
-        pm.add("lower-affine")
+        pm.add("raise-scf-to-affine")
         rebuilt = self.round_trip(pm)
         assert isinstance(rebuilt.passes[0], PassManager)
         assert rebuilt.passes[0].anchor == "func.func"
 
-    def test_listing1_round_trips(self):
-        from repro.core.pipelines import BASE_PIPELINE
-        pm = PassManager.from_pipeline(BASE_PIPELINE)
-        assert parse_pipeline(pm.describe()) == parse_pipeline(BASE_PIPELINE)
+    def test_optimise_stage_round_trips(self):
+        from repro.core.pipelines import optimise_pipeline
+        text = optimise_pipeline(tile=True, unroll=2).describe()
+        pm = PassManager.from_pipeline(text)
+        assert parse_pipeline(pm.describe()) == parse_pipeline(text)
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(OPTION_NAMES, OPTION_VALUES, max_size=4))

@@ -131,8 +131,8 @@ end program p
 
 def _mapped_vector_module():
     """Hand-built: what the real passes never emit together — maps with
-    ``floordiv``/``mod``/``ceildiv``, bound maps over operands, an
-    ``affine.apply``, and a lane window that runs off the end of its row
+    ``floordiv``/``mod``/``ceildiv``, bound maps over operands, and a lane
+    window that runs off the end of its row
     (a ragged last vector) on both ``vector.load`` and ``vector.store``."""
     from repro.dialects import affine, arith, func, memref, vector
     from repro.dialects.builtin import ModuleOp
@@ -161,8 +161,9 @@ def _mapped_vector_module():
     fill_i.body.add_op(fill_j)
     fill_i.body.add_op(affine.AffineYieldOp())
     i, j = fill_i.induction_variable, fill_j.induction_variable
-    flat = emit(fill_j.body, affine.AffineApplyOp(
-        AffineMapAttr(2, 0, [d0 * 10 + d1]), [i, j]))
+    ten = emit(fill_j.body, arith.ConstantOp(10, T.index))
+    tens = emit(fill_j.body, arith.MulIOp(i, ten))
+    flat = emit(fill_j.body, arith.AddIOp(tens, j))
     as_int = emit(fill_j.body, arith.IndexCastOp(flat, T.i64))
     as_real = emit(fill_j.body, arith.SIToFPOp(as_int, T.f64))
     fill_j.body.add_op(affine.AffineStoreOp(as_real, a, [i, j]))

@@ -281,9 +281,8 @@ class TestGeneratorMechanics:
 """)
         module = _compile_ours(source)
         jit = _assert_jit_identical(module)
-        translated = {"affine.load", "affine.store", "affine.apply",
-                      "affine.for", "vector.load", "vector.store",
-                      "vector.broadcast", "vector.splat",
+        translated = {"affine.load", "affine.store", "affine.for",
+                      "vector.load", "vector.store", "vector.broadcast",
                       "vector.reduction"}
         present = {op.name for op in module.walk()} & translated
         assert {"affine.load", "affine.for", "vector.load", "vector.store",

@@ -229,7 +229,7 @@ class TestCompiledPrograms:
                  if step[0] == "loop"]
         holding = [part for loop in loops for part in loop[2]
                    if part[0] == "part"
-                   and any(step[0] in ("fused", "fusedcoor")
+                   and any(step[0] == "fusedcoor"
                            for step in part[1].steps)]
         assert len(holding) >= 4
 

@@ -469,7 +469,7 @@ def test_table_membership_matches_every_consumer():
                   if name.split(".")[0] in ("arith", "math")}
     assert registered - {"arith.constant"} == \
         {name for name in rows if name.split(".")[0] in ("arith", "math")}
-    assert rows - registered == {"vector.fma", "llvm.intr.fmuladd"}
+    assert rows <= registered
     # compiled: exactly the rows share the generic maker
     assert {name for name, maker in interpreter._THUNK_MAKERS.items()
             if maker is interpreter._mk_value_op} == rows

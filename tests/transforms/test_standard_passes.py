@@ -1,17 +1,15 @@
-"""Tests for the standard MLIR transformation passes (Listing 1)."""
+"""Tests for the standard MLIR transformation passes."""
 
 import pytest
 
 from repro.core import StandardMLIRCompiler, convert_fir_to_standard
-from repro.core.pipelines import base_pipeline, to_llvm_pipeline
-from repro.dialects import arith, dialects_used, func as func_d, memref, scf
+from repro.dialects import arith, func as func_d, memref, scf
 from repro.flang import FlangCompiler
 from repro.ir import Block, PassManager
 from repro.ir import types as T
 from repro.ir.printer import print_op
 from repro.machine import Interpreter
-from repro.transforms.cleanup import (FoldMemrefAliasOpsPass,
-                                      ForwardScalarStoresPass,
+from repro.transforms.cleanup import (ForwardScalarStoresPass,
                                       LoopInvariantCodeMotionPass)
 
 from ..conftest import last_value, run_flang, run_ours
@@ -221,64 +219,6 @@ class TestForwardScalarStores:
         _run_pass_and_compare(SRC, "builtin.module(forward-scalar-stores)")
 
 
-class TestFoldMemrefAliasOpsUnitTests:
-    def _subview_load(self, stride):
-        fn = func_d.FuncOp("main", T.FunctionType((), ()))
-        entry = fn.entry_block
-        base = memref.AllocaOp(T.MemRefType([10], T.f64))
-        offset = arith.ConstantOp(3, T.index)
-        size = arith.ConstantOp(3, T.index)
-        stride_c = arith.ConstantOp(stride, T.index)
-        entry.add_ops([base, offset, size, stride_c])
-        subview = memref.SubViewOp(base.results[0], [offset.result],
-                                   [size.result], [stride_c.result])
-        entry.add_op(subview)
-        index = arith.ConstantOp(1, T.index)
-        entry.add_op(index)
-        load = memref.LoadOp(subview.results[0], [index.result])
-        entry.add_op(load)
-        entry.add_op(func_d.ReturnOp())
-        from repro.dialects.builtin import ModuleOp
-        return ModuleOp([fn]), base, subview, load
-
-    def test_unit_stride_subview_is_folded(self):
-        module, base, subview, load = self._subview_load(stride=1)
-        FoldMemrefAliasOpsPass().run(module)
-        assert load.operands[0] is base.results[0]
-        # the rebased index is offset + index, materialised as an addi
-        assert getattr(load.operands[1], "op").name == "arith.addi"
-
-    def test_strided_subview_is_not_folded(self):
-        """Folding a non-unit-stride view as a plain offset would read the
-        wrong elements: the pass must leave it alone."""
-        module, base, subview, load = self._subview_load(stride=2)
-        FoldMemrefAliasOpsPass().run(module)
-        assert load.operands[0] is subview.results[0]
-
-    def test_execution_equivalence_on_section_call(self):
-        src = """
-subroutine total(v, t)
-  implicit none
-  real(kind=8), dimension(3), intent(in) :: v
-  real(kind=8), intent(out) :: t
-  t = v(1) + v(2) + v(3)
-end subroutine total
-
-program p
-  implicit none
-  real(kind=8), dimension(10) :: a
-  real(kind=8) :: t
-  integer :: i
-  do i = 1, 10
-    a(i) = real(i, 8)
-  end do
-  call total(a(4:6), t)
-  print *, t
-end program p
-"""
-        _run_pass_and_compare(src, "builtin.module(fold-memref-alias-ops)")
-
-
 class TestConversions:
     def test_linalg_to_loops(self):
         module = standard_module(SRC)
@@ -287,28 +227,12 @@ class TestConversions:
         assert not any(n.startswith("linalg.") for n in names)
         assert "scf.for" in names
 
-    def test_scf_to_cf_flattens_structured_flow(self):
-        module = standard_module(SRC)
-        PassManager.from_pipeline(
-            "builtin.module(convert-linalg-to-loops, convert-scf-to-cf)").run(module)
-        names = {op.name for op in module.walk()}
-        assert "scf.for" not in names and "scf.if" not in names
-        assert "cf.br" in names and "cf.cond_br" in names
-
-    def test_full_listing1_pipeline_reaches_llvm(self):
-        module = standard_module(SRC)
-        base_pipeline().run(module)
-        to_llvm_pipeline().run(module)
-        used = dialects_used(module)
-        assert "scf" not in used and "memref" not in used and "affine" not in used
-        assert "llvm" in used
-
     def test_scf_to_openmp(self):
         result = StandardMLIRCompiler(vector_width=0, parallelise=True).compile(SRC)
         names = {op.name for op in result.optimised_module.walk()}
         assert "omp.parallel" in names
 
-    def test_fold_memref_alias_ops_on_subviews(self):
+    def test_section_argument_reads_through_a_subview(self):
         src = """
 subroutine total(v, t)
   implicit none
