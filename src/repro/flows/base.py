@@ -164,10 +164,10 @@ DEFAULT_ENGINE = "jit"
 class ExecutionContext:
     """How a compiled artifact will be executed (not *what* is compiled).
 
-    Stats depend on whether execution is parallel or offloaded, not on the
-    exact core count, so the cache-key material buckets ``threads`` down to
-    a boolean.  ``engine`` names the interpreter engine; each engine's
-    artifacts are cached separately so differential runs can compare them.
+    Key material is what a flow or the interpreter reads: ``gpu`` and
+    ``engine`` (each engine's artifacts are cached separately so
+    differential runs can compare them).  ``threads`` reaches an artifact
+    only through ``ours``'s ``parallelise`` option, so it is not here.
     """
 
     threads: int = 1
@@ -184,8 +184,7 @@ class ExecutionContext:
         return self.threads > 1
 
     def key_material(self) -> Dict[str, Any]:
-        return {"parallel": self.parallel, "gpu": bool(self.gpu),
-                "engine": self.engine}
+        return {"gpu": bool(self.gpu), "engine": self.engine}
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,9 @@ class SemanticAnalyzer:
         self.result = AnalysisResult(unit=unit)
         #: function name -> result FType, for typing calls
         self.function_results: Dict[str, FType] = {}
+        #: the last statement of the main program being analysed (None in
+        #: any other subprogram): the one place a STOP may stand
+        self._final_stop: Optional[ast.Stmt] = None
 
     # -------------------------------------------------------------- driver
     def analyze(self) -> AnalysisResult:
@@ -305,6 +308,8 @@ class SemanticAnalyzer:
             result_symbol.is_function_result = True
         info = SubprogramInfo(subprogram=sp, symbols=symbols,
                               result_symbol=result_symbol)
+        self._final_stop = sp.body[-1] if sp.kind == "program" and sp.body \
+            else None
         self._desugar_exits(sp.body, symbols)
         self._analyze_statements(sp.body, symbols)
         return info
@@ -541,8 +546,15 @@ class SemanticAnalyzer:
             ]
         elif isinstance(stmt, ast.PrintStmt):
             stmt.items = [self._resolve_expr(i, symbols) for i in stmt.items]
-        elif isinstance(stmt, ast.StopStmt) and stmt.code is not None:
-            stmt.code = self._resolve_expr(stmt.code, symbols)
+        elif isinstance(stmt, ast.StopStmt):
+            # STOP lowers to a runtime call that returns: exact only where
+            # nothing can run after it
+            if stmt is not self._final_stop:
+                raise SemanticError(
+                    f"STOP at {stmt.loc}: only a STOP that ends the main "
+                    f"program is supported")
+            if stmt.code is not None:
+                stmt.code = self._resolve_expr(stmt.code, symbols)
         # Exit/Cycle/Goto/Continue/Return/Deallocate need no resolution
 
     def _define_implicit(self, target: ast.Expr, symbols: SymbolTable) -> None:

@@ -2,8 +2,8 @@
 
 Each ``table*`` function returns an :class:`ExperimentTable` holding modeled
 measurements alongside the paper's published values, so the benchmark suite
-(and EXPERIMENTS.md) can compare shapes: who wins, by roughly what factor,
-and where the crossovers are.
+can compare shapes: who wins, by roughly what factor, and where the
+crossovers are.
 """
 
 from __future__ import annotations

@@ -978,10 +978,11 @@ class Interpreter:
         runtime entry points."""
         self.stats.runtime_calls[name] += 1
         self.stats.bump(self.context, "runtime_call")
+        if name == "_FortranAStopStatement":
+            # semantics admits a STOP only where the program ends anyway
+            return []
         if name in flang_runtime.IO_SYMBOLS or name.startswith("_FortranAio"):
             self.printed.append(" ".join(str(self._unbox(a)) for a in args))
-            return []
-        if name == "_FortranAStopStatement":
             return []
         if name == "_FortranAAssign":
             value, target = args[0], args[1]

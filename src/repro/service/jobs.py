@@ -147,8 +147,6 @@ class CompileJob:
             "flow": self.flow,
             "workload": workload.identity(),
             "pipeline": self.pipeline_options(workload),
-            # stats depend on *whether* execution is parallel/offloaded, not
-            # on the core count, so thread counts bucket to one artifact
             "execution": self.execution().key_material(),
         }
 

@@ -64,13 +64,15 @@ def jobs_for(table: str,
             for flow in ("ours", "flang"):
                 jobs.append(CompileJob(flow, name, workload_kwargs=kwargs,
                                        engine=engine))
-                # all core counts share one parallel-bucket artifact
+                # shares the serial job's artifact: threads are not key
+                # material, and an OpenMP source is never ``parallelise``d
                 jobs.append(CompileJob(flow, name, workload_kwargs=kwargs,
                                        threads=2, engine=engine))
     elif table == "table5":
         for cells in TABLE5_GRID_SIZES:
             kwargs = (("openacc", True), ("grid_cells", cells))
-            # ours and the modeled nvfortran column share this artifact
+            # one artifact for ours, the modeled nvfortran column and every
+            # grid size (a paper size the perf model scales to)
             jobs.append(CompileJob("ours", "pw-advection",
                                    workload_kwargs=kwargs, gpu=True,
                                    engine=engine))

@@ -48,17 +48,13 @@ class Workload:
     def identity(self) -> Dict:
         """Stable, JSON-serialisable identity used in service cache keys.
 
-        Two workloads with the same identity compile to the same artifact
-        *and* scale it identically, so paper/interp parameters participate
-        even though only the scaled source reaches the compiler.
+        Only what compiling and executing the workload reads: the name
+        (written into the artifact), the OpenMP/OpenACC flags and the hash
+        of the scaled source.  Paper sizes are scaling input the harness
+        reads from the live workload, not artifact identity.
         """
         return {
             "name": self.name,
-            "category": self.category,
-            "paper_params": {k: self.paper_params[k]
-                             for k in sorted(self.paper_params)},
-            "interp_params": {k: self.interp_params[k]
-                              for k in sorted(self.interp_params)},
             "uses_openmp": self.uses_openmp,
             "uses_openacc": self.uses_openacc,
             "source_sha256": self.source_hash(),

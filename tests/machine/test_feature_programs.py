@@ -5,10 +5,10 @@ Three things live here:
 * ``PROGRAMS`` — small sources for module variables (shared, initialised,
   with a module procedure), declaration initialisers, derived types,
   strided sections, whole-array copies, (re)allocation, array inquiries,
-  pointer assignment, an array element bound to a scalar dummy and a
-  character literal — run on every flow that accepts them x all four
-  engines: the printed output equals a written expectation and the stats
-  equal the ``reference`` engine's bit for bit;
+  pointer assignment, an array element bound to a scalar dummy, a
+  character literal and a trailing STOP — run on every flow that accepts
+  them x all four engines: the printed output equals a written
+  expectation and the stats equal the ``reference`` engine's bit for bit;
 * ``FIXTURES`` — pass-equivalence fixtures for ops that exist only *before*
   the optimise stage (``linalg.*``, the ``acc.*`` host fallback,
   ``scf.parallel``): the standard-stage module prints the same before and
@@ -176,6 +176,17 @@ program p
   print *, 'k is', k
 end program p
 """, ["k is 7"], ("flang",)),
+    # any other STOP: test_stop_that_does_not_end_the_program_is_rejected
+    "trailing-stop": ("""
+program p
+  implicit none
+  integer :: i
+  do i = 1, 2
+    print *, i
+  end do
+  stop
+end program p
+""", ["1", "2"], BOTH),
 }
 
 #: name -> (source, the pipelines applied one after another)
@@ -336,6 +347,36 @@ def test_initialiser_that_cannot_be_honoured_is_rejected(source, needles):
         FlangCompiler().lower_to_hlfir(source)
     for needle in needles:
         assert needle in str(failure.value)
+
+
+@pytest.mark.parametrize(("source", "line"), [
+    ("""
+program p
+  integer :: i
+  do i = 1, 3
+    print *, i
+    if (i == 2) stop
+  end do
+  print *, 99
+end program p
+""", "line 6"),
+    ("""
+subroutine f()
+  stop
+end subroutine f
+program p
+  call f()
+  print *, 1
+end program p
+""", "line 3"),
+], ids=["inside-a-loop", "in-a-subroutine"])
+def test_stop_that_does_not_end_the_program_is_rejected(source, line):
+    # run as a no-op, it would print what follows it
+    for flow in BOTH:
+        with pytest.raises(SemanticError) as failure:
+            compile_on(flow, source)
+        assert "STOP" in str(failure.value)
+        assert line in str(failure.value)
 
 
 def test_every_engine_arm_names_an_op_some_test_executes():

@@ -284,7 +284,7 @@ end subroutine bump
 
 
 def test_no_table_job_has_a_unit_above_the_cap():
-    """Every block of the 53 unique table jobs, emitted under the real
+    """Every block of the 46 unique table jobs, emitted under the real
     budget: the largest unit any ``compile()`` could be handed."""
     from repro.flows import get_flow
     from repro.service import enumerate_jobs
@@ -292,7 +292,7 @@ def test_no_table_job_has_a_unit_above_the_cap():
     unique = {}
     for job in enumerate_jobs(None, None):
         unique.setdefault(job.key(), job)
-    assert len(unique) == 53
+    assert len(unique) == 46
     largest, most_units = 0, 0
     for job in unique.values():
         result = get_flow(job.flow).run(job.resolve_workload(),

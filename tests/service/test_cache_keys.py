@@ -1,9 +1,13 @@
 """Cache-key correctness: every input that changes the artifact changes the
 key, everything that doesn't deduplicates to one key."""
 
+import dataclasses
+import json
+from collections import defaultdict
+
 import pytest
 
-from repro.service import CompileJob
+from repro.service import CompileJob, enumerate_jobs, run_job
 from repro.workloads import get_workload, jacobi, pw_advection
 
 
@@ -37,9 +41,25 @@ class TestPipelineOptionKeys:
             key(options={"unroll": 4, "tile": True})
 
     def test_thread_counts_bucket_to_one_parallel_artifact(self):
-        # stats depend on parallel-vs-serial, not on the core count
+        # a non-OpenMP source differs serial vs threaded (``parallelise``),
+        # never by core count
         assert key(threads=2) == key(threads=64)
         assert key(threads=1) != key(threads=2)
+
+    @pytest.mark.parametrize("flow", ["ours", "flang"])
+    @pytest.mark.parametrize("name", ["jacobi", "pw-advection"])
+    def test_openmp_sources_share_a_key_at_every_thread_count(self, flow,
+                                                              name):
+        # an OpenMP source parallelises itself: Table IV's serial and
+        # threaded cells are one artifact, scaled by the perf model
+        keys = {CompileJob(flow, name, workload_kwargs=(("openmp", True),),
+                           threads=threads).key()
+                for threads in (1, 2, 64)}
+        assert len(keys) == 1
+
+    def test_flang_gpu_flag_still_changes_the_key(self):
+        # FlangFlow.check_capabilities reads it: the GPU job is a failure
+        assert key(flow="flang", gpu=True) != key(flow="flang", gpu=False)
 
     def test_flang_flow_ignores_standard_pipeline_options(self):
         # vector_width/tile/unroll are not in the flang flow's schema, so
@@ -74,14 +94,24 @@ class TestWorkloadVariantKeys:
                          workload=pw_advection(openacc=True)).key()
         assert base != acc
 
-    def test_grid_cells_variant_changes_the_key(self):
+    def test_grid_cells_variants_share_a_key(self):
+        # grid_cells sizes only the paper-scale run the perf model scales
+        # to; the interpreted source is the same
         small = CompileJob("ours", "pw-advection", gpu=True,
                            workload=pw_advection(openacc=True,
                                                  grid_cells=134_000_000)).key()
         large = CompileJob("ours", "pw-advection", gpu=True,
                            workload=pw_advection(openacc=True,
                                                  grid_cells=536_000_000)).key()
-        assert small != large
+        assert small == large
+
+    def test_paper_params_only_change_shares_a_key(self):
+        base = get_workload("jacobi")
+        bigger = dataclasses.replace(
+            base, paper_params={**base.paper_params, "n": 4096})
+        assert bigger.source() == base.source()
+        assert CompileJob("ours", "jacobi", workload=bigger).key() == \
+            CompileJob("ours", "jacobi", workload=base).key()
 
     def test_attached_and_registry_workloads_agree(self):
         # the pool worker resolves the workload via the registry; the key it
@@ -108,6 +138,26 @@ class TestWorkloadVariantKeys:
         assert back.key() == job.key()
 
 
+def test_table_job_keys_are_exactly_as_fine_as_their_artifacts():
+    """Over every job the six tables submit, two jobs share a key if and
+    only if they compile and run to the same payload: a coarser key would
+    serve a wrong artifact, a finer one compiles the same one twice."""
+    artifacts = {}
+    for job in enumerate_jobs():
+        spec = json.dumps(job.spec(), sort_keys=True)
+        if spec not in artifacts:
+            payload = run_job(job).to_payload()
+            artifacts[spec] = (payload.pop("key"),
+                               json.dumps(payload, sort_keys=True))
+    payloads_by_key, keys_by_payload = defaultdict(set), defaultdict(set)
+    for key, payload in artifacts.values():
+        payloads_by_key[key].add(payload)
+        keys_by_payload[payload].add(key)
+    assert all(len(payloads) == 1 for payloads in payloads_by_key.values())
+    assert all(len(keys) == 1 for keys in keys_by_payload.values())
+    assert len(payloads_by_key) == 46
+
+
 class TestKeyMaterial:
     def test_material_names_schema_flow_and_source_hash(self):
         material = CompileJob("ours", "dotproduct").key_material()
@@ -124,6 +174,8 @@ class TestKeyMaterial:
         threaded = CompileJob("ours", "dotproduct", threads=8).key_material()
         assert serial["pipeline"]["parallelise"] is False
         assert threaded["pipeline"]["parallelise"] is True
+        # ... and that is the only way a thread count reaches the key
+        assert serial["execution"] == threaded["execution"]
         acc = CompileJob("ours", "pw-advection",
                          workload=pw_advection(openacc=True)).key_material()
         assert acc["pipeline"]["gpu"] is True
