@@ -146,10 +146,10 @@ JIT_UNIT_BYTES_CAP = 48 * 1024
 UNIT_CAP_PROBE = ("pw-advection", "flang-fir")
 #: CI gate: source handed to ``compile()`` by the rows' cold first jit
 #: runs, summed — the regenerated ``jit_source_bytes`` + 5 %, for the full
-#: row set (207,465) and for ``--quick``'s (52,705), keyed by ``quick``.
-#: Before the emitter used producer-proven kinds the same rows read
-#: 352,089 / 94,576.
-JIT_SOURCE_BYTES_CAP = {False: 217_838, True: 55_340}
+#: row set (129,244) and for ``--quick``'s (34,546), keyed by ``quick``.
+#: Before the IR type decided a value's kind the same rows read
+#: 207,465 / 52,705, and before producer-proven kinds 352,089 / 94,576.
+JIT_SOURCE_BYTES_CAP = {False: 135_706, True: 36_273}
 
 
 def compile_both(source: str):

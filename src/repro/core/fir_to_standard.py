@@ -901,15 +901,22 @@ class FirToStandardLowering:
             call = self._insert(func_d.CallOp(callee, new_operands, result_types))
         else:
             kinds = self.function_arg_kinds[callee]
+            copy_out: List[Tuple[Value, ElementRef]] = []
             for v, expected, kind in zip(op.operands, signature.inputs, kinds):
-                new_operands.append(self._convert_call_argument(v, expected, kind))
+                new_operands.append(
+                    self._convert_call_argument(v, expected, kind, copy_out))
             call = self._insert(func_d.CallOp(callee, new_operands,
                                               list(signature.results)))
+            for temp, ref in copy_out:
+                self._store_element(
+                    ref, self._insert(memref_d.LoadOp(temp, [])).results[0])
         for old, new in zip(op.results, call.results):
             self.value_map[old] = new
 
     def _convert_call_argument(self, old: Value, expected: ir_types.Type,
-                               kind: str) -> Value:
+                               kind: str,
+                               copy_out: List[Tuple[Value, ElementRef]]
+                               ) -> Value:
         binding = self._binding_for(old)
         element_ref = self.element_refs.get(old)
         if kind == "ssa":
@@ -936,12 +943,20 @@ class FirToStandardLowering:
             return binding.value
         if element_ref is not None and element_ref.is_section:
             return element_ref.section_value
-        mapped = self._map(old)
-        if isinstance(mapped.type, ir_types.MemRefType):
-            return mapped
-        # scalar expression passed to a memref dummy: materialise a temporary
+        if element_ref is not None:
+            # an array element: copied in here and out after the call, so
+            # the callee sees one element (a Cell on every engine), never
+            # the array behind the designate
+            mapped = self._load_element(element_ref)
+        else:
+            mapped = self._map(old)
+            if isinstance(mapped.type, ir_types.MemRefType):
+                return mapped
+        # a scalar passed to a memref dummy: materialise a temporary
         temp = self._insert(memref_d.AllocaOp(ir_types.MemRefType([], mapped.type)))
         self._insert(memref_d.StoreOp(mapped, temp.results[0], []))
+        if element_ref is not None:
+            copy_out.append((temp.results[0], element_ref))
         return temp.results[0]
 
     def _op_func_return(self, op: Operation) -> None:

@@ -35,9 +35,9 @@ conformance oracle and ``tests/machine`` assert on every workload.
 A translation is addressed by the digest of the source it was compiled from
 (:func:`_translation_for`), so whatever changes the source changes the key
 and the emitter may specialise on anything it can see: :func:`_kind` reads
-a value's run-time class off its defining op, and the ``_emit_*`` functions
-write the one branch a proven class can take — the run-time switch only
-where the producer proves nothing.
+a value's run-time class off its IR type, refined by its defining op, and
+the ``_emit_*`` functions write the one branch a proven class can take —
+the run-time switch only where neither proves it.
 
 Why deferred counter flushing is exact: every statistics bump is an
 integer-valued float (``+= 1.0`` or an integer element count), and sums of
@@ -131,15 +131,31 @@ def _convert_kind(target) -> Optional[str]:
     return None
 
 
+def _type_kind(type_) -> Optional[str]:
+    """What a value's IR type proves under the machine's value contract —
+    a multi-element ndarray reaches an SSA value only through a ``vector``
+    type: a scalar type holds a ``"scalar"``, a memref of rank >= 1 an
+    ``"ndarray"``.  A rank-0 memref proves nothing (a :class:`Cell`, or the
+    0-d ndarray a rank-0 global or subview is), nor does a ``fir``
+    reference or box (a :class:`Cell`, an :class:`ElementPtr`, ...)."""
+    if isinstance(type_, (ir_types.IntegerType, ir_types.IndexType,
+                          ir_types.FloatType)):
+        return "scalar"
+    if isinstance(type_, ir_types.MemRefType) and type_.rank:
+        return "ndarray"
+    return None
+
+
 def _kind(value: Value, memo: Dict[Value, Optional[str]]) -> Optional[str]:
-    """What the op defining ``value`` proves about its run-time class, on
-    every engine that can bind it: ``"int"`` / ``"float"`` (exactly that
-    Python type), ``"scalar"`` (a Python or NumPy number, never an ndarray
-    or a storage object), ``"cell"`` (a :class:`Cell`), ``"ndarray"`` (of
-    the memref's rank) — or ``None``: function and block arguments, loaded
-    ``fir`` values, call and fallback results prove nothing and keep the
-    run-time switch.  Whatever this changes in the emitted source changes
-    the translation's address with it."""
+    """What ``value`` is at run time, on every engine that can bind it:
+    ``"int"`` / ``"float"`` (exactly that Python type), ``"scalar"`` (a
+    Python or NumPy number, never an ndarray or a storage object),
+    ``"cell"`` (a :class:`Cell`), ``"ndarray"`` (of the memref's rank) — or
+    ``None``, which keeps the run-time switch.  The type decides
+    (:func:`_type_kind`); the defining op refines it to an exact class or a
+    cell, and a ``fir.convert`` passes its operand's storage through.
+    Whatever this changes in the emitted source changes the translation's
+    address with it."""
     if value in memo:
         return memo[value]
     kind = None
@@ -158,27 +174,22 @@ def _kind(value: Value, memo: Dict[Value, Optional[str]]) -> Optional[str]:
         if not isinstance(op.get_attr("in_type").type, fir_d.SequenceType):
             kind = "cell"
     elif name in ("memref.alloc", "memref.alloca"):
-        kind = "cell" if value.type.rank == 0 else "ndarray"
-    elif name in ("memref.load", "affine.load"):
-        subscripts = len(op.get_attr("map").results) \
-            if name == "affine.load" else len(op.operands) - 1
-        if _kind(op.operands[0], memo) == "ndarray" \
-                and subscripts == op.operands[0].type.rank:
-            kind = "scalar"
+        if value.type.rank == 0:
+            kind = "cell"
+    elif name == "fir.box_dims":
+        kind = "int"            # every engine computes int(...) or 1
     elif name == "fir.convert":
         kind = _kind(op.operands[0], memo)     # storage passes through
-        if kind in _SCALARS:
-            kind = _convert_kind(value.type) or kind
+        memo[value] = _convert_kind(value.type) or kind \
+            if kind in _SCALARS else kind
+        return memo[value]
     elif name in VALUE_OPS:
-        kinds = [_kind(operand, memo) for operand in op.operands]
         if VALUE_OPS[name].category == "cast":
-            kind = _CLASS_KINDS.get(VALUE_OPS[name].bind(op), kinds[0])
-        elif all(k == "int" for k in kinds) \
-                and name in ("arith.addi", "arith.subi", "arith.muli"):
+            kind = _CLASS_KINDS.get(VALUE_OPS[name].bind(op))
+        elif name in ("arith.addi", "arith.subi", "arith.muli") and all(
+                _kind(operand, memo) == "int" for operand in op.operands):
             kind = "int"
-        elif all(k in _SCALARS for k in kinds):
-            kind = "scalar"
-    memo[value] = kind
+    memo[value] = kind = kind or _type_kind(value.type)
     return kind
 
 
@@ -553,23 +564,6 @@ class _Emitter:
         self.pending[category] = self.pending.get(category, 0) + amount
         self.pending_total += amount
 
-    def bump_total(self, amount: int = 1) -> None:
-        self.pending_total += amount
-
-    def dyncat(self, var: str, vector_category: str, scalar_category: str) -> None:
-        """Runtime ndarray-vs-scalar category choice (matches the thunks).
-
-        ``type(x) is ndarray`` is exact here: the interpreter's value model
-        only ever produces plain ndarrays (views/ufunc results), never
-        subclasses, so this matches the thunks' ``isinstance`` bit for bit.
-        """
-        vec = self.counter(vector_category)
-        scalar = self.counter(scalar_category)
-        self.w(f"if type({var}) is _nda and {var}.size > 1:")
-        self.w(f"    {vec} += 1")
-        self.w("else:")
-        self.w(f"    {scalar} += 1")
-
     def flush_pending(self) -> None:
         for category, amount in self.pending.items():
             self.w(f"{self.counter(category)} += {amount}")
@@ -815,11 +809,7 @@ class _Emitter:
             self.alias(res, self.operand_var(operands[0]))  # int(int) is it
             self.bump(row.category)
             return
-        if row.probe == "operand":      # used twice: computed on and probed
-            args = [self.operand_var(operands[0])] \
-                + [self.read(v) for v in operands[1:]]
-        else:
-            args = [self.read(v) for v in operands]
+        args = [self.read(v) for v in operands]
         if row.template is not None:
             expr = row.template.format(*args)
         else:
@@ -834,13 +824,14 @@ class _Emitter:
         else:
             self.w(f"{var} = {expr}")
         self.store_result(res, var)
+        # the value contract: only a vector type holds a multi-element
+        # ndarray, so an unproven probe is decided by its lane count
         probed = {"result": res, "operand": operands[0]}.get(row.probe)
-        if probed is None or self.kind(probed) in _SCALARS:
-            self.bump(row.scalar_category(op))      # proven: no run-time probe
+        if probed is not None and self.kind(probed) not in _SCALARS \
+                and probed.type.num_elements() > 1:
+            self.bump(row.vector_category)
         else:
-            self.bump_total()
-            self.dyncat(var if probed is res else args[0],
-                        row.vector_category, row.scalar_category(op))
+            self.bump(row.scalar_category(op))
 
     def _emit_fir_convert(self, op: Operation) -> None:
         res, source = op.results[0], op.operands[0]

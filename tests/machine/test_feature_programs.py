@@ -144,8 +144,8 @@ program p
   print *, a(2), q(5)
 end program p
 """, ["20.0 5.0"], BOTH),
-    # ``ours`` passes the whole array for ``a(3)`` and fails at run time: the
-    # element reference reaching a loop is what the flang engines must agree on
+    # an array-element actual is one element in the callee, on both flows:
+    # ``ours`` copies it into a rank-0 temporary and back after the call
     "element-as-scalar-dummy": ("""
 subroutine spread(n, x, b)
   implicit none
@@ -166,7 +166,45 @@ program p
   call spread(700, a(3), b)
   print *, a(3), b(1), b(700)
 end program p
-""", ["4.0 3.0 2100.0"], ("flang",)),
+""", ["4.0 3.0 2100.0"], BOTH),
+    "element-actual-in-a-loop": ("""
+subroutine f(x)
+  implicit none
+  real(8) :: x
+  x = x * 10.0d0
+end subroutine f
+
+program p
+  implicit none
+  real(8) :: a(5)
+  integer :: i
+  do i = 1, 5
+    a(i) = real(i, 8)
+  end do
+  do i = 1, 5
+    call f(a(i))
+  end do
+  print *, a(1), a(5)
+end program p
+""", ["10.0 50.0"], BOTH),
+    "two-elements-of-one-array": ("""
+subroutine g(x, y)
+  implicit none
+  integer, intent(inout) :: x, y
+  x = x + y
+end subroutine g
+
+program p
+  implicit none
+  integer :: a(5), i
+  do i = 1, 5
+    a(i) = i
+  end do
+  call g(a(2), a(4))
+  print *, a(2), a(4)
+end program p
+""", ["6 4"], BOTH),
+
     # ``ours`` has no mapping for ``fir.string_lit`` (a clean ConversionError)
     "character-literal": ("""
 program p

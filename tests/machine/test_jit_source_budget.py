@@ -2,7 +2,7 @@
 
 ``compile()`` is the hottest function of a cold table run and its cost is
 the bytes it is handed, so the emitted source is budgeted here in bytes —
-a deterministic function of the IR — next to the forms the producer-directed
+a deterministic function of the IR — next to the forms the type-directed
 kinds (``jit._kind``) are supposed to buy, and the one property the
 addressing rests on: a translation's address is its emitted source, so
 exactly what changes the source changes the key.
@@ -10,6 +10,7 @@ exactly what changes the source changes the key.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from repro.dialects import arith, fir, func, scf
@@ -21,12 +22,13 @@ from repro.ir.core import create_operation
 from repro.machine import Interpreter, jit
 from repro.workloads import get_workload
 
-#: bytes handed to compile() by one cold jit run — 30,402 / 9,838 /
-#: 147,786 when kinds landed — + 5 % (the parent emitted 56,699 / 13,595 /
+#: bytes handed to compile() by one cold jit run — 18,051 / 7,908 / 71,796
+#: since the IR type decides a value's kind — + 5 % (producer-proven kinds
+#: alone emitted 30,402 / 9,838 / 147,786, no kinds 56,699 / 13,595 /
 #: 224,782)
-CEILINGS = {("jacobi", "flang"): 31_922,
-            ("jacobi", "ours"): 10_329,
-            ("pw-advection", "flang"): 155_175}
+CEILINGS = {("jacobi", "flang"): 18_953,
+            ("jacobi", "ours"): 8_303,
+            ("pw-advection", "flang"): 75_385}
 
 
 @pytest.fixture(autouse=True)
@@ -71,8 +73,8 @@ def test_load_and_store_of_a_scalar_alloca_are_one_line_each():
     source = interp._jit.source_for(block)
     assert source.count(".value") == 2
     assert "_Cell" not in source and "_EPtr" not in source
-    # the loaded value's provenance is unknown: its convert keeps the switch
-    assert "isinstance(" in source
+    # the loaded value is an i32, so a number: its convert is one call
+    assert "isinstance(" not in source and "_int(" in source
     interp.run_main()
     assert interp.stats.counts["serial"] == {
         "call": 1.0, "alloc": 1.0, "store": 1.0, "load": 1.0, "cast": 1.0}
@@ -101,13 +103,25 @@ def test_value_ops_over_constants_and_induction_variables_do_not_probe():
         "float_arith": 1.0, "float_math": 1.0}
 
 
-def test_unknown_provenance_keeps_the_run_time_probe():
-    main = func.FuncOp("f", T.FunctionType((T.f64,), (T.f64,)))
+def test_a_vector_type_decides_the_probe_by_its_lanes():
+    # a scalar-typed argument is a number and a vector<1 x f64> one lane,
+    # so both bump the scalar category; four lanes bump the vector one
+    arg_types = (T.f64, T.VectorType((1,), T.f64), T.VectorType((4,), T.f64))
+    main = func.FuncOp("f", T.FunctionType(arg_types, arg_types))
     block = main.regions[0].blocks[0]
-    add = arith.AddFOp(block.args[0], block.args[0])
-    block.add_ops([add, func.ReturnOp([add.results[0]])])
-    interp = Interpreter(ModuleOp([main]), engine="jit")
-    assert "is _nda and" in interp._jit.source_for(block)
+    sums = [arith.AddFOp(arg, arg) for arg in block.args]
+    block.add_ops(sums + [func.ReturnOp([add.results[0] for add in sums])])
+    module = ModuleOp([main])
+    stats = []
+    for engine in ("reference", "jit"):
+        interp = Interpreter(module, engine=engine)
+        if engine == "jit":
+            assert "_nda" not in interp._jit.source_for(block)
+        interp.call("f", [1.5, np.ones(1), np.ones(4)])
+        stats.append(interp.stats.counts["serial"])
+    assert stats[0] == stats[1] == {
+        "call": 1.0, "float_arith": 2.0, "vector_float": 1.0}
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """One parametrised test over ``semantics.VALUE_OPS``.
 
 Every row is executed on every engine with scalar, ndarray and edge operands
-(negatives, zero divisors, NaN, ``-0.0``, i1 booleans, index-typed) and must
+(negatives, zero divisors, NaN, ``-0.0``, i1 booleans, index-typed) — an
+ndarray only through ``vector``-typed arguments, the one type the machine's
+value contract lets a multi-element ndarray take — and must
 
 * return exactly what the row's kernel returns when called directly,
 * bump identical ``ExecutionStats`` on all four engines,
@@ -57,11 +59,11 @@ class Case:
         self.id = "-".join(filter(None, (
             name, predicate, operand_types[0].mlir(), result_type.mlir())))
 
-    def build(self, operands):
+    def build(self, operands, result_type=None):
         attrs = {"predicate": StringAttr(self.predicate)} \
             if self.predicate else None
         return create_operation(self.name, operands=list(operands),
-                                result_types=[self.result_type],
+                                result_types=[result_type or self.result_type],
                                 attributes=attrs)
 
 
@@ -176,9 +178,14 @@ def _same(a, b) -> bool:
     return a == b
 
 
-def _function_module(case):
-    fn = FuncOp("main", T.FunctionType(tuple(case.operand_types), ()))
-    op = case.build(fn.entry_block.args)
+def _function_module(case, lanes=None):
+    """main(operands) returning the op's result; with ``lanes``, every
+    operand and the result is a ``vector<lanes x T>``."""
+    def typed(t):
+        return t if lanes is None else T.VectorType((lanes,), t)
+    fn = FuncOp("main", T.FunctionType(
+        tuple(typed(t) for t in case.operand_types), ()))
+    op = case.build(fn.entry_block.args, typed(case.result_type))
     fn.entry_block.add_op(op)
     fn.entry_block.add_op(ReturnOp([op.results[0]]))
     return ModuleOp([fn]), op
@@ -244,7 +251,7 @@ def test_scalar_operands_match_the_kernel_on_every_engine(case):
 def test_ndarray_operands_match_the_kernel_on_every_engine(case):
     """Vector-typed execution: whole ndarrays as operand values."""
     row = VALUE_OPS[case.name]
-    module, op = _function_module(case)
+    module, op = _function_module(case, lanes=len(case.operand_sets))
     arrays = _as_arrays(case, case.operand_sets)
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
@@ -419,7 +426,7 @@ def test_hand_written_expectations(case, expected, engine):
         arrays = _as_arrays(case, [operands, operands])
     except OverflowError:
         return                  # 2**31 as an i32 element: scalar form only
-    result, _ = _run(module, engine, arrays)
+    result, _ = _run(_function_module(case, lanes=2)[0], engine, arrays)
     assert all(_same(element.item(), expected) for element in result)
 
 
