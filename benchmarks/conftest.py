@@ -1,8 +1,8 @@
 """Benchmark harness configuration.
 
 Every benchmark regenerates one of the paper's tables (or the Figure 3
-vectorisation pipeline data) through the experiment harness and asserts the
-headline *shape* of the result.  Set ``REPRO_FULL_TABLES=1`` to run every row
+vectorisation pipeline data) through ``repro.service.run_tables`` and
+asserts the headline *shape* of the result.  Set ``REPRO_FULL_TABLES=1`` to run every row
 of Table I/II instead of the default representative subset.
 """
 

@@ -1,12 +1,13 @@
 """Figure 3 / Section VI-A: effect of the affine vectorisation and tiling
 pipeline on the linalg-backed kernels."""
 
-from repro.harness import figure3_vectorization, section4_profile
+from repro.service import run_tables, section4_profile
 
 
 def test_figure3_vectorisation_speedup(benchmark):
-    table = benchmark.pedantic(lambda: figure3_vectorization("dotproduct"),
-                               iterations=1, rounds=1)
+    table = benchmark.pedantic(
+        lambda: run_tables(["figure3"], benchmarks=["dotproduct"]),
+        iterations=1, rounds=1)["tables"]["figure3"]
     row = table.rows[0]
     print()
     print({k: round(v, 3) for k, v in row.measured.items()})

@@ -1,11 +1,12 @@
 """Table I: Flang v20 / Flang v17 / Cray / GNU across the benchmark suite."""
 
-from repro.harness import format_table, table1
+from repro.harness import format_table
+from repro.service import run_tables
 
 
 def test_table1_runtime_comparison(benchmark, table1_benchmarks):
-    table = benchmark.pedantic(lambda: table1(benchmarks=table1_benchmarks),
-                               iterations=1, rounds=1)
+    table = benchmark.pedantic(lambda: run_tables(["table1"], benchmarks=table1_benchmarks),
+                               iterations=1, rounds=1)["tables"]["table1"]
     print()
     print(format_table(table))
     # Shape checks from the paper's Table I discussion:

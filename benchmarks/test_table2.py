@@ -1,11 +1,12 @@
 """Table II: our approach vs Flang v20, Cray and GNU."""
 
-from repro.harness import format_table, speedup, table2
+from repro.harness import format_table, speedup
+from repro.service import run_tables
 
 
 def test_table2_our_approach_vs_flang(benchmark, table2_benchmarks):
-    table = benchmark.pedantic(lambda: table2(benchmarks=table2_benchmarks),
-                               iterations=1, rounds=1)
+    table = benchmark.pedantic(lambda: run_tables(["table2"], benchmarks=table2_benchmarks),
+                               iterations=1, rounds=1)["tables"]["table2"]
     print()
     print(format_table(table))
     gains = speedup(table, baseline="flang-v20", candidate="our-approach")

@@ -2,11 +2,13 @@
 
 import math
 
-from repro.harness import format_table, table3
+from repro.harness import format_table
+from repro.service import run_tables
 
 
 def test_table3_intrinsics(benchmark):
-    table = benchmark.pedantic(table3, iterations=1, rounds=1)
+    table = benchmark.pedantic(lambda: run_tables(["table3"]),
+                               iterations=1, rounds=1)["tables"]["table3"]
     print()
     print(format_table(table))
     for row in table.rows:

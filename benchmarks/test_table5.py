@@ -1,13 +1,12 @@
 """Table V: OpenACC pw-advection on the V100 GPU, ours vs nvfortran."""
 
-from repro.harness import format_table, table5
+from repro.harness import format_table
+from repro.service import run_tables
 
 
 def test_table5_gpu_offload(benchmark):
-    table = benchmark.pedantic(
-        lambda: table5(grid_sizes=(134_000_000, 268_000_000, 536_000_000,
-                                   1_100_000_000)),
-        iterations=1, rounds=1)
+    table = benchmark.pedantic(lambda: run_tables(["table5"]),
+                               iterations=1, rounds=1)["tables"]["table5"]
     print()
     print(format_table(table))
     ours = [row.measured["our-approach"] for row in table.rows]

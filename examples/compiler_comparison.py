@@ -12,7 +12,8 @@ paper focuses on plus two Polyhedron kernels); pass benchmark names or
 
 import sys
 
-from repro.harness import format_table, ordering_agreement, speedup, table1, table2
+from repro.harness import format_table, ordering_agreement, speedup
+from repro.service import run_tables
 
 
 def main() -> None:
@@ -24,15 +25,11 @@ def main() -> None:
     else:
         benchmarks = ["ac", "linpk", "jacobi", "pw-advection", "tra-adv"]
 
-    print("Regenerating Table I (reference compilers)...")
-    t1 = table1(benchmarks=benchmarks)
-    print(format_table(t1))
+    print("Regenerating Tables I and II (reference compilers, our approach)...")
+    tables = run_tables(["table1", "table2"], benchmarks=benchmarks)["tables"]
+    print(format_table(tables["table1"]))
     print()
-
-    print("Regenerating Table II (our approach vs Flang/Cray/GNU)...")
-    t2 = table2(benchmarks=[b for b in (benchmarks or [])
-                            if b in {"ac", "linpk", "nf", "test_fpu", "tfft",
-                                     "jacobi", "pw-advection", "tra-adv"}] or None)
+    t2 = tables["table2"]
     print(format_table(t2))
     print()
 

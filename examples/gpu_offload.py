@@ -11,7 +11,8 @@ with the internal error reported in Section VI-C.
 from repro.core import StandardMLIRCompiler
 from repro.flang import FlangCodegenError
 from repro.flows import get_flow
-from repro.harness import format_table, table5
+from repro.harness import format_table
+from repro.service import run_tables
 from repro.workloads import pw_advection
 
 
@@ -36,7 +37,7 @@ def main() -> None:
     print()
 
     print("Regenerating Table V (modeled V100 runtimes)...")
-    print(format_table(table5()))
+    print(format_table(run_tables(["table5"])["tables"]["table5"]))
 
 
 if __name__ == "__main__":

@@ -7,12 +7,12 @@ comparable scaling for the memory-bound pw-advection kernel, and markedly
 better scaling of the standard-MLIR flow for jacobi at large core counts.
 """
 
-from repro.harness import paper_data, table4
+from repro.harness import paper_data
+from repro.service import run_tables
 
 
 def main() -> None:
-    cores = (2, 4, 8, 16, 32, 64)
-    table = table4(core_counts=cores)
+    table = run_tables(["table4"])["tables"]["table4"]
     header = f"{'cores':>6s} | {'ours jacobi':>12s} {'ours pw-adv':>12s} | " \
              f"{'flang jacobi':>13s} {'flang pw-adv':>13s} | paper (ours jacobi/pw)"
     print(header)

@@ -13,7 +13,7 @@ Usage::
 
 import sys
 
-from repro.harness import section4_profile
+from repro.service import section4_profile
 
 
 def main() -> None:

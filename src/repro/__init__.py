@@ -10,8 +10,10 @@ Public entry points:
   first-class, registered objects;
 * :mod:`repro.machine` — interpreter + machine models producing modeled
   runtimes;
-* :mod:`repro.workloads` and :mod:`repro.harness` — the benchmarks and the
-  experiments regenerating Tables I-V;
+* :mod:`repro.workloads` — the benchmarks;
+* :mod:`repro.service` — the compilation service and the table spec
+  (``run_tables``) regenerating Tables I-V and Figure 3, with
+  :mod:`repro.harness` holding the paper's numbers to compare against;
 * ``python -m repro.opt`` — the mlir-opt analogue: run any flow or textual
   pass pipeline over Fortran source, with timings and IR dumps.
 """

@@ -3,7 +3,7 @@
 The mlir-opt analogy carried one level up: where passes register by name so
 pipelines are *data* (``builtin.module(canonicalize, cse)``), flows register
 by name so entire compilation strategies are data too.  The compile service,
-the compiler adapters and ``python -m repro.opt`` all dispatch through
+the table spec and ``python -m repro.opt`` all dispatch through
 :func:`get_flow`; registering a new :class:`Flow` is the only step needed to
 make it cacheable, schedulable and measurable.
 

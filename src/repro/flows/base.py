@@ -9,9 +9,9 @@ returning an op-anchored nested
 :class:`FlowResult` with named stage snapshots.
 
 Flows are registered in :mod:`repro.flows.registry`; everything above the
-drivers (the compile service, the adapters, ``python -m repro.opt``)
+drivers (the compile service, the table spec, ``python -m repro.opt``)
 dispatches by flow *name*, so adding a flow is one registration — no service
-or adapter edits.
+edits.
 """
 
 from __future__ import annotations

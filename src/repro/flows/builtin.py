@@ -2,7 +2,7 @@
 
 Each is a one-object registration over the corresponding driver; everything
 flow-specific (capability checks, options, pipelines, stage names) lives
-here, so the service and the adapters contain no per-flow branches.
+here, so the service and the table spec contain no per-flow branches.
 """
 
 from __future__ import annotations

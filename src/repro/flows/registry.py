@@ -1,7 +1,7 @@
 """The flow registry: name -> :class:`~repro.flows.base.Flow` dispatch.
 
 Mirrors MLIR's pass registration: flows register themselves once, and every
-consumer (the compile service, the adapters, ``python -m repro.opt``) looks
+consumer (the compile service, the table spec, ``python -m repro.opt``) looks
 them up by name.  The built-in flows live in :mod:`repro.flows.builtin` and
 are loaded lazily on first lookup so that the drivers can import
 :mod:`repro.flows.base` without a circular import.

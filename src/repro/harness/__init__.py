@@ -1,13 +1,12 @@
-"""Experiment harness: regenerates every table/figure of the evaluation."""
+"""The paper's published numbers and the tables they are compared in.
 
-from .experiments import (ExperimentRow, ExperimentTable, figure3_vectorization,
-                          section4_profile, table1, table2, table3, table4,
-                          table5)
-from .reporting import format_table, ordering_agreement, speedup
+The tables themselves are declared and regenerated by
+:mod:`repro.service.tables` (``run_tables``).
+"""
+
+from .reporting import (ExperimentRow, ExperimentTable, format_table,
+                        ordering_agreement, speedup)
 from . import paper_data
 
-__all__ = [
-    "ExperimentRow", "ExperimentTable", "figure3_vectorization",
-    "section4_profile", "table1", "table2", "table3", "table4", "table5",
-    "format_table", "ordering_agreement", "speedup", "paper_data",
-]
+__all__ = ["ExperimentRow", "ExperimentTable", "format_table",
+           "ordering_agreement", "speedup", "paper_data"]

@@ -1,11 +1,36 @@
-"""Formatting and shape comparison of experiment tables."""
+"""Experiment tables: their rows, formatting and shape comparison."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
-from .experiments import ExperimentTable
+
+@dataclass
+class ExperimentRow:
+    label: str
+    measured: Dict[str, float]
+    paper: Dict[str, Optional[float]] = field(default_factory=dict)
+
+
+@dataclass
+class ExperimentTable:
+    """One regenerated table: modeled values beside the paper's."""
+
+    name: str
+    title: str
+    columns: Sequence[str]
+    rows: List[ExperimentRow] = field(default_factory=list)
+
+    def row(self, label: str) -> ExperimentRow:
+        for r in self.rows:
+            if r.label == label:
+                return r
+        raise KeyError(label)
+
+    def measured_matrix(self) -> Dict[str, Dict[str, float]]:
+        return {r.label: dict(r.measured) for r in self.rows}
 
 
 def format_table(table: ExperimentTable, *, with_paper: bool = True) -> str:
@@ -66,4 +91,5 @@ def ordering_agreement(table: ExperimentTable) -> float:
     return agree / considered if considered else 1.0
 
 
-__all__ = ["format_table", "speedup", "ordering_agreement"]
+__all__ = ["ExperimentRow", "ExperimentTable", "format_table", "speedup",
+           "ordering_agreement"]

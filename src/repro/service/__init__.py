@@ -1,17 +1,17 @@
 """Compilation service: persistent content-addressed cache + job scheduler.
 
-Every experiment measurement routes through one :class:`CompileService`
-(the *default service* of the process), so identical (workload, flow,
-options) executions are compiled and interpreted exactly once — across
-adapter instances, across tables, and (with a cache directory) across
-process invocations:
+Every table cell reads an artifact of one :class:`CompileService`, so
+identical (workload, flow, options) executions are compiled and
+interpreted exactly once — across cells, across tables, and (with a cache
+directory) across process invocations:
 
 * :mod:`repro.service.cache` — the one namespaced two-tier store (memory
   LRU + the sharded disk store of :mod:`repro.service.sharded`) holding
   whole-module artifacts, function stages and jit translations,
 * :mod:`repro.service.jobs` — compile jobs and their content-addressed keys,
 * :mod:`repro.service.scheduler` — cache-aware execution and parallel fanout,
-* :mod:`repro.service.tables` — batch API regenerating the paper's tables,
+* :mod:`repro.service.tables` — the paper's tables, each cell declared
+  once, and the batch API that regenerates them,
 * :mod:`repro.service.daemon` / :mod:`repro.service.client` — the long-lived
   compilation daemon (``python -m repro.service serve``) and its clients,
 * ``python -m repro.service run-tables`` — the CLI over the batch API.
@@ -26,8 +26,7 @@ exactly as before.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cache import ArtifactCache
 from .client import (NO_DAEMON_ENV, SOCKET_ENV, DaemonBackedService,
@@ -38,7 +37,8 @@ from .jobs import (KEY_SCHEMA_VERSION, CompiledArtifact, CompileJob,
                    ServiceError, run_job)
 from .scheduler import BatchReport, CompileService
 from .serialization import stats_from_dict, stats_to_dict
-from .tables import ALL_TABLES, enumerate_jobs, jobs_for, run_tables
+from .tables import (ALL_TABLES, TableError, enumerate_jobs, jobs_for,
+                     run_tables, section4_profile)
 
 #: Environment variable pointing the default service at a persistent store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -47,7 +47,7 @@ _default_service: Optional[CompileService] = None
 
 
 def get_default_service() -> CompileService:
-    """The process-wide service every compiler adapter routes through.
+    """The process-wide service ``run_tables`` uses when given none.
 
     Prefers a running compilation daemon (discovered via
     ``$REPRO_DAEMON_SOCKET`` or the default per-user socket path) and
@@ -62,30 +62,12 @@ def get_default_service() -> CompileService:
     return _default_service
 
 
-def set_default_service(service: Optional[CompileService]) -> None:
-    """Replace the process-wide service (``None`` resets to lazy default)."""
-    global _default_service
-    _default_service = service
-
-
-@contextmanager
-def use_service(service: CompileService) -> Iterator[CompileService]:
-    """Temporarily install ``service`` as the default service."""
-    global _default_service
-    previous = _default_service
-    _default_service = service
-    try:
-        yield service
-    finally:
-        _default_service = previous
-
-
 __all__ = [
     "ArtifactCache", "BatchReport", "CompileService",
     "CompileJob", "CompiledArtifact", "ServiceError", "run_job",
     "stats_to_dict", "stats_from_dict", "KEY_SCHEMA_VERSION",
-    "ALL_TABLES", "jobs_for", "enumerate_jobs", "run_tables",
-    "get_default_service", "set_default_service", "use_service",
+    "ALL_TABLES", "TableError", "jobs_for", "enumerate_jobs", "run_tables",
+    "section4_profile", "get_default_service",
     "CACHE_DIR_ENV",
     "CompileDaemon", "DaemonError", "serve_forever",
     "DaemonClient", "DaemonBackedService", "DaemonUnavailable",

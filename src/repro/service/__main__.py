@@ -39,7 +39,7 @@ from .client import (NO_DAEMON_ENV, DaemonRequestError, DaemonUnavailable,
 from .daemon import DaemonError, serve_forever
 from .scheduler import CompileService
 from .sharded import parse_byte_size
-from .tables import ALL_TABLES, run_tables
+from .tables import ALL_TABLES, TableError, run_tables
 
 
 def _add_socket_arg(parser: argparse.ArgumentParser,
@@ -142,10 +142,14 @@ def _cmd_run_tables(args: argparse.Namespace) -> int:
         cache_dir = args.cache_dir or os.environ.get(CACHE_DIR_ENV) or None
         service = CompileService(ArtifactCache(cache_dir=cache_dir),
                                  max_workers=args.jobs)
-    result = run_tables(tables=args.tables, service=service,
-                        max_workers=args.jobs, benchmarks=args.benchmarks,
-                        engine=args.engine,
-                        incremental=not args.no_incremental)
+    try:
+        result = run_tables(tables=args.tables, service=service,
+                            max_workers=args.jobs, benchmarks=args.benchmarks,
+                            engine=args.engine,
+                            incremental=not args.no_incremental)
+    except TableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     if not args.quiet:
         for name, table in result["tables"].items():
@@ -171,8 +175,6 @@ def _cmd_run_tables(args: argparse.Namespace) -> int:
           f"(rate {jt['hit_rate']:.2f}), {jt['stores']} stored")
     print(f"time:  batch {elapsed['batch']:.2f}s + tables "
           f"{elapsed['tables']:.2f}s = {elapsed['total']:.2f}s")
-    for workload, error in batch.failures:
-        print(f"note: {workload} did not compile: {error}", file=sys.stderr)
 
     if args.summary:
         summary = {

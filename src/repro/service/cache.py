@@ -76,8 +76,8 @@ def address(ns: str, key: str) -> str:
 class ArtifactCache:
     """Two-tier, namespaced, content-addressed cache.
 
-    ``cache_dir=None`` keeps the cache purely in memory (still shared across
-    every adapter instance in the process); with a directory, payloads also
+    ``cache_dir=None`` keeps the cache purely in memory (shared by every
+    job its service runs); with a directory, payloads also
     persist across process invocations in the sharded disk store.
     """
 

@@ -3,7 +3,7 @@
 :class:`CompileService` is the one entry point every measurement takes:
 
 * :meth:`~CompileService.execute` — single job, cache-first, in-process on a
-  miss.  This is what the compiler adapters call.
+  miss.  This is what the tables read each artifact through.
 * :meth:`~CompileService.submit` — a batch of jobs; duplicates and cache
   hits are stripped, the remaining misses fan out over a
   ``concurrent.futures`` process pool (falling back to in-process execution

@@ -1,102 +1,228 @@
-"""Batch API: drive the paper's tables through the compilation service.
+"""The paper's tables, each cell declared once.
 
-:func:`enumerate_jobs` expands each table into the exact set of
-(workload x flow x options) jobs its measurements need; :func:`run_tables`
-warms the cache with one deduplicated parallel batch, then regenerates the
-tables — whose adapters hit the same service — without recompiling
-anything.  The harness is imported lazily to keep ``repro.service`` a leaf
-package that :mod:`repro.compilers` can depend on.
+A table is a list of rows ``(label, paper row, {column: Cell})``.  A
+:class:`Cell` names the compile job whose artifact it reads and the
+compiler profile the performance model applies to that artifact: the CPU
+model at the job's thread count, or the GPU model when the job targets the
+GPU.  A cell with ``over`` reports the speed-up of ``over``'s runtime over
+its own (Table IV).  The closed-source compilers of the paper (Flang v17,
+Cray, GNU, nvfortran) are profiles applied to the artifact of the flow
+they compete with.
+
+The same rows tell :func:`jobs_for` what to compile and
+:func:`run_tables` what to measure: one deduplicated batch, then every
+unique artifact read from the service once and every table evaluated over
+those artifacts.  A column the paper reports as DNC (``None`` in
+:mod:`~repro.harness.paper_data`) has no cell and reads NaN; any other
+cell whose artifact failed raises a :class:`TableError` that names it.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..flows import DEFAULT_ENGINE
-from .jobs import CompileJob
+from ..harness import paper_data
+from ..harness.reporting import ExperimentRow, ExperimentTable
+from ..machine import (CRAY_PROFILE, FLANG_V17_PROFILE, FLANG_V20_PROFILE,
+                       GNU_PROFILE, NVFORTRAN_PROFILE, OURS_PROFILE,
+                       CompilerProfile, PerformanceModel, profile_stats)
+from ..workloads import (Workload, get_workload, table1_workloads,
+                         table2_workloads, table3_workloads)
+from .jobs import CompiledArtifact, CompileJob, ServiceError
 from .scheduler import BatchReport, CompileService
-from .tuning import (TABLE3_THREADED, TABLE3_THREADS, TABLE5_GRID_SIZES,
-                     table3_options)
 
-#: Every flow the batch API can regenerate, in presentation order.
+#: Every table the batch API can regenerate, in presentation order.
 ALL_TABLES = ("table1", "table2", "table3", "table4", "table5", "figure3")
 
+#: Each table's title and its columns in presentation order.
+_TITLES = {
+    "table1": ("Runtime of the benchmarks for Flang v20/v17, Cray and GNU",
+               ("flang-v20", "flang-v17", "cray", "gnu")),
+    "table2": ("Our approach against Flang v20, Cray and GNU",
+               ("our-approach", "flang-v20", "cray", "gnu")),
+    "table3": ("Fortran intrinsics: linalg dialect (ours) vs runtime "
+               "library (Flang)", ("ours-serial", "ours-threaded",
+                                   "flang-v20")),
+    "table4": ("OpenMP speed-up over serial for jacobi and pw-advection",
+               ("ours-jacobi", "ours-pw", "flang-jacobi", "flang-pw")),
+    "table5": ("pw-advection with OpenACC on a V100: ours vs nvfortran",
+               ("our-approach", "nvfortran")),
+    "figure3": ("Effect of the affine vectorisation/tiling pipeline",
+                ("scalar", "vectorised", "tiled+vectorised")),
+}
 
-def _filtered(workloads, benchmarks: Optional[Sequence[str]]):
-    for workload in workloads:
-        if benchmarks is None or workload.name in benchmarks:
-            yield workload
+#: The reference compilers, each modeled on the ``flang`` artifact.
+_FLANG_PROFILES = {"flang-v20": FLANG_V20_PROFILE,
+                   "flang-v17": FLANG_V17_PROFILE,
+                   "cray": CRAY_PROFILE, "gnu": GNU_PROFILE}
+
+#: Table III pipeline options (Section VI-B: matmul is tiled, dotproduct
+#: is unrolled by 4); its threaded cells run on a 64-core ARCHER2 node.
+_TABLE3_OPTIONS = {"matmul": {"tile": True}, "dotproduct": {"unroll": 4}}
+_TABLE3_THREADS = 64
+
+
+class Cell(NamedTuple):
+    """One table value: ``job``'s artifact under ``profile``; with
+    ``over``, the speed-up of ``over``'s runtime over this one."""
+
+    job: CompileJob
+    profile: CompilerProfile
+    over: Optional["Cell"] = None
+
+
+Row = Tuple[str, Dict[str, Optional[float]], Dict[str, Cell]]
+
+
+class TableError(RuntimeError):
+    """A cell the paper reports a value for read a failed artifact."""
+
+
+def _row(label: str, paper: Dict[str, Optional[float]],
+         cells: Dict[str, Cell]) -> Row:
+    """A row without the cells the paper reports as DNC."""
+    return label, paper, {column: cell for column, cell in cells.items()
+                          if column not in paper or paper[column] is not None}
+
+
+def _rows(table: str, benchmarks: Optional[Sequence[str]],
+          engine: str) -> List[Row]:
+    """Declare ``table``.  Within a row, cells are listed in the order
+    their jobs are submitted, which fixes the order keys first appear."""
+
+    def job(flow: str, workload: Workload, **kwargs) -> CompileJob:
+        return CompileJob(flow, workload.name, workload=workload,
+                          engine=engine, **kwargs)
+
+    def selected(workloads: List[Workload]) -> List[Workload]:
+        return [w for w in workloads
+                if benchmarks is None or w.name in benchmarks]
+
+    rows: List[Row] = []
+    if table == "table1":
+        for w in selected(table1_workloads()):
+            flang = job("flang", w)
+            rows.append(_row(w.name, paper_data.TABLE1.get(w.name, {}), {
+                column: Cell(flang, profile)
+                for column, profile in _FLANG_PROFILES.items()}))
+    elif table == "table2":
+        for w in selected(table2_workloads()):
+            flang = job("flang", w)
+            cells = {"our-approach": Cell(job("ours", w), OURS_PROFILE)}
+            for column in ("flang-v20", "cray", "gnu"):
+                cells[column] = Cell(flang, _FLANG_PROFILES[column])
+            rows.append(_row(w.name, paper_data.TABLE2.get(w.name, {}),
+                             cells))
+    elif table == "table3":
+        for w in selected(table3_workloads()):
+            options = _TABLE3_OPTIONS.get(w.name, {})
+            rows.append(_row(w.name, paper_data.TABLE3.get(w.name, {}), {
+                "ours-serial": Cell(job("ours", w, options=options),
+                                    OURS_PROFILE),
+                "flang-v20": Cell(job("flang", w), FLANG_V20_PROFILE),
+                # DNC for dotproduct and sum: the paper's scf.parallel
+                # conversion does not support reductions
+                "ours-threaded": Cell(job("ours", w, options=options,
+                                          threads=_TABLE3_THREADS),
+                                      OURS_PROFILE)}))
+    elif table == "table4":
+        flows = (("ours", OURS_PROFILE), ("flang", FLANG_V20_PROFILE))
+        openmp = (("openmp", True),)
+        workloads = [(suffix, get_workload(name, openmp=True)) for suffix, name
+                     in (("jacobi", "jacobi"), ("pw", "pw-advection"))]
+        serial = {(flow, suffix): Cell(job(flow, w, workload_kwargs=openmp),
+                                       profile)
+                  for suffix, w in workloads for flow, profile in flows}
+        for cores, paper in paper_data.TABLE4.items():
+            rows.append(_row(str(cores), paper, {
+                f"{flow}-{suffix}": Cell(
+                    job(flow, w, workload_kwargs=openmp, threads=cores),
+                    profile, over=serial[flow, suffix])
+                for suffix, w in workloads for flow, profile in flows}))
+    elif table == "table5":
+        for cells, paper in paper_data.TABLE5.items():
+            variant = (("openacc", True), ("grid_cells", cells))
+            gpu = job("ours", get_workload("pw-advection", **dict(variant)),
+                      workload_kwargs=variant, gpu=True)
+            rows.append(_row(f"{cells:,}", paper, {
+                "our-approach": Cell(gpu, OURS_PROFILE),
+                "nvfortran": Cell(gpu, NVFORTRAN_PROFILE)}))
+    elif table == "figure3":
+        w = get_workload(benchmarks[0] if benchmarks else "dotproduct")
+        pipelines = (("scalar", {"vector_width": 0}),
+                     ("vectorised", {"vector_width": 4}),
+                     ("tiled+vectorised", {"vector_width": 4, "tile": True}))
+        rows.append(_row(w.name, {}, {
+            column: Cell(job("ours", w, options=options), OURS_PROFILE)
+            for column, options in pipelines}))
+    else:
+        raise KeyError(f"unknown table {table!r} (choose from {ALL_TABLES})")
+    return rows
+
+
+def _jobs(rows: List[Row]) -> List[CompileJob]:
+    """The rows' jobs, one per distinct spec (not per key: two specs that
+    share a key are the claim the key tests check)."""
+    jobs: Dict[Tuple, CompileJob] = {}
+    for _, _, cells in rows:
+        for cell in cells.values():
+            for part in (cell.over, cell):
+                if part is not None:
+                    jobs.setdefault(tuple(part.job.spec().items()), part.job)
+    return list(jobs.values())
 
 
 def jobs_for(table: str,
              benchmarks: Optional[Sequence[str]] = None,
              engine: str = DEFAULT_ENGINE) -> List[CompileJob]:
-    """The compile jobs one table's measurements will request."""
-    from ..workloads import (intrinsic_workloads, table1_workloads,
-                             table2_workloads)
-
-    jobs: List[CompileJob] = []
-    if table == "table1":
-        # one flang artifact per workload feeds all four reference columns
-        for w in _filtered(table1_workloads(), benchmarks):
-            jobs.append(CompileJob("flang", w.name, workload=w,
-                                   engine=engine))
-    elif table == "table2":
-        for w in _filtered(table2_workloads(), benchmarks):
-            jobs.append(CompileJob("ours", w.name, workload=w, engine=engine))
-            jobs.append(CompileJob("flang", w.name, workload=w,
-                                   engine=engine))
-    elif table == "table3":
-        for w in _filtered(intrinsic_workloads(), benchmarks):
-            opts = table3_options(w.name)
-            jobs.append(CompileJob("ours", w.name, workload=w, options=opts,
-                                   engine=engine))
-            jobs.append(CompileJob("flang", w.name, workload=w,
-                                   engine=engine))
-            if w.name in TABLE3_THREADED:
-                jobs.append(CompileJob("ours", w.name, workload=w,
-                                       threads=TABLE3_THREADS, options=opts,
-                                       engine=engine))
-    elif table == "table4":
-        for name in ("jacobi", "pw-advection"):
-            kwargs = (("openmp", True),)
-            for flow in ("ours", "flang"):
-                jobs.append(CompileJob(flow, name, workload_kwargs=kwargs,
-                                       engine=engine))
-                # shares the serial job's artifact: threads are not key
-                # material, and an OpenMP source is never ``parallelise``d
-                jobs.append(CompileJob(flow, name, workload_kwargs=kwargs,
-                                       threads=2, engine=engine))
-    elif table == "table5":
-        for cells in TABLE5_GRID_SIZES:
-            kwargs = (("openacc", True), ("grid_cells", cells))
-            # one artifact for ours, the modeled nvfortran column and every
-            # grid size (a paper size the perf model scales to)
-            jobs.append(CompileJob("ours", "pw-advection",
-                                   workload_kwargs=kwargs, gpu=True,
-                                   engine=engine))
-    elif table == "figure3":
-        name = benchmarks[0] if benchmarks else "dotproduct"
-        jobs.append(CompileJob("ours", name, options={"vector_width": 0},
-                               engine=engine))
-        jobs.append(CompileJob("ours", name, options={"vector_width": 4},
-                               engine=engine))
-        jobs.append(CompileJob("ours", name,
-                               options={"vector_width": 4, "tile": True},
-                               engine=engine))
-    else:
-        raise KeyError(f"unknown table {table!r} (choose from {ALL_TABLES})")
-    return jobs
+    """The compile jobs one table's cells read."""
+    return _jobs(_rows(table, benchmarks, engine))
 
 
 def enumerate_jobs(tables: Optional[Sequence[str]] = None,
                    benchmarks: Optional[Sequence[str]] = None,
                    engine: str = DEFAULT_ENGINE) -> List[CompileJob]:
-    jobs: List[CompileJob] = []
-    for table in tables or ALL_TABLES:
-        jobs.extend(jobs_for(table, benchmarks, engine))
-    return jobs
+    return [job for table in tables or ALL_TABLES
+            for job in jobs_for(table, benchmarks, engine)]
+
+
+def _runtime(cell: Cell, artifacts: Dict[str, CompiledArtifact],
+             perf: PerformanceModel) -> float:
+    artifact = artifacts[cell.job.safe_key()]
+    artifact.raise_for_failure()
+    scaling = cell.job.resolve_workload().scaling()
+    if cell.job.gpu:
+        seconds = perf.gpu_runtime(artifact.stats, scaling,
+                                   cell.profile).total_s
+    else:
+        seconds = perf.cpu_runtime(artifact.stats, scaling, cell.profile,
+                                   threads=cell.job.threads).total_s
+    if cell.over is None:
+        return seconds
+    return _runtime(cell.over, artifacts, perf) / seconds
+
+
+def _evaluate(table: str, rows: List[Row],
+              artifacts: Dict[str, CompiledArtifact],
+              perf: PerformanceModel) -> ExperimentTable:
+    title, columns = _TITLES[table]
+    result = ExperimentTable(table, title, columns)
+    for label, paper, cells in rows:
+        measured = {}
+        for column in columns:
+            if column not in cells:
+                measured[column] = math.nan
+                continue
+            try:
+                measured[column] = _runtime(cells[column], artifacts, perf)
+            except ServiceError as exc:
+                raise TableError(f"{table} row {label!r} column "
+                                 f"{column!r}: {exc}") from exc
+        result.rows.append(ExperimentRow(label, measured, paper))
+    return result
 
 
 def run_tables(tables: Optional[Sequence[str]] = None,
@@ -105,21 +231,23 @@ def run_tables(tables: Optional[Sequence[str]] = None,
                benchmarks: Optional[Sequence[str]] = None,
                engine: str = DEFAULT_ENGINE,
                incremental: bool = True) -> Dict[str, Any]:
-    """Warm the cache in one parallel batch, then regenerate the tables.
+    """Compile every cell's job in one batch, then evaluate the tables.
 
-    ``incremental=False`` turns off the per-function stage store for every
-    job in the batch (compiles from scratch; artifact keys are unaffected).
+    The "tables" phase reads each unique artifact from the service once
+    and compiles nothing the batch did not.  ``incremental=False`` turns
+    off the per-function stage store for every job in the batch (compiles
+    from scratch; artifact keys are unaffected).  Raises
+    :class:`TableError` for a failed cell the paper did not report as DNC.
 
     Returns ``{"tables": {name: ExperimentTable}, "batch": BatchReport,
     "counters": {...}, "function_counters": {...}, "elapsed_s": {...}}``.
     """
-    from . import get_default_service, use_service
-    from ..harness import experiments
+    from . import get_default_service
 
     tables = tuple(tables or ALL_TABLES)
     service = service or get_default_service()
-
-    jobs = enumerate_jobs(tables, benchmarks, engine)
+    rows = {table: _rows(table, benchmarks, engine) for table in tables}
+    jobs = [job for table in tables for job in _jobs(rows[table])]
     if not incremental:
         for job in jobs:
             job.incremental = False
@@ -128,21 +256,15 @@ def run_tables(tables: Optional[Sequence[str]] = None,
     batch: BatchReport = service.submit(jobs, max_workers=max_workers)
     t_batch = time.perf_counter() - t0
 
-    producers = {
-        "table1": lambda: experiments.table1(benchmarks, engine=engine),
-        "table2": lambda: experiments.table2(benchmarks, engine=engine),
-        "table3": lambda: experiments.table3(benchmarks, engine=engine),
-        "table4": lambda: experiments.table4(engine=engine),
-        "table5": lambda: experiments.table5(TABLE5_GRID_SIZES,
-                                             engine=engine),
-        "figure3": lambda: experiments.figure3_vectorization(
-            benchmarks[0] if benchmarks else "dotproduct", engine=engine),
-    }
-    results: Dict[str, Any] = {}
     t1 = time.perf_counter()
-    with use_service(service):
-        for table in tables:
-            results[table] = producers[table]()
+    artifacts: Dict[str, CompiledArtifact] = {}
+    for job in jobs:
+        key = job.safe_key()
+        if key not in artifacts:
+            artifacts[key] = service.execute(job)
+    perf = PerformanceModel()
+    results = {table: _evaluate(table, rows[table], artifacts, perf)
+               for table in tables}
     t_tables = time.perf_counter() - t1
 
     return {"tables": results, "batch": batch, "counters": service.counters(),
@@ -152,4 +274,25 @@ def run_tables(tables: Optional[Sequence[str]] = None,
                           "total": t_batch + t_tables}}
 
 
-__all__ = ["ALL_TABLES", "jobs_for", "enumerate_jobs", "run_tables"]
+def section4_profile(benchmark: str = "tfft", *,
+                     service: Optional[CompileService] = None,
+                     engine: str = DEFAULT_ENGINE) -> Dict[str, Dict[str, float]]:
+    """Instruction-mix profile of a benchmark under both flows (Section IV)."""
+    from . import get_default_service
+
+    service = service or get_default_service()
+    workload = get_workload(benchmark)
+    profiles = {}
+    for column, flow in (("flang-v20", "flang"), ("our-approach", "ours")):
+        artifact = service.execute(CompileJob(flow, benchmark,
+                                              workload=workload,
+                                              engine=engine))
+        artifact.raise_for_failure()
+        profiles[column] = profile_stats(artifact.stats,
+                                         workload.work_ratio()).as_dict()
+    profiles["paper"] = paper_data.SECTION4_PROFILES.get(benchmark, {})
+    return profiles
+
+
+__all__ = ["ALL_TABLES", "Cell", "TableError", "jobs_for",
+           "enumerate_jobs", "run_tables", "section4_profile"]

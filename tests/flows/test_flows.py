@@ -1,19 +1,18 @@
 """Flow registry behaviour: registration, options schemas, capability
 checks, uniform FlowResults, and the acceptance criterion that a newly
-registered flow is cacheable and measurable with zero service/adapter edits."""
+registered flow is cacheable and measurable with zero service edits."""
 
 import math
 
 import pytest
 
-from repro.compilers import CompilerAdapter
 from repro.flows import (CapabilityError, ExecutionContext, Flow, FlowError,
                          FlowOption, FlowResult, OptionError, OptionsSchema,
                          available_flows, get_flow, register_flow, registered)
 from repro.flows.builtin import OursFlow
 from repro.ir import print_op
+from repro.machine import OURS_PROFILE, PerformanceModel
 from repro.service import ArtifactCache, CompileJob, CompileService, run_job
-from repro.service import use_service
 from repro.workloads import get_workload
 
 
@@ -201,13 +200,15 @@ class TestNewFlowNeedsNoServiceEdits:
             assert not report.failures
             assert service.cache.contains(job.key())
 
-    def test_harness_measurement_via_generic_adapter(self):
+    def test_new_flow_artifact_feeds_the_perf_model(self):
         workload = get_workload("dotproduct")
         service = CompileService(ArtifactCache())
-        with registered(NoOptFlow), use_service(service):
-            measurement = CompilerAdapter(flow="ours-noopt").measure(workload)
-        assert measurement.compiled
-        assert math.isfinite(measurement.runtime_s)
+        with registered(NoOptFlow):
+            artifact = service.execute(CompileJob("ours-noopt", "dotproduct"))
+        assert artifact.ok
+        runtime = PerformanceModel().cpu_runtime(
+            artifact.stats, workload.scaling(), OURS_PROFILE).total_s
+        assert math.isfinite(runtime) and runtime > 0
 
     def test_unknown_flow_is_a_cacheable_failure(self):
         service = CompileService(ArtifactCache())

@@ -1,92 +1,97 @@
-"""Tests for the experiment harness and compiler adapters (shape checks)."""
+"""Shape checks on the regenerated tables and the paper's published data."""
 
-import math
+import dataclasses
 
 import pytest
 
-from repro.compilers import (CrayAdapter, FlangV20Adapter, GnuAdapter,
-                             OurApproachAdapter)
-from repro.harness import (figure3_vectorization, format_table, paper_data,
-                           section4_profile, speedup, table2, table3, table4,
-                           table5)
-from repro.workloads import get_workload, jacobi
+from repro.harness import format_table, paper_data, speedup
+from repro.machine import OURS_PROFILE, PerformanceModel
+from repro.service import (ArtifactCache, CompileJob, CompileService,
+                           TableError, get_default_service, run_tables,
+                           section4_profile)
+from repro.service import tables as spec
+from repro.workloads import get_workload
 
 
-class TestAdapters:
-    def test_measurement_fields(self):
-        m = OurApproachAdapter().measure(get_workload("linpk"))
-        assert m.compiler == "our-approach"
-        assert m.runtime_s > 0
-        assert m.breakdown.total_s == m.runtime_s
-        assert m.stats.total_ops > 0
+def table(name, benchmarks=None):
+    return run_tables([name], benchmarks=benchmarks)["tables"][name]
 
-    def test_flang_openacc_reports_dnc(self):
-        from repro.workloads import pw_advection
-        m = FlangV20Adapter().measure(pw_advection(openacc=True), gpu=True)
-        assert m.did_not_compile
-        assert math.isnan(m.runtime_s)
+
+def rows(result, labels):
+    return [row for row in result.rows if row.label in labels]
+
+
+class TestCells:
+    def test_cell_is_the_perf_model_over_its_artifact(self):
+        row = table("table2", ["linpk"]).row("linpk")
+        artifact = get_default_service().execute(CompileJob("ours", "linpk"))
+        assert artifact.stats.total_ops > 0
+        workload = get_workload("linpk")
+        expected = PerformanceModel().cpu_runtime(
+            artifact.stats, workload.scaling(), OURS_PROFILE).total_s
+        assert row.measured["our-approach"] == expected > 0
 
     def test_reference_profiles_reorder_runtimes(self):
-        w = get_workload("jacobi")
-        flang = FlangV20Adapter().measure(w).runtime_s
-        cray = CrayAdapter().measure(w).runtime_s
-        gnu = GnuAdapter().measure(w).runtime_s
-        assert cray < flang
-        assert cray < gnu
+        row = table("table1", ["jacobi"]).row("jacobi")
+        assert row.measured["cray"] < row.measured["flang-v20"]
+        assert row.measured["cray"] < row.measured["gnu"]
+
+    def test_unexpected_failure_raises_table_error_naming_the_cell(
+            self, monkeypatch):
+        broken = dataclasses.replace(get_workload("dotproduct"),
+                                     source_template="program p\n  x = \n")
+        monkeypatch.setattr(spec, "get_workload", lambda name: broken)
+        service = CompileService(ArtifactCache())
+        with pytest.raises(TableError,
+                           match="figure3 row 'dotproduct' column 'scalar'"):
+            run_tables(["figure3"], service=service, max_workers=1)
 
 
 class TestTables:
     def test_table2_shape_ours_beats_flang_on_stencils(self):
-        table = table2(benchmarks=["jacobi", "pw-advection", "tra-adv"])
-        gains = speedup(table, baseline="flang-v20", candidate="our-approach")
+        result = table("table2", ["jacobi", "pw-advection", "tra-adv"])
+        gains = speedup(result, baseline="flang-v20", candidate="our-approach")
         assert all(g > 1.0 for g in gains.values()), gains
         # the paper reports up to ~3x across benchmarks and experiments
         assert max(gains.values()) > 1.3
 
     def test_table2_cray_remains_fastest_on_stencils(self):
-        table = table2(benchmarks=["jacobi", "tra-adv"])
-        for row in table.rows:
+        for row in table("table2", ["jacobi", "tra-adv"]).rows:
             assert row.measured["cray"] < row.measured["flang-v20"]
 
     def test_table3_linalg_beats_runtime_library(self):
-        table = table3(benchmarks=["dotproduct", "sum"])
-        for row in table.rows:
+        for row in table("table3", ["dotproduct", "sum"]).rows:
             assert row.measured["ours-serial"] <= row.measured["flang-v20"] * 1.05
 
     def test_table3_threading_helps_matmul_and_transpose(self):
-        table = table3(benchmarks=["matmul"])
-        row = table.row("matmul")
+        row = table("table3", ["matmul"]).row("matmul")
         assert row.measured["ours-threaded"] < row.measured["ours-serial"]
 
     def test_table4_speedups_increase_with_cores(self):
-        table = table4(core_counts=(2, 8, 64))
-        jac = [row.measured["ours-jacobi"] for row in table.rows]
+        selected = rows(table("table4"), {"2", "8", "64"})
+        jac = [row.measured["ours-jacobi"] for row in selected]
         assert jac[0] < jac[1] < jac[2]
         # pw-advection saturates (memory bound): far from ideal at 64 cores
-        pw64 = table.rows[-1].measured["ours-pw"]
-        assert pw64 < 32
+        assert selected[-1].measured["ours-pw"] < 32
 
     def test_table4_jacobi_scales_better_than_pw_at_64(self):
-        table = table4(core_counts=(64,))
-        row = table.rows[0]
+        row = table("table4").row("64")
         assert row.measured["ours-jacobi"] > row.measured["ours-pw"]
 
     def test_table5_runtime_grows_with_grid_and_nvfortran_close(self):
-        table = table5(grid_sizes=(134_000_000, 536_000_000))
-        ours = [row.measured["our-approach"] for row in table.rows]
+        selected = rows(table("table5"), {"134,000,000", "536,000,000"})
+        ours = [row.measured["our-approach"] for row in selected]
         assert ours[1] > ours[0]
-        for row in table.rows:
+        for row in selected:
             ratio = row.measured["our-approach"] / row.measured["nvfortran"]
             assert 0.4 < ratio < 2.5
 
     def test_figure3_vectorisation_improves_dotproduct(self):
-        table = figure3_vectorization("dotproduct")
-        row = table.rows[0]
+        row = table("figure3").rows[0]
         assert row.measured["vectorised"] <= row.measured["scalar"]
 
     def test_format_table_renders_paper_columns(self):
-        table = table2(benchmarks=["linpk"])
-        text = format_table(table)
+        text = format_table(table("table2", ["linpk"]))
         assert "linpk" in text and "(paper)" in text
 
     def test_section4_profile_matches_narrative(self):

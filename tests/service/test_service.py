@@ -6,10 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.harness import experiments
 from repro.service import (ArtifactCache, CompileJob, CompileService,
                            ServiceError, enumerate_jobs, jobs_for, run_job,
-                           run_tables, use_service)
+                           run_tables)
 from repro.workloads import jacobi
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -68,14 +67,12 @@ class TestPersistence:
     def test_warm_stats_reproduce_cold_runtimes(self, tmp_path):
         # the modeled runtime is a pure function of the cached stats, so a
         # disk round trip must reproduce it exactly
-        cold = make_service(tmp_path)
-        with use_service(cold):
-            cold_runtime = experiments.figure3_vectorization("dotproduct")
-        warm = make_service(tmp_path)
-        with use_service(warm):
-            warm_runtime = experiments.figure3_vectorization("dotproduct")
-        assert warm.recompilations == 0
-        assert cold_runtime.rows[0].measured == warm_runtime.rows[0].measured
+        cold = run_tables(["figure3"], service=make_service(tmp_path))
+        warm_service = make_service(tmp_path)
+        warm = run_tables(["figure3"], service=warm_service)
+        assert warm_service.recompilations == 0
+        assert cold["tables"]["figure3"].rows[0].measured == \
+            warm["tables"]["figure3"].rows[0].measured
 
     def test_corrupt_disk_entry_is_a_miss_not_an_error(self, tmp_path):
         service = make_service(tmp_path)
@@ -148,29 +145,28 @@ class TestBatch:
 class TestWarmTables:
     def test_same_table_twice_recompiles_nothing(self):
         service = make_service()
-        with use_service(service):
-            first = experiments.table3(benchmarks=["dotproduct", "transpose"])
-            compiles = service.recompilations
-            assert compiles > 0
-            second = experiments.table3(benchmarks=["dotproduct", "transpose"])
+        benchmarks = ["dotproduct", "transpose"]
+        first = run_tables(["table3"], service=service, benchmarks=benchmarks)
+        compiles = service.recompilations
+        assert compiles > 0
+        second = run_tables(["table3"], service=service, benchmarks=benchmarks)
         assert service.recompilations == compiles, \
             "second run must be served entirely from the cache"
-        for label, row in first.measured_matrix().items():
+        first, second = (run["tables"]["table3"].measured_matrix()
+                          for run in (first, second))
+        for label, row in first.items():
             for column, value in row.items():
-                other = second.measured_matrix()[label][column]
+                other = second[label][column]
                 assert value == other or (math.isnan(value)
                                           and math.isnan(other))
 
-    def test_adapter_instances_share_the_cache(self):
-        # table3 constructs a fresh OurApproachAdapter per workload; the
-        # old per-adapter _StatsCache recomputed identical (workload, flow)
-        # executions — the shared service must not
+    def test_cells_sharing_a_job_share_one_artifact(self):
+        # Table I's four columns read one flang job: one compile per row
         service = make_service()
-        with use_service(service):
-            experiments.figure3_vectorization("dotproduct")
-            compiles = service.recompilations
-            experiments.figure3_vectorization("dotproduct")
-        assert service.recompilations == compiles
+        result = run_tables(["table1"], service=service,
+                            benchmarks=["ac", "linpk"], max_workers=1)
+        assert result["batch"].submitted == 2
+        assert service.recompilations == 2
 
     def test_run_tables_batch_prewarms_the_table_measurements(self, tmp_path):
         service = make_service(tmp_path)
