@@ -15,13 +15,18 @@ instrumented pass-by-pass (``python -m repro.opt --timing --dump-ir``).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import dialects_used, uses_only_standard_dialects
 from ..dialects.builtin import ModuleOp
-from ..flang.driver import FlangCompiler
 from ..flows.base import FlowResult
-from ..ir.pass_manager import PassInstrumentation, PassTimingReport
+from ..frontend import FortranLowering, analyze, parse_source
+from ..frontend.units import program_units
+from ..ir.core import Operation
+from ..ir.pass_manager import (PassInstrumentation, PassTiming,
+                               PassTimingReport, current_settings,
+                               pipeline_settings)
+from ..ir.verifier import verify_operation
 from .fir_to_standard import convert_fir_to_standard
 from . import pipelines
 
@@ -101,7 +106,6 @@ class StandardMLIRCompiler:
         self.verify_each = verify_each
         self.collect_statistics = collect_statistics
         self.instrumentations = list(instrumentations)
-        self._frontend = FlangCompiler()
 
     # -- pipeline description (Figure 2 / Figure 3) ---------------------------------
     def flow_description(self) -> List[str]:
@@ -137,16 +141,38 @@ class StandardMLIRCompiler:
                 stages: Sequence[str] = ()) -> StandardFlowResult:
         """Compile ``source``; ``stages`` names the intermediate stages
         (``hlfir``, ``standard``) to snapshot — a whole-module clone each,
-        so none is taken unless asked for."""
-        hlfir_module = self._frontend.lower_to_hlfir(source)
+        so none is taken unless asked for.
+
+        With a function store that memoises program units (see
+        :class:`~repro.service.incremental.FunctionArtifactStore`) and no
+        snapshots asked for, a top-level unit whose key the store knows is
+        served whole: its functions are neither lowered, converted,
+        fingerprinted nor passed through the pipeline.  Every other
+        function takes the ordinary route, structural lookups included."""
+        analysis = analyze(parse_source(source))
+        opt_pm = self.build_pipeline()
+        store = current_settings().function_cache
+        splicer = _UnitSplicer(store, source, analysis, opt_pm.describe()) \
+            if not stages and hasattr(store, "lookup_unit") else None
+
+        hlfir_module = FortranLowering(analysis).lower(
+            declare_only=splicer.served if splicer else ())
         hlfir_snapshot = hlfir_module.clone() if "hlfir" in stages else None
         standard_module = convert_fir_to_standard(hlfir_module)
         standard_snapshot = standard_module.clone() \
             if "standard" in stages else None
 
         optimised = standard_module
-        opt_pm = self.build_pipeline()
-        opt_pm.run(optimised)
+        if splicer is None:
+            opt_pm.run(optimised)
+            timing = opt_pm.last_report
+        else:
+            splicer.drop_declarations(optimised)
+            with pipeline_settings(function_cache=splicer):
+                opt_pm.run(optimised)
+            timing = splicer.finish(optimised, opt_pm.last_report,
+                                    verify=self.verify_each,
+                                    statistics=self.collect_statistics)
 
         return StandardFlowResult(
             source=source,
@@ -154,8 +180,94 @@ class StandardMLIRCompiler:
             standard_module=standard_snapshot,
             optimised_module=optimised,
             pipeline_description=opt_pm.describe(),
-            timing=opt_pm.last_report,
+            timing=timing,
         )
+
+
+class _UnitSplicer:
+    """One compile against a function store that memoises program units.
+
+    Units the store knows are served whole (:attr:`served`, by subprogram
+    name).  For the rest, this object stands in for the store during the
+    pipeline nest: it forwards every structural lookup and store, noting
+    each function's fingerprint and timings in the order the nest visits
+    them, so :meth:`finish` can remember the units and splice the served
+    functions back in subprogram order.
+    """
+
+    def __init__(self, store, source: str, analysis, pipeline: str):
+        self.backing = store
+        self.analysis = analysis
+        try:
+            self.units = program_units(source, analysis, pipeline)
+        except Exception:
+            # unkeyable (an error lowering will report): compile it all, so
+            # the error is the one a compile without the store raises
+            self.units = []
+        self.served: Dict[str, Tuple[Operation, Tuple[PassTiming, ...]]] = {}
+        for unit in self.units:
+            functions = store.lookup_unit(unit.key)
+            if functions is not None:
+                self.served.update(zip(unit.subprograms, functions))
+        self.seen: List[Tuple[str, Tuple[PassTiming, ...]]] = []
+
+    # -- the nest's function cache ---------------------------------------------------
+    def lookup(self, fingerprint: str):
+        hit = self.backing.lookup(fingerprint)
+        if hit is not None:
+            self.seen.append((fingerprint, tuple(hit[1])))
+        return hit
+
+    def store(self, fingerprint: str, func: Operation,
+              timings: Sequence[PassTiming] = ()) -> None:
+        self.seen.append((fingerprint, tuple(timings)))
+        self.backing.store(fingerprint, func, timings)
+
+    # -- around the nest -------------------------------------------------------------
+    def drop_declarations(self, module: ModuleOp) -> None:
+        """Erase the bodiless functions the served subprograms were
+        declared by (conversion needed their signatures, the nest must not
+        see them)."""
+        for op in list(module.body.ops):
+            if op.name == "func.func" and not op.regions[0].blocks:
+                op.erase()
+
+    def finish(self, module: ModuleOp, report: PassTimingReport, *,
+               verify: bool, statistics: bool) -> PassTimingReport:
+        """Splice the served functions back in subprogram order, remember
+        the units the nest compiled, and order the timing report by
+        function."""
+        order = list(self.analysis.subprograms)
+        compiled = [name for name in order if name not in self.served]
+        functions = [op for op in module.body.ops if op.name == "func.func"]
+        pending: List[Operation] = []
+        ran = iter(functions)
+        for name in order:
+            if name in self.served:
+                pending.append(self.served[name][0])
+                continue
+            anchor = next(ran)
+            for func in pending:
+                module.body.insert_before(anchor, func)
+            pending = []
+        for func in pending:
+            module.body.add_op(func)
+        if self.served and verify:
+            verify_operation(module)
+
+        if len(self.seen) != len(functions):
+            return report   # a fingerprint failed: remember nothing
+        seen = dict(zip(compiled, self.seen))
+        for unit in self.units:
+            if all(name in seen for name in unit.subprograms):
+                self.backing.remember_unit(
+                    unit.key, [seen[name][0] for name in unit.subprograms])
+        if not self.served or not statistics:
+            return report
+        per_function = {**seen, **self.served}
+        return PassTimingReport(
+            pipeline=report.pipeline,
+            timings=tuple(t for name in order for t in per_function[name][1]))
 
 
 __all__ = ["StandardMLIRCompiler", "StandardFlowResult"]

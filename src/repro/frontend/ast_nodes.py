@@ -412,6 +412,10 @@ class CompilationUnit:
 
     modules: List[ModuleUnit] = field(default_factory=list)
     subprograms: List[Subprogram] = field(default_factory=list)
+    #: every top-level unit in source order, with the first and the last
+    #: source line the parser consumed for it (filled in by the parser)
+    spans: List[Tuple[Union[ModuleUnit, Subprogram], int, int]] = field(
+        default_factory=list)
 
     def all_subprograms(self) -> List[Subprogram]:
         out: List[Subprogram] = []

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from ..dialects import acc as acc_d
 from ..dialects import arith, fir, hlfir
@@ -73,13 +73,19 @@ class FortranLowering:
         self.globals_emitted: Dict[str, FType] = {}
 
     # ------------------------------------------------------------------ driver
-    def lower(self) -> ModuleOp:
+    def lower(self, declare_only: Collection[str] = ()) -> ModuleOp:
+        """The module: globals, then one function per subprogram.  A
+        subprogram named in ``declare_only`` gets its declaration alone
+        (signature and argument attributes, no body)."""
         for module_unit in self.analysis.unit.modules:
             for sym in self.analysis.globals.values():
                 if sym.name not in self.globals_emitted:
                     self._emit_global(sym)
         for name, info in self.analysis.subprograms.items():
-            self.lower_subprogram(info)
+            if name in declare_only:
+                self.declare_subprogram(info, body=False)
+            else:
+                self.lower_subprogram(info)
         return self.module
 
     # ------------------------------------------------------------- subprograms
@@ -106,24 +112,39 @@ class FortranLowering:
                 members.append((name, comp_t.element_ir_type()))
         return fir.RecordType(ft.derived_name, members)
 
-    def lower_subprogram(self, info) -> func_d.FuncOp:
+    def signature(self, info) -> Tuple[ir_types.FunctionType, List[str]]:
+        """A subprogram's FIR function type and its dummies' intents."""
         sp = info.subprogram
-        self.current_info = info
-        self.variables = {}
         arg_syms = [info.symbols.lookup(a) for a in sp.args]
         arg_types = [self._argument_fir_type(s) for s in arg_syms]
         result_types: List[ir_types.Type] = []
         if sp.kind == "function" and info.result_symbol is not None:
             result_types = [info.result_symbol.ftype.element_ir_type()]
-        func_type = ir_types.FunctionType(arg_types, result_types)
-        func_op = func_d.FuncOp(self._mangled_name(sp), func_type)
+        return (ir_types.FunctionType(arg_types, result_types),
+                [s.intent or "" for s in arg_syms])
+
+    def declare_subprogram(self, info, *, body: bool = True) -> func_d.FuncOp:
+        """Add the subprogram's ``func.func`` (with an empty entry block
+        when ``body``) to the module."""
+        sp = info.subprogram
+        func_type, intents = self.signature(info)
+        func_op = func_d.FuncOp(self._mangled_name(sp), func_type,
+                                create_entry_block=body)
         # record argument names and intents so later conversions (our standard
         # MLIR mapping) can pick by-value vs by-reference representations
         from ..ir.attributes import ArrayAttr, StringAttr
         func_op.set_attr("arg_names", ArrayAttr([StringAttr(a) for a in sp.args]))
         func_op.set_attr("arg_intents", ArrayAttr(
-            [StringAttr(s.intent or "") for s in arg_syms]))
+            [StringAttr(intent) for intent in intents]))
         self.module.add(func_op)
+        return func_op
+
+    def lower_subprogram(self, info) -> func_d.FuncOp:
+        sp = info.subprogram
+        self.current_info = info
+        self.variables = {}
+        arg_syms = [info.symbols.lookup(a) for a in sp.args]
+        func_op = self.declare_subprogram(info)
         entry = func_op.entry_block
         self.builder.set_insertion_point_to_end(entry)
 

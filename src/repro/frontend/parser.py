@@ -33,17 +33,24 @@ class Parser:
         unit = ast.CompilationUnit()
         self.ts.skip_newlines()
         while not self.ts.at_end():
+            first_line = self.ts.peek().line
+            node: "ast.ModuleUnit | ast.Subprogram"
             if self.ts.at_name("module") and not self.ts.at_name("procedure", 1):
-                unit.modules.append(self.parse_module())
-            elif self.ts.at_name("program"):
-                unit.subprograms.append(self.parse_subprogram("program"))
-            elif self.ts.at_name("subroutine"):
-                unit.subprograms.append(self.parse_subprogram("subroutine"))
-            elif self._at_function_start():
-                unit.subprograms.append(self.parse_subprogram("function"))
+                node = self.parse_module()
+                unit.modules.append(node)
             else:
-                tok = self.ts.peek()
-                raise ParseError(f"line {tok.line}: unexpected top-level token {tok.value!r}")
+                if self.ts.at_name("program"):
+                    node = self.parse_subprogram("program")
+                elif self.ts.at_name("subroutine"):
+                    node = self.parse_subprogram("subroutine")
+                elif self._at_function_start():
+                    node = self.parse_subprogram("function")
+                else:
+                    tok = self.ts.peek()
+                    raise ParseError(f"line {tok.line}: unexpected top-level token {tok.value!r}")
+                unit.subprograms.append(node)
+            last_line = self.ts.tokens[self.ts.pos - 1].line
+            unit.spans.append((node, first_line, last_line))
             self.ts.skip_newlines()
         return unit
 

@@ -87,6 +87,8 @@ class AnalysisResult:
     subprograms: Dict[str, SubprogramInfo] = field(default_factory=dict)
     derived_types: Dict[str, DerivedType] = field(default_factory=dict)
     globals: SymbolTable = field(default_factory=SymbolTable)
+    #: function name -> result FType, for typing calls
+    function_results: Dict[str, FType] = field(default_factory=dict)
 
     def info(self, name: str) -> SubprogramInfo:
         return self.subprograms[name]
@@ -96,8 +98,7 @@ class SemanticAnalyzer:
     def __init__(self, unit: ast.CompilationUnit):
         self.unit = unit
         self.result = AnalysisResult(unit=unit)
-        #: function name -> result FType, for typing calls
-        self.function_results: Dict[str, FType] = {}
+        self.function_results = self.result.function_results
         #: the last statement of the main program being analysed (None in
         #: any other subprogram): the one place a STOP may stand
         self._final_stop: Optional[ast.Stmt] = None

@@ -23,6 +23,14 @@ Two tiers:
 
 The store implements the duck-typed ``lookup``/``store`` protocol of
 :class:`repro.ir.pass_manager.PipelineSettings.function_cache`.
+
+In front of the fingerprints sits a **unit memo** (:meth:`lookup_unit`,
+:meth:`remember_unit`), which the ``ours`` compile consults.  It maps a
+program unit's key (:mod:`repro.frontend.units`: source text, interface
+digest, pipeline text) to the fingerprints its functions had when last
+stored.  A unit it knows is served from the live tier before anything is
+lowered.  The memo is live-tier only: an entry whose fingerprints left
+the live tier is dropped, and nothing of it reaches the artifact cache.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import base64
 from collections import OrderedDict
 from threading import Lock
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..counters import PROCESS, Counters
 from ..ir.core import Operation
@@ -51,6 +59,9 @@ class FunctionArtifactStore:
         self._live: "OrderedDict[str, Tuple[Operation, Tuple[PassTiming, ...]]]" \
             = OrderedDict()
         self._memory_entries = max(1, memory_entries)
+        #: program-unit key -> the fingerprints its functions had when last
+        #: stored; live tier only (see :meth:`lookup_unit`)
+        self._units: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self._lock = Lock()
         #: The shared artifact cache used for persistence (``None``: live
         #: tier only); rebound by :func:`bind_process_stores`.
@@ -92,6 +103,37 @@ class FunctionArtifactStore:
                 return func.clone(), timings
         self.counters.inc("misses")
         return None
+
+    def lookup_unit(self, unit_key: str
+                    ) -> Optional[List[Tuple[Operation, Tuple[PassTiming, ...]]]]:
+        """Fresh clones of a program unit's optimised functions, in order,
+        or ``None`` when the memo does not know the unit or the live tier
+        no longer holds every one of its fingerprints.
+
+        A served unit counts one live hit per function, exactly as
+        :meth:`lookup` would; an unknown one counts nothing (its functions
+        are fingerprinted and looked up one by one afterwards)."""
+        with self._lock:
+            fingerprints = self._units.get(unit_key)
+            if fingerprints is None:
+                return None
+            entries = [self._live.get(fp) for fp in fingerprints]
+            if None in entries:
+                del self._units[unit_key]
+                return None
+            self._units.move_to_end(unit_key)
+            for fp in fingerprints:
+                self._live.move_to_end(fp)
+        self.counters.inc("memory_hits", len(entries))
+        return [(func.clone(), timings) for func, timings in entries]
+
+    def remember_unit(self, unit_key: str, fingerprints: Sequence[str]) -> None:
+        """Note which fingerprints the unit keyed ``unit_key`` compiled to."""
+        with self._lock:
+            self._units[unit_key] = tuple(fingerprints)
+            self._units.move_to_end(unit_key)
+            while len(self._units) > self._memory_entries:
+                self._units.popitem(last=False)
 
     # ----------------------------------------------------------------- store
     def store(self, fingerprint: str, func: Operation,
