@@ -35,8 +35,8 @@ from datetime import datetime, timezone
 
 from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.core.pipelines import standard_flow_pipeline
-from repro.flang import FlangCompiler
 from repro.flows import available_flows, get_flow
+from repro.frontend import lower_to_hlfir
 from repro.ir import StringAttr, pipeline_settings, print_op
 from repro.service.incremental import FunctionArtifactStore
 from repro.workloads import get_workload
@@ -88,8 +88,7 @@ def bench_flow(flow_name: str, workload_name: str):
 
 
 def _standard_module(source_text: str):
-    return convert_fir_to_standard(
-        FlangCompiler().lower_to_hlfir(source_text))
+    return convert_fir_to_standard(lower_to_hlfir(source_text))
 
 
 def _module_funcs(module):

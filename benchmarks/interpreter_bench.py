@@ -80,8 +80,7 @@ import tempfile
 import time
 from datetime import datetime, timezone
 
-from repro.core import StandardMLIRCompiler
-from repro.flang import FlangCompiler
+from repro.flows import get_flow, source_workload
 from repro.machine import Interpreter
 from repro.machine import jit as machine_jit
 from repro.service.cache import ArtifactCache
@@ -153,16 +152,13 @@ JIT_SOURCE_BYTES_CAP = {False: 135_706, True: 36_273}
 
 
 def compile_both(source: str):
-    fir = FlangCompiler().compile(source, stop_at="fir").fir_module
-    ours = StandardMLIRCompiler(vector_width=4).compile(source).optimised_module
-    return {"flang-fir": fir, "ours": ours}
+    return {flow: compile_flow(source, flow) for flow in ("flang-fir", "ours")}
 
 
 def compile_flow(source: str, flow: str):
     """One flow's module, built fresh (fresh Block objects, fresh uids)."""
-    if flow == "flang-fir":
-        return FlangCompiler().compile(source, stop_at="fir").fir_module
-    return StandardMLIRCompiler(vector_width=4).compile(source).optimised_module
+    name = "flang" if flow == "flang-fir" else "ours"
+    return get_flow(name).run(source_workload(source)).module
 
 
 def _steady_jit_best(module) -> float:

@@ -8,7 +8,6 @@ nvfortran reference.  Also demonstrates that the baseline Flang build fails
 with the internal error reported in Section VI-C.
 """
 
-from repro.core import StandardMLIRCompiler
 from repro.flang import FlangCodegenError
 from repro.flows import get_flow
 from repro.harness import format_table
@@ -18,7 +17,6 @@ from repro.workloads import pw_advection
 
 def main() -> None:
     workload = pw_advection(openacc=True)
-    source = workload.source(scaled=True)
 
     print("Baseline Flang on OpenACC input:")
     try:
@@ -29,9 +27,8 @@ def main() -> None:
     print()
 
     print("Standard MLIR flow with the OpenACC -> GPU lowering:")
-    ours = StandardMLIRCompiler(vector_width=0, gpu=True)
-    compiled = ours.compile(source)
-    gpu_ops = sorted({op.name for op in compiled.optimised_module.walk()
+    compiled = get_flow("ours").run(workload, {"vector_width": 0})
+    gpu_ops = sorted({op.name for op in compiled.module.walk()
                       if op.dialect == "gpu"})
     print("  gpu dialect operations generated:", ", ".join(gpu_ops))
     print()

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Function-granular incremental compilation, end to end.
 
-1. Compile a two-subroutine module cold: every function runs the full
-   standard pipeline and lands in the per-function stage store.
-2. Recompile the identical source: both functions splice from the store
-   (zero passes run), and the output is bit-identical.
+1. Compile a two-subroutine source cold on the ``ours`` flow: every
+   function runs the full standard pipeline and lands in the per-function
+   stage store.
+2. Recompile the identical source: both program units are served from the
+   store (nothing is lowered, converted or passed through the pipeline),
+   and the output is bit-identical.
 3. Edit ONE subroutine and recompile: exactly one function recompiles,
-   the other splices, and the result is bit-identical to a from-scratch
+   the other is served, and the result is bit-identical to a from-scratch
    compile of the edited source.
 
 Usage::
@@ -16,10 +18,8 @@ Usage::
 
 import time
 
-from repro.core.fir_to_standard import convert_fir_to_standard
-from repro.core.pipelines import standard_flow_pipeline
-from repro.flang import FlangCompiler
-from repro.ir import pipeline_settings, print_op
+from repro.flows import get_flow, source_workload
+from repro.ir import print_op
 from repro.service.incremental import FunctionArtifactStore
 
 HEAT = """
@@ -53,14 +53,10 @@ end subroutine scale
 
 
 def compile_with(source, store):
-    module = convert_fir_to_standard(
-        FlangCompiler().lower_to_hlfir(source))
-    pm = standard_flow_pipeline()
-    with pipeline_settings(function_cache=store):
-        t0 = time.perf_counter()
-        pm.run(module)
-        elapsed = time.perf_counter() - t0
-    return module, elapsed
+    t0 = time.perf_counter()
+    result = get_flow("ours").run(source_workload(source),
+                                  function_cache=store)
+    return result.module, time.perf_counter() - t0
 
 
 def main() -> None:

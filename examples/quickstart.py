@@ -7,8 +7,7 @@ agree numerically, and prints the dynamic instruction mix plus the modeled
 ARCHER2 runtime of each.
 """
 
-from repro.core import StandardMLIRCompiler
-from repro.flang import FlangCompiler
+from repro.flows import get_flow, source_workload
 from repro.machine import (FLANG_V20_PROFILE, OURS_PROFILE, Interpreter,
                            PerformanceModel, WorkloadScaling, profile_stats)
 
@@ -44,23 +43,25 @@ end program demo
 
 
 def main() -> None:
+    workload = source_workload(SOURCE, name="demo")
     print("== Baseline Flang flow (Figure 1) ==")
-    flang = FlangCompiler()
-    for step in flang.flow_description():
-        print("  -", step)
-    flang_result = flang.compile(SOURCE, stop_at="fir")
-    flang_interp = Interpreter(flang_result.fir_module)
+    flang = get_flow("flang")
+    print("  ", flang.description)
+    flang_result = flang.run(workload)
+    print("   pipeline:", flang_result.pipeline)
+    flang_interp = Interpreter(flang_result.module)
     flang_interp.run_main()
     print("  program output:", flang_interp.printed[-1])
 
     print("\n== Standard MLIR flow (Figure 2, this paper) ==")
-    ours = StandardMLIRCompiler(vector_width=4)
-    for step in ours.flow_description():
-        print("  -", step)
-    ours_result = ours.compile(SOURCE, stages=("standard",))
+    ours = get_flow("ours")
+    print("  ", ours.description)
+    ours_result = ours.run(workload, stages=("standard",))
+    print("   pipeline:", ours_result.pipeline)
     print("  dialects after the Section V transformation:",
-          sorted({op.dialect for op in ours_result.standard_module.walk()}))
-    ours_interp = Interpreter(ours_result.optimised_module)
+          sorted({op.dialect
+                  for op in ours_result.kept_stage("standard").walk()}))
+    ours_interp = Interpreter(ours_result.module)
     ours_interp.run_main()
     print("  program output:", ours_interp.printed[-1])
     flang_value = float(flang_interp.printed[-1])

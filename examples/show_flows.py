@@ -10,7 +10,8 @@ repo stops at the optimised standard-dialect module and does not model their
 conversions to the ``llvm`` dialect.
 """
 
-from repro.flows import ExecutionContext, available_flows, get_flow
+from repro.flows import (ExecutionContext, available_flows, get_flow,
+                         source_workload)
 from repro.ir.printer import print_op
 from repro.workloads import get_workload
 
@@ -47,15 +48,6 @@ end subroutine run_solver
 """
 
 
-class _Source:
-    name = "run_solver"
-    uses_openmp = False
-    uses_openacc = False
-
-    def source(self, *, scaled=True, **_):
-        return SOURCE
-
-
 def main() -> None:
     print("=" * 70)
     print("Registered compilation flows (repro.flows)")
@@ -67,9 +59,7 @@ def main() -> None:
         print(f"  options: {flow.schema.describe()}")
         workload = get_workload("dotproduct")
         options = flow.normalise_options({}, workload, ExecutionContext())
-        pipeline = flow.pipeline(options)
-        if pipeline is not None:
-            print(f"  pipeline: {pipeline.describe()}")
+        print(f"  pipeline: {flow.pipeline(options)}")
 
     for name, figure in (("flang", "Figure 1 — Flang's existing flow"),
                          ("ours", "Figure 2 — the standard MLIR flow "
@@ -79,7 +69,8 @@ def main() -> None:
         print(figure)
         print("=" * 70)
         flow = get_flow(name)
-        result = flow.run(_Source(), stages=flow.snapshot_stages)
+        result = flow.run(source_workload(SOURCE, name="run_solver"),
+                          stages=flow.snapshot_stages)
         for stage in result.stage_names:
             module = result.stage(stage)
             if module is None:

@@ -16,7 +16,7 @@ matcher and runtime evaluator decided:
 Usage: ``PYTHONPATH=src python examples/vector_engine_demo.py``
 """
 
-from repro.flang import FlangCompiler
+from repro.flows import get_flow, source_workload
 from repro.machine import Interpreter
 from repro.service.serialization import stats_to_dict
 
@@ -64,7 +64,7 @@ end program carried
 
 
 def run(name: str, source: str) -> None:
-    module = FlangCompiler().compile(source, stop_at="fir").fir_module
+    module = get_flow("flang").run(source_workload(source, name=name)).module
     reference = Interpreter(module, engine="reference")
     reference.run_main()
     vec = Interpreter(module, engine="vector")

@@ -3,11 +3,14 @@ standard MLIR" (SC 2024).
 
 Public entry points:
 
-* :class:`repro.flang.FlangCompiler` — the baseline Flang flow (Figure 1);
-* :class:`repro.core.StandardMLIRCompiler` — the paper's standard-MLIR flow
-  (Figure 2, Section V/VI);
-* :mod:`repro.flows` — the flow registry making compilation flows
-  first-class, registered objects;
+* :mod:`repro.flows` — the flow registry: ``get_flow("flang")`` is the
+  baseline Flang flow (Figure 1), ``get_flow("ours")`` the paper's
+  standard-MLIR flow (Figure 2, Section V/VI).  A flow is its pipeline
+  text; ``Flow.compile`` is the one driver (parse, analyse, lower to
+  HLFIR, run the pipeline), and ``source_workload`` wraps raw source;
+* :mod:`repro.core` / :mod:`repro.flang` — the passes those pipelines
+  name (``convert-fir-to-standard`` and the paper's passes;
+  ``convert-hlfir-to-fir``);
 * :mod:`repro.machine` — interpreter + machine models producing modeled
   runtimes;
 * :mod:`repro.workloads` — the benchmarks;

@@ -29,11 +29,10 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..flows import ENGINES, available_flows, get_flow
+from ..flows import ENGINES, available_flows, get_flow, source_workload
 from ..machine import Interpreter
 from ..service import CompileJob, CompileService
 from ..service.serialization import stats_to_dict
-from ..workloads import Workload
 from .generator import GeneratedKernel, generate
 
 #: Cross-flow tolerance for real-valued output tokens.
@@ -282,18 +281,10 @@ def compare_observations(observations: Dict[Tuple[str, str], Observation],
 # ---------------------------------------------------------------------------
 
 
-def _adhoc_workload(source: str) -> Workload:
-    return Workload(name="conformance/adhoc", category="conformance",
-                    description="ad-hoc conformance kernel",
-                    source_template=source.replace("{", "{{").replace("}", "}}"),
-                    paper_params={}, interp_params={},
-                    work_model=lambda p: 1.0)
-
-
 def _observe_in_process(source: str, config: FlowConfig, max_ops: int,
                         engines: Sequence[str] = ENGINES) -> List[Observation]:
     """Compile once, interpret the same module on every engine."""
-    workload = _adhoc_workload(source)
+    workload = source_workload(source, name="conformance/adhoc")
     out: List[Observation] = []
     with np.errstate(all="ignore"):
         try:

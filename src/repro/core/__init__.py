@@ -3,8 +3,8 @@
 Contains the Section V mapping (``fir_to_standard``), the paper's own
 optimisation passes (static shape recovery, allocatable-descriptor load
 hoisting, scf->affine promotion, affine super-vectorisation, tiling and
-unrolling, scf->parallel, OpenACC->GPU), the flow's pass pipelines, and the
-end-to-end driver (Figure 2).
+unrolling, scf->parallel, OpenACC->GPU) and the flow's pass pipelines
+(Figure 2); the ``ours`` flow (:mod:`repro.flows.builtin`) runs them.
 """
 
 from .acc_to_gpu import ConvertAccToGpuPass
@@ -12,7 +12,6 @@ from .affine_transforms import AffineLoopTilePass, AffineLoopUnrollPass
 from .affine_vectorize import AffineSuperVectorizePass, LoopVectorizer
 from .alloca_scope import AllocaScopePass, wrap_in_alloca_scope
 from .branch_fixup import BranchFixupPass, fixup_branches
-from .driver import StandardFlowResult, StandardMLIRCompiler
 from .fir_to_standard import (ConversionError, ConvertFirToStandardPass,
                               FirToStandardLowering, convert_fir_to_standard)
 from .hoist_descriptor_loads import (HoistDescriptorLoadsPass,
@@ -27,7 +26,7 @@ __all__ = [
     "ConvertAccToGpuPass", "AffineLoopTilePass", "AffineLoopUnrollPass",
     "AffineSuperVectorizePass", "LoopVectorizer", "AllocaScopePass",
     "wrap_in_alloca_scope", "BranchFixupPass", "fixup_branches",
-    "StandardFlowResult", "StandardMLIRCompiler", "ConversionError",
+    "ConversionError",
     "ConvertFirToStandardPass", "FirToStandardLowering",
     "convert_fir_to_standard", "HoistDescriptorLoadsPass",
     "hoist_descriptor_loads", "GPU_PIPELINE", "OPENMP_PIPELINE",

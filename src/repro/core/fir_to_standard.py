@@ -1102,26 +1102,19 @@ _wrap_assign_dispatch(FirToStandardLowering)
 class ConvertFirToStandardPass(Pass):
     """``convert-fir-to-standard``: the paper's HLFIR/FIR -> standard MLIR pass.
 
-    Because the conversion rebuilds the module, the transformed module is
-    stored on the pass instance (``result_module``) and also returned by the
-    module-level helper :func:`convert_fir_to_standard`.
+    The conversion builds a new module; the pass moves its contents and
+    attributes (``sym_name = "standard_module"``) into the module it runs
+    on, so it rewrites in place like any other pass.
     """
 
     NAME = "convert-fir-to-standard"
 
-    def __init__(self, **options):
-        super().__init__(**options)
-        self.result_module: Optional[ModuleOp] = None
-
     def run(self, module: Operation) -> None:
-        lowering = FirToStandardLowering(module)
-        self.result_module = lowering.run()
-        # splice the new contents into the original module so in-place
-        # pipelines observe the transformation
+        converted = FirToStandardLowering(module).run()
         for op in module.body.ops:
             op.erase(check_uses=False)
-        for op in self.result_module.body.ops:
-            module.body.add_op(op)
+        module.body.add_ops(list(converted.body.ops))
+        module.attributes = dict(converted.attributes)
 
 
 def convert_fir_to_standard(module: ModuleOp) -> ModuleOp:

@@ -1,7 +1,8 @@
 """Pass pipelines used by the standard-MLIR flow.
 
-:func:`standard_flow_pipeline` is the whole flow up to the optimised
-standard-dialect module the machine executes: the paper's own passes
+:func:`standard_flow_pipeline` is the whole flow after the Section V
+conversion, up to the optimised standard-dialect module the machine
+executes: the paper's own passes
 (static shape recovery, descriptor-load hoisting, affine promotion,
 super-vectorisation) between standard cleanups, with the threading / GPU
 lowerings in front when asked for.  The conversions to the ``llvm`` dialect
@@ -70,9 +71,10 @@ def standard_flow_pipeline(vector_width: int = 4, *, tile: bool = False,
                            tile_size: int = 32, unroll: int = 0,
                            parallelise: bool = False,
                            gpu: bool = False) -> PassManager:
-    """The whole standard flow as ONE op-anchored nested pipeline.
+    """The standard flow after the conversion as ONE op-anchored nest.
 
-    This is what the ``ours`` flow's pipeline builder returns: every stage —
+    The ``ours`` flow's pipeline text is ``convert-fir-to-standard`` followed
+    by this nest (:meth:`repro.flows.builtin.OursFlow.pipeline`): every stage —
     the initial scalar cleanups, the optional GPU/OpenMP lowerings and the
     Section V/VI optimisation stage — is anchored per-``func.func`` (MLIR
     ``OpPassManager`` style).  All of these passes transform one function at

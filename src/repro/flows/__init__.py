@@ -7,15 +7,16 @@ the table spec and ``python -m repro.opt`` all dispatch through
 :func:`get_flow`; registering a new :class:`Flow` is the only step needed to
 make it cacheable, schedulable and measurable.
 
-* :mod:`repro.flows.base` — :class:`Flow`, :class:`OptionsSchema`,
-  :class:`ExecutionContext`, :class:`FlowResult`;
+* :mod:`repro.flows.base` — :class:`Flow` (whose ``compile`` is the one
+  driver), :class:`OptionsSchema`, :class:`ExecutionContext`,
+  :class:`FlowResult`, :func:`source_workload`;
 * :mod:`repro.flows.registry` — registration and lookup;
 * :mod:`repro.flows.builtin` — the ``flang`` and ``ours`` flows.
 """
 
 from .base import (DEFAULT_ENGINE, ENGINES, CapabilityError, ExecutionContext,
                    Flow, FlowError, FlowOption, FlowResult, OptionError,
-                   OptionsSchema)
+                   OptionsSchema, source_workload)
 from .registry import (FLOW_REGISTRY, available_flows, get_flow,
                        register_flow, registered, unregister_flow)
 
@@ -23,5 +24,5 @@ __all__ = [
     "CapabilityError", "DEFAULT_ENGINE", "ENGINES", "ExecutionContext", "Flow", "FlowError", "FlowOption",
     "FlowResult", "OptionError", "OptionsSchema", "FLOW_REGISTRY",
     "available_flows", "get_flow", "register_flow", "registered",
-    "unregister_flow",
+    "source_workload", "unregister_flow",
 ]

@@ -3,26 +3,32 @@
 A :class:`Flow` is everything the service, the CLI and the harness need to
 know about one way of compiling a workload: its *name*, its *capability
 checks* (e.g. the baseline Flang flow rejects OpenACC), a typed *options
-schema* (defaults replacing ad-hoc per-flow fields), a *pipeline builder*
-returning an op-anchored nested
-:class:`~repro.ir.pass_manager.PassManager`, and a uniform
-:class:`FlowResult` with named stage snapshots.
+schema* (defaults replacing ad-hoc per-flow fields), and a function from
+options to *pipeline text*.  :meth:`Flow.compile` is the one driver every
+flow shares: parse, analyse, lower to HLFIR, then run the flow's pipeline
+(``PassManager.from_pipeline``) over the module in place.  The result is a
+uniform :class:`FlowResult` with named stage snapshots.
 
 Flows are registered in :mod:`repro.flows.registry`; everything above the
-drivers (the compile service, the table spec, ``python -m repro.opt``)
+flows (the compile service, the table spec, ``python -m repro.opt``)
 dispatches by flow *name*, so adding a flow is one registration — no service
 edits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..dialects.builtin import ModuleOp
+from ..frontend import FortranLowering, analyze, parse_source
+from ..frontend.units import program_units
 from ..ir.core import Operation
-from ..ir.pass_manager import (_INHERIT as _INHERIT_SETTINGS,
-                               PassInstrumentation, PassManager,
-                               PassTimingReport, pipeline_settings)
+from ..ir.pass_manager import (_INHERIT as _INHERIT_SETTINGS, Pass,
+                               PassInstrumentation, PassManager, PassTiming,
+                               PassTimingReport, current_settings,
+                               pipeline_settings)
+from ..ir.verifier import verify_operation
 
 
 class FlowError(RuntimeError):
@@ -201,9 +207,7 @@ class FlowResult:
     (:attr:`module`).  An *intermediate* stage is a clone of the module
     taken before later stages rewrote it in place, and is taken only when
     the compile was asked for it by name (``stages=``) — otherwise it is
-    ``None`` here.  Both drivers return subclasses that add their
-    historical attribute names (``fir_module``, ``optimised_module``, ...)
-    as properties over the same stages dict.
+    ``None`` here.
     """
 
     flow: str
@@ -251,20 +255,23 @@ class FlowResult:
 
 
 class Flow:
-    """One registered compilation flow.
+    """One registered compilation flow: data, plus the one driver.
 
-    Subclasses set :attr:`name`, :attr:`schema` and implement
-    :meth:`compile`; they may override :meth:`check_capabilities` (reject
-    workloads the flow cannot build), :meth:`normalise_options` (derive
-    extra canonical options from the workload/execution context) and
-    :meth:`pipeline` (expose the textual pass pipeline the flow runs).
+    Subclasses set :attr:`name`, :attr:`schema` and :attr:`final_stage` and
+    implement :meth:`pipeline`; they may override :meth:`check_capabilities`
+    (reject workloads the flow cannot build) and :meth:`normalise_options`
+    (derive extra canonical options from the workload/execution context).
     """
 
     name: str = "<unnamed>"
     description: str = ""
     schema: OptionsSchema = OptionsSchema()
-    #: The intermediate stages :meth:`run` can keep on request (``stages=``).
-    snapshot_stages: Tuple[str, ...] = ()
+    #: The intermediate stages :meth:`run` can keep on request (``stages=``),
+    #: each mapped to the pass that ends it (``None``: the lowered HLFIR,
+    #: before any pass runs).
+    snapshot_stages: Dict[str, Optional[str]] = {}
+    #: The name of the module the pipeline leaves: what the machine executes.
+    final_stage: str = "module"
 
     # -- hooks -----------------------------------------------------------------
     def check_capabilities(self, workload, execution: ExecutionContext) -> None:
@@ -280,17 +287,62 @@ class Flow:
         """
         return self.schema.coerce(options, strict=False)
 
-    def pipeline(self, options: Dict[str, Any]) -> Optional[PassManager]:
-        """The (possibly nested) pass pipeline this flow runs, if it has one."""
-        return None
+    def pipeline(self, options: Dict[str, Any]) -> str:
+        """The textual pass pipeline this flow runs over the lowered HLFIR."""
+        raise NotImplementedError
 
+    # -- the driver ------------------------------------------------------------
     def compile(self, workload, options: Dict[str, Any],
                 execution: ExecutionContext, *,
                 verify_each: bool = False,
                 collect_statistics: bool = True,
                 instrumentation: Sequence[PassInstrumentation] = (),
                 stages: Sequence[str] = ()) -> FlowResult:
-        raise NotImplementedError
+        """Parse, analyse, lower to HLFIR, run :meth:`pipeline` in place.
+
+        With a function store that memoises program units (see
+        :class:`~repro.service.incremental.FunctionArtifactStore`), a
+        pipeline with a ``func.func`` nest and no snapshots asked for, a
+        top-level unit whose key the store knows is served whole: its
+        functions are lowered as declarations, which the nest leaves alone,
+        and swapped for the served functions afterwards.  Every other
+        function takes the ordinary route, structural lookups included.
+        """
+        # importing these registers every pass a pipeline text may name
+        from .. import core, flang, transforms  # noqa: F401
+        source = workload.source(scaled=True)
+        analysis = analyze(parse_source(source))
+        pm = PassManager.from_pipeline(self.pipeline(options),
+                                       verify_each=verify_each,
+                                       collect_statistics=collect_statistics)
+        pipeline = pm.describe()
+        store = current_settings().function_cache
+        splicer = None
+        if not stages and hasattr(store, "lookup_unit") and any(
+                isinstance(entry, PassManager) and entry.anchor == "func.func"
+                for entry in pm.passes):
+            splicer = _UnitSplicer(store, source, analysis, pipeline)
+
+        module = FortranLowering(analysis).lower(
+            declare_only=splicer.served if splicer else ())
+        snapshots = _StageSnapshots(
+            module, {name: self.snapshot_stages[name] for name in stages})
+        instruments = [*instrumentation, snapshots] if stages \
+            else list(instrumentation)
+        if splicer is None:
+            pm.run(module, instrumentation=instruments)
+            timing = pm.last_report
+        else:
+            with pipeline_settings(function_cache=splicer):
+                pm.run(module, instrumentation=instruments)
+            timing = splicer.finish(module, pm.last_report,
+                                    verify=verify_each,
+                                    statistics=collect_statistics)
+        kept = {name: snapshots.kept.get(name)
+                for name in self.snapshot_stages}
+        return FlowResult(flow=self.name, source=source,
+                          stages={**kept, self.final_stage: module},
+                          pipeline=pipeline, timing=timing)
 
     # -- entry point -----------------------------------------------------------
     def run(self, workload, options: Optional[Dict[str, Any]] = None,
@@ -318,8 +370,7 @@ class Flow:
         :class:`~repro.service.incremental.FunctionArtifactStore` makes the
         compile incremental at function granularity.  It defaults to
         whatever the calling context already established (so nesting flows
-        inside ``pipeline_settings(...)`` blocks keeps working), and every
-        registered flow gets it without overriding :meth:`compile`.
+        inside ``pipeline_settings(...)`` blocks keeps working).
         """
         execution = execution or ExecutionContext()
         unknown = sorted(set(stages) - set(self.snapshot_stages))
@@ -341,7 +392,127 @@ class Flow:
         return f"{self.name}: {self.description or '<no description>'}"
 
 
+def source_workload(source: str, name: str = "<source>"):
+    """A workload for raw Fortran source text, so a source string can go
+    through ``get_flow(name).run(...)`` like any registered workload.
+
+    Braces are escaped (the template is ``str.format``-ed with no
+    parameters), and ``!$omp`` / ``!$acc`` directives set the flags the
+    flows read.
+    """
+    from ..workloads import Workload
+    lowered = source.lower()
+    return Workload(name=name, category="adhoc", description="source text",
+                    source_template=source.replace("{", "{{")
+                    .replace("}", "}}"),
+                    paper_params={}, interp_params={},
+                    work_model=lambda params: 1.0,
+                    uses_openmp="!$omp" in lowered,
+                    uses_openacc="!$acc" in lowered)
+
+
+# ---------------------------------------------------------------------------
+# The driver's helpers
+# ---------------------------------------------------------------------------
+
+
+class _StageSnapshots(PassInstrumentation):
+    """Clones of the stages one compile asked for: the lowered module when
+    built, every later stage after the pass that ends it."""
+
+    def __init__(self, module: Operation, wanted: Dict[str, Optional[str]]):
+        self.module = module
+        self.after = {pass_name: stage for stage, pass_name in wanted.items()
+                      if pass_name is not None}
+        self.kept = {stage: module.clone()
+                     for stage, pass_name in wanted.items() if pass_name is None}
+
+    def after_pass(self, pass_: Pass, op: Operation,
+                   timing: PassTiming) -> None:
+        stage = self.after.get(pass_.NAME)
+        if stage is not None:
+            self.kept[stage] = self.module.clone()
+
+
+class _UnitSplicer:
+    """One compile against a function store that memoises program units.
+
+    Units the store knows are served whole (:attr:`served`, by subprogram
+    name).  For the rest, this object stands in for the store during the
+    pipeline: it forwards every structural lookup and store, noting each
+    function's fingerprint and timings in the order the nest visits them,
+    so :meth:`finish` can remember the units and swap the served functions
+    in for their declarations.
+    """
+
+    def __init__(self, store, source: str, analysis, pipeline: str):
+        self.backing = store
+        self.analysis = analysis
+        try:
+            self.units = program_units(source, analysis, pipeline)
+        except Exception:
+            # unkeyable (an error lowering will report): compile it all, so
+            # the error is the one a compile without the store raises
+            self.units = []
+        self.served: Dict[str, Tuple[Operation, Tuple[PassTiming, ...]]] = {}
+        for unit in self.units:
+            functions = store.lookup_unit(unit.key)
+            if functions is not None:
+                self.served.update(zip(unit.subprograms, functions))
+        self.seen: List[Tuple[str, Tuple[PassTiming, ...]]] = []
+
+    # -- the nest's function cache ---------------------------------------------
+    def lookup(self, fingerprint: str):
+        hit = self.backing.lookup(fingerprint)
+        if hit is not None:
+            self.seen.append((fingerprint, tuple(hit[1])))
+        return hit
+
+    def store(self, fingerprint: str, func: Operation,
+              timings: Sequence[PassTiming] = ()) -> None:
+        self.seen.append((fingerprint, tuple(timings)))
+        self.backing.store(fingerprint, func, timings)
+
+    # -- after the pipeline ----------------------------------------------------
+    def finish(self, module: ModuleOp, report: PassTimingReport, *,
+               verify: bool, statistics: bool) -> PassTimingReport:
+        """Swap each served declaration for its function, remember the
+        units the nest compiled, and order the timing report by function."""
+        served = {func.get_attr("sym_name").value: func
+                  for func, _ in self.served.values()}
+        ran = 0
+        for op in module.body.ops:
+            if op.name != "func.func":
+                continue
+            if op.regions[0].blocks:
+                ran += 1
+                continue
+            module.body.insert_before(op, served[op.get_attr("sym_name").value])
+            op.erase(check_uses=False)
+        if self.served and verify:
+            verify_operation(module)
+
+        if len(self.seen) != ran:
+            return report   # a fingerprint failed: remember nothing
+        order = list(self.analysis.subprograms)
+        compiled = [name for name in order if name not in self.served]
+        seen = dict(zip(compiled, self.seen))
+        for unit in self.units:
+            if all(name in seen for name in unit.subprograms):
+                self.backing.remember_unit(
+                    unit.key, [seen[name][0] for name in unit.subprograms])
+        if not self.served or not statistics:
+            return report
+        per_function = {**seen, **self.served}
+        return PassTimingReport(
+            pipeline=report.pipeline,
+            timings=tuple(t for t in report.timings
+                          if t.anchor != "func.func")
+            + tuple(t for name in order for t in per_function[name][1]))
+
+
 __all__ = [
     "CapabilityError", "ENGINES", "ExecutionContext", "Flow", "FlowError",
     "FlowOption", "FlowResult", "OptionError", "OptionsSchema",
+    "source_workload",
 ]

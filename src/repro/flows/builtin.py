@@ -1,17 +1,16 @@
 """The built-in compilation flows: baseline ``flang`` and the paper's ``ours``.
 
-Each is a one-object registration over the corresponding driver; everything
-flow-specific (capability checks, options, pipelines, stage names) lives
-here, so the service and the table spec contain no per-flow branches.
+Each is data: a name, an options schema, a capability check and a function
+from options to pipeline text; :meth:`~repro.flows.base.Flow.compile` drives
+both.  Everything flow-specific lives here, so the service and the table
+spec contain no per-flow branches.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from ..ir.pass_manager import PassInstrumentation, PassManager
-from .base import (ExecutionContext, Flow, FlowOption, FlowResult,
-                   OptionsSchema)
+from .base import ExecutionContext, Flow, FlowOption, OptionsSchema
 from .registry import register_flow
 
 
@@ -21,13 +20,19 @@ class FlangFlow(Flow):
 
     Executed at the FIR level.  Takes no pipeline options, so jobs that
     differ only in standard-flow options deduplicate to one artifact.
+
+    The pipeline stays module-anchored, so ``flang`` compiles never reach
+    the function store or its unit memo: with ``convert-hlfir-to-fir``
+    anchored on ``func.func``, fingerprinting, cloning and storing every
+    ``flang`` function made cold table runs 25 % slower.
     """
 
     name = "flang"
     description = ("baseline Flang v20: HLFIR -> FIR, bespoke code "
                    "generation, runtime-library intrinsics (Figure 1)")
     schema = OptionsSchema()
-    snapshot_stages = ("hlfir",)
+    snapshot_stages = {"hlfir": None}
+    final_stage = "fir"
 
     def check_capabilities(self, workload, execution: ExecutionContext) -> None:
         if execution.gpu or workload.uses_openacc:
@@ -36,22 +41,8 @@ class FlangFlow(Flow):
             raise FlangCodegenError(
                 "missing LLVMTranslationDialectInterface for the acc dialect")
 
-    def pipeline(self, options: Dict[str, Any]) -> Optional[PassManager]:
-        from ..flang.hlfir_to_fir import ConvertHlfirToFirPass
-        return PassManager([ConvertHlfirToFirPass()])
-
-    def compile(self, workload, options: Dict[str, Any],
-                execution: ExecutionContext, *,
-                verify_each: bool = False,
-                collect_statistics: bool = True,
-                instrumentation: Sequence[PassInstrumentation] = (),
-                stages: Sequence[str] = ()) -> FlowResult:
-        from ..flang import FlangCompiler
-        compiler = FlangCompiler(verify_each=verify_each,
-                                 collect_statistics=collect_statistics,
-                                 instrumentations=instrumentation)
-        return compiler.compile(workload.source(scaled=True), stop_at="fir",
-                                stages=stages)
+    def pipeline(self, options: Dict[str, Any]) -> str:
+        return "builtin.module(convert-hlfir-to-fir)"
 
 
 @register_flow
@@ -74,7 +65,8 @@ class OursFlow(Flow):
         FlowOption("tile_size", int, 32, "tile size when tiling"),
         FlowOption("unroll", int, 0, "affine loop unroll factor (0 disables)"),
     )
-    snapshot_stages = ("hlfir", "standard")
+    snapshot_stages = {"hlfir": None, "standard": "convert-fir-to-standard"}
+    final_stage = "optimised"
 
     def normalise_options(self, options: Optional[Dict[str, Any]], workload,
                           execution: ExecutionContext) -> Dict[str, Any]:
@@ -84,25 +76,13 @@ class OursFlow(Flow):
         normalised["gpu"] = execution.gpu or workload.uses_openacc
         return normalised
 
-    def pipeline(self, options: Dict[str, Any]) -> PassManager:
+    def pipeline(self, options: Dict[str, Any]) -> str:
+        """The Section V conversion, then the optimisation nest."""
         from ..core import pipelines
-        return pipelines.standard_flow_pipeline(**options)
-
-    def compile(self, workload, options: Dict[str, Any],
-                execution: ExecutionContext, *,
-                verify_each: bool = False,
-                collect_statistics: bool = True,
-                instrumentation: Sequence[PassInstrumentation] = (),
-                stages: Sequence[str] = ()) -> FlowResult:
-        from ..core import StandardMLIRCompiler
-        compiler = StandardMLIRCompiler(
-            vector_width=options["vector_width"],
-            parallelise=options["parallelise"], gpu=options["gpu"],
-            tile=options["tile"], tile_size=options["tile_size"],
-            unroll=options["unroll"], verify_each=verify_each,
-            collect_statistics=collect_statistics,
-            instrumentations=instrumentation)
-        return compiler.compile(workload.source(scaled=True), stages=stages)
+        from ..core.fir_to_standard import ConvertFirToStandardPass
+        pm = pipelines.standard_flow_pipeline(**options)
+        pm.passes.insert(0, ConvertFirToStandardPass())
+        return pm.describe()
 
 
 __all__ = ["FlangFlow", "OursFlow"]

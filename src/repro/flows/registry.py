@@ -3,8 +3,8 @@
 Mirrors MLIR's pass registration: flows register themselves once, and every
 consumer (the compile service, the table spec, ``python -m repro.opt``) looks
 them up by name.  The built-in flows live in :mod:`repro.flows.builtin` and
-are loaded lazily on first lookup so that the drivers can import
-:mod:`repro.flows.base` without a circular import.
+are loaded lazily on first lookup, so importing :mod:`repro.flows.base`
+(the machine does, for its engine names) does not load them.
 """
 
 from __future__ import annotations

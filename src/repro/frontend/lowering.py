@@ -703,8 +703,6 @@ class FortranLowering:
             return self._lower_transformational(expr)
         if name in ("size",):
             return self._lower_size(expr)
-        if name == "allocated":
-            raise LoweringError("allocated() is not supported")
         if name in ("lbound", "ubound"):
             return self._lower_bound_inquiry(expr)
         args = [self._lower_expr(a) for a in expr.args]

@@ -630,6 +630,11 @@ class SemanticAnalyzer:
                 node.ftype = sym.ftype.scalar()
             return node
         if intrinsics.is_intrinsic(expr.name) and (sym is None or not sym.ftype.is_array):
+            if expr.name.lower() == "allocated":
+                # a descriptor's allocation status is not modelled
+                raise SemanticError(
+                    f"ALLOCATED at {expr.loc}: the allocated() inquiry is "
+                    f"not supported")
             node = ast.IntrinsicCall(name=expr.name, args=args, loc=expr.loc)
             node.ftype = intrinsics.result_type(expr.name, [a.ftype for a in args])
             return node

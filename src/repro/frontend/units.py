@@ -10,10 +10,10 @@ each one on a SHA-256 over
 * the unit's source text, cut at the parser's unit boundaries;
 * the program's :func:`interface_digest` — everything one unit's lowering
   or conversion reads from the others;
-* a caller-supplied salt (the standard flow passes its pipeline text).
+* a caller-supplied salt (the flow driver passes its pipeline text).
 
 Two compiles that give a unit the same key build the same functions for
-it, which is what lets :mod:`repro.core.driver` skip them.
+it, which is what lets :meth:`repro.flows.base.Flow.compile` skip them.
 """
 
 from __future__ import annotations

@@ -643,7 +643,9 @@ class PassManager:
                           timings: List[PassTiming],
                           stats: List[Tuple[str, float]],
                           verify: bool) -> None:
-        """Run this nested manager over every matching op under ``host``.
+        """Run this nested manager over every matching op under ``host``
+        that has a body: a declaration is left alone, as MLIR's function
+        passes leave external functions.
 
         This is where incremental compilation plugs in: hits in the ambient
         :class:`PipelineSettings` function cache are spliced (their stored
@@ -660,6 +662,8 @@ class PassManager:
 
         spliced_from_cache = False
         for target in anchored_ops(host, self.anchor):
+            if target.regions and not target.regions[0].blocks:
+                continue   # a declaration: nothing to run a pipeline over
             key = None
             if cache is not None and target.parent is not None:
                 try:

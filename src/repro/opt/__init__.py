@@ -24,7 +24,8 @@ from typing import Any, Dict, List, Optional, Sequence
 import repro.core  # noqa: F401
 import repro.transforms  # noqa: F401
 from ..flows import (DEFAULT_ENGINE, ENGINES, ExecutionContext, FlowError,
-                     available_flows, get_flow)
+                     available_flows, get_flow, source_workload)
+from ..frontend import lower_to_hlfir
 from ..ir.pass_manager import (IRDumpInstrumentation, PassManager,
                                available_passes, pipeline_settings)
 from ..ir.pass_manager import _parse_scalar
@@ -145,22 +146,6 @@ def _parse_assignments(pairs: Sequence[str], what: str) -> Dict[str, Any]:
     return out
 
 
-class _SourceInput:
-    """Duck-typed stand-in for a Workload when compiling raw source text."""
-
-    category = "adhoc"
-
-    def __init__(self, text: str, name: str = "<source>"):
-        self._text = text
-        self.name = name
-        lowered = text.lower()
-        self.uses_openmp = "!$omp" in lowered
-        self.uses_openacc = "!$acc" in lowered
-
-    def source(self, *, scaled: bool = True, **_) -> str:
-        return self._text
-
-
 def _resolve_input(args) -> Any:
     if args.workload:
         from ..workloads import get_workload
@@ -169,12 +154,12 @@ def _resolve_input(args) -> Any:
                                                  "--workload-arg"))
     if args.source and args.source != "-":
         with open(args.source) as handle:
-            return _SourceInput(handle.read(), name=args.source)
+            return source_workload(handle.read(), name=args.source)
     if args.source == "-":
-        return _SourceInput(sys.stdin.read(), name="<stdin>")
+        return source_workload(sys.stdin.read(), name="<stdin>")
     print("// no input given: compiling the built-in demo kernel "
           "(pass a file, '-', or --workload)", file=sys.stderr)
-    return _SourceInput(DEMO_SOURCE, name="<demo>")
+    return source_workload(DEMO_SOURCE, name="<demo>")
 
 
 def _instrumentation(args) -> List[IRDumpInstrumentation]:
@@ -306,11 +291,10 @@ def _run_flow(args, source) -> int:
 
 
 def _run_pipeline(args, source) -> int:
-    from ..flang import FlangCompiler
     from ..core.fir_to_standard import convert_fir_to_standard
     from ..service.incremental import get_function_store
 
-    module = FlangCompiler().lower_to_hlfir(source.source(scaled=True))
+    module = lower_to_hlfir(source.source(scaled=True))
     if args.input_stage == "standard":
         module = convert_fir_to_standard(module)
     pm = PassManager.from_pipeline(args.pipeline,

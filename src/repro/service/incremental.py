@@ -25,7 +25,9 @@ The store implements the duck-typed ``lookup``/``store`` protocol of
 :class:`repro.ir.pass_manager.PipelineSettings.function_cache`.
 
 In front of the fingerprints sits a **unit memo** (:meth:`lookup_unit`,
-:meth:`remember_unit`), which the ``ours`` compile consults.  It maps a
+:meth:`remember_unit`), which :meth:`repro.flows.base.Flow.compile`
+consults when the pipeline has a ``func.func`` nest (``ours``; ``flang``'s
+pipeline has none).  It maps a
 program unit's key (:mod:`repro.frontend.units`: source text, interface
 digest, pipeline text) to the fingerprints its functions had when last
 stored.  A unit it knows is served from the live tier before anything is

@@ -5,8 +5,7 @@ import sys
 
 import pytest
 
-from repro.core import StandardMLIRCompiler, convert_fir_to_standard
-from repro.flang import FlangCompiler
+from repro.flows import ExecutionContext, get_flow, source_workload
 from repro.machine import Interpreter
 
 
@@ -60,16 +59,6 @@ end program main
 
 
 @pytest.fixture(scope="session")
-def flang_compiler():
-    return FlangCompiler()
-
-
-@pytest.fixture(scope="session")
-def standard_compiler():
-    return StandardMLIRCompiler(vector_width=4)
-
-
-@pytest.fixture(scope="session")
 def simple_program_source():
     return SIMPLE_PROGRAM
 
@@ -79,19 +68,37 @@ def conditional_source():
     return CONDITIONAL_SUBROUTINE
 
 
+def compile_source(flow: str, source: str, options=None, *,
+                   execution=None, **kwargs):
+    """Run flow ``flow`` over Fortran source text; the :class:`FlowResult`."""
+    return get_flow(flow).run(source_workload(source), options, execution,
+                              **kwargs)
+
+
+def flang_module(source: str):
+    """The ``flang`` flow's final (FIR) module for ``source``."""
+    return compile_source("flang", source).module
+
+
+def ours_module(source: str, *, threads: int = 1, gpu: bool = False,
+                **options):
+    """The ``ours`` flow's optimised module for ``source``; ``threads > 1``
+    parallelises, ``gpu`` lowers OpenACC, like the flow's own options."""
+    return compile_source("ours", source, options,
+                          execution=ExecutionContext(threads=threads,
+                                                     gpu=gpu)).module
+
+
 def run_flang(source: str):
     """Compile with the baseline flow (FIR level) and interpret."""
-    result = FlangCompiler().compile(source, stop_at="fir")
-    interp = Interpreter(result.fir_module)
+    interp = Interpreter(flang_module(source))
     interp.run_main()
     return interp
 
 
 def run_ours(source: str, **kwargs):
     """Compile with the standard-MLIR flow and interpret the optimised IR."""
-    result = StandardMLIRCompiler(vector_width=kwargs.pop("vector_width", 4),
-                                  **kwargs).compile(source)
-    interp = Interpreter(result.optimised_module)
+    interp = Interpreter(ours_module(source, **kwargs))
     interp.run_main()
     return interp
 

@@ -3,22 +3,22 @@ mapping (Section V) and its supporting passes."""
 
 import pytest
 
-from repro.core import (StandardMLIRCompiler, convert_fir_to_standard,
+from repro.core import (convert_fir_to_standard,
                         fixup_branches, wrap_in_alloca_scope)
 from repro.dialects import cf, dialects_used, fir, tmpbr, uses_only_standard_dialects
 from repro.dialects import func as func_d
 from repro.dialects.builtin import ModuleOp
-from repro.flang import FlangCompiler
 from repro.ir import Block, Region
 from repro.ir import types as T
+from repro.frontend import lower_to_hlfir
 from repro.ir.printer import print_op
 from repro.machine import Interpreter
 
-from ..conftest import last_value, run_flang, run_ours
+from ..conftest import compile_source, last_value, run_flang, run_ours
 
 
 def lower(source: str) -> ModuleOp:
-    hlfir = FlangCompiler().lower_to_hlfir(source)
+    hlfir = lower_to_hlfir(source)
     return convert_fir_to_standard(hlfir)
 
 
@@ -431,20 +431,22 @@ class TestWholeFlow:
         assert uses_only_standard_dialects(module)
 
     def test_compiler_driver_stages(self, simple_program_source):
-        result = StandardMLIRCompiler(vector_width=4).compile(
-            simple_program_source, stages=("hlfir", "standard"))
-        assert "hlfir" in dialects_used(result.hlfir_module)
-        assert result.is_standard_only
-        assert "affine" in dialects_used(result.optimised_module) or \
-               "scf" in dialects_used(result.optimised_module)
-        assert result.pipeline_description.startswith("builtin.module(")
+        result = compile_source("ours", simple_program_source,
+                                stages=("hlfir", "standard"))
+        assert "hlfir" in dialects_used(result.kept_stage("hlfir"))
+        assert uses_only_standard_dialects(result.kept_stage("standard"))
+        assert result.module is result.stages["optimised"]
+        assert "affine" in dialects_used(result.module) or \
+               "scf" in dialects_used(result.module)
+        assert result.pipeline.startswith(
+            "builtin.module(convert-fir-to-standard,func.func(")
 
     def test_intermediate_stages_are_kept_only_on_request(
             self, simple_program_source):
         from repro.flows import FlowError
-        compiler = StandardMLIRCompiler(vector_width=4)
-        kept = compiler.compile(simple_program_source, stages=("standard",))
-        plain = compiler.compile(simple_program_source)
+        kept = compile_source("ours", simple_program_source,
+                              stages=("standard",))
+        plain = compile_source("ours", simple_program_source)
         assert plain.stage_names == kept.stage_names
         assert plain.stages["hlfir"] is plain.stages["standard"] is None
         assert kept.stages["hlfir"] is None
@@ -452,9 +454,9 @@ class TestWholeFlow:
         # a snapshot that was not taken is an error that says what to pass,
         # never a silent None
         with pytest.raises(FlowError, match=r"stages=\('hlfir',\)"):
-            plain.hlfir_module
+            plain.kept_stage("hlfir")
         with pytest.raises(FlowError, match=r"stages=\('standard',\)"):
-            plain.is_standard_only
+            plain.kept_stage("standard")
         # and the final IR does not depend on what was kept
         assert print_op(plain.module) == print_op(kept.module)
 
@@ -464,7 +466,7 @@ class TestWholeFlow:
         must end up erased (``parent is None`` is what every pattern driver
         reads as "gone"), not merely dropped from the list."""
         from repro.core import ConvertFirToStandardPass
-        module = FlangCompiler().lower_to_hlfir(simple_program_source)
+        module = lower_to_hlfir(simple_program_source)
         replaced = list(module.body.ops)
         nested = [op for top in replaced for op in top.walk()]
         ConvertFirToStandardPass().run(module)
@@ -472,5 +474,4 @@ class TestWholeFlow:
         assert module.body.ops and \
             all(op.parent is module.body for op in module.body.ops)
         assert not set(replaced) & set(module.body.ops)
-        assert [print_op(op) for op in module.body.ops] == \
-            [print_op(op) for op in lower(simple_program_source).body.ops]
+        assert print_op(module) == print_op(lower(simple_program_source))

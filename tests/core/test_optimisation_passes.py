@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.core import StandardMLIRCompiler, convert_fir_to_standard
+from repro.core import convert_fir_to_standard
 from repro.ir.pass_manager import PassManager
 from repro.ir.printer import print_op
 
-from ..conftest import last_value, run_flang, run_ours
-
-
-def optimised(source: str, **kwargs):
-    return StandardMLIRCompiler(**kwargs).compile(source).optimised_module
+from ..conftest import last_value, ours_module, run_flang, run_ours
 
 
 ALLOCATABLE_STENCIL = """
@@ -39,7 +35,7 @@ end program p
 
 class TestStaticShapeRecovery:
     def test_dynamic_memrefs_become_static(self):
-        module = optimised(ALLOCATABLE_STENCIL, vector_width=0)
+        module = ours_module(ALLOCATABLE_STENCIL, vector_width=0)
         text = print_op(module)
         assert "memref<32x32xf64>" in text
 
@@ -56,7 +52,7 @@ program p
   print *, x(2)
 end program p
 """
-        module = optimised(src, vector_width=0)
+        module = ours_module(src, vector_width=0)
         text = print_op(module)
         assert "memref<?xf64>" in text
 
@@ -67,7 +63,7 @@ end program p
 
 class TestDescriptorLoadHoisting:
     def test_container_loads_hoisted_out_of_loops(self):
-        module = optimised(ALLOCATABLE_STENCIL, vector_width=0)
+        module = ours_module(ALLOCATABLE_STENCIL, vector_width=0)
         # inside every affine/scf loop body there should be no loads of the
         # outer memref-of-memref containers left
         for op in module.walk():
@@ -84,17 +80,17 @@ class TestDescriptorLoadHoisting:
 
 class TestVectorisation:
     def test_stencil_loop_is_vectorised(self):
-        module = optimised(ALLOCATABLE_STENCIL, vector_width=4)
+        module = ours_module(ALLOCATABLE_STENCIL, vector_width=4)
         names = {op.name for op in module.walk()}
         assert "vector.load" in names or "vector.store" in names
 
     def test_vector_width_respected(self):
-        module = optimised(ALLOCATABLE_STENCIL, vector_width=4)
+        module = ours_module(ALLOCATABLE_STENCIL, vector_width=4)
         text = print_op(module)
         assert "vector<4xf64>" in text
 
     def test_disabled_vectorisation_produces_no_vector_ops(self):
-        module = optimised(ALLOCATABLE_STENCIL, vector_width=0)
+        module = ours_module(ALLOCATABLE_STENCIL, vector_width=0)
         names = {op.name for op in module.walk()}
         assert not any(n.startswith("vector.") for n in names)
 
@@ -117,7 +113,7 @@ program p
   print *, acc
 end program p
 """
-        module = optimised(src, vector_width=4)
+        module = ours_module(src, vector_width=4)
         names = {op.name for op in module.walk()}
         assert "vector.reduction" in names
         assert last_value(run_ours(src)) == pytest.approx(
@@ -131,7 +127,7 @@ end program p
 
 class TestParallelisationAndFMA:
     def test_scf_parallel_and_openmp_lowering(self):
-        module = optimised(ALLOCATABLE_STENCIL, vector_width=0, parallelise=True)
+        module = ours_module(ALLOCATABLE_STENCIL, vector_width=0, threads=2)
         names = {op.name for op in module.walk()}
         assert "omp.parallel" in names and "omp.wsloop" in names
 
@@ -153,7 +149,7 @@ program p
   print *, acc
 end program p
 """
-        module = optimised(src, vector_width=0, parallelise=True)
+        module = ours_module(src, vector_width=0, threads=2)
         # the accumulation loop must stay serial: at least one scf.for remains
         parallel_bodies = [op for op in module.walk() if op.name == "omp.wsloop"]
         serial_loops = [op for op in module.walk() if op.name in ("scf.for", "affine.for")]
@@ -177,14 +173,14 @@ program p
   print *, y(32)
 end program p
 """
-        module = optimised(src, vector_width=0)
+        module = ours_module(src, vector_width=0)
         names = {op.name for op in module.walk()}
         assert "math.fma" in names
 
     def test_tiling_marks_loops(self):
         from repro.workloads import get_workload
         w = get_workload("matmul")
-        module = optimised(w.source(scaled=True), vector_width=0, tile=True)
+        module = ours_module(w.source(scaled=True), vector_width=0, tile=True)
         tiled = [op for op in module.walk()
                  if op.name in ("affine.for", "scf.for") and op.get_attr("tiled")]
         assert tiled
@@ -194,7 +190,7 @@ class TestGPULowering:
     def test_acc_kernels_become_gpu_launch(self):
         from repro.workloads import pw_advection
         src = pw_advection(openacc=True).source(scaled=True)
-        module = optimised(src, vector_width=0, gpu=True)
+        module = ours_module(src, vector_width=0, gpu=True)
         names = {op.name for op in module.walk()}
         assert "gpu.launch" in names
         assert "gpu.host_register" in names

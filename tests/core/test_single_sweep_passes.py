@@ -16,8 +16,8 @@ from repro.core.hoist_descriptor_loads import (
     HoistDescriptorLoadsPass, _deduplicate_loads, _enclosing_loops,
     _is_container_load, _ops_storing_to)
 from repro.core.scf_to_affine import ScfToAffine
-from repro.flang import FlangCompiler
 from repro.flows import available_flows, get_flow
+from repro.frontend import lower_to_hlfir
 from repro.ir.pass_manager import PassManager, get_registered_pass
 from repro.ir.printer import print_op
 from repro.workloads import all_workloads
@@ -169,12 +169,8 @@ BEFORE_RAISE = BEFORE_HOIST + ("hoist-allocatable-loads",
                                "convert-linalg-to-loops")
 
 
-def _hlfir(source: str):
-    return FlangCompiler().lower_to_hlfir(source)
-
-
 def _standard(source: str, passes):
-    module = convert_fir_to_standard(_hlfir(source))
+    module = convert_fir_to_standard(lower_to_hlfir(source))
     pipeline = PassManager()
     for name in passes:
         pipeline.add(name)
@@ -186,7 +182,7 @@ CASES = {
     "hoist-allocatable-loads":
         lambda n: _standard(_allocatable_assignments(n), BEFORE_HOIST),
     "convert-hlfir-to-fir":
-        lambda n: _hlfir(_allocatable_assignments(n)),
+        lambda n: lower_to_hlfir(_allocatable_assignments(n)),
     "raise-scf-to-affine":
         lambda n: _standard(_sibling_loops(n), BEFORE_RAISE),
 }

@@ -9,17 +9,17 @@ from repro.machine import Interpreter
 
 import numpy as np
 
-from ..conftest import last_value
+from ..conftest import flang_module, last_value
 
 
 class TestHlfirToFir:
-    def test_hlfir_removed(self, simple_program_source, flang_compiler):
-        result = flang_compiler.compile(simple_program_source, stop_at="fir")
-        used = dialects_used(result.fir_module)
+    def test_hlfir_removed(self, simple_program_source):
+        module = flang_module(simple_program_source)
+        used = dialects_used(module)
         assert "hlfir" not in used
         assert "fir" in used
 
-    def test_intrinsics_become_runtime_calls(self, flang_compiler):
+    def test_intrinsics_become_runtime_calls(self):
         src = """
 program p
   implicit none
@@ -30,12 +30,12 @@ program p
   print *, t
 end program p
 """
-        result = flang_compiler.compile(src, stop_at="fir")
-        text = print_op(result.fir_module)
+        module = flang_module(src)
+        text = print_op(module)
         assert "_FortranASum" in text
         assert "_FortranADotProduct" in text
 
-    def test_element_access_uses_explicit_offsets(self, flang_compiler):
+    def test_element_access_uses_explicit_offsets(self):
         src = """
 program p
   implicit none
@@ -44,14 +44,14 @@ program p
   print *, a(3, 4)
 end program p
 """
-        result = flang_compiler.compile(src, stop_at="fir")
-        text = print_op(result.fir_module)
+        module = flang_module(src)
+        text = print_op(module)
         # 1-based normalisation + linearisation + coordinate_of
         assert '"fir.coordinate_of"' in text
         assert '"arith.subi"' in text
         assert '"arith.muli"' in text
 
-    def test_allocatable_descriptor_reloaded_per_access(self, flang_compiler):
+    def test_allocatable_descriptor_reloaded_per_access(self):
         src = """
 program p
   implicit none
@@ -64,8 +64,8 @@ program p
   print *, v(8)
 end program p
 """
-        result = flang_compiler.compile(src, stop_at="fir")
-        loops = [op for op in result.fir_module.walk() if op.name == "fir.do_loop"]
+        module = flang_module(src)
+        loops = [op for op in module.walk() if op.name == "fir.do_loop"]
         assert loops
         body_names = [op.name for op in loops[0].walk()]
         # the box is re-loaded inside the loop (no hoisting in the baseline)
@@ -87,10 +87,9 @@ class TestRuntimeLibrary:
         assert out.shape == (3, 2)
         assert np.allclose(out, a @ b)
 
-    def test_executable_baseline_produces_output(self, simple_program_source,
-                                                 flang_compiler):
-        result = flang_compiler.compile(simple_program_source, stop_at="fir")
-        interp = Interpreter(result.fir_module)
+    def test_executable_baseline_produces_output(self, simple_program_source):
+        module = flang_module(simple_program_source)
+        interp = Interpreter(module)
         interp.run_main()
         expected = sum(float(i + j) for i in range(1, 9) for j in range(1, 9))
         expected += sum(float(i + 1) * 2.0 for i in range(1, 9))

@@ -3,6 +3,10 @@ checks, uniform FlowResults, and the acceptance criterion that a newly
 registered flow is cacheable and measurable with zero service edits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,9 +114,9 @@ class TestBuiltinFlows:
         workload = get_workload("dotproduct")
         opts = flow.normalise_options({"vector_width": 8}, workload,
                                       ExecutionContext())
-        pm = flow.pipeline(opts)
-        text = pm.describe()
-        assert text.startswith("builtin.module(func.func(")
+        text = flow.pipeline(opts)
+        assert text.startswith(
+            "builtin.module(convert-fir-to-standard,func.func(")
         assert "affine-super-vectorize{virtual-vector-size=8}" in text
 
     def test_flow_results_are_uniform(self):
@@ -151,6 +155,7 @@ class TestBuiltinFlows:
     def test_flow_run_records_timing_report(self):
         result = get_flow("ours").run(get_workload("sum"))
         names = [t.pass_name for t in result.timing.timings]
+        assert names[0] == "convert-fir-to-standard"
         assert "canonicalize" in names
         assert result.pipeline.startswith("builtin.module(")
 
@@ -161,11 +166,10 @@ class NoOptFlow(Flow):
     name = "ours-noopt"
     description = "standard flow with optimisation disabled"
     schema = OptionsSchema()
+    final_stage = "standard"
 
-    def compile(self, workload, options, execution, **kw):
-        from repro.core import StandardMLIRCompiler
-        compiler = StandardMLIRCompiler(vector_width=0)
-        return compiler.compile(workload.source(scaled=True))
+    def pipeline(self, options):
+        return "builtin.module(convert-fir-to-standard)"
 
 
 class TestNewFlowNeedsNoServiceEdits:
@@ -227,10 +231,8 @@ class TestNewFlowNeedsNoServiceEdits:
             name = "err-flow"
 
             def compile(self, workload, options, execution, **kw):
-                from repro.flang import FlangCompiler
-                source = workload.source(scaled=True)
-                partial = FlangCompiler().compile(source, stop_at="hlfir")
-                return FlowResult(flow=self.name, source=source,
+                partial = get_flow("flang").run(workload)
+                return FlowResult(flow=self.name, source=partial.source,
                                   stages=partial.stages,
                                   error="code generation gave up")
 
@@ -238,6 +240,24 @@ class TestNewFlowNeedsNoServiceEdits:
             artifact = run_job(CompileJob("err-flow", "dotproduct"))
         assert not artifact.ok
         assert artifact.error == "code generation gave up"
+
+    def test_pipeline_text_may_name_any_built_in_pass(self):
+        # a fresh process that imported nothing but repro.flows: the driver,
+        # not the flow, makes sure every pass its text names is registered
+        script = (
+            "from repro.flows import Flow, source_workload\n"
+            "class Bare(Flow):\n"
+            "    name = 'bare'\n"
+            "    def pipeline(self, options):\n"
+            "        return 'builtin.module(convert-fir-to-standard)'\n"
+            "result = Bare().run(source_workload("
+            "'program p\\n  print *, 1\\nend program p\\n'))\n"
+            "print(result.pipeline)\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        assert out.strip() == "builtin.module(convert-fir-to-standard)"
 
     def test_run_job_unknown_flow_artifact(self):
         artifact = run_job(CompileJob("no-such-flow", "dotproduct"))

@@ -7,7 +7,10 @@ from repro.dialects.builtin import ModuleOp
 from repro.ir import (Block, IRError, Region, VerificationError,
                       create_operation, print_op, verify_operation)
 from repro.ir import types as T
+from repro.frontend import lower_to_hlfir
 from repro.ir.attributes import IntegerAttr
+
+from ..conftest import flang_module, ours_module
 
 
 def make_add_block():
@@ -111,15 +114,15 @@ class TestCloning:
 
 
 class TestWalkAndVerify:
-    def test_walk_visits_nested_ops(self, simple_program_source, flang_compiler):
-        module = flang_compiler.lower_to_hlfir(simple_program_source)
+    def test_walk_visits_nested_ops(self, simple_program_source):
+        module = lower_to_hlfir(simple_program_source)
         names = [op.name for op in module.walk()]
         assert "builtin.module" in names
         assert "fir.do_loop" in names
         assert "hlfir.declare" in names
 
-    def test_verifier_accepts_valid_module(self, conditional_source, flang_compiler):
-        module = flang_compiler.lower_to_hlfir(conditional_source)
+    def test_verifier_accepts_valid_module(self, conditional_source):
+        module = lower_to_hlfir(conditional_source)
         verify_operation(module)
 
     def test_verifier_rejects_use_before_def(self):
@@ -154,9 +157,7 @@ class TestDropReferences:
         # for the cycle collector, with it the last name frees everything
         import gc
         import weakref
-        from repro.core import StandardMLIRCompiler
-        module = StandardMLIRCompiler(vector_width=4).compile(
-            simple_program_source).optimised_module
+        module = ours_module(simple_program_source)
         innermost = max(module.walk(),
                         key=lambda op: sum(1 for _ in op.ancestors()))
         assert innermost.results and innermost.parent is not None
@@ -177,10 +178,8 @@ class TestDropReferences:
         # they go with the block
         import gc
         import weakref
-        from repro.flang import FlangCompiler
         from repro.machine import Interpreter
-        module = FlangCompiler().compile(simple_program_source,
-                                         stop_at="fir").fir_module
+        module = flang_module(simple_program_source)
         interp = Interpreter(module, engine="jit")
         for function in interp.functions.values():
             for block in function.regions[0].blocks:

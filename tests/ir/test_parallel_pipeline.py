@@ -4,7 +4,7 @@ one-nest shape of the standard flow.
 """
 
 from repro.core.fir_to_standard import convert_fir_to_standard
-from repro.flang import FlangCompiler
+from repro.frontend import lower_to_hlfir
 from repro.ir import dumps_op, loads_op, pipeline_settings, print_op
 
 MULTI_FUNC = """
@@ -42,8 +42,7 @@ end subroutine pc
 """
 
 def _module():
-    return convert_fir_to_standard(
-        FlangCompiler().lower_to_hlfir(MULTI_FUNC))
+    return convert_fir_to_standard(lower_to_hlfir(MULTI_FUNC))
 
 
 def test_pickle_roundtrip_preserves_ir_and_renumbers_uids():

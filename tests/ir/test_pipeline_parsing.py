@@ -235,7 +235,8 @@ class TestRunStatistics:
                          ("before", "cse"), ("after", "cse", "cse")]
 
     def test_nested_child_instrumentation_fires_via_parent_run(self):
-        from repro.core.driver import StandardMLIRCompiler
+        from repro.core import convert_fir_to_standard
+        from repro.frontend import lower_to_hlfir
         calls = []
 
         class Recorder(PassInstrumentation):
@@ -245,10 +246,9 @@ class TestRunStatistics:
         pm = PassManager()
         pm.nest("func.func").add("canonicalize") \
           .add_instrumentation(Recorder())
-        module = StandardMLIRCompiler().compile(
+        module = convert_fir_to_standard(lower_to_hlfir(
             "subroutine s(x)\n  real(kind=8), intent(out) :: x\n"
-            "  x = 1.0d0\nend subroutine s",
-            stages=("standard",)).standard_module
+            "  x = 1.0d0\nend subroutine s"))
         pm.run(module)
         assert calls and all(anchor == "func.func" for anchor, _ in calls)
 

@@ -10,8 +10,8 @@ cosmetic state (uid counters, value name hints) must be invisible.
 import pytest
 
 from repro.core.fir_to_standard import convert_fir_to_standard
-from repro.flang import FlangCompiler
 from repro.flows import get_flow
+from repro.frontend import lower_to_hlfir
 from repro.ir import StringAttr, structural_fingerprint, structural_hash
 from repro.workloads import all_workloads, get_workload
 
@@ -39,7 +39,7 @@ end subroutine f2
 
 
 def _compile_module(source=TWO_FUNCS):
-    return convert_fir_to_standard(FlangCompiler().lower_to_hlfir(source))
+    return convert_fir_to_standard(lower_to_hlfir(source))
 
 
 def _funcs(module):

@@ -12,7 +12,7 @@ import pytest
 from repro.machine import Interpreter
 from repro.service.serialization import stats_to_dict
 
-from ..conftest import run_flang, run_ours
+from ..conftest import flang_module, ours_module, run_flang, run_ours
 
 ENGINES = pytest.mark.parametrize("engine",
                                   ["compiled", "reference", "jit", "vector"])
@@ -63,27 +63,20 @@ class TestDispatchCacheRegression:
             assert stats_to_dict(other.stats) == \
                 stats_to_dict(reference.stats), engine
 
-    def test_polyhedron_workload_stats_equality(self, flang_compiler,
-                                                standard_compiler):
+    def test_polyhedron_workload_stats_equality(self):
         from repro.workloads import get_workload
         source = get_workload("ac").source(scaled=True)
-        self._assert_engines_identical(
-            flang_compiler.compile(source, stop_at="fir").fir_module)
-        self._assert_engines_identical(
-            standard_compiler.compile(source).optimised_module)
+        self._assert_engines_identical(flang_module(source))
+        self._assert_engines_identical(ours_module(source))
 
-    def test_stencil_workload_stats_equality(self, standard_compiler,
-                                             simple_program_source):
-        self._assert_engines_identical(
-            standard_compiler.compile(simple_program_source).optimised_module)
+    def test_stencil_workload_stats_equality(self, simple_program_source):
+        self._assert_engines_identical(ours_module(simple_program_source))
 
     @ENGINES
     def test_execution_limit_still_enforced(self, engine,
-                                            standard_compiler,
                                             simple_program_source):
         from repro.machine import ExecutionLimitExceeded
-        result = standard_compiler.compile(simple_program_source)
-        interp = Interpreter(result.optimised_module, max_ops=50,
+        interp = Interpreter(ours_module(simple_program_source), max_ops=50,
                              engine=engine)
         with pytest.raises(ExecutionLimitExceeded):
             interp.run_main()

@@ -15,6 +15,8 @@ from repro.machine import Interpreter
 from repro.service.serialization import stats_to_dict
 from repro.workloads import all_workloads, get_workload
 
+from ..conftest import ours_module
+
 
 def _families():
     """One representative per category: the smallest kernel by modelled work."""
@@ -216,10 +218,8 @@ class TestAffineAndVectorParity:
                   "vector.reduction")),
     ], ids=["tiled-unrolled-vectorised", "vectorised"])
     def test_optimised_kernel(self, options, expected):
-        from repro.core import StandardMLIRCompiler
         from repro.ir.printer import print_op
-        module = StandardMLIRCompiler(vector_width=4, **options).compile(
-            TILED_VECTORISED_KERNEL).optimised_module
+        module = ours_module(TILED_VECTORISED_KERNEL, **options)
         text = print_op(module)
         for needle in expected + ("affine.load", "affine.store"):
             assert needle in text, needle

@@ -20,15 +20,16 @@ Three things live here:
 
 import pytest
 
-from repro.core import StandardMLIRCompiler, convert_fir_to_standard
-from repro.flang import FlangCompiler
+from repro.core import convert_fir_to_standard
 from repro.flows import ENGINES, available_flows, get_flow
-from repro.frontend import SemanticError
+from repro.frontend import SemanticError, lower_to_hlfir
 from repro.ir import PassManager
 from repro.ir.core import OP_REGISTRY
 from repro.machine import Interpreter
 from repro.service.serialization import stats_to_dict
 from repro.workloads import all_workloads
+
+from ..conftest import compile_source
 
 BOTH = ("flang", "ours")
 
@@ -292,9 +293,7 @@ end program p
 
 
 def compile_on(flow: str, source: str):
-    if flow == "flang":
-        return FlangCompiler().compile(source).fir_module
-    return StandardMLIRCompiler().compile(source).optimised_module
+    return compile_source(flow, source).module
 
 
 def run_everywhere(module):
@@ -322,7 +321,7 @@ def fixture_stages(name):
     pipelines — clones: a jit translation cached on an executed block does
     not outlive a pass that rewrites the block."""
     source, pipelines = FIXTURES[name]
-    module = convert_fir_to_standard(FlangCompiler().lower_to_hlfir(source))
+    module = convert_fir_to_standard(lower_to_hlfir(source))
     yield module.clone()
     for pipeline in pipelines:
         PassManager.from_pipeline(f"builtin.module({pipeline})").run(module)
@@ -382,7 +381,7 @@ end program p
 ], ids=["saved-local", "not-constant", "array", "component-default"])
 def test_initialiser_that_cannot_be_honoured_is_rejected(source, needles):
     with pytest.raises(SemanticError) as failure:
-        FlangCompiler().lower_to_hlfir(source)
+        lower_to_hlfir(source)
     for needle in needles:
         assert needle in str(failure.value)
 
@@ -415,6 +414,24 @@ def test_stop_that_does_not_end_the_program_is_rejected(source, line):
             compile_on(flow, source)
         assert "STOP" in str(failure.value)
         assert line in str(failure.value)
+
+
+@pytest.mark.parametrize("flow", BOTH)
+def test_allocated_inquiry_is_refused_naming_its_line(flow):
+    # an allocation status the machine does not model: a frontend
+    # diagnostic, not a lowering error that names no line
+    source = """
+program p
+  implicit none
+  real(kind=8), dimension(:), allocatable :: a
+  allocate(a(4))
+  if (allocated(a)) then
+    print *, 1
+  end if
+end program p
+"""
+    with pytest.raises(SemanticError, match="ALLOCATED at line 6.*allocated"):
+        compile_on(flow, source)
 
 
 def test_every_engine_arm_names_an_op_some_test_executes():

@@ -10,7 +10,7 @@ from repro.machine import (ARCHER2, CRAY_PROFILE, FLANG_V20_PROFILE,
                            WorkloadScaling, profile_stats)
 from repro.machine.values import Cell, ElementPtr
 
-from ..conftest import last_value, run_flang, run_ours
+from ..conftest import last_value, ours_module, run_flang, run_ours
 
 
 class TestValues:
@@ -85,10 +85,9 @@ end program p
         assert interp.stats.gpu_kernel_launches >= 1
         assert interp.stats.gpu_threads > 0
 
-    def test_execution_limit(self, simple_program_source, standard_compiler):
-        result = standard_compiler.compile(simple_program_source)
+    def test_execution_limit(self, simple_program_source):
         from repro.machine import ExecutionLimitExceeded
-        interp = Interpreter(result.optimised_module, max_ops=50)
+        interp = Interpreter(ours_module(simple_program_source), max_ops=50)
         with pytest.raises(ExecutionLimitExceeded):
             interp.run_main()
 

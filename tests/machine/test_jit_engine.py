@@ -11,18 +11,11 @@ inside an inlined loop.
 
 import pytest
 
-from repro.core import StandardMLIRCompiler
-from repro.flang import FlangCompiler
 from repro.machine import ExecutionLimitExceeded, Interpreter
 from repro.service.serialization import stats_to_dict
 
-
-def _compile_fir(source: str):
-    return FlangCompiler().compile(source, stop_at="fir").fir_module
-
-
-def _compile_ours(source: str):
-    return StandardMLIRCompiler(vector_width=4).compile(source).optimised_module
+from ..conftest import flang_module as _compile_fir
+from ..conftest import ours_module as _compile_ours
 
 
 def _assert_jit_identical(module):

@@ -18,15 +18,16 @@ import sys
 
 import pytest
 
-from repro.flang import FlangCompiler
 from repro.machine import Interpreter
 from repro.machine import jit
 from repro.service.cache import ArtifactCache
 from repro.service.serialization import stats_to_dict
 
+from ..conftest import flang_module
+
 
 def _compile_fir(source: str):
-    return FlangCompiler().compile(source, stop_at="fir").fir_module
+    return flang_module(source)
 
 
 def _program(body: str) -> str:
@@ -466,7 +467,7 @@ end subroutine bump
 
 _SUBPROCESS_DRIVER = """
 import json, sys
-from repro.flang import FlangCompiler
+from repro.flows import get_flow, source_workload
 from repro.machine import Interpreter
 from repro.machine import jit
 from repro.service.cache import ArtifactCache
@@ -476,7 +477,7 @@ cache_dir, source_path = sys.argv[1], sys.argv[2]
 jit.set_translation_store(ArtifactCache(cache_dir=cache_dir))
 with open(source_path) as fh:
     source = fh.read()
-module = FlangCompiler().compile(source, stop_at="fir").fir_module
+module = get_flow("flang").run(source_workload(source)).module
 before = jit.snapshot_translation_counters()
 interp = Interpreter(module, engine="jit")
 interp.run_main()

@@ -21,12 +21,12 @@ import pytest
 
 from repro.dialects import arith, func, scf
 from repro.dialects.builtin import ModuleOp
-from repro.flang import FlangCompiler
-from repro.core import StandardMLIRCompiler
 from repro.ir import types as T
 from repro.machine import ExecutionLimitExceeded, Interpreter
 from repro.machine import jit as machine_jit
 from repro.service.serialization import stats_to_dict
+
+from ..conftest import flang_module, ours_module
 
 SMALL_UNIT_OPS = 8
 #: what 8 planned ops may come to: ~170 B each plus a unit's fixed frame
@@ -197,9 +197,7 @@ def _program(body: str, units: str = "") -> str:
 
 
 def _both_flows(source):
-    return (FlangCompiler().compile(source, stop_at="fir").fir_module,
-            StandardMLIRCompiler(vector_width=4).compile(source)
-            .optimised_module)
+    return flang_module(source), ours_module(source)
 
 
 class TestCompiledPrograms:

@@ -33,6 +33,8 @@ from repro.machine.values import numpy_dtype_for
 from repro.service.serialization import stats_to_dict
 from repro.transforms.cleanup import CanonicalizePass
 
+from ..conftest import compile_source
+
 ENGINES = ("reference", "compiled", "jit", "vector")
 NAN, INF = float("nan"), float("inf")
 #: trip count of the loop form: enough static work that the vector engine
@@ -432,8 +434,6 @@ def test_hand_written_expectations(case, expected, engine):
 
 @pytest.mark.parametrize("flow", ["flang", "ours"])
 def test_fortran_scalars_array_elements_and_constants_agree(flow):
-    from repro.core import StandardMLIRCompiler
-    from repro.flang import FlangCompiler
     source = """
 program p
   implicit none
@@ -447,9 +447,7 @@ program p
   print *, (-1.0d0) / 0.0d0, 0.0d0 / 0.0d0, (-8.0d0) ** 0.5d0, 0.0d0 ** (-1.0d0)
 end program p
 """
-    module = FlangCompiler().compile(source, stop_at="fir").fir_module \
-        if flow == "flang" \
-        else StandardMLIRCompiler().compile(source).optimised_module
+    module = compile_source(flow, source).module
     printed = {}
     for engine in ENGINES:
         interp = _interpreter(module, engine)

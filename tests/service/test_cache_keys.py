@@ -10,6 +10,8 @@ import pytest
 from repro.service import CompileJob, enumerate_jobs, run_job
 from repro.workloads import get_workload, jacobi, pw_advection
 
+from .test_tables import digest
+
 
 def key(options=None, **kwargs):
     kwargs.setdefault("flow", "ours")
@@ -142,13 +144,14 @@ def test_table_job_keys_are_exactly_as_fine_as_their_artifacts():
     """Over every job the six tables submit, two jobs share a key if and
     only if they compile and run to the same payload: a coarser key would
     serve a wrong artifact, a finer one compiles the same one twice."""
-    artifacts = {}
+    artifacts, first_payload = {}, {}
     for job in enumerate_jobs():
         spec = json.dumps(job.spec(), sort_keys=True)
         if spec not in artifacts:
             payload = run_job(job).to_payload()
-            artifacts[spec] = (payload.pop("key"),
-                               json.dumps(payload, sort_keys=True))
+            key = payload.pop("key")
+            first_payload.setdefault(key, payload)
+            artifacts[spec] = (key, json.dumps(payload, sort_keys=True))
     payloads_by_key, keys_by_payload = defaultdict(set), defaultdict(set)
     for key, payload in artifacts.values():
         payloads_by_key[key].add(payload)
@@ -156,6 +159,11 @@ def test_table_job_keys_are_exactly_as_fine_as_their_artifacts():
     assert all(len(payloads) == 1 for payloads in payloads_by_key.values())
     assert all(len(keys) == 1 for keys in keys_by_payload.values())
     assert len(payloads_by_key) == 46
+    # ...and the artifacts themselves are pinned: IR text, output and
+    # statistics of every unique key, in first-seen order.  ``pipeline`` is
+    # left out: it names the pipeline text, not a result of running it
+    assert digest([[p["module_text"], p["printed"], p["stats"]]
+                   for p in first_payload.values()]) == "df8b1e370489cf6a"
 
 
 class TestKeyMaterial:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.core.pipelines import standard_flow_pipeline
-from repro.flang import FlangCompiler
+from repro.frontend import lower_to_hlfir
 from repro.ir import pipeline_settings, print_op
 from repro.service.cache import ArtifactCache
 from repro.service.incremental import FunctionArtifactStore
@@ -78,7 +78,7 @@ end program driver
 
 
 def _standard_module(source):
-    return convert_fir_to_standard(FlangCompiler().lower_to_hlfir(source))
+    return convert_fir_to_standard(lower_to_hlfir(source))
 
 
 def _compile(source, store):

@@ -29,6 +29,8 @@ from repro.service.cache import NAMESPACES, ArtifactCache, address
 from repro.service.faults import FaultPlan
 from repro.service.jobs import CompileJob
 
+from ..conftest import flang_module
+
 README = Path(__file__).resolve().parents[2] / "README.md"
 
 
@@ -82,13 +84,11 @@ def _invalidation_table():
 
 def _sample_addresses():
     """One real address per namespace, recomputed from scratch."""
-    from repro.flang import FlangCompiler
     from repro.ir import structural_fingerprint
     from repro.machine import Interpreter, jit
 
-    module = FlangCompiler().compile(
-        "program p\n  integer :: i\n  i = 1\n  print *, i\nend program p\n",
-        stop_at="fir").fir_module
+    module = flang_module(
+        "program p\n  integer :: i\n  i = 1\n  print *, i\nend program p\n")
     func = next(op for op in module.walk() if op.name == "func.func")
     jit.clear_translation_cache()
     interp = Interpreter(module, engine="jit")

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core import StandardMLIRCompiler, convert_fir_to_standard
+from repro.core import convert_fir_to_standard
 from repro.dialects import arith, func as func_d, memref, scf
-from repro.flang import FlangCompiler
+from repro.frontend import lower_to_hlfir
 from repro.ir import Block, PassManager
 from repro.ir import types as T
 from repro.ir.printer import print_op
@@ -12,7 +12,7 @@ from repro.machine import Interpreter
 from repro.transforms.cleanup import (ForwardScalarStoresPass,
                                       LoopInvariantCodeMotionPass)
 
-from ..conftest import last_value, run_flang, run_ours
+from ..conftest import last_value, ours_module, run_flang, run_ours
 
 
 def _interpret_printed(module):
@@ -32,7 +32,7 @@ def _run_pass_and_compare(source, pass_pipeline):
 
 
 def standard_module(source):
-    return convert_fir_to_standard(FlangCompiler().lower_to_hlfir(source))
+    return convert_fir_to_standard(lower_to_hlfir(source))
 
 
 SRC = """
@@ -228,8 +228,8 @@ class TestConversions:
         assert "scf.for" in names
 
     def test_scf_to_openmp(self):
-        result = StandardMLIRCompiler(vector_width=0, parallelise=True).compile(SRC)
-        names = {op.name for op in result.optimised_module.walk()}
+        module = ours_module(SRC, vector_width=0, threads=2)
+        names = {op.name for op in module.walk()}
         assert "omp.parallel" in names
 
     def test_section_argument_reads_through_a_subview(self):
