@@ -92,9 +92,10 @@ def _sweep_service(args: argparse.Namespace):
     in-process service.
 
     The in-process fallback binds the service to ``$REPRO_CACHE_DIR`` (when
-    set), so sweep compiles persist function artifacts and jit translations
-    through the same sharded store a daemon would use — ``run_sweep``'s own
-    fallback service is memory-only and was silently dropping them.
+    set), so sweep compiles persist whole-module artifacts and jit
+    translations through the same sharded store a daemon would use —
+    ``run_sweep``'s own fallback service is memory-only and was silently
+    dropping them.
     Either path is bit-identical; only where compiles happen and whether
     artifacts outlive the process differ.
     """

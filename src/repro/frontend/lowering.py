@@ -341,8 +341,6 @@ class FortranLowering:
             self._lower_directive_region(stmt)
         elif isinstance(stmt, ast.PointerAssignment):
             self._lower_pointer_assignment(stmt)
-        elif isinstance(stmt, (ast.CycleStmt, ast.GotoStmt)):
-            raise LoweringError(f"{type(stmt).__name__} is not supported by the frontend subset")
         else:
             raise LoweringError(f"cannot lower statement {type(stmt).__name__}")
 

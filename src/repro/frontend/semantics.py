@@ -556,7 +556,12 @@ class SemanticAnalyzer:
                     f"program is supported")
             if stmt.code is not None:
                 stmt.code = self._resolve_expr(stmt.code, symbols)
-        # Exit/Cycle/Goto/Continue/Return/Deallocate need no resolution
+        elif isinstance(stmt, (ast.CycleStmt, ast.GotoStmt)):
+            # no branch out of a structured region is modelled
+            keyword = "CYCLE" if isinstance(stmt, ast.CycleStmt) else "GOTO"
+            raise SemanticError(f"{keyword} at {stmt.loc}: the "
+                                f"{keyword.lower()} statement is not supported")
+        # Exit/Continue/Return/Deallocate need no resolution
 
     def _define_implicit(self, target: ast.Expr, symbols: SymbolTable) -> None:
         """Implicitly declare a scalar assigned to without a declaration."""

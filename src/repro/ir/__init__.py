@@ -15,7 +15,6 @@ from .pass_manager import (FunctionPass, Pass, PassError, PassManager,
                            current_settings, get_registered_pass,
                            parse_pipeline, pipeline_settings, register_pass)
 from .printer import Printer, print_op
-from .serial import dumps_op, loads_op, renumber_uids
 from .structural_hash import STRUCTURAL_HASH_VERSION, structural_fingerprint
 from .rewriter import (PatternRewriter, RewritePattern, RewritePatternSet,
                        apply_patterns_greedily)

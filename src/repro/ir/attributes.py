@@ -414,8 +414,8 @@ class CompiledAffineMap:
 
 
 #: ``AffineMapAttr._key()`` -> compiled form.  Keyed on structure and kept
-#: off the attribute, so attributes stay plain data for ``clone``, pickling
-#: and ``ir/serial``.  Holds no IR; bounded, oldest entry out first.
+#: off the attribute, so attributes stay plain data for ``clone``.  Holds
+#: no IR; bounded, oldest entry out first.
 _COMPILED_MAPS: dict = {}
 _COMPILED_MAPS_MAX = 4096
 _COMPILED_MAPS_LOCK = threading.Lock()

@@ -203,26 +203,6 @@ class Operation:
             value.uses.append(Use(self, len(own)))
             own.append(value)
 
-    def __getstate__(self):
-        # the links are the parent block's to restore (``Block.__setstate__``):
-        # following ``_next`` here would recurse once per op of a block
-        return getattr(self, "__dict__", None) or None, {
-            "name": self.name, "_operands": self._operands,
-            "results": self.results, "attributes": self.attributes,
-            "regions": self.regions, "successors": self.successors,
-            "parent": self.parent, "_uid": self._uid, "loc": self.loc}
-
-    def __setstate__(self, state):
-        instance_dict, slots = state
-        if instance_dict:
-            self.__dict__.update(instance_dict)
-        for slot, value in slots.items():
-            setattr(self, slot, value)
-        # use-chains can reach this op from inside its own block's state, in
-        # which case the block finished loading first and has linked it
-        if not hasattr(self, "_next"):
-            self._prev = self._next = None
-
     # -- operand management -------------------------------------------------
     @property
     def operands(self) -> Tuple[Value, ...]:
@@ -560,26 +540,6 @@ class Block:
     @property
     def ops(self) -> BlockOps:
         return BlockOps(self)
-
-    def __getstate__(self):
-        # ``_jit`` binds live code objects and namespaces: never serialised.
-        # The ops travel as a plain list (the pickled shape predates the
-        # links, and a linked chain would recurse once per op)
-        return None, {"args": self.args, "ops": list(self.ops),
-                      "parent": self.parent, "_uid": self._uid}
-
-    def __setstate__(self, state):
-        slots = state[1]
-        self.args = slots["args"]
-        self.parent = slots["parent"]
-        self._uid = slots["_uid"]
-        # relink; each op's ``parent`` comes with its own state
-        ops = slots["ops"]
-        for before, op, after in zip([None] + ops, ops, ops[1:] + [None]):
-            op._prev, op._next = before, after
-        self._first = ops[0] if ops else None
-        self._last = ops[-1] if ops else None
-        self._count = len(ops)
 
     # -- arguments ----------------------------------------------------------
     def add_argument(self, type: Type) -> BlockArgument:

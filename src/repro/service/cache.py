@@ -1,28 +1,28 @@
 """The one content-addressed store: in-memory LRU tier over a disk store,
 shared by every artifact family through **namespaces**.
 
-Payloads are JSON dicts.  Three namespaces share one :class:`ArtifactCache`
+Payloads are JSON dicts.  Two namespaces share one :class:`ArtifactCache`
 (and so one byte budget, one checksum path, one fault site):
 
 * ``artifact`` — whole-module compile artifacts, keyed by the SHA-256 of
   their job's key material (see :mod:`repro.service.jobs`), which already
   carries the schema salt: the key is the address, unchanged;
-* ``function`` — per-function pipeline-stage results, keyed by structural
-  fingerprint (:mod:`repro.service.incremental`);
 * ``jit`` — jit translations, keyed by the digest of their emitted
   source (:mod:`repro.machine.jit`).
 
 :func:`address` is the only place a raw key becomes a store address, so it
 is the only place :data:`~repro.service.jobs.KEY_SCHEMA_VERSION` is folded
-into the non-artifact namespaces: bumping the salt retires all three
-families at once without touching the store, and the same raw key in two
-namespaces can never collide.
+into the ``jit`` namespace: bumping the salt retires both families at once
+without touching the store, and the same raw key in two namespaces can
+never collide.
+
+Per-function pipeline stages (:mod:`repro.service.incremental`) are not
+stored here: they live in one process's memory only.
 
 Each payload has one in-memory home.  Over a disk tier the LRU here holds
-the ``artifact`` namespace only: ``function`` and ``jit`` entries are
-decoded by their clients into tiers of their own (the function store's
-live LRU, the jit's code cache), which always answer first, so an LRU copy
-of the encoded payload would never be read.  A memory-only cache, and a
+the ``artifact`` namespace only: ``jit`` entries are decoded into the jit's
+own code cache, which always answers first, so an LRU copy of the encoded
+payload would never be read.  A memory-only cache, and a
 ``durable=False`` put, have no other home and keep every namespace here.
 
 The disk tier is the sharded store of :mod:`repro.service.sharded`:
@@ -58,7 +58,6 @@ DEFAULT_MEMORY_ENTRIES = 1024
 #: above the shard checksum) is malformed and reads as a miss.
 NAMESPACES: Dict[str, tuple] = {
     "artifact": ("key", "ok"),
-    "function": ("function",),
     "jit": ("bytecode",),
 }
 

@@ -8,18 +8,11 @@ one function changed then replays every untouched function from the store
 — splicing a clone of the optimised form — and re-runs the pipeline only
 on the changed one.
 
-Two tiers:
-
-* a **live tier**: an LRU of detached optimised function ops; hits clone
-  (cloning is cheaper than a pickle round trip, and clones are guaranteed
-  fresh uids);
-* optionally the ``function`` namespace of the shared
-  :class:`~repro.service.cache.ArtifactCache` (memory LRU + sharded disk
-  store): function payloads are pickled via :mod:`repro.ir.serial` and
-  stored base64-encoded next to whole-module artifacts, so a persistent
-  cache directory (or a long-lived daemon) reuses functions across
-  processes and restarts.  Addressing, the schema salt and malformed-payload
-  handling are the cache's.
+The store is one **live tier**: an LRU of detached optimised function
+ops, each hit served as a clone (clones get fresh uids).  It lives and
+dies with its process: nothing of it reaches the sharded
+:class:`~repro.service.cache.ArtifactCache`, whose disk tier holds
+whole-module artifacts and jit translations only.
 
 The store implements the duck-typed ``lookup``/``store`` protocol of
 :class:`repro.ir.pass_manager.PipelineSettings.function_cache`.
@@ -31,13 +24,11 @@ pipeline has none).  It maps a
 program unit's key (:mod:`repro.frontend.units`: source text, interface
 digest, pipeline text) to the fingerprints its functions had when last
 stored.  A unit it knows is served from the live tier before anything is
-lowered.  The memo is live-tier only: an entry whose fingerprints left
-the live tier is dropped, and nothing of it reaches the artifact cache.
+lowered; an entry whose fingerprints left the live tier is dropped.
 """
 
 from __future__ import annotations
 
-import base64
 from collections import OrderedDict
 from threading import Lock
 from typing import List, Optional, Sequence, Tuple
@@ -45,19 +36,15 @@ from typing import List, Optional, Sequence, Tuple
 from ..counters import PROCESS, Counters
 from ..ir.core import Operation
 from ..ir.pass_manager import PassTiming
-from ..ir.serial import dumps_op, loads_op
-from ..machine import jit as machine_jit
-from .cache import ArtifactCache
 
 #: Default size of the live-function LRU tier (functions, not bytes).
 DEFAULT_FUNCTION_ENTRIES = 256
 
 
 class FunctionArtifactStore:
-    """Per-function pipeline-stage memoisation with optional persistence."""
+    """Per-function pipeline-stage memoisation in one process's memory."""
 
-    def __init__(self, cache: Optional[ArtifactCache] = None,
-                 memory_entries: int = DEFAULT_FUNCTION_ENTRIES):
+    def __init__(self, memory_entries: int = DEFAULT_FUNCTION_ENTRIES):
         self._live: "OrderedDict[str, Tuple[Operation, Tuple[PassTiming, ...]]]" \
             = OrderedDict()
         self._memory_entries = max(1, memory_entries)
@@ -65,10 +52,7 @@ class FunctionArtifactStore:
         #: stored; live tier only (see :meth:`lookup_unit`)
         self._units: "OrderedDict[str, Tuple[str, ...]]" = OrderedDict()
         self._lock = Lock()
-        #: The shared artifact cache used for persistence (``None``: live
-        #: tier only); rebound by :func:`bind_process_stores`.
-        self.cache = cache
-        #: live-tier hits, cache-tier hits (``disk_hits``), misses, stores
+        #: live-tier hits (``memory_hits``), misses, stores
         self.counters = Counters()
 
     # ---------------------------------------------------------------- lookup
@@ -80,31 +64,12 @@ class FunctionArtifactStore:
             entry = self._live.get(fingerprint)
             if entry is not None:
                 self._live.move_to_end(fingerprint)
-        if entry is not None:
-            self.counters.inc("memory_hits")
-            func, timings = entry
-            return func.clone(), timings
-        if self.cache is not None:
-            payload = self.cache.get(fingerprint, ns="function")
-            if payload is not None:
-                try:
-                    func = loads_op(base64.b64decode(payload["function"]))
-                    timings = tuple(
-                        PassTiming(pass_name=t["pass"], anchor=t["anchor"],
-                                   wall_s=t["wall_s"],
-                                   ops_before=t["ops_before"],
-                                   ops_after=t["ops_after"])
-                        for t in payload.get("timings", ()))
-                except Exception:
-                    # stale/corrupt payload (e.g. pre-bump pickle): a miss
-                    self.counters.inc("misses")
-                    return None
-                with self._lock:
-                    self._promote(fingerprint, func, timings)
-                self.counters.inc("disk_hits")
-                return func.clone(), timings
-        self.counters.inc("misses")
-        return None
+        if entry is None:
+            self.counters.inc("misses")
+            return None
+        self.counters.inc("memory_hits")
+        func, timings = entry
+        return func.clone(), timings
 
     def lookup_unit(self, unit_key: str
                     ) -> Optional[List[Tuple[Operation, Tuple[PassTiming, ...]]]]:
@@ -142,28 +107,13 @@ class FunctionArtifactStore:
               timings: Sequence[PassTiming] = ()) -> None:
         """Memoise the optimised ``func`` (a clone is taken; the caller's op
         stays live in its module)."""
-        kept = func.clone()
-        timings = tuple(timings)
+        kept = func.clone(), tuple(timings)
         with self._lock:
-            self._promote(fingerprint, kept, timings)
+            self._live[fingerprint] = kept
+            self._live.move_to_end(fingerprint)
+            while len(self._live) > self._memory_entries:
+                self._live.popitem(last=False)
         self.counters.inc("stores")
-        if self.cache is not None:
-            try:
-                payload = {
-                    "kind": "function-stage",
-                    "function": base64.b64encode(dumps_op(kept)).decode(),
-                    "timings": [t.as_dict() for t in timings],
-                }
-            except Exception:
-                return   # unpicklable IR: live tier still serves it
-            self.cache.put(fingerprint, payload, ns="function")
-
-    def _promote(self, fingerprint: str, func: Operation,
-                 timings: Tuple[PassTiming, ...]) -> None:
-        self._live[fingerprint] = (func, timings)
-        self._live.move_to_end(fingerprint)
-        while len(self._live) > self._memory_entries:
-            self._live.popitem(last=False)
 
     # ----------------------------------------------------------------- admin
     def __len__(self) -> int:
@@ -182,29 +132,9 @@ _PROCESS_STORE.counters = PROCESS.view("function")
 
 
 def get_function_store() -> FunctionArtifactStore:
-    """The process-wide store every in-process compile shares by default.
-
-    Memory-only until :func:`bind_process_stores` points it at an artifact
-    cache (then per-function stages persist in the same sharded store as
-    whole-module artifacts).
-    """
+    """The process-wide store every in-process compile shares by default."""
     return _PROCESS_STORE
 
 
-def bind_process_stores(cache: Optional[ArtifactCache]) -> None:
-    """Point *both* process-wide client tiers — the function store and the
-    jit's translation tier — at ``cache``, or unbind both when it does not
-    persist (a memory-only cache would cost a payload encode per function
-    and per translation for no cross-process benefit; the clients' own
-    in-memory tiers already serve this process).
-
-    One call sets both or neither, so the two can never end up on
-    different stores.
-    """
-    target = cache if cache is not None and cache.persistent else None
-    _PROCESS_STORE.cache = target
-    machine_jit.set_translation_store(target)
-
-
 __all__ = ["FunctionArtifactStore", "DEFAULT_FUNCTION_ENTRIES",
-           "get_function_store", "bind_process_stores"]
+           "get_function_store"]

@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..counters import PROCESS, Counters
+from ..machine import jit as machine_jit
 from . import faults
 from .cache import ArtifactCache
-from .incremental import (FunctionArtifactStore, bind_process_stores,
-                          get_function_store)
 from .jobs import (CompiledArtifact, CompileJob, execute_spec_timed,
                    run_job)
 
@@ -74,21 +73,31 @@ def _env_number(name: str, default):
         return default
 
 
+def bind_jit_store(cache: Optional[ArtifactCache]) -> None:
+    """Point this process's jit translation tier at ``cache``, or unbind it
+    when ``cache`` does not persist: a memory-only cache would cost a
+    payload encode per translation for no cross-process benefit, since the
+    jit's own code cache already serves this process."""
+    machine_jit.set_translation_store(
+        cache if cache is not None and cache.persistent else None)
+
+
 def _pool_worker_init(cache_dir: Optional[str]) -> None:
     """Runs once in every pool worker: attach the parent's sharded store.
 
-    Worker processes get fresh, memory-only function and jit stores; this
-    binds both to the same persistent cache directory the parent service
-    uses, so per-function stages and jit translations compiled in workers
-    persist too (shard writes are atomic, so concurrent writers are safe).
+    A worker starts with a memory-only jit tier and an empty function
+    store; this binds the jit tier to the persistent cache directory the
+    parent service uses, so translations compiled in workers persist too
+    (shard writes are atomic, so concurrent writers are safe).  The
+    function store stays the worker's own: it has no disk tier.
     """
     faults.rearm_from_env()
     if not cache_dir:
         return
     try:
-        bind_process_stores(ArtifactCache(cache_dir=cache_dir))
+        bind_jit_store(ArtifactCache(cache_dir=cache_dir))
     except Exception:
-        pass    # workers still compute correctly with process-local stores
+        pass    # workers still compute correctly with a process-local tier
 
 
 @dataclass
@@ -140,11 +149,9 @@ class CompileService:
         #: rejected on read) — plus, under ``function.*`` / ``jit.*``, the
         #: registry deltas pool workers shipped home.
         self._counters = Counters()
-        # Per-function stage results and jit translations persist (and
-        # survive restarts) alongside this service's whole-module artifacts
-        # when the cache has a disk tier.
-        self.function_store: FunctionArtifactStore = get_function_store()
-        bind_process_stores(self.cache)
+        # Jit translations persist (and survive restarts) alongside this
+        # service's whole-module artifacts when the cache has a disk tier.
+        bind_jit_store(self.cache)
 
     @property
     def recompilations(self) -> int:
@@ -467,7 +474,7 @@ class CompileService:
         return totals.as_dict()
 
     def function_counters(self) -> Dict[str, Any]:
-        """Function-stage store accounting (live tier / cache tier)."""
+        """Function-stage store accounting (live tier)."""
         return self._tier_counters("function")
 
     def jit_counters(self) -> Dict[str, Any]:
@@ -475,5 +482,6 @@ class CompileService:
         return self._tier_counters("jit")
 
 
-__all__ = ["CompileService", "BatchReport", "DEFAULT_JOB_ATTEMPTS",
-           "DEFAULT_JOB_TIMEOUT", "JOB_ATTEMPTS_ENV", "JOB_TIMEOUT_ENV"]
+__all__ = ["CompileService", "BatchReport", "bind_jit_store",
+           "DEFAULT_JOB_ATTEMPTS", "DEFAULT_JOB_TIMEOUT", "JOB_ATTEMPTS_ENV",
+           "JOB_TIMEOUT_ENV"]

@@ -6,7 +6,7 @@ Four things are pinned here:
   against a plain-Python-list model (``OpListHistory``);
 * the iterate-while-mutating contract of ``block.ops`` and the walks;
 * constant-cost edits, counted in traced line events instead of timed;
-* the pickled shape: ops travel as a list, links are rebuilt on load.
+* a clone is linked, live IR with fresh uids, in the list's current order.
 """
 
 import pytest
@@ -22,7 +22,6 @@ from repro.ir import types as T
 from repro.ir.attributes import IntegerAttr
 from repro.ir.builder import InsertPoint
 from repro.ir.core import Operation
-from repro.ir.serial import dumps_op, loads_op
 
 from ..conftest import count_lines
 
@@ -340,14 +339,13 @@ def test_edit_cost_does_not_depend_on_block_size():
 
 
 # ---------------------------------------------------------------------------
-# (e) pickled shape
+# (e) clones
 # ---------------------------------------------------------------------------
 
 
 def _straight_line_function(ops: int):
     """Every op hangs off one constant: what is under test is the length of
-    the *block*.  (A dependence chain that long overflows pickle's C stack
-    through the use-lists, with or without links.)"""
+    the *block*."""
     fn = FuncOp("long", T.FunctionType((), ()))
     block = fn.entry_block
     value = arith.ConstantOp(0, T.i64)
@@ -358,76 +356,60 @@ def _straight_line_function(ops: int):
     return fn
 
 
-class TestPickledShape:
-    def test_round_trip_of_a_5000_op_block(self):
-        fn = _straight_line_function(5000)
-        ModuleOp([fn])                      # attached: dumped without it
-        loaded = loads_op(dumps_op(fn))
-        assert loaded.parent is None
-        assert loaded._prev is None and loaded._next is None
-        block, original = loaded.entry_block, fn.entry_block
-        assert len(block.ops) == len(original.ops) == 5000
-        assert [op.name for op in block.ops] == \
-            [op.name for op in original.ops]
-        forward = list(block.ops)
-        assert list(reversed(block.ops)) == forward[::-1]
-        assert block.first_op is forward[0] and block.last_op is forward[-1]
-        assert all(op.parent is block for op in forward)
-        assert forward[0]._prev is None and forward[-1]._next is None
-        assert all(a._next is b and b._prev is a
-                   for a, b in zip(forward, forward[1:]))
-        uids = {op._uid for op in forward}
-        assert len(uids) == 5000
-        assert uids.isdisjoint(op._uid for op in original.ops)
-        # and it is live IR: O(1) edits work on the relinked list
-        forward[2500].erase(check_uses=False)
-        assert len(block.ops) == 4999 and forward[2499]._next is forward[2501]
+def test_clone_of_a_5000_op_block_is_linked_live_ir():
+    fn = _straight_line_function(5000)
+    ModuleOp([fn])                      # attached: cloned without it
+    cloned = fn.clone()
+    assert cloned.parent is None
+    assert cloned._prev is None and cloned._next is None
+    block, original = cloned.entry_block, fn.entry_block
+    assert len(block.ops) == len(original.ops) == 5000
+    forward = list(block.ops)
+    assert list(reversed(block.ops)) == forward[::-1]
+    assert block.first_op is forward[0] and block.last_op is forward[-1]
+    assert all(op.parent is block for op in forward)
+    assert all(a._next is b and b._prev is a
+               for a, b in zip(forward, forward[1:]))
+    assert {op._uid for op in forward}.isdisjoint(
+        op._uid for op in original.ops)
+    forward[2500].erase(check_uses=False)
+    assert len(block.ops) == 4999 and forward[2499]._next is forward[2501]
 
-    def test_the_state_omits_the_links(self):
-        block = Block()
-        ops = [_marker(n) for n in range(3)]
-        block.add_ops(ops)
-        _, state = block.__getstate__()
-        assert set(state) == {"args", "ops", "parent", "_uid"}
-        assert state["ops"] == ops and type(state["ops"]) is list
-        _, op_state = ops[1].__getstate__()
-        assert set(op_state) == {"name", "_operands", "results", "attributes",
-                                 "regions", "successors", "parent", "_uid",
-                                 "loc"}
 
-    def test_a_state_in_the_previous_shape_loads(self):
-        """What the list-backed ``Block`` pickled: ops as a plain list, op
-        states without links."""
-        ops = []
-        block = Block.__new__(Block)
-        for number in range(4):
-            op = Operation.__new__(Operation)
-            op.__setstate__((None, {
-                "name": "test.op", "_operands": [], "results": [],
-                "attributes": {"n": IntegerAttr(number)}, "regions": [],
-                "successors": [], "parent": block, "_uid": 10_000 + number,
-                "loc": None}))
-            ops.append(op)
-        block.__setstate__((None, {"args": [], "ops": ops, "parent": None,
-                                   "_uid": 77}))
-        assert list(block.ops) == ops and len(block.ops) == 4
-        assert list(reversed(block.ops)) == ops[::-1]
-        assert ops[0]._prev is None and ops[3]._next is None
-        ops[1].detach()
-        assert list(block.ops) == [ops[0], ops[2], ops[3]]
+def _holder_of(block: Block) -> Operation:
+    holder = create_operation("test.holder", regions=1)
+    holder.regions[0].add_block(block)
+    return holder
 
-    def test_a_block_that_loads_before_its_op_keeps_the_links(self):
-        """Use-chains reach an op from inside its own block's state, so the
-        block can finish loading (and link the op) before the op's own state
-        arrives; that state must not unlink it."""
-        block = Block.__new__(Block)
-        early, late = Operation.__new__(Operation), Operation.__new__(Operation)
-        state = {"name": "test.op", "_operands": [], "results": [],
-                 "attributes": {}, "regions": [], "successors": [],
-                 "parent": block, "_uid": 1, "loc": None}
-        early.__setstate__((None, dict(state)))
-        block.__setstate__((None, {"args": [], "ops": [early, late],
-                                   "parent": None, "_uid": 78}))
-        late.__setstate__((None, dict(state, _uid=2)))
-        assert list(block.ops) == [early, late]
-        assert late._prev is early and late._next is None
+
+def _numbers(block: Block):
+    return [op.attributes["n"].value for op in block.ops]
+
+
+def test_a_clone_follows_the_list_as_edited():
+    block = Block()
+    ops = [_marker(n) for n in range(6)]
+    block.add_ops(ops)
+    ops[5].move_before(ops[0])
+    ops[2].erase()
+    ops[3].detach()
+    block.insert_after(ops[4], ops[3])
+    holder = _holder_of(block)
+    cloned = holder.clone().regions[0].blocks[0]
+    assert _numbers(cloned) == _numbers(block) == [5, 0, 1, 4, 3]
+    forward = list(cloned.ops)
+    assert cloned.first_op is forward[0] and cloned.last_op is forward[-1]
+    assert forward[0]._prev is None and forward[-1]._next is None
+    assert all(a._next is b and b._prev is a
+               for a, b in zip(forward, forward[1:]))
+    assert all(op.parent is cloned for op in forward)
+
+
+def test_a_clone_of_an_empty_block_is_its_own_list():
+    block = Block()
+    cloned = _holder_of(block).clone().regions[0].blocks[0]
+    assert cloned is not block
+    assert list(cloned.ops) == [] and len(cloned.ops) == 0
+    assert cloned.first_op is None and cloned.last_op is None
+    cloned.add_op(_marker(7))
+    assert _numbers(cloned) == [7] and len(block.ops) == 0

@@ -1,11 +1,11 @@
-"""What function-granular compilation rides on: the pickle layer the
-function store persists through, ambient pipeline settings, and the
-one-nest shape of the standard flow.
+"""What function-granular compilation rides on: the clones the function
+store serves, ambient pipeline settings, and the one-nest shape of the
+standard flow.
 """
 
 from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.frontend import lower_to_hlfir
-from repro.ir import dumps_op, loads_op, pipeline_settings, print_op
+from repro.ir import pipeline_settings, print_op
 
 MULTI_FUNC = """
 subroutine pa(n)
@@ -45,12 +45,12 @@ def _module():
     return convert_fir_to_standard(lower_to_hlfir(MULTI_FUNC))
 
 
-def test_pickle_roundtrip_preserves_ir_and_renumbers_uids():
+def test_clone_preserves_ir_and_renumbers_uids():
     module = _module()
     funcs = [op for op in module.regions[0].blocks[0].ops
              if op.name == "func.func"]
     func = funcs[0]
-    restored = loads_op(dumps_op(func))
+    restored = func.clone()
     assert print_op(restored) == print_op(func)
     # fresh uids: no op or block may collide with the still-live original
     old_ops = {op._uid for op in func.walk()}
@@ -61,15 +61,15 @@ def test_pickle_roundtrip_preserves_ir_and_renumbers_uids():
     new_blocks = {b._uid for op in restored.walk()
                   for r in op.regions for b in r.blocks}
     assert not (old_blocks & new_blocks)
-    # the dump did not detach the original from its module
+    # cloning did not detach the original from its module
     assert func.parent is not None
 
 
-def test_attached_op_dump_does_not_capture_module():
+def test_clone_of_attached_op_is_detached():
     module = _module()
     func = [op for op in module.regions[0].blocks[0].ops
             if op.name == "func.func"][0]
-    restored = loads_op(dumps_op(func))
+    restored = func.clone()
     assert restored.parent is None
 
 

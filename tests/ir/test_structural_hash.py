@@ -92,10 +92,11 @@ def test_name_hints_are_cosmetic():
 
 
 def test_uid_renumbering_is_invisible():
-    from repro.ir import dumps_op, loads_op
-    func = _funcs(_compile_module())[0].clone()
-    restored = loads_op(dumps_op(func))
-    assert structural_fingerprint(restored) == structural_fingerprint(func)
+    func = _funcs(_compile_module())[0]
+    clone = func.clone()
+    assert {op._uid for op in clone.walk()}.isdisjoint(
+        op._uid for op in func.walk())
+    assert structural_fingerprint(clone) == structural_fingerprint(func)
 
 
 def test_operand_wiring_matters():

@@ -417,20 +417,29 @@ def test_stop_that_does_not_end_the_program_is_rejected(source, line):
 
 
 @pytest.mark.parametrize("flow", BOTH)
-def test_allocated_inquiry_is_refused_naming_its_line(flow):
-    # an allocation status the machine does not model: a frontend
-    # diagnostic, not a lowering error that names no line
-    source = """
+@pytest.mark.parametrize(("statement", "needle"), [
+    ("if (allocated(a)) print *, 1", "ALLOCATED at line 7.*allocated"),
+    ("if (i == 2) cycle", "CYCLE at line 7.*cycle"),
+    ("if (i == 2) goto 10", "GOTO at line 7.*goto"),
+], ids=["allocated", "cycle", "goto"])
+def test_unsupported_construct_is_refused_naming_its_line(flow, statement,
+                                                         needle):
+    # an allocation status the machine does not model, or a branch out of
+    # a structured region: a frontend diagnostic, not a lowering error
+    # that names no line
+    source = f"""
 program p
   implicit none
   real(kind=8), dimension(:), allocatable :: a
-  allocate(a(4))
-  if (allocated(a)) then
-    print *, 1
-  end if
+  integer :: i
+  do i = 1, 3
+    {statement}
+    print *, i
+  end do
+10 continue
 end program p
 """
-    with pytest.raises(SemanticError, match="ALLOCATED at line 6.*allocated"):
+    with pytest.raises(SemanticError, match=needle):
         compile_on(flow, source)
 
 

@@ -129,8 +129,8 @@ class TestCodeCacheLRU:
 class TestUidCollision:
     def test_colliding_uids_get_distinct_translations(self):
         # a long-lived daemon can see two different blocks with the same
-        # _uid (uids restart after unpickling); the old (_uid, stride) key
-        # would alias their translations
+        # _uid (uids restart with every process); the old (_uid, stride)
+        # key would alias their translations
         interp_a = Interpreter(_compile_fir(_loop_program("*")), engine="jit")
         interp_b = Interpreter(_compile_fir(_loop_program("+")), engine="jit")
         block_a, block_b = _entry_block(interp_a), _entry_block(interp_b)
@@ -203,16 +203,16 @@ class TestProcessCachesDoNotPinModules:
         assert delta["misses"] == 0
         assert delta["memory_hits"] >= 1
 
-    def test_executed_ir_still_pickles(self):
+    def test_a_clone_of_executed_ir_carries_no_translations(self):
         # the block-owned material binds code objects and live namespaces;
-        # it is process-local and must never ride along in ir/serial
-        from repro.ir.serial import dumps_op, loads_op
+        # it is process-local and must never ride along in the clones the
+        # function store serves
         module = _compile_fir(LOOP_PROGRAM)
         printed, stats = _run_jit(module)
         func = next(op for op in module.body.ops if op.name == "func.func")
         assert any(hasattr(block, "_jit") for op in func.walk()
                    for region in op.regions for block in region.blocks)
-        clone = loads_op(dumps_op(func))
+        clone = func.clone()
         assert not any(hasattr(block, "_jit") for op in clone.walk()
                        for region in op.regions for block in region.blocks)
 

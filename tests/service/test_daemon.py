@@ -94,14 +94,26 @@ class TestRoundTrip:
             assert metrics["cache_hits"] == 1
             assert metrics["hit_rate"] == 0.5
             assert metrics["latency_s"]["ours"]["count"] == 1
-            # >= 1: a cold process also writes function-stage payloads
-            # through the process-wide store, so the exact count depends on
-            # which tests ran before this one
-            assert metrics["cache"]["stores"] >= 1
+            # the one artifact: function stages stay in the process and a
+            # memory-only cache binds no jit tier
+            assert metrics["cache"]["stores"] == 1
             assert metrics["cache"]["memory_hits"] >= 1
 
             response = client.shutdown()
             assert response["pid"] == os.getpid()
+
+    def test_metrics_count_function_stages_apart_from_the_store(
+            self, live_daemon):
+        socket_path, _service, _daemon = live_daemon
+        with DaemonClient(socket_path) as client:
+            before = client.metrics()["function_cache"]
+            remote, cached = client.execute(CompileJob("ours", "sum").spec())
+            metrics = client.metrics()
+        assert remote["ok"] and not cached
+        # served from the live tier or compiled, every function is looked up
+        assert metrics["function_cache"]["lookups"] > before.get("lookups", 0)
+        assert "function" not in metrics["cache"]["by_namespace"]
+        assert metrics["cache"]["stores"] == 1
 
     def test_daemon_artifact_is_bit_identical_to_in_process(self,
                                                             live_daemon):

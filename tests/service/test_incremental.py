@@ -1,14 +1,14 @@
-"""Function-granular incremental compilation: invalidation and migration.
-
-The two load-bearing guarantees:
+"""Function-granular incremental compilation: invalidation and what persists.
 
 * **minimal invalidation** — mutate one function of a two-function module
   and exactly that function recompiles; every other function is spliced
   from the store, and the final module is bit-identical to a cold compile
-  of the mutated source (ISSUE satellite c);
-* **schema migration** — artifacts persisted under an older
-  ``KEY_SCHEMA_VERSION`` read back as clean misses, never as corrupt hits
-  (ISSUE satellite b).
+  of the mutated source;
+* **what persists** — across service generations over one cache directory
+  only whole-module artifacts are served from disk: function stages live
+  in their process, artifacts written under an older
+  ``KEY_SCHEMA_VERSION`` read back as clean misses, and function payloads
+  an earlier store left in the shards are never read.
 """
 
 import pytest
@@ -17,9 +17,11 @@ from repro.core.fir_to_standard import convert_fir_to_standard
 from repro.core.pipelines import standard_flow_pipeline
 from repro.frontend import lower_to_hlfir
 from repro.ir import pipeline_settings, print_op
-from repro.service.cache import ArtifactCache
+from repro.service import incremental
+from repro.service.cache import ArtifactCache, address
 from repro.service.incremental import FunctionArtifactStore
 from repro.service.jobs import CompileJob, run_job
+from repro.service.scheduler import CompileService, bind_jit_store
 
 F1 = """
 subroutine inc_one(n)
@@ -163,62 +165,87 @@ def test_incremental_flag_does_not_change_cache_key():
 
 
 # ---------------------------------------------------------------------------
-# persistence + schema migration
+# what persists across service generations
 # ---------------------------------------------------------------------------
 
 
-def test_persistent_store_serves_across_processes_simulation(tmp_path):
-    # two stores sharing one sharded cache directory model two daemon
-    # generations: the second (fresh memory) must hit on disk
-    cache = ArtifactCache(cache_dir=str(tmp_path))
-    first = FunctionArtifactStore(cache=cache)
-    cold = _compile(F1 + F2, first)
-
-    second = FunctionArtifactStore(cache=ArtifactCache(cache_dir=str(tmp_path)))
-    warm = _compile(F1 + F2, second)
-    assert second.counters.disk_hits == 2
-    assert second.counters.misses == 0
-    assert print_op(warm) == print_op(cold)
+@pytest.fixture
+def fresh_process_store(monkeypatch):
+    """A cold process: an empty function store, and no jit tier bound
+    after the test."""
+    store = FunctionArtifactStore()
+    monkeypatch.setattr(incremental, "_PROCESS_STORE", store)
+    yield store
+    bind_jit_store(None)
 
 
-def test_schema_bump_turns_old_artifacts_into_clean_misses(tmp_path, monkeypatch):
+def _generation(tmp_path):
+    return CompileService(ArtifactCache(cache_dir=str(tmp_path)))
+
+
+def test_persistent_store_serves_across_processes_simulation(
+        tmp_path, monkeypatch, fresh_process_store):
+    # two services sharing one sharded cache directory model two daemon
+    # generations: the second (fresh memory, fresh function store) serves
+    # the artifact from disk and runs no function stage at all
+    cold = _generation(tmp_path).execute(CompileJob("ours", "dotproduct"))
+    assert fresh_process_store.counters.stores > 0
+
+    second = FunctionArtifactStore()
+    monkeypatch.setattr(incremental, "_PROCESS_STORE", second)
+    service = _generation(tmp_path)
+    warm = service.execute(CompileJob("ours", "dotproduct"))
+    assert warm.cached and service.recompilations == 0
+    assert service.counters()["disk_hits"] == 1
+    assert second.counters.lookups == 0 and len(second) == 0
+    assert warm.module_text == cold.module_text
+
+
+def test_schema_bump_turns_old_artifacts_into_clean_misses(
+        tmp_path, monkeypatch, fresh_process_store):
     # artifacts written under the previous schema version must neither hit
-    # nor corrupt a store running the current one
-    import repro.service.jobs as jobs_mod
+    # nor corrupt a service running the current one
+    from repro.service import jobs as jobs_mod
 
-    cache = ArtifactCache(cache_dir=str(tmp_path))
     monkeypatch.setattr(jobs_mod, "KEY_SCHEMA_VERSION",
                         jobs_mod.KEY_SCHEMA_VERSION - 1)
-    old = FunctionArtifactStore(cache=cache)
-    _compile(F1 + F2, old)
-    assert old.counters.stores == 2
+    old = _generation(tmp_path)
+    written = old.execute(CompileJob("ours", "dotproduct"))
+    assert written.ok and old.recompilations == 1
 
-    monkeypatch.undo()
-    migrated = FunctionArtifactStore(cache=ArtifactCache(cache_dir=str(tmp_path)))
-    result = _compile(F1 + F2, migrated)
-    assert migrated.counters.disk_hits == 0
-    assert migrated.counters.misses == 2
-    assert migrated.counters.stores == 2
-    assert print_op(result) == \
-        print_op(_compile(F1 + F2, FunctionArtifactStore()))
+    monkeypatch.setattr(jobs_mod, "KEY_SCHEMA_VERSION",
+                        jobs_mod.KEY_SCHEMA_VERSION + 1)
+    migrated = _generation(tmp_path)
+    result = migrated.execute(CompileJob("ours", "dotproduct"))
+    assert result.ok and not result.cached
+    assert migrated.recompilations == 1
+    assert migrated.counters()["disk_hits"] == 0
+    assert result.module_text == written.module_text
 
 
-def test_corrupt_disk_payload_is_a_miss_not_an_error(tmp_path):
-    cache = ArtifactCache(cache_dir=str(tmp_path))
-    store = FunctionArtifactStore(cache=cache)
-    cold = _compile(F1 + F2, store)
+def test_leftover_function_payloads_on_disk_are_never_read(
+        tmp_path, monkeypatch, fresh_process_store):
+    # a cache directory an earlier store shared keeps function entries
+    # under their old addresses; they age out through the byte budget and
+    # are never addressed again, however they read
+    cold = CompileService().execute(CompileJob("ours", "dotproduct"))
+    fingerprints = list(fresh_process_store._live)
+    assert fingerprints
+    shards = ArtifactCache(cache_dir=str(tmp_path)).store
+    for fp in fingerprints:
+        shards.put(address("function", fp), {"function": "corrupt"})
 
-    # vandalise every persisted function payload (the pickle bytes are
-    # base64 under the "function" key; garbling the stream head makes
-    # unpickling fail while the JSON stays well-formed)
-    for shard in tmp_path.rglob("*.json"):
-        shard.write_text(shard.read_text().replace('"function":"',
-                                                   '"function":"corrupt'))
-    fresh = FunctionArtifactStore(cache=ArtifactCache(cache_dir=str(tmp_path)))
-    result = _compile(F1 + F2, fresh)
-    assert fresh.counters.disk_hits == 0
-    assert fresh.counters.misses == 2
-    assert print_op(result) == print_op(cold)
+    fresh = FunctionArtifactStore()
+    monkeypatch.setattr(incremental, "_PROCESS_STORE", fresh)
+    service = _generation(tmp_path)
+    result = service.execute(CompileJob("ours", "dotproduct"))
+    assert result.ok and not result.cached
+    assert fresh.counters.misses == len(fingerprints)
+    assert fresh.counters.memory_hits == 0
+    assert result.module_text == cold.module_text
+    stats = service.cache.stats()
+    assert "function" not in stats["by_namespace"]
+    assert stats["corrupt_entries"] == 0
 
 
 def test_lru_eviction_bounds_live_tier():

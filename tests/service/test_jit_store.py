@@ -3,9 +3,10 @@
 The translation *payloads* and their verification live in
 ``repro.machine.jit`` (covered by ``tests/machine/test_jit_persistence``)
 and addressing is the namespaced store's (``tests/service/test_store.py``);
-this module tests the service glue: :func:`bind_process_stores` points the
-function store and the jit tier at a service's cache together (or unbinds
-both), :meth:`CompileService.jit_counters` surfaces the accounting, and
+this module tests the service glue: :func:`bind_jit_store` points the jit
+tier at a service's persistent cache (or unbinds it), the function store
+never reaches the cache, :meth:`CompileService.jit_counters` surfaces the
+accounting, and
 ``repro.conformance run``'s fallback service persists through
 ``$REPRO_CACHE_DIR`` like a daemon would.
 """
@@ -16,26 +17,22 @@ import pytest
 
 from repro.machine import jit as machine_jit
 from repro.service.cache import ArtifactCache
-from repro.service.incremental import bind_process_stores, get_function_store
-from repro.service.scheduler import CompileService
+from repro.service.scheduler import CompileService, bind_jit_store
 
 
 @pytest.fixture(autouse=True)
 def _isolated_process_stores():
-    saved = (get_function_store().cache, machine_jit.get_translation_store())
-    bind_process_stores(None)
+    saved = machine_jit.get_translation_store()
+    bind_jit_store(None)
     yield
-    get_function_store().cache = saved[0]
-    machine_jit.set_translation_store(saved[1])
+    machine_jit.set_translation_store(saved)
     machine_jit.clear_translation_cache()
 
 
-def _bound_dirs():
-    """(function store's cache dir, jit tier's cache dir), None = unbound."""
-    fn_cache = get_function_store().cache
+def _bound_dir():
+    """The jit tier's cache dir, None = unbound."""
     jit_cache = machine_jit.get_translation_store()
-    return (fn_cache.cache_dir if fn_cache is not None else None,
-            jit_cache.cache_dir if jit_cache is not None else None)
+    return jit_cache.cache_dir if jit_cache is not None else None
 
 
 class TestStoreProtocol:
@@ -64,23 +61,22 @@ class TestInstall:
     def test_memory_only_cache_stays_process_local(self):
         # no disk tier -> encoding payloads would cost overhead for zero
         # cross-process benefit
-        bind_process_stores(ArtifactCache())
-        assert _bound_dirs() == (None, None)
+        bind_jit_store(ArtifactCache())
+        assert _bound_dir() is None
 
     def test_none_cache_stays_process_local(self, tmp_path):
-        bind_process_stores(ArtifactCache(cache_dir=str(tmp_path)))
-        bind_process_stores(None)
-        assert _bound_dirs() == (None, None)
+        bind_jit_store(ArtifactCache(cache_dir=str(tmp_path)))
+        bind_jit_store(None)
+        assert _bound_dir() is None
 
     def test_persistent_cache_installs_store(self, tmp_path):
         cache = ArtifactCache(cache_dir=str(tmp_path))
-        bind_process_stores(cache)
+        bind_jit_store(cache)
         assert machine_jit.get_translation_store() is cache
-        assert get_function_store().cache is cache
 
     @pytest.mark.parametrize("persistent_first", [True, False])
-    def test_a_later_service_rebinds_both_tiers_together(self, tmp_path,
-                                                         persistent_first):
+    def test_a_later_service_rebinds_the_jit_tier(self, tmp_path,
+                                                  persistent_first):
         # a memory-only service created after a persistent one used to
         # leave jit translations going to the *old* directory
         caches = [ArtifactCache(cache_dir=str(tmp_path)), ArtifactCache()]
@@ -89,7 +85,7 @@ class TestInstall:
         for cache in caches:
             CompileService(cache)
         expected = None if persistent_first else caches[-1].cache_dir
-        assert _bound_dirs() == (expected, expected)
+        assert _bound_dir() == expected
 
 
 class TestServiceCounters:
@@ -127,9 +123,8 @@ class TestConformanceServiceBinding:
         assert service.cache.persistent
         assert str(service.cache.cache_dir) == str(tmp_path / "store")
         assert machine_jit.get_translation_store() is service.cache
-        assert service.function_store.cache is service.cache
 
-    def test_sweep_persists_function_artifacts(self, tmp_path, monkeypatch):
+    def test_sweep_persists_artifacts(self, tmp_path, monkeypatch):
         from repro.conformance.oracle import run_sweep
         from repro.service import CACHE_DIR_ENV
 
@@ -139,8 +134,10 @@ class TestConformanceServiceBinding:
         service = _sweep_service(args)
         report = run_sweep([3], engines=["compiled", "jit"], service=service)
         assert report.seeds == [3]
-        # compiles flowed through the persistent store: function-stage
-        # artifacts survive for the next process
-        assert service.function_store.counters.as_dict()["stores"] > 0
+        # compiles flowed through the persistent store: whole-module
+        # artifacts survive for the next process, function stages do not
+        by_ns = service.cache.stats()["by_namespace"]
+        assert by_ns["artifact"]["stores"] > 0
+        assert "function" not in by_ns
         shards = list((tmp_path / "store" / "shards").glob("*.json"))
         assert shards, "sweep stored nothing in the sharded disk store"

@@ -1,7 +1,7 @@
 """The one namespaced store and the one counter type.
 
-* addressing — the ``artifact`` namespace uses job keys as-is, the others
-  fold ``KEY_SCHEMA_VERSION`` exactly once and never collide;
+* addressing — the ``artifact`` namespace uses job keys as-is, ``jit``
+  folds ``KEY_SCHEMA_VERSION`` exactly once and never collides;
 * the README's *what-invalidates-what* table, checked constant by constant;
 * per-namespace accounting whose flat totals are the sum over namespaces;
 * one in-memory home per payload: over a disk tier the LRU holds the
@@ -27,6 +27,7 @@ from repro.counters import Counters
 from repro.service import CompileService, faults, jobs_for
 from repro.service.cache import NAMESPACES, ArtifactCache, address
 from repro.service.faults import FaultPlan
+from repro.service.scheduler import bind_jit_store
 from repro.service.jobs import CompileJob
 
 from ..conftest import flang_module
@@ -44,13 +45,14 @@ class TestAddressing:
         assert address("artifact", key) == key
 
     def test_namespaces_are_disjoint_for_the_same_raw_key(self):
-        # the three families share one sharded store; identical key strings
+        # the two families share one sharded store; identical key strings
         # must never collide across namespaces
         raw = "feed" * 16
         addresses = {address(ns, raw) for ns in NAMESPACES}
         assert len(addresses) == len(NAMESPACES)
 
-    @pytest.mark.parametrize("ns", ["function", "jit"])
+    @pytest.mark.parametrize("ns", [ns for ns in NAMESPACES
+                                    if ns != "artifact"])
     def test_schema_version_is_address_material(self, ns, monkeypatch):
         from repro.service import jobs
         before = address(ns, "beef" * 16)
@@ -73,18 +75,17 @@ def _invalidation_table():
     rows = []
     for line in README.read_text().splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) == 6 and re.fullmatch(r"`[A-Z_]+`", cells[0]) \
+        if len(cells) == 5 and re.fullmatch(r"`[A-Z_]+`", cells[0]) \
                 and cells[1].endswith(".py`"):
             module = "repro." + cells[1].strip("`")[:-3].replace("/", ".")
-            hit = {ns for ns, mark in zip(("artifact", "function", "jit"),
-                                          cells[2:5]) if mark}
+            hit = {ns for ns, mark in zip(("artifact", "jit"), cells[2:4])
+                   if mark}
             rows.append((module, cells[0].strip("`"), hit))
     return rows
 
 
 def _sample_addresses():
     """One real address per namespace, recomputed from scratch."""
-    from repro.ir import structural_fingerprint
     from repro.machine import Interpreter, jit
 
     module = flang_module(
@@ -94,8 +95,6 @@ def _sample_addresses():
     interp = Interpreter(module, engine="jit")
     return {
         "artifact": address("artifact", CompileJob("ours", "sum").key()),
-        "function": address("function",
-                            structural_fingerprint(func, salt="nest")),
         "jit": address("jit", jit.translation_key(
             interp, func.regions[0].blocks[0])),
     }
@@ -127,10 +126,9 @@ def test_bumping_a_constant_moves_exactly_the_tables_namespaces(
 def test_namespaces_are_accounted_separately_and_sum_to_the_flat_keys(
         tmp_path, monkeypatch):
     from repro.service import incremental
-    # a cold process: earlier tests may have left these functions in the
-    # process store's live tier, which would keep them out of the cache
-    monkeypatch.setattr(incremental, "_PROCESS_STORE",
-                        incremental.FunctionArtifactStore())
+    # a cold process: nothing in the clients' own tiers yet
+    store = incremental.FunctionArtifactStore()
+    monkeypatch.setattr(incremental, "_PROCESS_STORE", store)
     service = CompileService(ArtifactCache(cache_dir=str(tmp_path)))
     try:
         report = service.submit(jobs_for("figure3"))
@@ -139,8 +137,10 @@ def test_namespaces_are_accounted_separately_and_sum_to_the_flat_keys(
         by_ns = stats["by_namespace"]
         assert by_ns["artifact"]["misses"] == 3
         assert by_ns["artifact"]["stores"] == 3
-        assert by_ns["function"]["stores"] > 0      # function-stage traffic
-        assert by_ns["function"]["misses"] == by_ns["function"]["stores"]
+        # function stages stay in the process: none reach the store
+        assert set(by_ns) == {"artifact", "jit"}
+        assert store.counters.stores > 0
+        assert store.counters.misses == store.counters.stores
         for name in ("memory_hits", "disk_hits", "misses", "stores", "hits",
                      "lookups"):
             assert stats[name] == sum(ns[name] for ns in by_ns.values())
@@ -148,7 +148,7 @@ def test_namespaces_are_accounted_separately_and_sum_to_the_flat_keys(
         for name in ("disk_bytes", "evictions", "corrupt_entries"):
             assert name in stats
     finally:
-        incremental.bind_process_stores(None)
+        bind_jit_store(None)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +161,8 @@ def _sample_payload(ns):
 
 class TestMemoryHomes:
     def test_over_a_disk_tier_the_lru_holds_artifacts_only(self, tmp_path):
-        # function / jit payloads are decoded into their clients' own
-        # tiers (live functions, code objects); a second, encoded copy in
-        # the LRU would only ever be memory
+        # jit payloads are decoded into the jit's own code cache; a
+        # second, encoded copy in the LRU would only ever be memory
         cache = ArtifactCache(str(tmp_path))
         for ns in NAMESPACES:
             cache.put("k", _sample_payload(ns), ns=ns)
@@ -172,9 +171,8 @@ class TestMemoryHomes:
         assert list(cache._memory) == [address("artifact", "k")]
         by_ns = cache.stats()["by_namespace"]
         assert by_ns["artifact"]["memory_hits"] == 2
-        for ns in ("function", "jit"):
-            assert by_ns[ns]["memory_hits"] == 0
-            assert by_ns[ns]["disk_hits"] == 2
+        assert by_ns["jit"]["memory_hits"] == 0
+        assert by_ns["jit"]["disk_hits"] == 2
 
     def test_what_has_no_other_home_stays_in_the_lru(self, tmp_path):
         memory_only = ArtifactCache()
@@ -203,12 +201,12 @@ class TestMemoryHomes:
         try:
             report = service.submit(jobs_for("figure3"))
             stats = service.cache.stats()["by_namespace"]
-            assert stats["function"]["stores"] and stats["jit"]["stores"]
+            assert stats["jit"]["stores"]
             assert set(service.cache._memory) == {
                 job.key() for job in jobs_for("figure3")}
             assert len(service.cache._memory) == report.unique
         finally:
-            incremental.bind_process_stores(None)
+            bind_jit_store(None)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +223,9 @@ class StoreHistory(RuleBasedStateMachine):
     then miss, but must never return anything else).
 
     Over a disk tier the LRU is the ``artifact`` namespace's memory home
-    only: ``function`` / ``jit`` payloads live there just when nothing
-    else holds them (a non-durable put), so a durable one is always read
-    from disk — where injected corruption can reach it."""
+    only: ``jit`` payloads live there just when nothing else holds them
+    (a non-durable put), so a durable one is always read from disk — where
+    injected corruption can reach it."""
 
     def __init__(self):
         super().__init__()
